@@ -33,6 +33,10 @@ from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# argparse reads an argument that starts with '-' as an option, so printed
+# normal forms such as "-5/12*x2" go back in after a "--" separator
+EXPR_HELP = "element expression; put '--' before one that starts with '-'"
+
 DEFAULT_CONFIG = {
     "n": 2,
     "r": 2,
@@ -77,17 +81,33 @@ def load_config(path: str | None) -> dict:
     return data
 
 
+def _int(value, field: str) -> int:
+    """An integer config field: a JSON integer or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
+
+
+def _require(block: dict, fields: Sequence[str], where: str) -> None:
+    for field in fields:
+        if field not in block:
+            raise ConfigError(f"{where} is missing field {field!r}")
+
+
 def params_from_config(config: dict) -> WeylParams:
+    _require(config, ("n", "r", "q_exponents", "lambda_exponents"), "config")
+    n = _int(config["n"], "n")
+    r = _int(config["r"], "r")
     try:
-        n = int(config["n"])
-        r = int(config["r"])
-        qexp = config["q_exponents"]
-        lexp = config["lambda_exponents"]
-    except KeyError as exc:
-        raise ConfigError(f"config is missing field {exc.args[0]!r}") from exc
-    try:
-        return WeylParams.from_coordinate_matrices(n, r, qexp, lexp)
-    except (ValueError, TypeError) as exc:
+        return WeylParams.from_coordinate_matrices(
+            n, r, config["q_exponents"], config["lambda_exponents"]
+        )
+    except (ValueError, TypeError, LookupError) as exc:
         raise ConfigError(f"invalid instance data: {exc}") from exc
 
 
@@ -95,6 +115,12 @@ def concrete_from_config(config: dict, params: WeylParams):
     block = config.get("concrete")
     if block is None:
         raise ConfigError("config has no 'concrete' block")
+    if not isinstance(block, dict):
+        raise ConfigError("config field 'concrete' must be a JSON object")
+    _require(block, ("q", "eta", "mu"), "concrete block")
+    for field in ("eta", "mu"):
+        if not isinstance(block[field], list):
+            raise ConfigError(f"concrete field {field!r} must be a list")
     q = _rat(block["q"])
     etas = [_rat(v) for v in block["eta"]]
     mus = [_rat(v) for v in block["mu"]]
@@ -159,20 +185,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     sub.add_parser("validate", help="check the configuration invariants")
     p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr")
+    p.add_argument("expr", help=EXPR_HELP)
     p = sub.add_parser("comm", help="commutator of two expressions")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", help=EXPR_HELP)
+    p.add_argument("b", help=EXPR_HELP)
     p = sub.add_parser("bracket", help="Poisson bracket of two expressions")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", help=EXPR_HELP)
+    p.add_argument("b", help=EXPR_HELP)
     p = sub.add_parser("limit", help="classical limit of an expression")
-    p.add_argument("expr")
+    p.add_argument("expr", help=EXPR_HELP)
     p = sub.add_parser(
         "scl", help="semiclassical bracket of two expressions, with consistency check"
     )
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", help=EXPR_HELP)
+    p.add_argument("b", help=EXPR_HELP)
     p = sub.add_parser("admissible", help="enumerate admissible sets")
     p.add_argument("n", type=int)
     p = sub.add_parser("stratum", help="full report for one stratum")
@@ -187,7 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser(
         "maltsiniotis", help="rescale an element of the unrescaled presentation"
     )
-    p.add_argument("expr")
+    p.add_argument("expr", help=EXPR_HELP)
 
     try:
         args = parser.parse_args(argv)
@@ -230,7 +256,7 @@ def _dispatch(args) -> int:
         seed = args.suite_seed if args.suite_seed is not None else args.seed
         if seed is None and args.config is not None:
             config_seed = load_config(args.config).get("seed")
-            seed = int(config_seed) if config_seed is not None else None
+            seed = _int(config_seed, "seed") if config_seed is not None else None
         if seed is None:
             seed = DEFAULT_SEED
         try:

@@ -163,10 +163,17 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser ----------------------------------------------------------------------
 
 
+# Deepest parenthesis nesting accepted.  Each level costs four frames of the
+# recursive descent, so this stays well inside the interpreter's recursion
+# limit even when the parser is called from deep in a stack.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -239,8 +246,14 @@ class _Parser:
             self.take("]")
             return EtaMono(tuple(exps), tok.line, tok.col)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+                )
             self.take("(")
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             self.take(")")
             return e
         raise ExprSyntaxError(

@@ -18,198 +18,27 @@ same bracket.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping
-
-from .scalars import MuPoly, vec_add
-from .weyl import (
-    ParamsMismatchError,
-    PbwMonomial,
-    WeylElement,
-    WeylParams,
-    element_to_str,
-    mono_key,
-    pos_x,
-    pos_y,
-)
+from .scalars import MuPoly, add_term, vec_add
+from .weyl import PbwElement, PbwMonomial, WeylElement, WeylParams, mono_key
 
 
-class PoissonElement:
+class PoissonElement(PbwElement):
     """Commutative polynomial with Q[mu] coefficients."""
 
-    __slots__ = ("params", "terms")
+    __slots__ = ()
+    scalar_type = MuPoly
 
-    def __init__(self, params: WeylParams, terms=()):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        acc: dict[PbwMonomial, MuPoly] = {}
-        for m, c in terms:
-            m = tuple(m)
-            if len(m) != 2 * params.n or any(e < 0 for e in m):
-                raise ValueError(f"bad monomial exponent tuple {m}")
-            if not isinstance(c, MuPoly):
-                c = MuPoly.constant(params.r, c)
-            prev = acc.get(m)
-            c = c if prev is None else prev + c
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda t: mono_key(t[0])))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonElement is immutable")
-
-    @classmethod
-    def zero(cls, params: WeylParams) -> "PoissonElement":
-        return cls(params)
-
-    @classmethod
-    def one(cls, params: WeylParams) -> "PoissonElement":
-        return cls(params, [((0,) * (2 * params.n), MuPoly.one(params.r))])
-
-    @classmethod
-    def scalar(cls, params: WeylParams, c) -> "PoissonElement":
-        if not isinstance(c, MuPoly):
-            c = MuPoly.constant(params.r, c)
-        return cls(params, [((0,) * (2 * params.n), c)])
-
-    @classmethod
-    def monomial(cls, params: WeylParams, m: PbwMonomial, coeff=1) -> "PoissonElement":
-        if not isinstance(coeff, MuPoly):
-            coeff = MuPoly.constant(params.r, coeff)
-        return cls(params, [(tuple(m), coeff)])
-
-    @classmethod
-    def generator(cls, params: WeylParams, kind: str, i: int) -> "PoissonElement":
-        if kind not in ("y", "x"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        if not 1 <= i <= params.n:
-            raise ValueError(f"generator index {i} out of range 1..{params.n}")
-        m = [0] * (2 * params.n)
-        m[pos_y(i) if kind == "y" else pos_x(i)] = 1
-        return cls.monomial(params, tuple(m))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=0)
-
-    def coefficient(self, m: PbwMonomial) -> MuPoly:
-        m = tuple(m)
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return MuPoly.zero(self.params.r)
-
-    def _check(self, other: "PoissonElement") -> None:
-        if self.params != other.params:
-            raise ParamsMismatchError("elements belong to different instances")
-
-    def _coerce(self, other):
-        if isinstance(other, PoissonElement):
-            return other
-        if isinstance(other, (int, Fraction, MuPoly)):
-            return PoissonElement.scalar(self.params, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        return PoissonElement(self.params, list(self.terms) + list(o.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PoissonElement(self.params, [(m, -c) for m, c in self.terms])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scale(self, c) -> "PoissonElement":
-        if not isinstance(c, MuPoly):
-            c = MuPoly.constant(self.params.r, c)
-        return PoissonElement(self.params, [(m, cc * c) for m, cc in self.terms])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MuPoly)):
-            return self.scale(other)
-        if isinstance(other, PoissonElement):
-            self._check(other)
-            out: dict[PbwMonomial, MuPoly] = {}
-            for ma, ca in self.terms:
-                for mb, cb in other.terms:
-                    m = vec_add(ma, mb)
-                    c = ca * cb
-                    prev = out.get(m)
-                    c = c if prev is None else prev + c
-                    if c:
-                        out[m] = c
-                    else:
-                        out.pop(m, None)
-            return PoissonElement(self.params, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, MuPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("element powers must be nonnegative integers")
-        out = PoissonElement.one(self.params)
-        for _ in range(k):
-            out = out * self
+    def _product(self, other: "PoissonElement") -> dict:
+        out: dict[PbwMonomial, MuPoly] = {}
+        for ma, ca in self.terms:
+            for mb, cb in other.terms:
+                add_term(out, vec_add(ma, mb), ca * cb)
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, PoissonElement):
-            return self.params == other.params and self.terms == other.terms
-        if isinstance(other, (int, Fraction, MuPoly)):
-            return self == PoissonElement.scalar(self.params, other)
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.params, self.terms))
-
-    def __str__(self) -> str:
-        return element_to_str(self)
-
-    def __repr__(self) -> str:
-        return f"PoissonElement({self})"
+p_z = PoissonElement.z
 
 
-def p_z(params: WeylParams, i: int) -> PoissonElement:
-    """Commutative image of z_i: 1 + sum_{k<=i} y_k x_k."""
-    if not 0 <= i <= params.n:
-        raise ValueError(f"z index {i} out of range 0..{params.n}")
-    terms = [((0,) * (2 * params.n), MuPoly.one(params.r))]
-    for k in range(1, i + 1):
-        m = [0] * (2 * params.n)
-        m[pos_y(k)] = 1
-        m[pos_x(k)] = 1
-        terms.append((tuple(m), MuPoly.one(params.r)))
-    return PoissonElement(params, terms)
-
-
-@lru_cache(maxsize=None)
 def _gen_bracket(params: WeylParams, p: int, q: int) -> PoissonElement:
     """Bracket of the generators sitting at exponent slots p and q."""
     if p == q:
@@ -258,7 +87,8 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
     """
     a._check(b)
     params = a.params
-    out = PoissonElement.zero(params)
+    memo = params.poisson_brackets
+    out: dict[PbwMonomial, MuPoly] = {}
     for ma, ca in a.terms:
         for mb, cb in b.terms:
             coeff = ca * cb
@@ -268,7 +98,9 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
                 for q in range(2 * params.n):
                     if not mb[q]:
                         continue
-                    table = _gen_bracket(params, p, q)
+                    table = memo.get((p, q))
+                    if table is None:
+                        table = memo[(p, q)] = _gen_bracket(params, p, q)
                     if not table:
                         continue
                     la = list(ma)
@@ -276,11 +108,10 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
                     lb = list(mb)
                     lb[q] -= 1
                     rest = vec_add(tuple(la), tuple(lb))
-                    piece = PoissonElement.monomial(
-                        params, rest, coeff * ma[p] * mb[q]
-                    )
-                    out = out + piece * table
-    return out
+                    c = coeff * ma[p] * mb[q]
+                    for mt, ct in table.terms:
+                        add_term(out, vec_add(rest, mt), c * ct)
+    return PoissonElement(params, out)
 
 
 def gamma1(a: WeylElement) -> PoissonElement:
@@ -342,14 +173,7 @@ def pe_div_exact(a: PoissonElement, d: PoissonElement) -> PoissonElement:
         if any(e < 0 for e in step):
             raise ArithmeticError(f"{a} is not divisible by {d}")
         qc = rem[mlead] * inv
-        prev = quot.get(step)
-        quot[step] = qc if prev is None else prev + qc
+        add_term(quot, step, qc)
         for dm, dc in dterms.items():
-            m = vec_add(step, dm)
-            c = rem.get(m)
-            c = -(qc * dc) if c is None else c - qc * dc
-            if c:
-                rem[m] = c
-            else:
-                rem.pop(m, None)
+            add_term(rem, vec_add(step, dm), -(qc * dc))
     return PoissonElement(params, quot)

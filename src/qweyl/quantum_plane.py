@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import MuPoly, QTScalar
+from .scalars import MuPoly, QTScalar, add_term
 
 PlaneMonomial = tuple[int, int]  # (y exponent, x exponent)
 
@@ -37,12 +37,7 @@ class PlaneElement:
                 raise ValueError(f"negative exponent in monomial {m}")
             if not isinstance(c, QTScalar):
                 c = QTScalar.constant(1, c)
-            prev = acc.get(m)
-            c = c if prev is None else prev + c
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
+            add_term(acc, m, c)
         object.__setattr__(self, "terms", tuple(sorted(acc.items())))
 
     def __setattr__(self, name, value):
@@ -80,14 +75,7 @@ class PlaneElement:
         out: dict[PlaneMonomial, QTScalar] = {}
         for (a, b), ca in self.terms:
             for (c, d), cb in other.terms:
-                coeff = ca * cb * QTScalar.monomial((b * c,))
-                key = (a + c, b + d)
-                prev = out.get(key)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    out[key] = coeff
-                else:
-                    out.pop(key, None)
+                add_term(out, (a + c, b + d), ca * cb * QTScalar.monomial((b * c,)))
         return PlaneElement(out)
 
     __rmul__ = __mul__

@@ -16,14 +16,17 @@ The bridge between the two domains is the pair of functionals ``eval_one``
 ``eta^v -> v . mu``), together with ``limit_div`` which computes the exact
 value of ``a / (t - 1)`` at ``t = 1`` for scalars vanishing at 1.
 
-All values are immutable after construction and hashable; term maps are
-kept sorted by exponent vector so printing and hashing are deterministic.
+Both are :class:`SparseScalar` term maps over the same exponent vectors and
+share its arithmetic; they differ only in the operations of their ring and
+in how a monomial prints.  All values are immutable after construction and
+hashable; term maps are kept sorted by exponent vector so printing and
+hashing are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 ExpVec = tuple[int, ...]
 Rat = Union[int, Fraction]
@@ -68,83 +71,76 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-def _canonical(rank: int, items: Iterable[tuple[ExpVec, Fraction]]):
-    acc: dict[ExpVec, Fraction] = {}
-    for vec, coeff in items:
-        vec = tuple(vec)
-        if len(vec) != rank:
-            raise RankMismatchError(
-                f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
-            )
-        c = acc.get(vec, Fraction(0)) + coeff
-        if c:
-            acc[vec] = c
-        else:
-            acc.pop(vec, None)
-    return tuple(sorted(acc.items()))
+def add_term(table: dict, key, value) -> None:
+    """Add ``value`` into ``table[key]``, dropping the key when the sum is zero.
+
+    Every sparse term map in the package (scalars, elements, the engine's
+    intermediate results, division remainders) accumulates through here, so
+    no stored coefficient is ever zero.
+    """
+    c = table.get(key)
+    c = value if c is None else c + value
+    if c:
+        table[key] = c
+    else:
+        table.pop(key, None)
 
 
-class QTScalar:
-    """Element of the coefficient ring: sum of rational multiples of
-    Laurent monomials ``eta_1^{v_1} ... eta_r^{v_r}``."""
+class SparseScalar:
+    """Sparse map from integer exponent vectors of length ``rank`` to
+    nonzero rationals.  Subclasses fix what a vector means (an eta-monomial
+    or a mu-monomial) and print it via ``_monomial_str``."""
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms=()):
         if isinstance(terms, Mapping):
             terms = terms.items()
+        acc: dict[ExpVec, Fraction] = {}
+        for vec, coeff in terms:
+            coeff = _as_fraction(coeff)
+            vec = tuple(vec)
+            if len(vec) != rank:
+                raise RankMismatchError(
+                    f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
+                )
+            add_term(acc, vec, coeff)
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(
-            self, "terms", _canonical(rank, ((v, _as_fraction(c)) for v, c in terms))
-        )
+        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
 
     def __setattr__(self, name, value):
-        raise AttributeError("QTScalar is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, rank: int) -> "QTScalar":
+    def zero(cls, rank: int):
         return cls(rank)
 
     @classmethod
-    def one(cls, rank: int) -> "QTScalar":
+    def one(cls, rank: int):
         return cls(rank, [(zero_vec(rank), Fraction(1))])
 
     @classmethod
-    def constant(cls, rank: int, value: Rat) -> "QTScalar":
+    def constant(cls, rank: int, value: Rat):
         return cls(rank, [(zero_vec(rank), _as_fraction(value))])
-
-    @classmethod
-    def monomial(cls, vec: ExpVec, coeff: Rat = 1) -> "QTScalar":
-        vec = tuple(vec)
-        return cls(len(vec), [(vec, _as_fraction(coeff))])
 
     # -- structure ---------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial_parts(self) -> tuple[ExpVec, Fraction]:
-        """The (exponent, coefficient) pair of a one-term scalar."""
-        if len(self.terms) != 1:
-            raise ValueError("scalar is not a single monomial")
-        return self.terms[0]
-
-    def _check_rank(self, other: "QTScalar") -> None:
+    def _check_rank(self, other: "SparseScalar") -> None:
         if self.rank != other.rank:
             raise RankMismatchError(
                 f"rank mismatch: {self.rank} vs {other.rank}"
             )
 
     def _coerce(self, other):
-        if isinstance(other, QTScalar):
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return QTScalar.constant(self.rank, other)
+            return self.constant(self.rank, other)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -154,12 +150,12 @@ class QTScalar:
         if o is None:
             return NotImplemented
         self._check_rank(o)
-        return QTScalar(self.rank, list(self.terms) + list(o.terms))
+        return type(self)(self.rank, list(self.terms) + list(o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QTScalar(self.rank, [(v, -c) for v, c in self.terms])
+        return type(self)(self.rank, [(v, -c) for v, c in self.terms])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -181,15 +177,83 @@ class QTScalar:
         out: dict[ExpVec, Fraction] = {}
         for va, ca in self.terms:
             for vb, cb in o.terms:
-                v = vec_add(va, vb)
-                c = out.get(v, Fraction(0)) + ca * cb
-                if c:
-                    out[v] = c
-                else:
-                    out.pop(v, None)
-        return QTScalar(self.rank, out)
+                add_term(out, vec_add(va, vb), ca * cb)
+        return type(self)(self.rank, out)
 
     __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.rank == other.rank and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == self.constant(self.rank, other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.terms))
+
+    # -- evaluation --------------------------------------------------------
+
+    def eval_at(self, values: Sequence[Rat]) -> Fraction:
+        """Evaluate with concrete rationals substituted for the symbols
+        (nonzero ones wherever a negative exponent occurs)."""
+        if len(values) != self.rank:
+            raise RankMismatchError(
+                f"{len(values)} values supplied for rank {self.rank}"
+            )
+        vals = [_as_fraction(v) for v in values]
+        total = Fraction(0)
+        for vec, c in self.terms:
+            prod = Fraction(1)
+            for base, e in zip(vals, vec):
+                prod *= base**e
+            total += c * prod
+        return total
+
+    # -- printing ----------------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (vec, coeff) in enumerate(self.terms):
+            mono = self._monomial_str(vec)
+            mag = abs(coeff)
+            if mono and mag == 1:
+                body = mono
+            elif mono:
+                body = f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            if i == 0:
+                parts.append(("-" if coeff < 0 else "") + body)
+            else:
+                parts.append(("- " if coeff < 0 else "+ ") + body)
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class QTScalar(SparseScalar):
+    """Element of the coefficient ring: sum of rational multiples of
+    Laurent monomials ``eta_1^{v_1} ... eta_r^{v_r}``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, vec: ExpVec, coeff: Rat = 1) -> "QTScalar":
+        vec = tuple(vec)
+        return cls(len(vec), [(vec, _as_fraction(coeff))])
+
+    def is_monomial(self) -> bool:
+        return len(self.terms) == 1
+
+    def monomial_parts(self) -> tuple[ExpVec, Fraction]:
+        """The (exponent, coefficient) pair of a one-term scalar."""
+        if len(self.terms) != 1:
+            raise ValueError("scalar is not a single monomial")
+        return self.terms[0]
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -201,16 +265,6 @@ class QTScalar:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, QTScalar):
-            return self.rank == other.rank and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == QTScalar.constant(self.rank, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.terms))
 
     # -- evaluation functionals --------------------------------------------
 
@@ -225,10 +279,15 @@ class QTScalar:
         ``d/dt eta^v |_1 = v_1 mu_1 + ... + v_r mu_r``; the result is always
         mu-linear.
         """
-        out = MuPoly.zero(self.rank)
-        for v, c in self.terms:
-            out = out + MuPoly.linear(v) * c
-        return out
+        return MuPoly(
+            self.rank,
+            [
+                (unit_vec(self.rank, i), c * e)
+                for v, c in self.terms
+                for i, e in enumerate(v)
+                if e
+            ],
+        )
 
     def limit_div(self) -> "MuPoly":
         """Exact value of ``self / (t - 1)`` at ``t = 1``.
@@ -241,21 +300,6 @@ class QTScalar:
                 f"scalar {self} is nonzero at t=1; not divisible by (t-1)"
             )
         return self.deriv_one()
-
-    def eval_at(self, values: Sequence[Rat]) -> Fraction:
-        """Evaluate with concrete nonzero rationals substituted for the eta's."""
-        if len(values) != self.rank:
-            raise RankMismatchError(
-                f"{len(values)} values supplied for rank {self.rank}"
-            )
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for vec, c in self.terms:
-            prod = Fraction(1)
-            for base, e in zip(vals, vec):
-                prod *= base**e
-            total += c * prod
-        return total
 
     # -- exact division ----------------------------------------------------
 
@@ -295,12 +339,7 @@ class QTScalar:
             qc = f[flead] / glc
             quot[step] = qc
             for gv, gc in g.items():
-                v = vec_add(step, gv)
-                c = f.get(v, Fraction(0)) - qc * gc
-                if c:
-                    f[v] = c
-                else:
-                    f.pop(v, None)
+                add_term(f, vec_add(step, gv), -(qc * gc))
         if offending is not None or f:
             raise NotDivisibleError(
                 f"{self} is not divisible by {o}"
@@ -308,58 +347,15 @@ class QTScalar:
         back = vec_sub(fshift, gshift)
         return QTScalar(self.rank, {vec_add(v, back): c for v, c in quot.items()})
 
-    # -- printing ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (vec, coeff) in enumerate(self.terms):
-            mono = "" if not any(vec) else "eta^[" + ",".join(map(str, vec)) + "]"
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if i == 0:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QTScalar({self})"
+    @staticmethod
+    def _monomial_str(vec: ExpVec) -> str:
+        return "eta^[" + ",".join(map(str, vec)) + "]" if any(vec) else ""
 
 
-class MuPoly:
+class MuPoly(SparseScalar):
     """Polynomial over the rationals in the derivative symbols mu_1 .. mu_r."""
 
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank, terms=()):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(
-            self, "terms", _canonical(rank, ((v, _as_fraction(c)) for v, c in terms))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MuPoly is immutable")
-
-    @classmethod
-    def zero(cls, rank: int) -> "MuPoly":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "MuPoly":
-        return cls(rank, [(zero_vec(rank), Fraction(1))])
-
-    @classmethod
-    def constant(cls, rank: int, value: Rat) -> "MuPoly":
-        return cls(rank, [(zero_vec(rank), _as_fraction(value))])
+    __slots__ = ()
 
     @classmethod
     def variable(cls, rank: int, i: int) -> "MuPoly":
@@ -371,72 +367,6 @@ class MuPoly:
         """The linear form ``v . mu = v_1 mu_1 + ... + v_r mu_r``."""
         rank = len(vec)
         return cls(rank, [(unit_vec(rank, i), Fraction(e)) for i, e in enumerate(vec) if e])
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check_rank(self, other: "MuPoly") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def _coerce(self, other):
-        if isinstance(other, MuPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MuPoly.constant(self.rank, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check_rank(o)
-        return MuPoly(self.rank, list(self.terms) + list(o.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MuPoly(self.rank, [(v, -c) for v, c in self.terms])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check_rank(o)
-        out: dict[ExpVec, Fraction] = {}
-        for va, ca in self.terms:
-            for vb, cb in o.terms:
-                v = vec_add(va, vb)
-                c = out.get(v, Fraction(0)) + ca * cb
-                if c:
-                    out[v] = c
-                else:
-                    out.pop(v, None)
-        return MuPoly(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, MuPoly):
-            return self.rank == other.rank and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MuPoly.constant(self.rank, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank, self.terms))
 
     def constant_part(self) -> Fraction:
         for v, c in self.terms:
@@ -460,43 +390,10 @@ class MuPoly:
             coeffs[v.index(1)] = c
         return tuple(coeffs)
 
-    def subs(self, values: Sequence[Rat]) -> Fraction:
-        """Evaluate at concrete rational mu values."""
-        if len(values) != self.rank:
-            raise RankMismatchError(f"{len(values)} values for rank {self.rank}")
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for vec, c in self.terms:
-            prod = Fraction(1)
-            for base, e in zip(vals, vec):
-                prod *= base**e
-            total += c * prod
-        return total
+    subs = SparseScalar.eval_at
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (vec, coeff) in enumerate(self.terms):
-            factors = []
-            for k, e in enumerate(vec):
-                if e == 1:
-                    factors.append(f"mu{k + 1}")
-                elif e:
-                    factors.append(f"mu{k + 1}^{e}")
-            mono = "*".join(factors)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if i == 0:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MuPoly({self})"
+    @staticmethod
+    def _monomial_str(vec: ExpVec) -> str:
+        return "*".join(
+            f"mu{k + 1}" if e == 1 else f"mu{k + 1}^{e}" for k, e in enumerate(vec) if e
+        )

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .poisson import PoissonElement, p_z, pb_bracket, pe_div_exact
-from .scalars import ExpVec, MuPoly, QTScalar, vec_add, vec_neg, zero_vec
+from .scalars import ExpVec, MuPoly, QTScalar, add_term, vec_add, vec_neg, zero_vec
 from .weyl import WeylElement, WeylParams, pos_x, pos_y, wa_z
 
 Marker = tuple[str, int]
@@ -497,12 +497,7 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
             None,
         )
         if hit is None:
-            prev = result.get(m)
-            cc = c if prev is None else prev + c
-            if cc:
-                result[m] = cc
-            else:
-                result.pop(m, None)
+            add_term(result, m, c)
             continue
         i = hit
         prefix = list(m)
@@ -518,13 +513,7 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
             * WeylElement.monomial(params, tuple(suffix))
         )
         for mm, cc in replaced.terms:
-            prev = agenda.get(mm)
-            add = -(c * cc)
-            total = add if prev is None else prev + add
-            if total:
-                agenda[mm] = total
-            else:
-                agenda.pop(mm, None)
+            add_term(agenda, mm, -(c * cc))
     return WeylElement(params, result)
 
 

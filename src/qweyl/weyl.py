@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ExpVec, QTScalar, vec_add, vec_neg
+from .scalars import ExpVec, QTScalar, add_term, vec_add, vec_neg
 
 PbwMonomial = tuple[int, ...]
 
@@ -95,8 +95,8 @@ class StraighteningEngine:
                 if not c:
                     continue
                 for m, cm in self.mono_mul(ma, mb).items():
-                    _acc(out, m, cm * c)
-        return {m: c for m, c in out.items() if c}
+                    add_term(out, m, cm * c)
+        return out
 
     def mono_mul(self, m1: PbwMonomial, m2: PbwMonomial) -> dict:
         if __debug__:
@@ -113,8 +113,8 @@ class StraighteningEngine:
             if not c:
                 continue
             for m2, c2 in self._mono_times_gen(m, p, depth).items():
-                _acc(out, m2, c2 * c)
-        return {m: c for m, c in out.items() if c}
+                add_term(out, m2, c2 * c)
+        return out
 
     def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
         if __debug__:
@@ -148,18 +148,18 @@ class StraighteningEngine:
             )
             qi = self.q[i]
             for mm, cc in first.items():
-                _acc(out, mm, cc * qi)
+                add_term(out, mm, cc * qi)
             total = {m_less: self.one}
             for k in range(i):
                 part = self._acc_times_gen(
                     self._mono_times_gen(m_less, 2 * k, depth + 1), 2 * k + 1, depth + 1
                 )
                 for mm, cc in part.items():
-                    _acc(total, mm, cc)
+                    add_term(total, mm, cc)
             qm1 = self.qm1[i]
             for mm, cc in total.items():
-                _acc(out, mm, cc * qm1)
-            return {mm: cc for mm, cc in out.items() if cc}
+                add_term(out, mm, cc * qm1)
+            return out
         # monomial swap under the whole g_top block
         e = m[top]
         lst = list(m)
@@ -170,17 +170,8 @@ class StraighteningEngine:
         for mm, cc in self._mono_times_gen(stripped, p, depth + 1).items():
             lst = list(mm)
             lst[top] += e
-            _acc(out, tuple(lst), cc * c)
+            add_term(out, tuple(lst), cc * c)
         return out
-
-
-def _acc(table: dict, key, value) -> None:
-    c = table.get(key)
-    c = value if c is None else c + value
-    if c:
-        table[key] = c
-    else:
-        table.pop(key, None)
 
 
 def build_engine(n: int, one, monomial_of_vec, qexp, lexp) -> StraighteningEngine:
@@ -286,71 +277,90 @@ class WeylParams:
             self.n, QTScalar.one(self.r), QTScalar.monomial, self.qexp, self.lexp
         )
 
+    @cached_property
+    def poisson_brackets(self) -> dict:
+        """Memo of the Poisson limit's generator brackets, keyed by slot
+        pair and filled by :mod:`qweyl.poisson`; it lives and dies with
+        this instance."""
+        return {}
+
     @property
     def scalar_one(self) -> QTScalar:
         return QTScalar.one(self.r)
 
 
-class WeylElement:
-    """Algebra element: finite map from ordered monomials to scalars."""
+class PbwElement:
+    """Finite map from ordered (PBW) monomials to nonzero coefficients.
+
+    The quantized algebra and its Poisson limit share the basis and differ
+    only in the coefficient ring and the product, which each subclass
+    supplies as ``scalar_type`` and ``_product(other)`` (the term map of
+    ``self * other`` for an element of the same class and instance).
+    """
 
     __slots__ = ("params", "terms")
+    scalar_type: type
 
     def __init__(self, params: WeylParams, terms=()):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        acc: dict[PbwMonomial, QTScalar] = {}
+        ring = self.scalar_type
+        acc: dict = {}
         for m, c in terms:
             m = tuple(m)
             if len(m) != 2 * params.n or any(e < 0 for e in m):
                 raise ValueError(f"bad monomial exponent tuple {m}")
-            if not isinstance(c, QTScalar):
-                c = QTScalar.constant(params.r, c)
-            prev = acc.get(m)
-            c = c if prev is None else prev + c
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
+            if not isinstance(c, ring):
+                c = ring.constant(params.r, c)
+            add_term(acc, m, c)
         object.__setattr__(self, "params", params)
         object.__setattr__(
             self, "terms", tuple(sorted(acc.items(), key=lambda t: mono_key(t[0])))
         )
 
     def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, params: WeylParams) -> "WeylElement":
+    def zero(cls, params: WeylParams):
         return cls(params)
 
     @classmethod
-    def one(cls, params: WeylParams) -> "WeylElement":
-        return cls(params, [((0,) * (2 * params.n), QTScalar.one(params.r))])
+    def one(cls, params: WeylParams):
+        return cls(params, [((0,) * (2 * params.n), cls.scalar_type.one(params.r))])
 
     @classmethod
-    def scalar(cls, params: WeylParams, c) -> "WeylElement":
-        if not isinstance(c, QTScalar):
-            c = QTScalar.constant(params.r, c)
+    def scalar(cls, params: WeylParams, c):
         return cls(params, [((0,) * (2 * params.n), c)])
 
     @classmethod
-    def monomial(cls, params: WeylParams, m: PbwMonomial, coeff=1) -> "WeylElement":
-        if not isinstance(coeff, QTScalar):
-            coeff = QTScalar.constant(params.r, coeff)
+    def monomial(cls, params: WeylParams, m: PbwMonomial, coeff=1):
         return cls(params, [(tuple(m), coeff)])
 
     @classmethod
-    def generator(cls, params: WeylParams, kind: str, i: int) -> "WeylElement":
+    def generator(cls, params: WeylParams, kind: str, i: int):
+        if kind not in ("y", "x"):
+            raise ValueError(f"unknown generator kind {kind!r}")
         if not 1 <= i <= params.n:
             raise ValueError(f"generator index {i} out of range 1..{params.n}")
         m = [0] * (2 * params.n)
         m[pos_y(i) if kind == "y" else pos_x(i)] = 1
-        if kind not in ("y", "x"):
-            raise ValueError(f"unknown generator kind {kind!r}")
         return cls.monomial(params, tuple(m))
+
+    @classmethod
+    def z(cls, params: WeylParams, i: int):
+        """z_i = 1 + sum_{k<=i} y_k x_k, with z_0 = 1."""
+        if not 0 <= i <= params.n:
+            raise ValueError(f"z index {i} out of range 0..{params.n}")
+        terms = [((0,) * (2 * params.n), 1)]
+        for k in range(1, i + 1):
+            m = [0] * (2 * params.n)
+            m[pos_y(k)] = 1
+            m[pos_x(k)] = 1
+            terms.append((tuple(m), 1))
+        return cls(params, terms)
 
     # -- structure ------------------------------------------------------------
 
@@ -360,25 +370,25 @@ class WeylElement:
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
-    def coefficient(self, m: PbwMonomial) -> QTScalar:
+    def coefficient(self, m: PbwMonomial):
         m = tuple(m)
         for mm, c in self.terms:
             if mm == m:
                 return c
-        return QTScalar.zero(self.params.r)
+        return self.scalar_type.zero(self.params.r)
 
-    def map_coefficients(self, f):
-        return [(m, f(c)) for m, c in self.terms]
-
-    def _check(self, other: "WeylElement") -> None:
+    def _check(self, other: "PbwElement") -> None:
         if self.params != other.params:
             raise ParamsMismatchError("elements belong to different instances")
 
+    def _is_scalar(self, other) -> bool:
+        return isinstance(other, (int, Fraction, self.scalar_type))
+
     def _coerce(self, other):
-        if isinstance(other, WeylElement):
+        if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction, QTScalar)):
-            return WeylElement.scalar(self.params, other)
+        if self._is_scalar(other):
+            return self.scalar(self.params, other)
         return None
 
     # -- arithmetic -------------------------------------------------------------
@@ -388,12 +398,12 @@ class WeylElement:
         if o is None:
             return NotImplemented
         self._check(o)
-        return WeylElement(self.params, list(self.terms) + list(o.terms))
+        return type(self)(self.params, list(self.terms) + list(o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.params, [(m, -c) for m, c in self.terms])
+        return type(self)(self.params, [(m, -c) for m, c in self.terms])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -407,38 +417,35 @@ class WeylElement:
             return NotImplemented
         return o + (-self)
 
-    def scale(self, c) -> "WeylElement":
-        if not isinstance(c, QTScalar):
-            c = QTScalar.constant(self.params.r, c)
-        return WeylElement(self.params, [(m, cc * c) for m, cc in self.terms])
+    def scale(self, c):
+        if not isinstance(c, self.scalar_type):
+            c = self.scalar_type.constant(self.params.r, c)
+        return type(self)(self.params, [(m, cc * c) for m, cc in self.terms])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QTScalar)):
-            return self.scale(other)
-        if isinstance(other, WeylElement):
+        if isinstance(other, type(self)):
             self._check(other)
-            prod = self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
-            return WeylElement(self.params, prod)
-        return NotImplemented
+            return type(self)(self.params, self._product(other))
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QTScalar)):
+        if self._is_scalar(other):
             return self.scale(other)
         return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("element powers must be nonnegative integers")
-        out = WeylElement.one(self.params)
+        out = self.one(self.params)
         for _ in range(k):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if isinstance(other, WeylElement):
+        if isinstance(other, type(self)):
             return self.params == other.params and self.terms == other.terms
-        if isinstance(other, (int, Fraction, QTScalar)):
-            return self == WeylElement.scalar(self.params, other)
+        if self._is_scalar(other):
+            return self == self.scalar(self.params, other)
         return NotImplemented
 
     def __hash__(self):
@@ -450,7 +457,18 @@ class WeylElement:
         return element_to_str(self)
 
     def __repr__(self) -> str:
-        return f"WeylElement({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class WeylElement(PbwElement):
+    """Element of the quantized algebra: coefficients are eta-scalars and
+    products are straightened by the instance's engine."""
+
+    __slots__ = ()
+    scalar_type = QTScalar
+
+    def _product(self, other: "WeylElement") -> dict:
+        return self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
 
 
 def pbw_monomial_str(m: PbwMonomial) -> str:
@@ -488,27 +506,12 @@ def element_to_str(a) -> str:
 # -- named operations ------------------------------------------------------------
 
 
-def wa_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Normal form of the product a*b."""
-    return a * b
-
-
 def wa_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """ab - ba; always divisible by (t - 1) coefficientwise."""
     return a * b - b * a
 
 
-def wa_z(params: WeylParams, i: int) -> WeylElement:
-    """z_i = 1 + sum_{k<=i} y_k x_k, with z_0 = 1."""
-    if not 0 <= i <= params.n:
-        raise ValueError(f"z index {i} out of range 0..{params.n}")
-    terms = [((0,) * (2 * params.n), QTScalar.one(params.r))]
-    for k in range(1, i + 1):
-        m = [0] * (2 * params.n)
-        m[pos_y(k)] = 1
-        m[pos_x(k)] = 1
-        terms.append((tuple(m), QTScalar.one(params.r)))
-    return WeylElement(params, terms)
+wa_z = WeylElement.z
 
 
 def wa_divisible_by_t_minus_1(a: WeylElement) -> bool:

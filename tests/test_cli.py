@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qweyl.cli import main
 
 
@@ -160,3 +162,58 @@ def test_bad_config(tmp_path, capsys):
     path.write_text("{\"n\": 2}")
     code, _, err = run(capsys, "--config", str(path), "validate")
     assert code == 2
+
+
+BASE_CONFIG = {
+    "n": 1,
+    "r": 1,
+    "q_exponents": [[1]],
+    "lambda_exponents": [[[0]]],
+    "concrete": {"q": "2", "eta": ["3"], "mu": ["1"]},
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"concrete": {"eta": ["3"], "mu": ["1"]}},
+        {"concrete": {"q": "2", "mu": ["1"]}},
+        {"concrete": {"q": "2", "eta": ["3"]}},
+        {"concrete": {"q": "2", "eta": "3", "mu": ["1"]}},
+        {"concrete": {"q": "2", "eta": ["3"], "mu": 1}},
+        {"concrete": ["2", "3", "1"]},
+        {"n": "two"},
+        {"n": 1.5},
+        {"r": None},
+        {"r": [1]},
+        {"lambda_exponents": [[[]]]},
+    ],
+)
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+    code, out, err = run(capsys, "--config", str(path), "validate")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nested_parentheses_limit(capsys):
+    code, out, _ = run(capsys, "nf", "(" * 200 + "x1" + ")" * 200)
+    assert code == 0
+    assert out.strip() == "x1"
+    for depth in (201, 1000):
+        code, out, err = run(capsys, "nf", "(" * depth + "x1" + ")" * depth)
+        assert code == 2
+        assert out == ""
+        assert "nested deeper than 200" in err and err.count("\n") == 1
+
+
+def test_leading_minus_round_trip(capsys):
+    code, out, _ = run(capsys, "nf", "x2*y1*x1 - 5/12*x2")
+    assert code == 0
+    printed = out.strip()
+    assert printed.startswith("-5/12*x2")
+    code, out, _ = run(capsys, "nf", "--", printed)
+    assert code == 0
+    assert out.strip() == printed

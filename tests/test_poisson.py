@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -6,6 +8,7 @@ from qweyl import (
     MuPoly,
     PoissonElement,
     WeylElement,
+    WeylParams,
     gamma1,
     jacobiator,
     p_z,
@@ -126,3 +129,39 @@ def test_bracket_coefficients_are_mu_linear(params2):
         a, b = random_weyl(rng, params2), random_weyl(rng, params2)
         for _, c in semiclassical_bracket(a, b).terms:
             assert c.degree() <= 1
+
+
+def test_bracket_memo_does_not_keep_instances_alive():
+    # exponents no other test uses, so no equal instance is cached anywhere
+    params = WeylParams(2, 1, ((5,), (7,)), (((0,), (11,)), ((-11,), (0,))))
+    ref = weakref.ref(params)
+    a = pgen(params, "x", 2) * pgen(params, "y", 1) + pgen(params, "x", 1)
+    assert pb_bracket(a, pgen(params, "y", 2) * pgen(params, "y", 1))
+    del params, a
+    gc.collect()
+    assert ref() is None
+
+
+def test_element_classes_do_not_mix(params2):
+    with pytest.raises(TypeError):
+        WeylElement.one(params2) + PoissonElement.one(params2)
+    with pytest.raises(TypeError):
+        PoissonElement.one(params2) * WeylElement.one(params2)
+    with pytest.raises(TypeError):
+        WeylElement.one(params2) * MuPoly.one(2)
+    assert WeylElement.one(params2) != PoissonElement.one(params2)
+
+
+def test_element_errors_and_repr_name_the_concrete_class(params2):
+    for cls in (WeylElement, PoissonElement):
+        elem = cls.generator(params2, "y", 1)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            elem.terms = ()
+        assert repr(elem) == f"{cls.__name__}(y1)"
+        assert type(elem * elem) is cls and type(elem ** 2) is cls
+
+
+def test_p_z_builds_poisson_elements(params3):
+    assert all(type(p_z(params3, i)) is PoissonElement for i in range(4))
+    with pytest.raises(ValueError):
+        p_z(params3, 4)

@@ -228,3 +228,29 @@ def test_printing_deterministic():
     assert str(a) == "-1 + eta^[1,0]"
     assert str(QTScalar.zero(2)) == "0"
     assert str(MuPoly(2, {(1, 0): 2, (0, 1): -1})) == "-mu2 + 2*mu1"
+
+
+# -- the shared term-map base ---------------------------------------------------------
+
+
+def test_rings_do_not_mix():
+    with pytest.raises(TypeError):
+        QTScalar.one(2) + MuPoly.one(2)
+    with pytest.raises(TypeError):
+        MuPoly.one(2) * QTScalar.one(2)
+    assert QTScalar.one(2) != MuPoly.one(2)
+
+
+def test_errors_and_repr_name_the_concrete_class():
+    for cls in (QTScalar, MuPoly):
+        value = cls.one(1)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            value.rank = 2
+        assert repr(value) == f"{cls.__name__}(1)"
+
+
+def test_subs_is_eval_at():
+    p = MuPoly(2, {(2, 0): 3, (0, 1): -1, (0, 0): Fraction(1, 2)})
+    assert p.subs([2, 5]) == p.eval_at([2, 5]) == 12 - 5 + Fraction(1, 2)
+    with pytest.raises(RankMismatchError):
+        p.subs([1])

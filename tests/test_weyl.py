@@ -12,7 +12,6 @@ from qweyl import (
     from_maltsiniotis,
     wa_commutator,
     wa_divisible_by_t_minus_1,
-    wa_mul,
     wa_z,
 )
 from qweyl.suites import random_params, random_weyl
@@ -84,7 +83,7 @@ def test_two_step_straightening_oracle(params2):
 
 def test_mul_params_mismatch(params2, params3):
     with pytest.raises(ParamsMismatchError):
-        wa_mul(WeylElement.one(params2), WeylElement.one(params3))
+        WeylElement.one(params2) * WeylElement.one(params3)
 
 
 def test_associativity_randomized():
