@@ -2,17 +2,20 @@
 
 Commands operate on an instance described by a JSON configuration file
 (``--config``); a small built-in two-pair instance is used when none is
-given.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error.
+given.  Each command is one row of ``COMMANDS``.  Exit codes: 0 success,
+1 a check in the record failed, 2 usage or configuration error, 3 internal
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exprs import ExprEvalError, ExprSyntaxError, eval_free, eval_weyl, parse_expr
 from .interp import ParameterDomainError, build_e_family
@@ -30,8 +33,9 @@ from .spectra import (
 from .suites import DEFAULT_SEED, run_suites
 from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis
 
-USAGE_ERROR = 2
 VERIFY_ERROR = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 # argparse reads an argument that starts with '-' as an option, so printed
 # normal forms such as "-5/12*x2" go back in after a "--" separator
@@ -54,7 +58,7 @@ class ConfigError(ValueError):
 
 
 def _rat(value) -> Fraction:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -82,15 +86,20 @@ def load_config(path: str | None) -> dict:
 
 
 def _int(value, field: str) -> int:
-    """An integer config field: a JSON integer or a decimal string."""
+    """An integer config field: a JSON integer, or a string of decimal
+    digits with an optional sign."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
     raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
+
+
+def _int_entries(value, field: str):
+    """A nested list of integer config entries, each checked by ``_int``."""
+    if isinstance(value, list):
+        return [_int_entries(v, f"{field}[{k}]") for k, v in enumerate(value)]
+    return _int(value, field)
 
 
 def _require(block: dict, fields: Sequence[str], where: str) -> None:
@@ -103,18 +112,16 @@ def params_from_config(config: dict) -> WeylParams:
     _require(config, ("n", "r", "q_exponents", "lambda_exponents"), "config")
     n = _int(config["n"], "n")
     r = _int(config["r"], "r")
+    qexp = _int_entries(config["q_exponents"], "q_exponents")
+    lexp = _int_entries(config["lambda_exponents"], "lambda_exponents")
     try:
-        return WeylParams.from_coordinate_matrices(
-            n, r, config["q_exponents"], config["lambda_exponents"]
-        )
+        return WeylParams.from_coordinate_matrices(n, r, qexp, lexp)
     except (ValueError, TypeError, LookupError) as exc:
         raise ConfigError(f"invalid instance data: {exc}") from exc
 
 
 def concrete_from_config(config: dict, params: WeylParams):
-    block = config.get("concrete")
-    if block is None:
-        raise ConfigError("config has no 'concrete' block")
+    block = config["concrete"]
     if not isinstance(block, dict):
         raise ConfigError("config field 'concrete' must be a JSON object")
     _require(block, ("q", "eta", "mu"), "concrete block")
@@ -126,7 +133,7 @@ def concrete_from_config(config: dict, params: WeylParams):
     mus = [_rat(v) for v in block["mu"]]
     if len(etas) != params.r or len(mus) != params.r:
         raise ConfigError(f"concrete eta/mu lists must have length r={params.r}")
-    return q, build_e_family(q, etas, mus)
+    return build_e_family(q, etas, mus)
 
 
 def parse_tspec(text: str, n: int) -> AdmissibleSet:
@@ -135,7 +142,7 @@ def parse_tspec(text: str, n: int) -> AdmissibleSet:
     if body:
         for piece in body.split(","):
             piece = piece.strip()
-            if len(piece) < 2 or piece[0] not in "zyx" or not piece[1:].isdigit():
+            if not re.fullmatch(r"[zyx][0-9]+", piece):
                 raise ConfigError(f"bad marker {piece!r} in set specification")
             markers.append((piece[0], int(piece[1:])))
     try:
@@ -151,21 +158,162 @@ def _parse(text: str, params: WeylParams):
     return eval_weyl(parse_expr(text), params)
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human:
-            print(line)
+# -- commands ----------------------------------------------------------------------
+# A handler takes the parsed arguments, the instance and its config (both None
+# for a command that does not run on the instance) and returns the command's
+# own record fields and its text lines.
 
 
-def _instance_summary(config: dict, params: WeylParams) -> dict:
-    return {
-        "n": params.n,
-        "r": params.r,
-        "q_exponents": [list(v) for v in params.qexp],
-        "source": "builtin-default" if config is DEFAULT_CONFIG else "config",
+def _plain(value) -> tuple[dict, list[str]]:
+    text = str(value)
+    return {"result": text, "checks": []}, [text]
+
+
+def _validate(args, params, config):
+    checks = [{"name": "instance-invariants", "passed": True, "detail": ""}]
+    note = "no concrete block"
+    if config.get("concrete") is not None:
+        e_polys = concrete_from_config(config, params)
+        note = "concrete block ok: " + ", ".join(f"e{k + 1} = {e}" for k, e in enumerate(e_polys))
+        checks.append({"name": "concrete-block", "passed": True, "detail": note})
+    lines = [f"instance ok: n={params.n}, r={params.r}", note]
+    return {"result": True, "checks": checks}, lines
+
+
+def _nf(args, params, config):
+    return _plain(_parse(args.expr, params))
+
+
+def _comm(args, params, config):
+    a, b = _parse(args.a, params), _parse(args.b, params)
+    return _plain(a * b - b * a)
+
+
+def _bracket(args, params, config):
+    a, b = _parse(args.a, params), _parse(args.b, params)
+    return _plain(pb_bracket(gamma1(a), gamma1(b)))
+
+
+def _limit(args, params, config):
+    return _plain(gamma1(_parse(args.expr, params)))
+
+
+def _scl(args, params, config):
+    a, b = _parse(args.a, params), _parse(args.b, params)
+    scl = semiclassical_bracket(a, b)
+    consistent = scl == pb_bracket(gamma1(a), gamma1(b))
+    checks = [{"name": "bracket-consistency", "passed": consistent}]
+    verdict = "CONSISTENT" if consistent else "INCONSISTENT"
+    return {"result": str(scl), "checks": checks}, [f"{scl}; {verdict}"]
+
+
+def _admissible(args, params, config):
+    if args.n < 1:
+        raise ConfigError("n must be positive")
+    names = [",".join(T.names()) or "(empty)" for T in enumerate_admissible(args.n)]
+    lines = [f"admissible sets of M_{args.n}: {len(names)}"] + [f"  {s}" for s in names]
+    return {"n": args.n, "count": len(names), "result": names}, lines
+
+
+def _stratum(args, params, config):
+    report = stratum_report(params, parse_tspec(args.tspec, params.n))
+    d = report.to_dict()
+    return {"result": d, "checks": []}, [
+        f"stratum {','.join(report.markers) or '(empty)'}",
+        f"  generators: {', '.join(report.generators)}",
+        "  commutation exponents: " + str(d["qmatrix"]),
+        "  bracket forms: " + str(d["pmatrix"]),
+        f"  center lattice rank: {report.center_rank}"
+        + (" (center trivial)" if report.center_trivial else ""),
+        f"  center basis: {d['center_basis']}",
+    ]
+
+
+def _center(args, params, config):
+    T = parse_tspec(args.tspec, params.n)
+    lattice = center_lattice(torus_matrix_q(params, T), params.r)
+    d = {
+        "size": lattice.size,
+        "rank": lattice.rank,
+        "basis": [list(v) for v in lattice.basis],
+        "trivial": lattice.is_trivial,
     }
+    return {"result": d, "checks": []}, [
+        f"center lattice rank {lattice.rank} of Z^{lattice.size}"
+        + (" (trivial: scalars only)" if lattice.is_trivial else ""),
+        f"basis: {d['basis']}",
+    ]
+
+
+def _verify(args, params, config):
+    seed = args.suite_seed if args.suite_seed is not None else args.seed
+    if seed is None:
+        config_seed = load_config(args.config).get("seed")
+        seed = DEFAULT_SEED if config_seed is None else _int(config_seed, "seed")
+    try:
+        results = run_suites(args.suite, seed)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+    checks = [asdict(s) for s in results]
+    ok = all(s.passed for s in results)
+    lines = [
+        f"{'PASS' if s.passed else 'FAIL'} {s.name} ({s.checks} checks) {s.detail}"
+        for s in results
+    ] + [f"{'OK' if ok else 'FAILED'}: {sum(s.passed for s in results)}/{len(results)} suites"]
+    return {"seed": seed, "result": ok, "checks": checks}, lines
+
+
+def _example(args, params, config):
+    lines = demo_lines()
+    return {"result": lines, "checks": []}, lines
+
+
+def _maltsiniotis(args, params, config):
+    return _plain(from_maltsiniotis(params, eval_free(parse_expr(args.expr), params)))
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    handler: Callable  # (args, params, config) -> (record fields, text lines)
+    arguments: tuple = ()  # (name or flag, add_argument keywords) pairs
+    on_instance: bool = True
+
+
+EXPR_ARG = ("expr", {"help": EXPR_HELP})
+PAIR_ARGS = (("a", {"help": EXPR_HELP}), ("b", {"help": EXPR_HELP}))
+TSPEC_HELP = "comma list of markers, e.g. 'z1,z2,y2' ('' = empty)"
+VERIFY_ARGS = (
+    ("--suite", {"action": "append", "help": "run only the named suite(s)"}),
+    ("--seed", {"type": int, "default": None, "dest": "suite_seed"}),
+)
+
+COMMANDS = {
+    "validate": Command("check the configuration invariants", _validate),
+    "nf": Command("normal form of an expression", _nf, (EXPR_ARG,)),
+    "comm": Command("commutator of two expressions", _comm, PAIR_ARGS),
+    "bracket": Command("Poisson bracket of two expressions", _bracket, PAIR_ARGS),
+    "limit": Command("classical limit of an expression", _limit, (EXPR_ARG,)),
+    "scl": Command(
+        "semiclassical bracket of two expressions, with consistency check", _scl, PAIR_ARGS
+    ),
+    "admissible": Command(
+        "enumerate admissible sets", _admissible, (("n", {"type": int}),), on_instance=False
+    ),
+    "stratum": Command("full report for one stratum", _stratum, (("tspec", {"help": TSPEC_HELP}),)),
+    "center": Command("center lattice of one stratum", _center, (("tspec", {}),)),
+    "verify": Command("run the verification suites", _verify, VERIFY_ARGS, on_instance=False),
+    "example": Command(
+        "run a worked example", _example, (("name", {"choices": ["quantum-plane"]}),),
+        on_instance=False,
+    ),
+    "maltsiniotis": Command(
+        "rescale an element of the unrescaled presentation", _maltsiniotis, (EXPR_ARG,)
+    ),
+}
+
+USAGE_ERRORS = (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
+                ParameterDomainError, LocalizationRequiredError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -182,237 +330,44 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--seed", type=int, default=None, help="seed for randomized suites"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", help="check the configuration invariants")
-    p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr", help=EXPR_HELP)
-    p = sub.add_parser("comm", help="commutator of two expressions")
-    p.add_argument("a", help=EXPR_HELP)
-    p.add_argument("b", help=EXPR_HELP)
-    p = sub.add_parser("bracket", help="Poisson bracket of two expressions")
-    p.add_argument("a", help=EXPR_HELP)
-    p.add_argument("b", help=EXPR_HELP)
-    p = sub.add_parser("limit", help="classical limit of an expression")
-    p.add_argument("expr", help=EXPR_HELP)
-    p = sub.add_parser(
-        "scl", help="semiclassical bracket of two expressions, with consistency check"
-    )
-    p.add_argument("a", help=EXPR_HELP)
-    p.add_argument("b", help=EXPR_HELP)
-    p = sub.add_parser("admissible", help="enumerate admissible sets")
-    p.add_argument("n", type=int)
-    p = sub.add_parser("stratum", help="full report for one stratum")
-    p.add_argument("tspec", help="comma list of markers, e.g. 'z1,z2,y2' ('' = empty)")
-    p = sub.add_parser("center", help="center lattice of one stratum")
-    p.add_argument("tspec")
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", action="append", help="run only the named suite(s)")
-    p.add_argument("--seed", type=int, default=None, dest="suite_seed")
-    p = sub.add_parser("example", help="run a worked example")
-    p.add_argument("name", choices=["quantum-plane"])
-    p = sub.add_parser(
-        "maltsiniotis", help="rescale an element of the unrescaled presentation"
-    )
-    p.add_argument("expr", help=EXPR_HELP)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, options in command.arguments:
+            p.add_argument(arg, **options)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 
+    command = COMMANDS[args.command]
+    record = {"command": args.command}
     try:
-        return _dispatch(args)
-    except (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
-            ParameterDomainError, LocalizationRequiredError) as exc:
-        record = {"command": args.command, "error": str(exc)}
-        if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-
-def _dispatch(args) -> int:
-    command = args.command
-
-    if command == "example":
-        lines = demo_lines()
-        _emit(args, {"command": "example", "result": lines, "checks": []}, lines)
-        return 0
-
-    if command == "admissible":
-        if args.n < 1:
-            raise ConfigError("n must be positive")
-        sets = enumerate_admissible(args.n)
-        names = [",".join(T.names()) or "(empty)" for T in sets]
-        _emit(
-            args,
-            {"command": "admissible", "n": args.n, "count": len(sets), "result": names},
-            [f"admissible sets of M_{args.n}: {len(sets)}"] + [f"  {s}" for s in names],
-        )
-        return 0
-
-    if command == "verify":
-        seed = args.suite_seed if args.suite_seed is not None else args.seed
-        if seed is None and args.config is not None:
-            config_seed = load_config(args.config).get("seed")
-            seed = _int(config_seed, "seed") if config_seed is not None else None
-        if seed is None:
-            seed = DEFAULT_SEED
-        try:
-            results = run_suites(args.suite, seed)
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from exc
-        checks = [
-            {"name": s.name, "passed": s.passed, "checks": s.checks, "detail": s.detail}
-            for s in results
-        ]
-        ok = all(s.passed for s in results)
-        human = [
-            f"{'PASS' if s.passed else 'FAIL'} {s.name} ({s.checks} checks) {s.detail}"
-            for s in results
-        ] + [f"{'OK' if ok else 'FAILED'}: {sum(s.passed for s in results)}/{len(results)} suites"]
-        _emit(
-            args,
-            {"command": "verify", "seed": seed, "result": ok, "checks": checks},
-            human,
-        )
-        return 0 if ok else VERIFY_ERROR
-
-    config = load_config(args.config)
-    params = params_from_config(config)
-    instance = _instance_summary(config, params)
-
-    if command == "validate":
-        checks = [{"name": "instance-invariants", "passed": True, "detail": ""}]
-        concrete_note = "no concrete block"
-        if config.get("concrete") is not None:
-            q, e_polys = concrete_from_config(config, params)
-            concrete_note = (
-                "concrete block ok: "
-                + ", ".join(f"e{k + 1} = {e}" for k, e in enumerate(e_polys))
-            )
-            checks.append({"name": "concrete-block", "passed": True, "detail": concrete_note})
-        _emit(
-            args,
-            {"command": "validate", "instance": instance, "result": True, "checks": checks},
-            [f"instance ok: n={params.n}, r={params.r}", concrete_note],
-        )
-        return 0
-
-    if command == "nf":
-        elem = _parse(args.expr, params)
-        text = str(elem)
-        _emit(
-            args,
-            {"command": "nf", "instance": instance, "result": text, "checks": []},
-            [text],
-        )
-        return 0
-
-    if command == "comm":
-        a, b = _parse(args.a, params), _parse(args.b, params)
-        c = a * b - b * a
-        _emit(
-            args,
-            {"command": "comm", "instance": instance, "result": str(c), "checks": []},
-            [str(c)],
-        )
-        return 0
-
-    if command == "bracket":
-        a, b = _parse(args.a, params), _parse(args.b, params)
-        res = pb_bracket(gamma1(a), gamma1(b))
-        _emit(
-            args,
-            {"command": "bracket", "instance": instance, "result": str(res), "checks": []},
-            [str(res)],
-        )
-        return 0
-
-    if command == "limit":
-        res = gamma1(_parse(args.expr, params))
-        _emit(
-            args,
-            {"command": "limit", "instance": instance, "result": str(res), "checks": []},
-            [str(res)],
-        )
-        return 0
-
-    if command == "scl":
-        a, b = _parse(args.a, params), _parse(args.b, params)
-        scl = semiclassical_bracket(a, b)
-        table = pb_bracket(gamma1(a), gamma1(b))
-        consistent = scl == table
-        verdict = "CONSISTENT" if consistent else "INCONSISTENT"
-        _emit(
-            args,
-            {
-                "command": "scl",
-                "instance": instance,
-                "result": str(scl),
-                "checks": [{"name": "bracket-consistency", "passed": consistent}],
-            },
-            [f"{scl}; {verdict}"],
-        )
-        return 0 if consistent else VERIFY_ERROR
-
-    if command == "stratum":
-        T = parse_tspec(args.tspec, params.n)
-        report = stratum_report(params, T)
-        d = report.to_dict()
-        human = [
-            f"stratum {','.join(report.markers) or '(empty)'}",
-            f"  generators: {', '.join(report.generators)}",
-            "  commutation exponents: " + str(d["qmatrix"]),
-            "  bracket forms: " + str(d["pmatrix"]),
-            f"  center lattice rank: {report.center_rank}"
-            + (" (center trivial)" if report.center_trivial else ""),
-            f"  center basis: {d['center_basis']}",
-        ]
-        _emit(
-            args,
-            {"command": "stratum", "instance": instance, "result": d, "checks": []},
-            human,
-        )
-        return 0
-
-    if command == "center":
-        T = parse_tspec(args.tspec, params.n)
-        lattice = center_lattice(torus_matrix_q(params, T), params.r)
-        d = {
-            "size": lattice.size,
-            "rank": lattice.rank,
-            "basis": [list(v) for v in lattice.basis],
-            "trivial": lattice.is_trivial,
-        }
-        _emit(
-            args,
-            {"command": "center", "instance": instance, "result": d, "checks": []},
-            [
-                f"center lattice rank {lattice.rank} of Z^{lattice.size}"
-                + (" (trivial: scalars only)" if lattice.is_trivial else ""),
-                f"basis: {d['basis']}",
-            ],
-        )
-        return 0
-
-    if command == "maltsiniotis":
-        free = eval_free(parse_expr(args.expr), params)
-        image = from_maltsiniotis(params, free)
-        _emit(
-            args,
-            {
-                "command": "maltsiniotis",
-                "instance": instance,
-                "result": str(image),
-                "checks": [],
-            },
-            [str(image)],
-        )
-        return 0
-
-    raise ConfigError(f"unknown command {command!r}")
+        params = config = None
+        if command.on_instance:
+            config = load_config(args.config)
+            params = params_from_config(config)
+            record["instance"] = {
+                "n": params.n,
+                "r": params.r,
+                "q_exponents": [list(v) for v in params.qexp],
+                "source": "builtin-default" if config is DEFAULT_CONFIG else "config",
+            }
+        fields, lines = command.handler(args, params, config)
+        record.update(fields)
+        code = VERIFY_ERROR if any(not c["passed"] for c in record.get("checks", ())) else 0
+    except USAGE_ERRORS as exc:
+        record, code = {"command": args.command, "error": str(exc)}, USAGE_ERROR
+    except Exception as exc:  # anything else is a defect; exit 1 keeps meaning "a check failed"
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        record, code = {"command": args.command, "error": error}, INTERNAL_ERROR
+    if args.json:
+        print(json.dumps(record, indent=2, sort_keys=True))
+    elif "error" in record:
+        print(f"error: {record['error']}", file=sys.stderr)
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -223,9 +223,9 @@ class _Parser:
             if "/" in tok.text:
                 raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
             node = Pow(node, int(tok.text))
-        for _ in range(negs):
-            node = Neg(node)
-        return node
+        # only the parity of a run of signs matters; one Neg per sign would
+        # make evaluation recurse once per sign
+        return Neg(node) if negs % 2 else node
 
     def atom(self) -> Expression:
         tok = self.peek()
@@ -279,30 +279,38 @@ def parse_expr(text: str) -> Expression:
 # -- evaluation --------------------------------------------------------------------
 
 
-def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
-    """Evaluate an expression tree in the quantized algebra."""
-    if isinstance(node, Num):
-        return WeylElement.scalar(params, node.value)
-    if isinstance(node, Gen):
-        if node.kind == "z":
-            if not 0 <= node.index <= params.n:
-                raise ExprEvalError(
-                    f"z index {node.index} out of range 0..{params.n} "
-                    f"(line {node.line}, column {node.col})"
-                )
-            return wa_z(params, node.index)
-        if not 1 <= node.index <= params.n:
-            raise ExprEvalError(
-                f"unknown generator {node.kind}{node.index} for n={params.n} "
-                f"(line {node.line}, column {node.col})"
-            )
-        return WeylElement.generator(params, node.kind, node.index)
+def _check_atom(node: Gen | EtaMono, params: WeylParams) -> None:
+    """Raise ExprEvalError unless a generator or eta monomial fits the instance."""
     if isinstance(node, EtaMono):
         if len(node.exponents) != params.r:
             raise ExprEvalError(
                 f"eta exponent vector has length {len(node.exponents)}, expected "
                 f"{params.r} (line {node.line}, column {node.col})"
             )
+    elif node.kind == "z":
+        if not 0 <= node.index <= params.n:
+            raise ExprEvalError(
+                f"z index {node.index} out of range 0..{params.n} "
+                f"(line {node.line}, column {node.col})"
+            )
+    elif not 1 <= node.index <= params.n:
+        raise ExprEvalError(
+            f"unknown generator {node.kind}{node.index} for n={params.n} "
+            f"(line {node.line}, column {node.col})"
+        )
+
+
+def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
+    """Evaluate an expression tree in the quantized algebra."""
+    if isinstance(node, Num):
+        return WeylElement.scalar(params, node.value)
+    if isinstance(node, Gen):
+        _check_atom(node, params)
+        if node.kind == "z":
+            return wa_z(params, node.index)
+        return WeylElement.generator(params, node.kind, node.index)
+    if isinstance(node, EtaMono):
+        _check_atom(node, params)
         return WeylElement.scalar(params, QTScalar.monomial(node.exponents))
     if isinstance(node, Neg):
         return -eval_weyl(node.item, params)
@@ -334,30 +342,17 @@ def eval_free(node: Expression, params: WeylParams) -> FreeTerms:
     if isinstance(node, Num):
         return [(QTScalar.constant(params.r, node.value), ())]
     if isinstance(node, Gen):
+        _check_atom(node, params)
         if node.kind == "z":
-            if not 0 <= node.index <= params.n:
-                raise ExprEvalError(
-                    f"z index {node.index} out of range 0..{params.n} "
-                    f"(line {node.line}, column {node.col})"
-                )
             terms: FreeTerms = [(one, ())]
             for k in range(1, node.index + 1):
                 terms.append(
                     (params.q_scalar(k) - 1, (("y", k), ("x", k)))
                 )
             return terms
-        if not 1 <= node.index <= params.n:
-            raise ExprEvalError(
-                f"unknown generator {node.kind}{node.index} for n={params.n} "
-                f"(line {node.line}, column {node.col})"
-            )
         return [(one, ((node.kind, node.index),))]
     if isinstance(node, EtaMono):
-        if len(node.exponents) != params.r:
-            raise ExprEvalError(
-                f"eta exponent vector has length {len(node.exponents)}, expected "
-                f"{params.r} (line {node.line}, column {node.col})"
-            )
+        _check_atom(node, params)
         return [(QTScalar.monomial(node.exponents), ())]
     if isinstance(node, Neg):
         return [(-c, w) for c, w in eval_free(node.item, params)]

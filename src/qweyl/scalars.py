@@ -246,15 +246,6 @@ class QTScalar(SparseScalar):
         vec = tuple(vec)
         return cls(len(vec), [(vec, _as_fraction(coeff))])
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial_parts(self) -> tuple[ExpVec, Fraction]:
-        """The (exponent, coefficient) pair of a one-term scalar."""
-        if len(self.terms) != 1:
-            raise ValueError("scalar is not a single monomial")
-        return self.terms[0]
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("QTScalar powers must be nonnegative integers")

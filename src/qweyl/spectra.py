@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .poisson import PoissonElement, p_z, pb_bracket, pe_div_exact
+from .poisson import PoissonElement, pb_bracket, pe_div_exact
 from .scalars import ExpVec, MuPoly, QTScalar, add_term, vec_add, vec_neg, zero_vec
 from .weyl import WeylElement, WeylParams, pos_x, pos_y, wa_z
 
@@ -201,11 +201,12 @@ def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, 
     )
 
 
-def _gen_poisson_image(params: WeylParams, w: TaggedGen) -> PoissonElement:
+def _gen_image(cls, params: WeylParams, w: TaggedGen):
+    """A tagged generator as an element of ``cls`` (quantized or Poisson)."""
     kind, i = w
     if kind == "z":
-        return p_z(params, i)
-    return PoissonElement.generator(params, kind, i)
+        return cls.z(params, i)
+    return cls.generator(params, kind, i)
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
@@ -215,7 +216,7 @@ def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, 
     division, independently of the quantized exponent table.
     """
     gens = y_set(T)
-    images = [_gen_poisson_image(params, w) for w in gens]
+    images = [_gen_image(PoissonElement, params, w) for w in gens]
     size = len(gens)
     rows = []
     for i in range(size):
@@ -460,13 +461,6 @@ def stratum_report(params: WeylParams, T: AdmissibleSet) -> StratumReport:
 # -- one-sided ideal membership ------------------------------------------------
 
 
-def _gen_weyl_image(params: WeylParams, w: TaggedGen) -> WeylElement:
-    kind, i = w
-    if kind == "z":
-        return wa_z(params, i)
-    return WeylElement.generator(params, kind, i)
-
-
 def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> WeylElement:
     """Reduce an element modulo the right ideal generated by T's markers.
 
@@ -525,7 +519,7 @@ def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     """Verify every tabulated commutation w_i w_j = eta^{c_ij} w_j w_i
     against the straightening engine, modulo the stratum ideal."""
     gens = y_set(T)
-    images = [_gen_weyl_image(params, w) for w in gens]
+    images = [_gen_image(WeylElement, params, w) for w in gens]
     qm = torus_matrix_q(params, T)
     for i in range(len(gens)):
         for j in range(len(gens)):

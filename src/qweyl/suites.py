@@ -119,10 +119,6 @@ def random_poisson(
     return PoissonElement(params, terms)
 
 
-def _gen_elem(params: WeylParams, kind: str, i: int) -> WeylElement:
-    return WeylElement.generator(params, kind, i)
-
-
 def _mono(params: WeylParams, pairs) -> tuple[int, ...]:
     m = [0] * (2 * params.n)
     for kind, i in pairs:
@@ -155,8 +151,8 @@ def _z_table_cases(params: WeylParams):
     n = params.n
     for j in range(1, n + 1):
         for i in range(1, j):
-            yi, yj = _gen_elem(params, "y", i), _gen_elem(params, "y", j)
-            xi, xj = _gen_elem(params, "x", i), _gen_elem(params, "x", j)
+            yi, yj = WeylElement.generator(params, "y", i), WeylElement.generator(params, "y", j)
+            xi, xj = WeylElement.generator(params, "x", i), WeylElement.generator(params, "x", j)
             lam_ij = params.lam_scalar(i, j)
             lam_ji = params.lam_scalar(j, i)
             qi = params.q_scalar(i)
@@ -165,7 +161,7 @@ def _z_table_cases(params: WeylParams):
             yield xj * yi, (yi * xj).scale(qi * lam_ij)
             yield (xj * xi).scale(qi * lam_ij), xi * xj
     for i in range(1, n + 1):
-        yi, xi = _gen_elem(params, "y", i), _gen_elem(params, "x", i)
+        yi, xi = WeylElement.generator(params, "y", i), WeylElement.generator(params, "x", i)
         qi = params.q_scalar(i)
         qm1 = qi - 1
         yield xi * yi - (yi * xi).scale(qi), wa_z(params, i - 1).scale(qm1)
@@ -173,7 +169,7 @@ def _z_table_cases(params: WeylParams):
     for i in range(1, n + 1):
         zi = wa_z(params, i)
         for j in range(1, n + 1):
-            yj, xj = _gen_elem(params, "y", j), _gen_elem(params, "x", j)
+            yj, xj = WeylElement.generator(params, "y", j), WeylElement.generator(params, "x", j)
             qj = params.q_scalar(j)
             if i < j:
                 yield yj * zi, zi * yj
@@ -227,7 +223,7 @@ def suite_bracket_closed_forms(seed: int = DEFAULT_SEED) -> SuiteResult:
     for n in range(1, 5):
         params = random_params(rng, n, rng.randint(2, 3))
         gens = {
-            (kind, i): _gen_elem(params, kind, i)
+            (kind, i): WeylElement.generator(params, kind, i)
             for kind in ("y", "x")
             for i in range(1, n + 1)
         }

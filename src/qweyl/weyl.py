@@ -284,10 +284,6 @@ class WeylParams:
         this instance."""
         return {}
 
-    @property
-    def scalar_one(self) -> QTScalar:
-        return QTScalar.one(self.r)
-
 
 class PbwElement:
     """Finite map from ordered (PBW) monomials to nonzero coefficients.

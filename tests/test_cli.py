@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from qweyl import cli
 from qweyl.cli import main
 
 
@@ -74,6 +76,14 @@ def test_stratum_rejects_non_admissible(capsys):
     code, _, err = run(capsys, "stratum", "z2,y2")
     assert code == 2
     assert "not admissible" in err
+
+
+@pytest.mark.parametrize("tspec", ["z\u00b2", "q1", "z1,,z2"])
+def test_stratum_rejects_bad_marker(capsys, tspec):
+    code, out, err = run(capsys, "stratum", tspec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad marker") and err.count("\n") == 1
 
 
 def test_example_quantum_plane(capsys):
@@ -187,6 +197,13 @@ BASE_CONFIG = {
         {"r": None},
         {"r": [1]},
         {"lambda_exponents": [[[]]]},
+        {"q_exponents": [[1.5]]},
+        {"q_exponents": [["1_0"]]},
+        {"lambda_exponents": [[[0.9]]]},
+        {"n": " 1"},
+        {"r": "1 "},
+        {"concrete": {"q": "2", "eta": [True], "mu": ["1"]}},
+        {"concrete": {"q": "2", "eta": ["3"], "mu": [False]}},
     ],
 )
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
@@ -217,3 +234,67 @@ def test_leading_minus_round_trip(capsys):
     code, out, _ = run(capsys, "nf", "--", printed)
     assert code == 0
     assert out.strip() == printed
+
+
+@pytest.mark.parametrize("signs", [1000, 10000])
+def test_long_unary_minus_chain(capsys, signs):
+    code, out, _ = run(capsys, "nf", "x1+" + "-" * signs + "x1")
+    assert code == 0
+    assert out.strip() == "2*x1"
+
+
+def _raise_internal(args, params, config):
+    raise RuntimeError("boom")
+
+
+def test_unexpected_error_exits_3(monkeypatch, capsys):
+    broken = dataclasses.replace(cli.COMMANDS["nf"], handler=_raise_internal)
+    monkeypatch.setitem(cli.COMMANDS, "nf", broken)
+    code, out, err = run(capsys, "nf", "x1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+    code, out, err = run(capsys, "--json", "nf", "x1")
+    assert code == 3
+    assert err == ""
+    assert json.loads(out) == {"command": "nf", "error": "internal error: RuntimeError: boom"}
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "semiclassical_bracket", lambda a, b: a)
+    code, out, _ = run(capsys, "--json", "scl", "x1", "y1")
+    assert code == 1
+    assert json.loads(out)["checks"] == [{"name": "bracket-consistency", "passed": False}]
+
+
+RECORD = {"command", "instance", "result", "checks"}
+
+# every command's arguments on the built-in config, and its documented record keys
+RECORD_SHAPES = {
+    "validate": ([], RECORD),
+    "nf": (["x1*y1"], RECORD),
+    "comm": (["x1", "y1"], RECORD),
+    "bracket": (["x1", "y1"], RECORD),
+    "limit": (["z2"], RECORD),
+    "scl": (["x1", "y1"], RECORD),
+    "admissible": (["2"], {"command", "n", "count", "result"}),
+    "stratum": (["z1"], RECORD),
+    "center": ([""], RECORD),
+    "verify": (["--suite", "quantum-plane"], {"command", "seed", "result", "checks"}),
+    "example": (["quantum-plane"], {"command", "result", "checks"}),
+    "maltsiniotis": (["(eta^[1,0]-1)*y1"], RECORD),
+}
+
+
+def test_record_shapes_cover_every_command():
+    assert set(RECORD_SHAPES) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_SHAPES))
+def test_json_record_shape(capsys, command):
+    argv, keys = RECORD_SHAPES[command]
+    code, out, _ = run(capsys, "--json", command, *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert record["command"] == command
+    assert set(record) == keys
