@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .exprs import ExprEvalError, ExprSyntaxError, eval_free, eval_weyl, parse_expr
@@ -316,7 +317,9 @@ USAGE_ERRORS = (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
                 ParameterDomainError, LocalizationRequiredError)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for every command in ``COMMANDS``, built on first use."""
     parser = argparse.ArgumentParser(
         prog="qweyl",
         description="Exact computations in multi-parameter quantized Weyl "
@@ -334,8 +337,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         p = sub.add_parser(name, help=command.help)
         for arg, options in command.arguments:
             p.add_argument(arg, **options)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
 

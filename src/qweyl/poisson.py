@@ -18,7 +18,7 @@ same bracket.
 
 from __future__ import annotations
 
-from .scalars import MuPoly, add_term, vec_add
+from .scalars import MuPoly, add_term, divide_terms, vec_add
 from .weyl import PbwElement, PbwMonomial, WeylElement, WeylParams, mono_key
 
 
@@ -27,13 +27,6 @@ class PoissonElement(PbwElement):
 
     __slots__ = ()
     scalar_type = MuPoly
-
-    def _product(self, other: "PoissonElement") -> dict:
-        out: dict[PbwMonomial, MuPoly] = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                add_term(out, vec_add(ma, mb), ca * cb)
-        return out
 
 
 p_z = PoissonElement.z
@@ -151,29 +144,18 @@ def pe_div_exact(a: PoissonElement, d: PoissonElement) -> PoissonElement:
     Single-divisor multivariate division ordered by (degree, lex); the
     divisor must have an invertible (constant rational) leading coefficient,
     which holds for all divisors used here (they are monic in their top
-    monomial).  Raises ArithmeticError when the remainder is nonzero.
+    monomial).  Raises NotDivisibleError when the remainder is nonzero.
     """
     a._check(d)
     params = a.params
     if not d:
         raise ZeroDivisionError("division by the zero element")
     if not a:
-        return PoissonElement.zero(params)
-    dterms = dict(d.terms)
-    dlead = max(dterms, key=mono_key)
-    dlc = dterms[dlead]
+        return a
+    dlc = d.terms[-1][1]
     if not dlc.is_constant():
         raise ArithmeticError("divisor leading coefficient is not a rational")
-    inv = 1 / dlc.constant_part()
-    rem = dict(a.terms)
-    quot: dict[PbwMonomial, MuPoly] = {}
-    while rem:
-        mlead = max(rem, key=mono_key)
-        step = tuple(x - y for x, y in zip(mlead, dlead))
-        if any(e < 0 for e in step):
-            raise ArithmeticError(f"{a} is not divisible by {d}")
-        qc = rem[mlead] * inv
-        add_term(quot, step, qc)
-        for dm, dc in dterms.items():
-            add_term(rem, vec_add(step, dm), -(qc * dc))
-    return PoissonElement(params, quot)
+    floor = (0,) * (2 * params.n)
+    return PoissonElement(
+        params, divide_terms(a, d, mono_key, 1 / dlc.constant_part(), floor)
+    )

@@ -16,11 +16,14 @@ The bridge between the two domains is the pair of functionals ``eval_one``
 ``eta^v -> v . mu``), together with ``limit_div`` which computes the exact
 value of ``a / (t - 1)`` at ``t = 1`` for scalars vanishing at 1.
 
-Both are :class:`SparseScalar` term maps over the same exponent vectors and
-share its arithmetic; they differ only in the operations of their ring and
-in how a monomial prints.  All values are immutable after construction and
-hashable; term maps are kept sorted by exponent vector so printing and
-hashing are deterministic.
+Both are :class:`SparseScalar` term maps over the same exponent vectors;
+they differ only in the operations of their ring and in how a monomial
+prints.  :class:`TermMap`, the base of the scalars and of the algebra
+elements in :mod:`qweyl.weyl` and :mod:`qweyl.poisson`, holds the one copy
+of their ring operations and of the commutative product, and
+:func:`divide_terms` their one exact-division loop.  All values are
+immutable after construction and hashable; term maps are kept sorted by
+exponent vector so printing and hashing are deterministic.
 """
 
 from __future__ import annotations
@@ -86,61 +89,52 @@ def add_term(table: dict, key, value) -> None:
         table.pop(key, None)
 
 
-class SparseScalar:
-    """Sparse map from integer exponent vectors of length ``rank`` to
-    nonzero rationals.  Subclasses fix what a vector means (an eta-monomial
-    or a mu-monomial) and print it via ``_monomial_str``."""
+class TermMap:
+    """Immutable finite map from exponent tuples to nonzero coefficients.
 
-    __slots__ = ("rank", "terms")
+    ``context`` is opaque here: term maps combine only when their contexts
+    are equal.  A scalar's context is its rank and an algebra element's is
+    its :class:`~qweyl.weyl.WeylParams` instance; each subclass reads it
+    under its own name (``rank``, ``params``).  ``terms`` is the tuple of
+    (exponent tuple, coefficient) pairs, sorted by the subclass's order.
 
-    def __init__(self, rank, terms=()):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        acc: dict[ExpVec, Fraction] = {}
-        for vec, coeff in terms:
-            coeff = _as_fraction(coeff)
-            vec = tuple(vec)
-            if len(vec) != rank:
-                raise RankMismatchError(
-                    f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
-                )
-            add_term(acc, vec, coeff)
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+    A subclass supplies the constructor ``cls(context, terms)``, which
+    validates each term, drops zero sums and sorts, and the classmethod
+    ``constant(context, value)``; ``int``, ``Fraction`` and ``scalar_type``
+    values combine with a term map as constants.  ``_product`` is the
+    commutative product (exponents add); a noncommutative ring replaces it.
+    """
+
+    __slots__ = ("context", "terms")
+    scalar_type: type = Fraction
+    mismatch_error: type
+    mismatch_message: str  # formatted with both contexts
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, context):
+        return cls(context)
 
     @classmethod
-    def zero(cls, rank: int):
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int):
-        return cls(rank, [(zero_vec(rank), Fraction(1))])
-
-    @classmethod
-    def constant(cls, rank: int, value: Rat):
-        return cls(rank, [(zero_vec(rank), _as_fraction(value))])
-
-    # -- structure ---------------------------------------------------------
+    def one(cls, context):
+        return cls.constant(context, 1)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _check_rank(self, other: "SparseScalar") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(
-                f"rank mismatch: {self.rank} vs {other.rank}"
+    def _check(self, other: "TermMap") -> None:
+        if self.context != other.context:
+            raise self.mismatch_error(
+                self.mismatch_message.format(self.context, other.context)
             )
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.constant(self.rank, other)
+        if isinstance(other, (int, Fraction, self.scalar_type)):
+            return self.constant(self.context, other)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -149,13 +143,13 @@ class SparseScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_rank(o)
-        return type(self)(self.rank, list(self.terms) + list(o.terms))
+        self._check(o)
+        return type(self)(self.context, self.terms + o.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.rank, [(v, -c) for v, c in self.terms])
+        return type(self)(self.context, [(m, -c) for m, c in self.terms])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -169,28 +163,102 @@ class SparseScalar:
             return NotImplemented
         return o + (-self)
 
+    def scale(self, c):
+        """Every coefficient times the scalar ``c``."""
+        return type(self)(self.context, [(m, cc * c) for m, cc in self.terms])
+
+    def _product(self, other: "TermMap") -> dict:
+        out: dict = {}
+        for ma, ca in self.terms:
+            for mb, cb in other.terms:
+                add_term(out, vec_add(ma, mb), ca * cb)
+        return out
+
     def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return type(self)(self.context, self._product(other))
+        return self.__rmul__(other)
+
+    def __rmul__(self, other):
+        # a scalar factor only scales, so ``_product`` always sees its
+        # operands in the order written
+        if isinstance(other, (int, Fraction, self.scalar_type)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
+        out = self.one(self.context)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._check_rank(o)
-        out: dict[ExpVec, Fraction] = {}
-        for va, ca in self.terms:
-            for vb, cb in o.terms:
-                add_term(out, vec_add(va, vb), ca * cb)
-        return type(self)(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.rank == other.rank and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == self.constant(self.rank, other)
-        return NotImplemented
+        return self.context == o.context and self.terms == o.terms
 
     def __hash__(self):
-        return hash((self.rank, self.terms))
+        return hash((self.context, self.terms))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def divide_terms(f: TermMap, g: TermMap, key, inv, floor: tuple) -> dict:
+    """Term map of the exact quotient ``f / g``, by single-divisor division.
+
+    ``key`` is the monomial order of the exponent tuples (``None``: tuple
+    order) by which both term maps are sorted, so ``g.terms[-1]`` is the
+    leading term of ``g``; ``inv`` is the inverse of its coefficient.  A
+    quotient exponent below ``floor`` in any slot means ``g`` does not
+    divide ``f``; it also bounds the loop.  Raises :class:`NotDivisibleError`.
+    """
+    glead = g.terms[-1][0]
+    rem = dict(f.terms)
+    quot: dict = {}
+    while rem:
+        lead = max(rem, key=key)
+        step = vec_sub(lead, glead)
+        if any(e < b for e, b in zip(step, floor)):
+            raise NotDivisibleError(f"{f} is not divisible by {g}")
+        c = quot[step] = rem[lead] * inv
+        for m, gc in g.terms:
+            add_term(rem, vec_add(step, m), -(c * gc))
+    return quot
+
+
+class SparseScalar(TermMap):
+    """Term map from integer exponent vectors of length ``rank`` to nonzero
+    rationals.  Subclasses fix what a vector means (an eta-monomial or a
+    mu-monomial) and print it via ``_monomial_str``."""
+
+    __slots__ = ()
+    rank = TermMap.context
+    mismatch_error = RankMismatchError
+    mismatch_message = "rank mismatch: {} vs {}"
+
+    def __init__(self, rank, terms=()):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        acc: dict[ExpVec, Fraction] = {}
+        for vec, coeff in terms:
+            coeff = _as_fraction(coeff)
+            vec = tuple(vec)
+            if len(vec) != rank:
+                raise RankMismatchError(
+                    f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
+                )
+            add_term(acc, vec, coeff)
+        object.__setattr__(self, "context", int(rank))
+        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+
+    @classmethod
+    def constant(cls, rank: int, value: Rat):
+        return cls(rank, [(zero_vec(rank), value)])
 
     # -- evaluation --------------------------------------------------------
 
@@ -231,9 +299,6 @@ class SparseScalar:
                 parts.append(("- " if coeff < 0 else "+ ") + body)
         return " ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
-
 
 class QTScalar(SparseScalar):
     """Element of the coefficient ring: sum of rational multiples of
@@ -247,15 +312,10 @@ class QTScalar(SparseScalar):
         return cls(len(vec), [(vec, _as_fraction(coeff))])
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("QTScalar powers must be nonnegative integers")
-        if len(self.terms) == 1:
-            v, c = self.terms[0]
+        if len(self.terms) == 1 and isinstance(k, int) and k >= 0:
+            (v, c), = self.terms
             return QTScalar(self.rank, [(tuple(k * e for e in v), c**k)])
-        out = QTScalar.one(self.rank)
-        for _ in range(k):
-            out = out * self
-        return out
+        return super().__pow__(k)
 
     # -- evaluation functionals --------------------------------------------
 
@@ -297,46 +357,22 @@ class QTScalar(SparseScalar):
     def div_exact(self, divisor: "QTScalar") -> "QTScalar":
         """Exact quotient in the Laurent monomial ring.
 
-        Monomials are units, so both operands are first normalized to honest
-        polynomials (componentwise minimal exponent 0); a single-divisor
-        multivariate division then decides divisibility, and the monomial
-        shift is restored at the end.
+        Monomials are units, so dividing both operands by their
+        componentwise minimal monomials reduces this to polynomial division;
+        a quotient exponent may thus go as low as the difference of the two
+        minima, which is the floor handed to :func:`divide_terms`.
         """
         o = self._coerce(divisor)
         if o is None:
             raise TypeError("divisor must be a QTScalar or rational")
-        self._check_rank(o)
+        self._check(o)
         if not o:
             raise ZeroDivisionError("division by the zero scalar")
         if not self:
-            return QTScalar.zero(self.rank)
-
-        def norm(s: QTScalar) -> tuple[ExpVec, dict[ExpVec, Fraction]]:
-            shift = tuple(min(v[k] for v, _ in s.terms) for k in range(s.rank))
-            return shift, {vec_sub(v, shift): c for v, c in s.terms}
-
-        fshift, f = norm(self)
-        gshift, g = norm(o)
-        glead = max(g)
-        glc = g[glead]
-        quot: dict[ExpVec, Fraction] = {}
-        offending = None
-        while f:
-            flead = max(f)
-            step = vec_sub(flead, glead)
-            if any(e < 0 for e in step):
-                offending = flead
-                break
-            qc = f[flead] / glc
-            quot[step] = qc
-            for gv, gc in g.items():
-                add_term(f, vec_add(step, gv), -(qc * gc))
-        if offending is not None or f:
-            raise NotDivisibleError(
-                f"{self} is not divisible by {o}"
-            )
-        back = vec_sub(fshift, gshift)
-        return QTScalar(self.rank, {vec_add(v, back): c for v, c in quot.items()})
+            return self
+        fmin, gmin = (tuple(map(min, zip(*(v for v, _ in s.terms)))) for s in (self, o))
+        quot = divide_terms(self, o, None, 1 / o.terms[-1][1], vec_sub(fmin, gmin))
+        return QTScalar(self.rank, quot)
 
     @staticmethod
     def _monomial_str(vec: ExpVec) -> str:

@@ -16,7 +16,6 @@ commutation exponents is the center lattice of the stratum's torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -385,15 +384,7 @@ def poisson_center_lattice(pmatrix: Sequence[Sequence[MuPoly]], r: int) -> Cente
     s = len(pmatrix)
     rows = []
     for l in range(s):
-        coeffs = []
-        for j in range(s):
-            d = pmatrix[l][j]
-            if d and d.degree() > 1:
-                raise ValueError("pmatrix entries must be mu-linear")
-            vec = [Fraction(0)] * r
-            for mono, c in d.terms:
-                vec[mono.index(1)] = c
-            coeffs.append(vec)
+        coeffs = [pmatrix[l][j].linear_coefficients() for j in range(s)]
         for k in range(r):
             row = [coeffs[j][k] for j in range(s)]
             denom = lcm(*(f.denominator for f in row)) if row else 1

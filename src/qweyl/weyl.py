@@ -18,11 +18,10 @@ structure constants (see :mod:`qweyl.interp`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ExpVec, QTScalar, add_term, vec_add, vec_neg
+from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
 
 PbwMonomial = tuple[int, ...]
 
@@ -220,6 +219,8 @@ class WeylParams:
         for i, v in enumerate(self.qexp):
             if len(v) != self.r:
                 raise ValueError(f"s_{i + 1} has length {len(v)}, expected {self.r}")
+            if any(type(e) is not int for e in v):  # bools and floats are not exponents
+                raise ValueError(f"s_{i + 1} = {v} must have integer entries")
             if not any(v):
                 raise ValueError(f"s_{i + 1} must be nonzero (q_{i + 1} != 1)")
         for i in range(self.n):
@@ -227,6 +228,8 @@ class WeylParams:
                 v = self.lexp[i][j]
                 if len(v) != self.r:
                     raise ValueError(f"L_{i + 1}{j + 1} has wrong length")
+                if any(type(e) is not int for e in v):
+                    raise ValueError(f"L_{i + 1}{j + 1} = {v} must have integer entries")
                 if i == j and any(v):
                     raise ValueError("diagonal L_ii must be zero")
                 if self.lexp[i][j] != vec_neg(self.lexp[j][i]):
@@ -244,10 +247,10 @@ class WeylParams:
         n x n matrices, one per eta-coordinate."""
         if len(lambda_exponents) != r:
             raise ValueError(f"expected {r} coordinate matrices")
-        qexp = tuple(tuple(int(e) for e in row) for row in q_exponents)
+        qexp = tuple(tuple(row) for row in q_exponents)
         lexp = tuple(
             tuple(
-                tuple(int(lambda_exponents[k][i][j]) for k in range(r))
+                tuple(lambda_exponents[k][i][j] for k in range(r))
                 for j in range(n)
             )
             for i in range(n)
@@ -285,17 +288,18 @@ class WeylParams:
         return {}
 
 
-class PbwElement:
+class PbwElement(TermMap):
     """Finite map from ordered (PBW) monomials to nonzero coefficients.
 
     The quantized algebra and its Poisson limit share the basis and differ
-    only in the coefficient ring and the product, which each subclass
-    supplies as ``scalar_type`` and ``_product(other)`` (the term map of
-    ``self * other`` for an element of the same class and instance).
+    only in the coefficient ring ``scalar_type`` and the product: the
+    Poisson limit keeps the commutative product of :class:`TermMap`.
     """
 
-    __slots__ = ("params", "terms")
-    scalar_type: type
+    __slots__ = ()
+    params = TermMap.context
+    mismatch_error = ParamsMismatchError
+    mismatch_message = "elements belong to different instances"
 
     def __init__(self, params: WeylParams, terms=()):
         if isinstance(terms, Mapping):
@@ -309,27 +313,18 @@ class PbwElement:
             if not isinstance(c, ring):
                 c = ring.constant(params.r, c)
             add_term(acc, m, c)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "context", params)
         object.__setattr__(
             self, "terms", tuple(sorted(acc.items(), key=lambda t: mono_key(t[0])))
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, params: WeylParams):
-        return cls(params)
-
-    @classmethod
-    def one(cls, params: WeylParams):
-        return cls(params, [((0,) * (2 * params.n), cls.scalar_type.one(params.r))])
 
     @classmethod
     def scalar(cls, params: WeylParams, c):
         return cls(params, [((0,) * (2 * params.n), c)])
+
+    constant = scalar
 
     @classmethod
     def monomial(cls, params: WeylParams, m: PbwMonomial, coeff=1):
@@ -360,9 +355,6 @@ class PbwElement:
 
     # -- structure ------------------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
@@ -373,87 +365,8 @@ class PbwElement:
                 return c
         return self.scalar_type.zero(self.params.r)
 
-    def _check(self, other: "PbwElement") -> None:
-        if self.params != other.params:
-            raise ParamsMismatchError("elements belong to different instances")
-
-    def _is_scalar(self, other) -> bool:
-        return isinstance(other, (int, Fraction, self.scalar_type))
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if self._is_scalar(other):
-            return self.scalar(self.params, other)
-        return None
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._check(o)
-        return type(self)(self.params, list(self.terms) + list(o.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)(self.params, [(m, -c) for m, c in self.terms])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scale(self, c):
-        if not isinstance(c, self.scalar_type):
-            c = self.scalar_type.constant(self.params.r, c)
-        return type(self)(self.params, [(m, cc * c) for m, cc in self.terms])
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            self._check(other)
-            return type(self)(self.params, self._product(other))
-        return self.__rmul__(other)
-
-    def __rmul__(self, other):
-        if self._is_scalar(other):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("element powers must be nonnegative integers")
-        out = self.one(self.params)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.params == other.params and self.terms == other.terms
-        if self._is_scalar(other):
-            return self == self.scalar(self.params, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.params, self.terms))
-
-    # -- printing ---------------------------------------------------------------
-
     def __str__(self) -> str:
         return element_to_str(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
 
 
 class WeylElement(PbwElement):

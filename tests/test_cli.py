@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,24 @@ def test_json_record_shape(capsys, command):
     record = json.loads(out)
     assert record["command"] == command
     assert set(record) == keys
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    """The parser is built once per process; an earlier call's options and a
+    rejected argv must not leak into a later call."""
+    argv = ["--json", "verify", "--suite", "quantum-plane"]
+    code, _, _ = run(capsys, "--seed", "5", "verify", "--suite", "admissible-counts",
+                     "--seed", "9")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--suite")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, *argv)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    fresh = subprocess.run([sys.executable, "-m", "qweyl.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["seed"] == cli.DEFAULT_SEED

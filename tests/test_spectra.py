@@ -193,6 +193,12 @@ def test_center_lattice_quantum_equals_poisson(params3):
         assert center_lattice(qm, 2).basis == poisson_center_lattice(pm, 2).basis
 
 
+def test_poisson_center_lattice_rejects_constant_entry():
+    zero, one = MuPoly.zero(1), MuPoly.constant(1, 1)
+    with pytest.raises(ValueError, match="is not a homogeneous linear mu-form"):
+        poisson_center_lattice(((zero, one), (-one, zero)), 1)
+
+
 # -- denominator clearing --------------------------------------------------------------
 
 

@@ -40,6 +40,24 @@ def test_params_validation():
     assert WeylElement.one(p0) * WeylElement.one(p0) == WeylElement.one(p0)
 
 
+@pytest.mark.parametrize("q, lam", [
+    ([[1.5]], [[[0]]]),     # a float s_1 entry
+    ([[1]], [[[0.9]]]),     # a float L_11 entry
+    ([[True]], [[[0]]]),    # a bool is not an exponent
+    ([["1"]], [[[0]]]),
+])
+def test_from_coordinate_matrices_rejects_non_integers(q, lam):
+    with pytest.raises(ValueError, match="must have integer entries"):
+        WeylParams.from_coordinate_matrices(1, 1, q, lam)
+
+
+def test_params_reject_non_integer_exponents():
+    with pytest.raises(ValueError, match="s_1 = .* must have integer entries"):
+        WeylParams(1, 1, ((1.5,),), (((0,),),))
+    with pytest.raises(ValueError, match="L_12 = .* must have integer entries"):
+        WeylParams(2, 1, ((1,), (1,)), (((0,), (0.0,)), ((0,), (0,))))
+
+
 def test_from_coordinate_matrices(params2):
     built = WeylParams.from_coordinate_matrices(
         2, 2, [[1, 0], [0, 1]], [[[0, 1], [-1, 0]], [[0, 0], [0, 0]]]
