@@ -18,6 +18,8 @@ same bracket.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import MuPoly, add_term, divide_terms, vec_add
 from .weyl import PbwElement, PbwMonomial, WeylElement, WeylParams, mono_key
 
@@ -157,5 +159,5 @@ def pe_div_exact(a: PoissonElement, d: PoissonElement) -> PoissonElement:
         raise ArithmeticError("divisor leading coefficient is not a rational")
     floor = (0,) * (2 * params.n)
     return PoissonElement(
-        params, divide_terms(a, d, mono_key, 1 / dlc.constant_part(), floor)
+        params, divide_terms(a, d, mono_key, Fraction(1, dlc.constant_part()), floor)
     )

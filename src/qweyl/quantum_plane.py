@@ -14,8 +14,8 @@ applies verbatim and yields the classical bracket {x, y} = x y.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .scalars import MuPoly, QTScalar, add_term
 
@@ -129,10 +129,12 @@ def semiclassical_bracket_xy() -> dict[PlaneMonomial, MuPoly]:
 
 def demo_lines() -> list[str]:
     """The worked example: relation and classical bracket, with e_1 = t
-    (hence mu_1 = 1) substituted for display."""
-    assert relation_holds()
-    bracket = semiclassical_bracket_xy()
-    assert bracket == {(1, 1): MuPoly.variable(1, 0)}
+    (hence mu_1 = 1) substituted for display.  Both are checked first, also
+    under ``python -O``; a failure raises ``RuntimeError``."""
+    if not relation_holds():
+        raise RuntimeError("quantum plane: x*y != eta1*y*x")
+    if semiclassical_bracket_xy() != {(1, 1): MuPoly.variable(1, 0)}:
+        raise RuntimeError("quantum plane: {x,y} != mu1*x*y")
     return [
         "quantum plane: generators x, y with one parameter eta1 = t",
         "relation: xy=tyx",

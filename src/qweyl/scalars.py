@@ -24,12 +24,29 @@ of their ring operations and of the commutative product, and
 :func:`divide_terms` their one exact-division loop.  All values are
 immutable after construction and hashable; term maps are kept sorted by
 exponent vector so printing and hashing are deterministic.
+
+A rational coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise, never as a ``float``: the structure constants of the
+straightening engine all have coefficient 1 or -1, and ``int`` arithmetic is
+several times cheaper than ``Fraction`` arithmetic.  Since an ``int`` and the
+equal ``Fraction`` compare and hash alike, the form changes no value, hash or
+printed output.  Every inverse is exact (``Fraction(1, c)``), and the
+functionals that return one rational (``eval_one``, ``eval_at``,
+``constant_part``, ``linear_coefficients``) return ``Fraction``.
+
+A product with a one-term factor ``c * m`` is built directly by shifting the
+other factor's terms by ``m`` and scaling them by ``c``: both monomial orders
+(tuple order here, :func:`qweyl.weyl.mono_key` for elements) are
+translation-invariant and the coefficient rings have no zero divisors, so the
+shifted terms are already sorted, distinct and nonzero.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 ExpVec = tuple[int, ...]
 Rat = Union[int, Fraction]
@@ -48,11 +65,11 @@ def zero_vec(rank: int) -> ExpVec:
 
 
 def vec_add(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vec_sub(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vec_neg(a: ExpVec) -> ExpVec:
@@ -74,12 +91,26 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
+def _coefficient(x: Rat) -> Rat:
+    """Stored form of a rational coefficient: an ``int`` when it is
+    integral, else a ``Fraction``.  Raises ``TypeError`` on anything else,
+    floats included."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
 def add_term(table: dict, key, value) -> None:
     """Add ``value`` into ``table[key]``, dropping the key when the sum is zero.
 
-    Every sparse term map in the package (scalars, elements, the engine's
+    Every sparse term map in the package (elements, the engine's
     intermediate results, division remainders) accumulates through here, so
-    no stored coefficient is ever zero.
+    no stored coefficient is ever zero; the scalar constructor inlines it
+    to keep its sums in stored form.
     """
     c = table.get(key)
     c = value if c is None else c + value
@@ -103,15 +134,26 @@ class TermMap:
     ``constant(context, value)``; ``int``, ``Fraction`` and ``scalar_type``
     values combine with a term map as constants.  ``_product`` is the
     commutative product (exponents add); a noncommutative ring replaces it.
+    ``_exact`` puts a product of two stored coefficients in stored form.
     """
 
     __slots__ = ("context", "terms")
     scalar_type: type = Fraction
     mismatch_error: type
     mismatch_message: str  # formatted with both contexts
+    _exact = staticmethod(lambda c: c)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _canonical(cls, context, terms):
+        """Instance holding ``terms`` as given: they must already be sorted,
+        have distinct monomials and nonzero coefficients in stored form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", tuple(terms))
+        return self
 
     @classmethod
     def zero(cls, context):
@@ -167,17 +209,29 @@ class TermMap:
         """Every coefficient times the scalar ``c``."""
         return type(self)(self.context, [(m, cc * c) for m, cc in self.terms])
 
-    def _product(self, other: "TermMap") -> dict:
+    def _product(self, other: "TermMap") -> "TermMap":
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # Both monomial orders are translation-invariant and no
+            # coefficient ring has zero divisors, so shifting by one term
+            # keeps the terms sorted, distinct and nonzero.
+            (v, k), = a
+            exact = self._exact
+            return self._canonical(
+                self.context, [(vec_add(m, v), exact(c * k)) for m, c in b]
+            )
         out: dict = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
+        for ma, ca in a:
+            for mb, cb in b:
                 add_term(out, vec_add(ma, mb), ca * cb)
-        return out
+        return type(self)(self.context, out)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check(other)
-            return type(self)(self.context, self._product(other))
+            return self._product(other)
         return self.__rmul__(other)
 
     def __rmul__(self, other):
@@ -233,26 +287,38 @@ def divide_terms(f: TermMap, g: TermMap, key, inv, floor: tuple) -> dict:
 
 class SparseScalar(TermMap):
     """Term map from integer exponent vectors of length ``rank`` to nonzero
-    rationals.  Subclasses fix what a vector means (an eta-monomial or a
-    mu-monomial) and print it via ``_monomial_str``."""
+    rationals, each stored as an ``int`` when integral, else a ``Fraction``.
+    Subclasses fix what a vector means (an eta-monomial or a mu-monomial)
+    and print it via ``_monomial_str``; ``laurent`` says whether negative
+    exponents are allowed."""
 
     __slots__ = ()
     rank = TermMap.context
     mismatch_error = RankMismatchError
     mismatch_message = "rank mismatch: {} vs {}"
+    laurent = True
+    _exact = staticmethod(_coefficient)
 
     def __init__(self, rank, terms=()):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        acc: dict[ExpVec, Fraction] = {}
+        laurent = self.laurent
+        acc: dict[ExpVec, Rat] = {}
         for vec, coeff in terms:
-            coeff = _as_fraction(coeff)
             vec = tuple(vec)
             if len(vec) != rank:
                 raise RankMismatchError(
                     f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
                 )
-            add_term(acc, vec, coeff)
+            if not laurent and min(vec, default=0) < 0:
+                raise ValueError(f"negative exponent in {type(self).__name__} monomial {vec}")
+            # add_term inlined: a sum of two Fractions may be integral
+            c = acc.get(vec)
+            c = _coefficient(coeff if c is None else c + coeff)
+            if c:
+                acc[vec] = c
+            else:
+                acc.pop(vec, None)
         object.__setattr__(self, "context", int(rank))
         object.__setattr__(self, "terms", tuple(sorted(acc.items())))
 
@@ -309,7 +375,7 @@ class QTScalar(SparseScalar):
     @classmethod
     def monomial(cls, vec: ExpVec, coeff: Rat = 1) -> "QTScalar":
         vec = tuple(vec)
-        return cls(len(vec), [(vec, _as_fraction(coeff))])
+        return cls(len(vec), [(vec, _coefficient(coeff))])
 
     def __pow__(self, k: int):
         if len(self.terms) == 1 and isinstance(k, int) and k >= 0:
@@ -321,7 +387,7 @@ class QTScalar(SparseScalar):
 
     def eval_one(self) -> Fraction:
         """Value at the classical point: every eta-monomial becomes 1."""
-        return sum((c for _, c in self.terms), Fraction(0))
+        return Fraction(sum(c for _, c in self.terms))
 
     def deriv_one(self) -> "MuPoly":
         """Derivative at the classical point.
@@ -371,7 +437,8 @@ class QTScalar(SparseScalar):
         if not self:
             return self
         fmin, gmin = (tuple(map(min, zip(*(v for v, _ in s.terms)))) for s in (self, o))
-        quot = divide_terms(self, o, None, 1 / o.terms[-1][1], vec_sub(fmin, gmin))
+        inv = _coefficient(Fraction(1, o.terms[-1][1]))
+        quot = divide_terms(self, o, None, inv, vec_sub(fmin, gmin))
         return QTScalar(self.rank, quot)
 
     @staticmethod
@@ -383,22 +450,23 @@ class MuPoly(SparseScalar):
     """Polynomial over the rationals in the derivative symbols mu_1 .. mu_r."""
 
     __slots__ = ()
+    laurent = False
 
     @classmethod
     def variable(cls, rank: int, i: int) -> "MuPoly":
         """The symbol mu_{i+1} (0-based slot ``i``)."""
-        return cls(rank, [(unit_vec(rank, i), Fraction(1))])
+        return cls(rank, [(unit_vec(rank, i), 1)])
 
     @classmethod
     def linear(cls, vec: ExpVec) -> "MuPoly":
         """The linear form ``v . mu = v_1 mu_1 + ... + v_r mu_r``."""
         rank = len(vec)
-        return cls(rank, [(unit_vec(rank, i), Fraction(e)) for i, e in enumerate(vec) if e])
+        return cls(rank, [(unit_vec(rank, i), e) for i, e in enumerate(vec) if e])
 
     def constant_part(self) -> Fraction:
         for v, c in self.terms:
             if not any(v):
-                return c
+                return Fraction(c)
         return Fraction(0)
 
     def is_constant(self) -> bool:
@@ -410,11 +478,12 @@ class MuPoly(SparseScalar):
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector (c_1 .. c_r) of a mu-linear form without
         constant term; raises if higher-degree or constant terms appear."""
+        slot = {unit_vec(self.rank, i): i for i in range(self.rank)}
         coeffs = [Fraction(0)] * self.rank
         for v, c in self.terms:
-            if sum(v) != 1:
+            if v not in slot:
                 raise ValueError(f"{self} is not a homogeneous linear mu-form")
-            coeffs[v.index(1)] = c
+            coeffs[slot[v]] = Fraction(c)
         return tuple(coeffs)
 
     subs = SparseScalar.eval_at

@@ -17,9 +17,9 @@ structure constants (see :mod:`qweyl.interp`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
 
@@ -308,7 +308,7 @@ class PbwElement(TermMap):
         acc: dict = {}
         for m, c in terms:
             m = tuple(m)
-            if len(m) != 2 * params.n or any(e < 0 for e in m):
+            if len(m) != 2 * params.n or any(type(e) is not int or e < 0 for e in m):
                 raise ValueError(f"bad monomial exponent tuple {m}")
             if not isinstance(c, ring):
                 c = ring.constant(params.r, c)
@@ -376,8 +376,10 @@ class WeylElement(PbwElement):
     __slots__ = ()
     scalar_type = QTScalar
 
-    def _product(self, other: "WeylElement") -> dict:
-        return self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
+    def _product(self, other: "WeylElement") -> "WeylElement":
+        return WeylElement(
+            self.params, self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
+        )
 
 
 def pbw_monomial_str(m: PbwMonomial) -> str:

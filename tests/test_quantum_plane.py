@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from qweyl import MuPoly, QTScalar
+import pytest
+
+from qweyl import MuPoly, QTScalar, quantum_plane
 from qweyl.quantum_plane import (
     PlaneElement,
     demo_lines,
@@ -35,6 +41,36 @@ def test_demo_lines():
     lines = demo_lines()
     assert "relation: xy=tyx" in lines
     assert "with e1 = t (so mu1 = 1): {x,y}=xy" in lines
+
+
+@pytest.mark.parametrize("broken", ["relation_holds", "semiclassical_bracket_xy"])
+def test_demo_lines_raise_on_a_failed_check(monkeypatch, broken):
+    monkeypatch.setattr(quantum_plane, broken, lambda: None)
+    with pytest.raises(RuntimeError, match="quantum plane"):
+        demo_lines()
+
+
+def test_demo_check_holds_under_optimization():
+    # ``python -O`` strips asserts; the failed check must still reach the
+    # CLI's internal-error exit
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "import sys\n"
+        "from qweyl import cli, quantum_plane\n"
+        "quantum_plane.relation_holds = lambda: False\n"
+        "sys.exit(cli.main(['example', 'quantum-plane']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: internal error: RuntimeError: quantum plane: x*y != eta1*y*x\n"
 
 
 def test_power_monomials():

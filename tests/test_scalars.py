@@ -223,6 +223,53 @@ def test_mupoly_linear_coefficients():
         (MuPoly.variable(2, 0) * MuPoly.variable(2, 0)).linear_coefficients()
 
 
+@pytest.mark.parametrize("rank, terms", [
+    (1, [((-1,), 1)]),
+    (2, [((2, -1), 1)]),
+    (2, {(0, -2): Fraction(1, 2)}),
+])
+def test_mupoly_rejects_negative_exponents(rank, terms):
+    with pytest.raises(ValueError, match="negative exponent in MuPoly monomial"):
+        MuPoly(rank, terms)
+    # the eta-scalars stay Laurent
+    assert QTScalar(rank, terms).terms == tuple(dict(terms).items())
+
+
+@pytest.mark.parametrize("p", [
+    MuPoly.one(2),
+    MuPoly(2, {(1, 1): 1}),
+    MuPoly(2, {(2, 0): 3}),
+    MuPoly.variable(2, 0) + 1,
+])
+def test_linear_coefficients_rejects_other_forms(p):
+    with pytest.raises(ValueError, match="is not a homogeneous linear mu-form"):
+        p.linear_coefficients()
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.0, 1.0])
+def test_float_coefficients_are_rejected(coeff):
+    with pytest.raises(TypeError, match="expected an integer or Fraction, got float"):
+        QTScalar(1, [((0,), coeff)])
+    with pytest.raises(TypeError):
+        QTScalar(1, [((0,), 1), ((0,), -coeff)])
+    with pytest.raises(TypeError):
+        QTScalar.monomial((1,), coeff)
+    with pytest.raises(TypeError):
+        MuPoly(1, [((1,), coeff)])
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = QTScalar(1, [((0,), Fraction(1, 2)), ((1,), Fraction(3, 2))])
+    total = half + half
+    assert total.terms == (((0,), 1), ((1,), 3))
+    assert [type(c) for _, c in (half * 2).terms] == [int, int]
+    assert [type(c) for _, c in (half * half).terms] == [Fraction, Fraction, Fraction]
+    assert QTScalar.monomial((1,), Fraction(4, 2)).terms == (((1,), 2),)
+    # int and Fraction compare and hash alike, so values are unchanged
+    assert hash(QTScalar.constant(1, 3)) == hash(QTScalar.constant(1, Fraction(3)))
+    assert str(total) == "1 + 3*eta^[1]"
+
+
 def test_printing_deterministic():
     a = mono((1, 0)) - 1
     assert str(a) == "-1 + eta^[1,0]"

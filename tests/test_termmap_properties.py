@@ -1,8 +1,11 @@
 """Property tests of the shared term-map core (``scalars.TermMap``).
 
-Sums and products of eta-scalars are checked against sympy's Laurent
-polynomial arithmetic, which shares no code with qweyl; exact division is
-checked by multiplying back; equality and hashing by shuffling the terms.
+Sums and products of eta-scalars, and products of Poisson elements with a
+one-term factor (the shortcut in ``TermMap._product``), are checked against
+sympy's polynomial arithmetic, which shares no code with qweyl; exact
+division is checked by multiplying back; equality and hashing by shuffling
+the terms.  Every stored rational coefficient must be an ``int`` or a
+non-integral ``Fraction``.
 hypothesis and sympy are installed where the tests run but are not declared
 dependencies, so the module is skipped without them.
 """
@@ -31,6 +34,8 @@ from qweyl.weyl import mono_key  # noqa: E402
 RANK = 2
 PARAMS = WeylParams(2, RANK, ((1, 0), (0, 1)), (((0, 0), (1, -1)), ((-1, 1), (0, 0))))
 ETA = sympy.symbols(f"eta1:{RANK + 1}")
+MU = sympy.symbols(f"mu1:{RANK + 1}")
+GENS = sympy.symbols("y1 x1 y2 x2")
 
 # few examples, so the module stays fast; no example database is written
 FAST = settings(max_examples=30, deadline=None, database=None)
@@ -52,14 +57,39 @@ mu_polys = term_lists(mu_vecs, rationals, 2).map(lambda t: MuPoly(RANK, t))
 poisson_elements = term_lists(pbw_monos, mu_polys, 3).map(
     lambda t: PoissonElement(PARAMS, t)
 )
+# one-term operands, which random operands rarely are
+qt_monomials = st.builds(QTScalar.monomial, eta_vecs, rationals)
+poisson_monomials = st.builds(
+    lambda m, c: PoissonElement(PARAMS, [(m, c)]), pbw_monos, mu_polys.filter(bool)
+)
 
 
-def to_sympy(s: QTScalar):
+def to_sympy(s, symbols=ETA):
     return sympy.Add(*[
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*[e ** k for e, k in zip(ETA, v)])
+        * sympy.Mul(*[e ** k for e, k in zip(symbols, v)])
         for v, c in s.terms
     ])
+
+
+def pe_to_sympy(a: PoissonElement):
+    return sympy.Add(*[
+        to_sympy(c, MU) * sympy.Mul(*[g ** k for g, k in zip(GENS, m)])
+        for m, c in a.terms
+    ])
+
+
+def stored_form(s) -> bool:
+    """Every coefficient of the scalar ``s`` is an int or a non-integral
+    Fraction (never a float, never an integral Fraction)."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for _, c in s.terms
+    )
+
+
+def pe_stored_form(a: PoissonElement) -> bool:
+    return all(type(c) is MuPoly and stored_form(c) for _, c in a.terms)
 
 
 def same(ours: QTScalar, theirs) -> bool:
@@ -73,12 +103,45 @@ def test_qt_ring_operations_match_sympy(a, b):
     assert same(a + b, sa + sb)
     assert same(a - b, sa - sb)
     assert same(a * b, sympy.expand(sa * sb))
+    assert all(map(stored_form, (a + b, a - b, a * b, -a)))
+
+
+@FAST
+@given(qt_monomials, qt_scalars)
+def test_qt_one_term_products_match_sympy(m, b):
+    expected = sympy.expand(to_sympy(m) * to_sympy(b))
+    for product in (m * b, b * m):
+        assert same(product, expected)
+        assert product == QTScalar(RANK, product.terms)  # sorted, canonical
+        assert stored_form(product)
+
+
+@FAST
+@given(poisson_monomials, poisson_elements)
+def test_pe_one_term_products_match_sympy(m, b):
+    expected = sympy.expand(pe_to_sympy(m) * pe_to_sympy(b))
+    for product in (m * b, b * m):
+        assert sympy.expand(pe_to_sympy(product) - expected) == 0
+        assert product.terms == PoissonElement(PARAMS, product.terms).terms
+        assert pe_stored_form(product)
 
 
 @FAST
 @given(qt_scalars, qt_scalars.filter(bool))
 def test_qt_div_exact_inverts_product(a, d):
-    assert (a * d).div_exact(d) == a
+    q = (a * d).div_exact(d)
+    assert q == a
+    assert stored_form(q)
+
+
+@FAST
+@given(qt_scalars, qt_scalars.filter(bool), st.sampled_from([2, 3, -3]))
+def test_qt_div_exact_integer_leading_coefficient(a, d, c):
+    # an integer leading coefficient must give an exact (Fraction) inverse
+    d = QTScalar(RANK, d.terms[:-1] + ((d.terms[-1][0], c),))
+    q = (a * d).div_exact(d)
+    assert q == a
+    assert stored_form(q)
 
 
 @FAST
@@ -99,7 +162,18 @@ def with_rational_lead(d: PoissonElement, c: Fraction) -> PoissonElement:
 @given(poisson_elements, poisson_elements.filter(bool), rationals)
 def test_pe_div_exact_inverts_product(a, d, c):
     d = with_rational_lead(d, c)
-    assert pe_div_exact(a * d, d) == a
+    q = pe_div_exact(a * d, d)
+    assert q == a
+    assert pe_stored_form(q)
+
+
+@FAST
+@given(poisson_elements, poisson_elements.filter(bool), st.sampled_from([2, 3, -3]))
+def test_pe_div_exact_integer_leading_coefficient(a, d, c):
+    d = with_rational_lead(d, c)
+    q = pe_div_exact(a * d, d)
+    assert q == a
+    assert pe_stored_form(q)
 
 
 @FAST
@@ -125,3 +199,12 @@ def test_equality_and_hash_ignore_term_order(data):
         a, b = build(terms), build(shuffled)
         assert a == b
         assert hash(a) == hash(b)
+
+
+@FAST
+@given(qt_scalars, mu_polys, st.lists(st.integers(-3, 3), min_size=RANK, max_size=RANK))
+def test_rational_results_are_fractions(a, p, v):
+    assert type(a.eval_one()) is Fraction
+    assert type(p.constant_part()) is Fraction
+    assert type(p.eval_at([1] * RANK)) is Fraction
+    assert all(type(c) is Fraction for c in MuPoly.linear(tuple(v)).linear_coefficients())

@@ -6,6 +6,7 @@ import pytest
 from qweyl import (
     LocalizationRequiredError,
     ParamsMismatchError,
+    PoissonElement,
     QTScalar,
     WeylElement,
     WeylParams,
@@ -56,6 +57,14 @@ def test_params_reject_non_integer_exponents():
         WeylParams(1, 1, ((1.5,),), (((0,),),))
     with pytest.raises(ValueError, match="L_12 = .* must have integer entries"):
         WeylParams(2, 1, ((1,), (1,)), (((0,), (0.0,)), ((0,), (0,))))
+
+
+@pytest.mark.parametrize("m", [(0.5, 0), (1.0, 0), (True, 0), (0, -1), (1,), (0, 0, 0)])
+@pytest.mark.parametrize("cls", [WeylElement, PoissonElement])
+def test_element_rejects_bad_monomials(cls, m):
+    p = WeylParams(1, 1, ((1,),), (((0,),),))
+    with pytest.raises(ValueError, match="bad monomial exponent tuple"):
+        cls.monomial(p, m)
 
 
 def test_from_coordinate_matrices(params2):
