@@ -4,13 +4,14 @@ Commands operate on an instance described by a JSON configuration file
 (``--config``); a small built-in two-pair instance is used when none is
 given.  Each command is one row of ``COMMANDS``.  Exit codes: 0 success,
 1 a check in the record failed, 2 usage or configuration error, 3 internal
-error.
+error or output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -367,14 +368,35 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # anything else is a defect; exit 1 keeps meaning "a check failed"
         error = f"internal error: {type(exc).__name__}: {exc}"
         record, code = {"command": args.command, "error": error}, INTERNAL_ERROR
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    elif "error" in record:
-        print(f"error: {record['error']}", file=sys.stderr)
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(record, indent=2, sort_keys=True))
+        elif "error" in record:
+            print(f"error: {record['error']}", file=sys.stderr)
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk: no traceback, and not exit 1
+        _discard_stdout()
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return INTERNAL_ERROR
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the
+    interpreter's flush of the unwritten buffer at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

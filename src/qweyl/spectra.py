@@ -473,8 +473,6 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
     while agenda:
         m = max(agenda)
         c = agenda.pop(m)
-        if not c:
-            continue
         if any(m[pos_y(i)] for i in T.ys) or any(m[pos_x(i)] for i in T.xs):
             continue
         hit = next(

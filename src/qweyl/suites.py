@@ -1,9 +1,16 @@
 """Verification suites: every identity the library promises, run exactly.
 
-Each suite returns a :class:`SuiteResult`; all comparisons are exact
-equalities in rational / symbolic arithmetic (zero tolerance).  The suites
-are deterministic for a fixed seed and are shared between the pytest
-acceptance module and the command-line ``verify`` command.
+A suite is a generator of checks.  It takes a seeded ``random.Random`` and
+yields ``None`` for each check that holds and a failure detail string for
+one that fails; the detail is formatted only on failure.  ``run_suite``
+counts the checks, stops at the first failure and builds the suite's
+:class:`SuiteResult`.  Adding a suite means writing one generator and one
+``SUITES`` row (generator, seed offset, detail reported on a pass).
+
+All comparisons are exact equalities in rational / symbolic arithmetic
+(zero tolerance).  The suites are deterministic for a fixed seed and are
+shared between the pytest acceptance module and the command-line
+``verify`` command.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .interp import SpecializedAlgebra, build_e, build_e_family
 from .poisson import (
@@ -45,6 +53,16 @@ from .weyl import (
 
 DEFAULT_SEED = 20250808
 
+# random cases per randomized suite
+PBW_TRIPLES = 200
+SEMICLASSICAL_PAIRS = 200
+JACOBI_TRIPLES = 100
+INTERPOLATION_TARGETS = 50
+SPECIALIZATION_PAIRS = 100
+SPECIALIZATION_POINTS = (Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(5, 3))
+
+Checks = Iterator[str | None]  # None for a check that holds, else the failure detail
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -69,8 +87,6 @@ def random_params(rng: random.Random, n: int, r: int) -> WeylParams:
         qexp.append(v)
     lexp = [[(0,) * r] * n for _ in range(n)]
     for i in range(n):
-        lexp[i] = list(lexp[i])
-    for i in range(n):
         for j in range(i + 1, n):
             v = vec()
             lexp[i][j] = v
@@ -86,6 +102,13 @@ def random_scalar(rng: random.Random, r: int) -> QTScalar:
     return QTScalar.monomial(vec, coeff)
 
 
+def _random_mono(rng: random.Random, n: int, max_degree: int) -> tuple[int, ...]:
+    mono = [0] * (2 * n)
+    for _ in range(rng.randint(0, max_degree)):
+        mono[rng.randrange(2 * n)] += 1
+    return tuple(mono)
+
+
 def random_weyl(
     rng: random.Random,
     params: WeylParams,
@@ -94,11 +117,8 @@ def random_weyl(
 ) -> WeylElement:
     terms = []
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        mono = [0] * (2 * params.n)
-        for _ in range(deg):
-            mono[rng.randrange(2 * params.n)] += 1
-        terms.append((tuple(mono), random_scalar(rng, params.r)))
+        mono = _random_mono(rng, params.n, max_degree)
+        terms.append((mono, random_scalar(rng, params.r)))
     return WeylElement(params, terms)
 
 
@@ -110,12 +130,9 @@ def random_poisson(
 ) -> PoissonElement:
     terms = []
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        mono = [0] * (2 * params.n)
-        for _ in range(deg):
-            mono[rng.randrange(2 * params.n)] += 1
+        mono = _random_mono(rng, params.n, max_degree)
         coeff = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
-        terms.append((tuple(mono), MuPoly.constant(params.r, coeff)))
+        terms.append((mono, MuPoly.constant(params.r, coeff)))
     return PoissonElement(params, terms)
 
 
@@ -129,25 +146,19 @@ def _mono(params: WeylParams, pairs) -> tuple[int, ...]:
 # -- suites -----------------------------------------------------------------------
 
 
-def suite_pbw_associativity(seed: int = DEFAULT_SEED, cases: int = 200) -> SuiteResult:
+def _pbw_associativity(rng: random.Random) -> Checks:
     """(a b) c = a (b c) on random triples: the rewriting is confluent."""
-    rng = random.Random(seed)
-    checks = 0
-    for _ in range(cases):
+    for case in range(PBW_TRIPLES):
         n = rng.randint(1, 3)
         r = rng.randint(1, 2)
         params = random_params(rng, n, r)
         a, b, c = (random_weyl(rng, params) for _ in range(3))
-        if (a * b) * c != a * (b * c):
-            return SuiteResult(
-                "pbw-associativity", False, checks, f"failed at case {checks}"
-            )
-        checks += 1
-    return SuiteResult("pbw-associativity", True, checks, f"{cases} random triples")
+        yield None if (a * b) * c == a * (b * c) else f"failed at case {case}"
 
 
 def _z_table_cases(params: WeylParams):
-    """The eleven commutation families of the quantized algebra."""
+    """The eleven commutation families of the quantized algebra, with the
+    central family z_i."""
     n = params.n
     for j in range(1, n + 1):
         for i in range(1, j):
@@ -181,45 +192,26 @@ def _z_table_cases(params: WeylParams):
             yield zi * wa_z(params, j), wa_z(params, j) * zi
 
 
-def suite_z_relations_quantum(seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Full commutation table with the central family z_i, n = 1..4."""
-    rng = random.Random(seed + 1)
-    checks = 0
+def _z_relations(table: Callable[[WeylParams], Iterator], rng: random.Random) -> Checks:
+    """Both sides of every entry of a z-family table agree, n = 1..4."""
     for n in range(1, 5):
         params = random_params(rng, n, rng.randint(2, 3))
-        for lhs, rhs in _z_table_cases(params):
-            if lhs != rhs:
-                return SuiteResult(
-                    "z-relations-quantum", False, checks, f"failed at n={n}"
-                )
-            checks += 1
-    return SuiteResult("z-relations-quantum", True, checks, "n=1..4, all families")
+        for lhs, rhs in table(params):
+            yield None if lhs == rhs else f"failed at n={n}"
 
 
-def suite_semiclassical_consistency(
-    seed: int = DEFAULT_SEED, cases: int = 200
-) -> SuiteResult:
+def _semiclassical_consistency(rng: random.Random) -> Checks:
     """{gamma1 a, gamma1 b} equals the (t-1)-limit bracket of (a, b)."""
-    rng = random.Random(seed + 2)
-    checks = 0
-    for _ in range(cases):
+    for case in range(SEMICLASSICAL_PAIRS):
         n = rng.randint(1, 3)
         params = random_params(rng, n, rng.randint(1, 2))
         a, b = random_weyl(rng, params), random_weyl(rng, params)
-        if pb_bracket(gamma1(a), gamma1(b)) != semiclassical_bracket(a, b):
-            return SuiteResult(
-                "semiclassical-consistency", False, checks, f"failed at case {checks}"
-            )
-        checks += 1
-    return SuiteResult(
-        "semiclassical-consistency", True, checks, f"{cases} random pairs"
-    )
+        ok = pb_bracket(gamma1(a), gamma1(b)) == semiclassical_bracket(a, b)
+        yield None if ok else f"failed at case {case}"
 
 
-def suite_bracket_closed_forms(seed: int = DEFAULT_SEED) -> SuiteResult:
+def _bracket_closed_forms(rng: random.Random) -> Checks:
     """Limit brackets of generator pairs match the closed coefficient table."""
-    rng = random.Random(seed + 3)
-    checks = 0
     for n in range(1, 5):
         params = random_params(rng, n, rng.randint(2, 3))
         gens = {
@@ -229,130 +221,77 @@ def suite_bracket_closed_forms(seed: int = DEFAULT_SEED) -> SuiteResult:
         }
         for j in range(1, n + 1):
             for i in range(1, j):
+                sl = MuPoly.linear(vec_add(params.s(i), params.L(i, j)))
                 expect = {
-                    ("y", j, "y", i): (
-                        params.L(j, i), _mono(params, [("y", i), ("y", j)])
-                    ),
-                    ("y", j, "x", i): (
-                        params.L(i, j), _mono(params, [("x", i), ("y", j)])
-                    ),
-                    ("x", j, "y", i): (
-                        vec_add(params.s(i), params.L(i, j)),
-                        _mono(params, [("y", i), ("x", j)]),
-                    ),
+                    ("y", j, "y", i): (MuPoly.linear(params.L(j, i)), [("y", i), ("y", j)]),
+                    ("y", j, "x", i): (MuPoly.linear(params.L(i, j)), [("x", i), ("y", j)]),
+                    ("x", j, "y", i): (sl, [("y", i), ("x", j)]),
+                    ("x", j, "x", i): (-sl, [("x", i), ("x", j)]),
                 }
-                for (k1, a, k2, b), (vec, mono) in expect.items():
+                for (k1, a, k2, b), (coeff, pairs) in expect.items():
                     got = semiclassical_bracket(gens[(k1, a)], gens[(k2, b)])
-                    want = PoissonElement.monomial(params, mono, MuPoly.linear(vec))
-                    if got != want:
-                        return SuiteResult(
-                            "bracket-closed-forms", False, checks, f"n={n} {k1}{a},{k2}{b}"
-                        )
-                    checks += 1
-                got = semiclassical_bracket(gens[("x", j)], gens[("x", i)])
-                want = PoissonElement.monomial(
-                    params,
-                    _mono(params, [("x", i), ("x", j)]),
-                    -MuPoly.linear(vec_add(params.s(i), params.L(i, j))),
-                )
-                if got != want:
-                    return SuiteResult(
-                        "bracket-closed-forms", False, checks, f"n={n} x{j},x{i}"
-                    )
-                checks += 1
+                    want = PoissonElement.monomial(params, _mono(params, pairs), coeff)
+                    yield None if got == want else f"n={n} {k1}{a},{k2}{b}"
         for i in range(1, n + 1):
             got = semiclassical_bracket(gens[("x", i)], gens[("y", i)])
             want = p_z(params, i).scale(MuPoly.linear(params.s(i)))
-            if got != want:
-                return SuiteResult(
-                    "bracket-closed-forms", False, checks, f"n={n} x{i},y{i}"
-                )
-            checks += 1
-    return SuiteResult("bracket-closed-forms", True, checks, "all generator pairs, n=1..4")
+            yield None if got == want else f"n={n} x{i},y{i}"
 
 
-def suite_jacobi(seed: int = DEFAULT_SEED, cases: int = 100) -> SuiteResult:
-    rng = random.Random(seed + 4)
-    checks = 0
-    for _ in range(cases):
+def _jacobi(rng: random.Random) -> Checks:
+    for case in range(JACOBI_TRIPLES):
         n = rng.randint(1, 3)
         params = random_params(rng, n, rng.randint(1, 2))
         a, b, c = (random_poisson(rng, params) for _ in range(3))
-        if jacobiator(a, b, c):
-            return SuiteResult("jacobi", False, checks, f"failed at case {checks}")
-        checks += 1
-    return SuiteResult("jacobi", True, checks, f"{cases} random triples")
+        yield f"failed at case {case}" if jacobiator(a, b, c) else None
 
 
-def suite_z_relations_poisson(seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Full bracket table with the Poisson-central family z_i, n = 1..4."""
-    rng = random.Random(seed + 5)
-    checks = 0
-    for n in range(1, 5):
-        params = random_params(rng, n, rng.randint(2, 3))
-        gens = {
-            (kind, i): PoissonElement.generator(params, kind, i)
-            for kind in ("y", "x")
-            for i in range(1, n + 1)
-        }
-        pz = {i: p_z(params, i) for i in range(0, n + 1)}
-        cases_table: list[tuple[PoissonElement, PoissonElement]] = []
-        for i in range(1, n + 1):
-            si = MuPoly.linear(params.s(i))
-            yx = PoissonElement.monomial(params, _mono(params, [("y", i), ("x", i)]))
-            br = pb_bracket(gens[("x", i)], gens[("y", i)])
-            cases_table.append((br - yx.scale(si), pz[i - 1].scale(si)))
-            cases_table.append((br, pz[i].scale(si)))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                sj = MuPoly.linear(params.s(j))
-                by = pb_bracket(gens[("y", j)], pz[i])
-                bx = pb_bracket(gens[("x", j)], pz[i])
-                if i < j:
-                    cases_table.append((by, PoissonElement.zero(params)))
-                    cases_table.append((bx, PoissonElement.zero(params)))
-                else:
-                    cases_table.append((by, -(gens[("y", j)] * pz[i]).scale(sj)))
-                    cases_table.append((bx, (gens[("x", j)] * pz[i]).scale(sj)))
-                cases_table.append((pb_bracket(pz[i], pz[j]), PoissonElement.zero(params)))
-        for lhs, rhs in cases_table:
-            if lhs != rhs:
-                return SuiteResult(
-                    "z-relations-poisson", False, checks, f"failed at n={n}"
-                )
-            checks += 1
-    return SuiteResult("z-relations-poisson", True, checks, "n=1..4, all families")
+def _poisson_z_table_cases(params: WeylParams):
+    """The full bracket table of the Poisson algebra, with the
+    Poisson-central family z_i."""
+    n = params.n
+    gens = {
+        (kind, i): PoissonElement.generator(params, kind, i)
+        for kind in ("y", "x")
+        for i in range(1, n + 1)
+    }
+    pz = {i: p_z(params, i) for i in range(0, n + 1)}
+    for i in range(1, n + 1):
+        si = MuPoly.linear(params.s(i))
+        yx = PoissonElement.monomial(params, _mono(params, [("y", i), ("x", i)]))
+        br = pb_bracket(gens[("x", i)], gens[("y", i)])
+        yield br - yx.scale(si), pz[i - 1].scale(si)
+        yield br, pz[i].scale(si)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            sj = MuPoly.linear(params.s(j))
+            by = pb_bracket(gens[("y", j)], pz[i])
+            bx = pb_bracket(gens[("x", j)], pz[i])
+            if i < j:
+                yield by, PoissonElement.zero(params)
+                yield bx, PoissonElement.zero(params)
+            else:
+                yield by, -(gens[("y", j)] * pz[i]).scale(sj)
+                yield bx, (gens[("x", j)] * pz[i]).scale(sj)
+            yield pb_bracket(pz[i], pz[j]), PoissonElement.zero(params)
 
 
-def suite_torus_derivative_link(seed: int = DEFAULT_SEED) -> SuiteResult:
+def _torus_derivative_link(rng: random.Random) -> Checks:
     """pmatrix equals the qmatrix exponents dotted with mu, entrywise,
     with the two sides computed by independent code paths."""
-    rng = random.Random(seed + 6)
-    checks = 0
-    strata = 0
     for n in range(1, 5):
         params = random_params(rng, n, rng.randint(2, 3))
         for T in enumerate_admissible(n):
             qm = torus_matrix_q(params, T)
             pm = torus_matrix_p(params, T)
-            strata += 1
             for i in range(len(qm)):
                 for j in range(len(qm)):
-                    if pm[i][j] != MuPoly.linear(qm[i][j]):
-                        return SuiteResult(
-                            "torus-derivative-link", False, checks, f"n={n} T={T}"
-                        )
-                    checks += 1
-    return SuiteResult(
-        "torus-derivative-link", True, checks, f"{strata} strata over n=1..4"
-    )
+                    yield None if pm[i][j] == MuPoly.linear(qm[i][j]) else f"n={n} T={T}"
 
 
-def suite_center_lattices(seed: int = DEFAULT_SEED) -> SuiteResult:
+def _center_lattices(rng: random.Random) -> Checks:
     """Quantized and Poisson center lattices coincide; both agree with the
     exhaustive |u_j| <= 3 oracle."""
-    rng = random.Random(seed + 7)
-    checks = 0
     for n in range(1, 4):
         params = random_params(rng, n, 2)
         for T in enumerate_admissible(n):
@@ -360,70 +299,40 @@ def suite_center_lattices(seed: int = DEFAULT_SEED) -> SuiteResult:
             pm = torus_matrix_p(params, T)
             lat_q = center_lattice(qm, params.r)
             lat_p = poisson_center_lattice(pm, params.r)
-            if lat_q.basis != lat_p.basis:
-                return SuiteResult(
-                    "center-lattices", False, checks, f"lattices differ, n={n} T={T}"
-                )
-            checks += 1
+            yield None if lat_q.basis == lat_p.basis else f"lattices differ, n={n} T={T}"
             s = lat_q.size
             for u in product(range(-3, 4), repeat=s):
-                in_kernel = True
-                for l in range(s):
-                    acc = [0] * params.r
-                    for j in range(s):
-                        for k in range(params.r):
-                            acc[k] += u[j] * qm[l][j][k]
-                    if any(acc):
-                        in_kernel = False
-                        break
-                if in_kernel != lat_q.contains(u):
-                    return SuiteResult(
-                        "center-lattices", False, checks, f"oracle mismatch at u={u}"
-                    )
-                checks += 1
-    return SuiteResult("center-lattices", True, checks, "n=1..3, exhaustive box oracle")
+                in_kernel = all(
+                    sum(u[j] * qm[l][j][k] for j in range(s)) == 0
+                    for l in range(s)
+                    for k in range(params.r)
+                )
+                yield None if in_kernel == lat_q.contains(u) else f"oracle mismatch at u={u}"
 
 
-def suite_admissible_counts() -> SuiteResult:
+def _admissible_counts(_rng: random.Random) -> Checks:
     """Enumerator agrees with the brute-force subset filter for n = 1..4;
     the frozen counts 2, 6, 20, 68 were produced by the brute-force
     oracle."""
-    expected = {1: 2, 2: 6, 3: 20, 4: 68}
-    checks = 0
-    for n, count in expected.items():
+    for n, count in {1: 2, 2: 6, 3: 20, 4: 68}.items():
         fast = enumerate_admissible(n)
         slow = brute_force_admissible(n)
         if len(fast) != count or len(slow) != count:
-            return SuiteResult(
-                "admissible-counts",
-                False,
-                checks,
-                f"n={n}: enumerator {len(fast)}, brute force {len(slow)}, frozen {count}",
-            )
-        if set(fast) != set(slow) or len(set(fast)) != len(fast):
-            return SuiteResult(
-                "admissible-counts", False, checks, f"n={n}: sets disagree"
-            )
-        if not all(T.is_admissible() for T in fast):
-            return SuiteResult(
-                "admissible-counts", False, checks, f"n={n}: non-admissible output"
-            )
-        checks += 1
-    return SuiteResult(
-        "admissible-counts", True, checks, "n=1..4 vs brute force, frozen 2/6/20/68"
-    )
+            yield f"n={n}: enumerator {len(fast)}, brute force {len(slow)}, frozen {count}"
+        elif set(fast) != set(slow) or len(set(fast)) != len(fast):
+            yield f"n={n}: sets disagree"
+        elif not all(T.is_admissible() for T in fast):
+            yield f"n={n}: non-admissible output"
+        else:
+            yield None
 
 
-def suite_interpolation(seed: int = DEFAULT_SEED, cases: int = 50) -> SuiteResult:
+def _interpolation(rng: random.Random) -> Checks:
     """Interpolation residuals vanish exactly; the (2, 3, 1) instance is
     t^2 - t + 1."""
-    rng = random.Random(seed + 8)
-    checks = 0
     e = build_e(2, 3, 1)
-    if (e.a, e.b, e.c) != (1, -1, 1):
-        return SuiteResult("interpolation", False, checks, "frozen instance changed")
-    checks += 1
-    for _ in range(cases):
+    yield None if (e.a, e.b, e.c) == (1, -1, 1) else "frozen instance changed"
+    for _ in range(INTERPOLATION_TARGETS):
         q = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
         while q in (0, 1):
             q = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
@@ -432,146 +341,136 @@ def suite_interpolation(seed: int = DEFAULT_SEED, cases: int = 50) -> SuiteResul
             eta = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         mu = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         e = build_e(q, eta, mu)
-        if (e(q) - eta, e(1) - 1, e.deriv_at(1) - mu) != (0, 0, 0):
-            return SuiteResult(
-                "interpolation", False, checks, f"residual at q={q}, eta={eta}, mu={mu}"
-            )
-        checks += 1
-    return SuiteResult("interpolation", True, checks, f"{cases} random targets")
+        ok = (e(q) - eta, e(1) - 1, e.deriv_at(1) - mu) == (0, 0, 0)
+        yield None if ok else f"residual at q={q}, eta={eta}, mu={mu}"
 
 
-def suite_specialization(seed: int = DEFAULT_SEED, cases: int = 100) -> SuiteResult:
+def _specialization(rng: random.Random) -> Checks:
     """Specialization is multiplicative: spec(ab) = spec(a) spec(b) in the
     concrete algebra, across >= 5 sample points."""
-    rng = random.Random(seed + 9)
-    checks = 0
-    n, r = 2, 2
-    params = random_params(rng, n, r)
+    params = random_params(rng, 2, 2)
     etas = [Fraction(3), Fraction(5, 2)]
     mus = [Fraction(1), Fraction(1, 2)]
     e_polys = build_e_family(Fraction(2), etas, mus)
-    lambdas = [Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(5, 3)]
-    algebras = [SpecializedAlgebra(params, lam, e_polys) for lam in lambdas]
-    for _ in range(cases):
+    algebras = [SpecializedAlgebra(params, lam, e_polys) for lam in SPECIALIZATION_POINTS]
+    for _ in range(SPECIALIZATION_PAIRS):
         a, b = random_weyl(rng, params), random_weyl(rng, params)
         ab = a * b
         for alg in algebras:
-            lhs = alg.specialize(ab)
-            rhs = alg.mul(alg.specialize(a), alg.specialize(b))
-            if lhs != rhs:
-                return SuiteResult(
-                    "specialization", False, checks, f"failed at lambda={alg.lam}"
-                )
-            checks += 1
-    return SuiteResult(
-        "specialization", True, checks, f"{cases} pairs x {len(lambdas)} sample points"
-    )
+            ok = alg.specialize(ab) == alg.mul(alg.specialize(a), alg.specialize(b))
+            yield None if ok else f"failed at lambda={alg.lam}"
 
 
-def suite_rescaling_relations(seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Images of the unrescaled presentation's defining relations under the
-    generator rescaling normalize to zero, n = 1..3."""
-    rng = random.Random(seed + 10)
-    checks = 0
+def _defining_relations(params: WeylParams):
+    """The unrescaled presentation's defining relations, each a list of
+    (scalar, generator word) pairs."""
+    one = QTScalar.one(params.r)
+    for j in range(1, params.n + 1):
+        for i in range(1, j):
+            lam_ij, lam_ji = params.lam_scalar(i, j), params.lam_scalar(j, i)
+            qi = params.q_scalar(i)
+            yield [(one, (("y", j), ("y", i))), (-lam_ji, (("y", i), ("y", j)))]
+            yield [(one, (("y", j), ("x", i))), (-lam_ij, (("x", i), ("y", j)))]
+            yield [(one, (("x", j), ("y", i))), (-(qi * lam_ij), (("y", i), ("x", j)))]
+            yield [(qi * lam_ij, (("x", j), ("x", i))), (-one, (("x", i), ("x", j)))]
+    for i in range(1, params.n + 1):
+        rel = [
+            (one, (("x", i), ("y", i))),
+            (-params.q_scalar(i), (("y", i), ("x", i))),
+            (-one, ()),
+        ]
+        for k in range(1, i):
+            rel.append((-(params.q_scalar(k) - 1), (("y", k), ("x", k))))
+        yield rel
+
+
+def _rescaling_relations(rng: random.Random) -> Checks:
+    """Images of the defining relations under the generator rescaling
+    normalize to zero, n = 1..3."""
     for n in range(1, 4):
         params = random_params(rng, n, 2)
-        one = QTScalar.one(params.r)
-        relations = []
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                lam_ij, lam_ji = params.lam_scalar(i, j), params.lam_scalar(j, i)
-                qi = params.q_scalar(i)
-                relations.append(
-                    [(one, (("y", j), ("y", i))), (-lam_ji, (("y", i), ("y", j)))]
-                )
-                relations.append(
-                    [(one, (("y", j), ("x", i))), (-lam_ij, (("x", i), ("y", j)))]
-                )
-                relations.append(
-                    [(one, (("x", j), ("y", i))), (-(qi * lam_ij), (("y", i), ("x", j)))]
-                )
-                relations.append(
-                    [(qi * lam_ij, (("x", j), ("x", i))), (-one, (("x", i), ("x", j)))]
-                )
-        for i in range(1, n + 1):
-            rel = [
-                (one, (("x", i), ("y", i))),
-                (-params.q_scalar(i), (("y", i), ("x", i))),
-                (-one, ()),
-            ]
-            for k in range(1, i):
-                rel.append((-(params.q_scalar(k) - 1), (("y", k), ("x", k))))
-            relations.append(rel)
-        for rel in relations:
-            if from_maltsiniotis(params, rel):
-                return SuiteResult(
-                    "rescaling-relations", False, checks, f"nonzero image at n={n}"
-                )
-            checks += 1
-    return SuiteResult("rescaling-relations", True, checks, "all defining relations, n=1..3")
+        for rel in _defining_relations(params):
+            yield f"nonzero image at n={n}" if from_maltsiniotis(params, rel) else None
 
 
-def suite_quantum_plane() -> SuiteResult:
+def _quantum_plane(_rng: random.Random) -> Checks:
     """The two-generator demo: skew relation and classical bracket."""
-    checks = 0
-    if not relation_holds():
-        return SuiteResult("quantum-plane", False, checks, "relation fails")
-    checks += 1
-    if semiclassical_bracket_xy() != {(1, 1): MuPoly.variable(1, 0)}:
-        return SuiteResult("quantum-plane", False, checks, "bracket differs")
-    checks += 1
-    # with e_1 = t the derivative symbol takes the value 1: {x, y} = x y
+    yield None if relation_holds() else "relation fails"
     bracket = semiclassical_bracket_xy()
-    if {m: d.subs([Fraction(1)]) for m, d in bracket.items()} != {(1, 1): Fraction(1)}:
-        return SuiteResult("quantum-plane", False, checks, "numeric bracket differs")
-    checks += 1
-    return SuiteResult("quantum-plane", True, checks, "relation and limit bracket")
+    yield None if bracket == {(1, 1): MuPoly.variable(1, 0)} else "bracket differs"
+    # with e_1 = t the derivative symbol takes the value 1: {x, y} = x y
+    numeric = {m: d.subs([Fraction(1)]) for m, d in bracket.items()}
+    yield None if numeric == {(1, 1): Fraction(1)} else "numeric bracket differs"
 
 
-def suite_torus_relations_ideal(seed: int = DEFAULT_SEED) -> SuiteResult:
+def _torus_relations_ideal(rng: random.Random) -> Checks:
     """Every tabulated torus commutation reduces into the stratum's
     one-sided ideal (exact membership), n = 1..3."""
-    rng = random.Random(seed + 11)
-    checks = 0
     for n in range(1, 4):
         params = random_params(rng, n, 2)
         for T in enumerate_admissible(n):
-            if not check_torus_relations(params, T):
-                return SuiteResult(
-                    "torus-relations-ideal", False, checks, f"n={n} T={T}"
-                )
-            checks += 1
-    return SuiteResult("torus-relations-ideal", True, checks, "all strata, n=1..3")
+            yield None if check_torus_relations(params, T) else f"n={n} T={T}"
+
+
+@dataclass(frozen=True)
+class Suite:
+    checks: Callable[[random.Random], Checks]
+    seed_offset: int  # the suite draws from random.Random(seed + seed_offset)
+    pass_detail: str  # the detail reported when every check holds
+
+
+SUITES: dict[str, Suite] = {
+    "pbw-associativity": Suite(_pbw_associativity, 0, f"{PBW_TRIPLES} random triples"),
+    "z-relations-quantum": Suite(
+        partial(_z_relations, _z_table_cases), 1, "n=1..4, all families"
+    ),
+    "semiclassical-consistency": Suite(
+        _semiclassical_consistency, 2, f"{SEMICLASSICAL_PAIRS} random pairs"
+    ),
+    "bracket-closed-forms": Suite(_bracket_closed_forms, 3, "all generator pairs, n=1..4"),
+    "jacobi": Suite(_jacobi, 4, f"{JACOBI_TRIPLES} random triples"),
+    "z-relations-poisson": Suite(
+        partial(_z_relations, _poisson_z_table_cases), 5, "n=1..4, all families"
+    ),
+    # 2 + 6 + 20 + 68 admissible sets, the counts admissible-counts freezes
+    "torus-derivative-link": Suite(_torus_derivative_link, 6, "96 strata over n=1..4"),
+    "center-lattices": Suite(_center_lattices, 7, "n=1..3, exhaustive box oracle"),
+    "admissible-counts": Suite(
+        _admissible_counts, 0, "n=1..4 vs brute force, frozen 2/6/20/68"
+    ),
+    "interpolation": Suite(_interpolation, 8, f"{INTERPOLATION_TARGETS} random targets"),
+    "specialization": Suite(
+        _specialization,
+        9,
+        f"{SPECIALIZATION_PAIRS} pairs x {len(SPECIALIZATION_POINTS)} sample points",
+    ),
+    "rescaling-relations": Suite(_rescaling_relations, 10, "all defining relations, n=1..3"),
+    "quantum-plane": Suite(_quantum_plane, 0, "relation and limit bracket"),
+    "torus-relations-ideal": Suite(_torus_relations_ideal, 11, "all strata, n=1..3"),
+}
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Run one suite: count its checks up to the first failure."""
+    suite = SUITES[name]
+    checks = 0
+    for failure in suite.checks(random.Random(seed + suite.seed_offset)):
+        if failure is not None:
+            return SuiteResult(name, False, checks, failure)
+        checks += 1
+    return SuiteResult(name, True, checks, suite.pass_detail)
 
 
 ALL_SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "pbw-associativity": suite_pbw_associativity,
-    "z-relations-quantum": suite_z_relations_quantum,
-    "semiclassical-consistency": suite_semiclassical_consistency,
-    "bracket-closed-forms": suite_bracket_closed_forms,
-    "jacobi": suite_jacobi,
-    "z-relations-poisson": suite_z_relations_poisson,
-    "torus-derivative-link": suite_torus_derivative_link,
-    "center-lattices": suite_center_lattices,
-    "admissible-counts": suite_admissible_counts,
-    "interpolation": suite_interpolation,
-    "specialization": suite_specialization,
-    "rescaling-relations": suite_rescaling_relations,
-    "quantum-plane": suite_quantum_plane,
-    "torus-relations-ideal": suite_torus_relations_ideal,
+    name: partial(run_suite, name) for name in SUITES
 }
-
-_SEEDLESS = {"admissible-counts", "quantum-plane"}
 
 
 def run_suites(
     names: Sequence[str] | None = None, seed: int = DEFAULT_SEED
 ) -> list[SuiteResult]:
-    chosen = list(ALL_SUITES) if names is None else list(names)
-    results = []
+    chosen = list(SUITES) if names is None else list(names)
     for name in chosen:
-        if name not in ALL_SUITES:
-            raise KeyError(f"unknown suite {name!r}; known: {', '.join(ALL_SUITES)}")
-        fn = ALL_SUITES[name]
-        results.append(fn() if name in _SEEDLESS else fn(seed))
-    return results
+        if name not in SUITES:
+            raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    return [run_suite(name, seed) for name in chosen]

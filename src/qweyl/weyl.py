@@ -91,8 +91,6 @@ class StraighteningEngine:
         for ma, ca in ta.items():
             for mb, cb in tb.items():
                 c = ca * cb
-                if not c:
-                    continue
                 for m, cm in self.mono_mul(ma, mb).items():
                     add_term(out, m, cm * c)
         return out
@@ -109,8 +107,6 @@ class StraighteningEngine:
     def _acc_times_gen(self, acc: Mapping, p: int, depth: int) -> dict:
         out: dict = {}
         for m, c in acc.items():
-            if not c:
-                continue
             for m2, c2 in self._mono_times_gen(m, p, depth).items():
                 add_term(out, m2, c2 * c)
         return out

@@ -314,12 +314,46 @@ def test_parser_keeps_no_state_between_calls(capsys):
     code, out, _ = run(capsys, "verify", "--suite")
     assert (code, out) == (2, "")
     code, out, _ = run(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "qweyl.cli", *argv], env=_cli_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["seed"] == cli.DEFAULT_SEED
+
+
+def _cli_env() -> dict:
+    """The environment for running the CLI from this checkout in a subprocess."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    fresh = subprocess.run([sys.executable, "-m", "qweyl.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=120)
-    assert (code, out) == (fresh.returncode, fresh.stdout)
-    assert json.loads(out)["seed"] == cli.DEFAULT_SEED
+    return env
+
+
+def _run_with_stdout(stdout) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "qweyl.cli", "admissible", "3"],
+                          env=_cli_env(), stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+
+
+def _assert_write_error(proc: subprocess.CompletedProcess) -> None:
+    """An output failure exits 3 with one error line and no traceback."""
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_3():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_with_stdout(write_end)
+    finally:
+        os.close(write_end)
+    _assert_write_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exits_3():
+    with open("/dev/full", "w") as full:
+        _assert_write_error(_run_with_stdout(full))
