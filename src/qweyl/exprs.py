@@ -357,11 +357,10 @@ def eval_free(node: Expression, params: WeylParams) -> FreeTerms:
     if isinstance(node, Neg):
         return [(-c, w) for c, w in eval_free(node.item, params)]
     if isinstance(node, Pow):
+        base = eval_free(node.base, params)  # checked even for a zeroth power
         out: FreeTerms = [(one, ())]
-        if node.exponent > 0:  # a zeroth power is 1 without evaluating its base
-            base = eval_free(node.base, params)
-            for _ in range(node.exponent):
-                out = _free_mul(out, base)
+        for _ in range(node.exponent):
+            out = _free_mul(out, base)
         return out
     if isinstance(node, Mul):
         out = [(one, ())]

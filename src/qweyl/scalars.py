@@ -134,7 +134,11 @@ class TermMap:
     ``constant(context, value)``; ``int``, ``Fraction`` and ``scalar_type``
     values combine with a term map as constants.  ``_product`` is the
     commutative product (exponents add); a noncommutative ring replaces it.
-    ``_exact`` puts a product of two stored coefficients in stored form.
+    ``_exact`` puts a sum or product of stored coefficients in stored form,
+    and ``_sort_key`` is the key of the subclass's order on the (exponent
+    tuple, coefficient) pairs (``None``: tuple order).  Results of the ring
+    operations, whose terms are valid by construction, skip the
+    constructor's checks through :meth:`_from_sums`.
     """
 
     __slots__ = ("context", "terms")
@@ -142,6 +146,7 @@ class TermMap:
     mismatch_error: type
     mismatch_message: str  # formatted with both contexts
     _exact = staticmethod(lambda c: c)
+    _sort_key = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -154,6 +159,16 @@ class TermMap:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", tuple(terms))
         return self
+
+    @classmethod
+    def _from_sums(cls, context, sums: dict):
+        """Instance of the nonzero entries of ``sums``, a dict from exponent
+        tuples of the right shape to sums of stored coefficients."""
+        exact = cls._exact
+        return cls._canonical(
+            context,
+            sorted([(m, exact(c)) for m, c in sums.items() if c], key=cls._sort_key),
+        )
 
     @classmethod
     def zero(cls, context):
@@ -186,12 +201,16 @@ class TermMap:
         if o is None:
             return NotImplemented
         self._check(o)
-        return type(self)(self.context, self.terms + o.terms)
+        sums = dict(self.terms)
+        for m, c in o.terms:
+            old = sums.get(m)
+            sums[m] = c if old is None else old + c
+        return self._from_sums(self.context, sums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.context, [(m, -c) for m, c in self.terms])
+        return self._canonical(self.context, [(m, -c) for m, c in self.terms])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -226,7 +245,7 @@ class TermMap:
         for ma, ca in a:
             for mb, cb in b:
                 add_term(out, vec_add(ma, mb), ca * cb)
-        return type(self)(self.context, out)
+        return self._from_sums(self.context, out)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):

@@ -63,26 +63,39 @@ class StraighteningEngine:
     qp > pp, except the same-index slot (x_i, y_i) which is governed by the
     quadratic rule above.
 
+    Appending y_i to ``m = L y_i^r x_i^s`` (L on the pairs below i, nothing
+    above x_i) is done in closed form.  Since
+    ``x_i^s y_i = q_i^s y_i x_i^s + (q_i^s - 1) z_{i-1} x_i^{s-1}`` and
+    z_{i-1} commutes with y_i and x_i,
+
+        m y_i = q_i^s (m + e_{y_i}) + (q_i^s - 1) (L z_{i-1}) y_i^r x_i^{s-1}.
+
+    ``L z_{i-1}`` comes from a memo keyed by L alone (its length fixes the
+    index), filled by ``L'B z_k = q_k^s (L' y_k^{r+1} x_k^{s+1} + (L' z_{k-1}) B)``
+    with ``B = y_k^r x_k^s`` the last pair of L and ``z_0 = 1``; it has
+    k + 1 terms with monomial coefficients.
+
     Termination of the recursion: appending a generator to an ordered
-    monomial either lands directly (no occupied slot above it), or commutes
-    under the top block with a monomial scalar (occupied-slot count above
-    the target strictly drops), or hits the x_i*y_i rule, whose output terms
-    either lower the degree at pair i or only involve pairs k < i (the
-    z_{i-1} summand).  The triple (largest pair index involved, total
-    degree, inversion count) therefore decreases lexicographically at every
-    step.  A generous depth bound is asserted in debug runs as a tripwire.
+    monomial either lands directly (no occupied slot above it), or hits
+    the closed form, or commutes under the top block with a monomial
+    scalar.  The swap branch strips the top block, so the number of
+    occupied slots above the target drops by one and at most
+    ``2n - 1 - p`` swaps nest when appending the generator at slot p; the
+    closed form reaches only the z memo, whose recursion shortens its key
+    by one pair.  The swap depth bound is asserted in debug runs as a
+    tripwire.
     """
 
     def __init__(self, n, one, q_consts, swap):
         self.n = n
         self.one = one
         self.q = list(q_consts)  # q_i per pair, 0-based
-        self.qm1 = [qi - one for qi in self.q]
         self.swap = swap
-        self._max_depth = 0
         # monomial-times-generator results recur heavily across products;
         # values are treated as read-only by every caller
         self._gen_cache: dict = {}
+        # L * z_k keyed by the ordered monomial L on the first k pairs
+        self._z_cache: dict = {}
 
     # -- term-map algebra ----------------------------------------------------
 
@@ -96,24 +109,22 @@ class StraighteningEngine:
         return out
 
     def mono_mul(self, m1: PbwMonomial, m2: PbwMonomial) -> dict:
-        if __debug__:
-            self._max_depth = 8 * (sum(m1) + sum(m2) + 2 * self.n + 4)
         acc = {m1: self.one}
         for p in range(2 * self.n):
             for _ in range(m2[p]):
-                acc = self._acc_times_gen(acc, p, 0)
+                acc = self._acc_times_gen(acc, p)
         return acc
 
-    def _acc_times_gen(self, acc: Mapping, p: int, depth: int) -> dict:
+    def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
         for m, c in acc.items():
-            for m2, c2 in self._mono_times_gen(m, p, depth).items():
+            for m2, c2 in self._mono_times_gen(m, p, 0).items():
                 add_term(out, m2, c2 * c)
         return out
 
     def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
         if __debug__:
-            assert depth <= self._max_depth, "straightening recursion exceeded bound"
+            assert depth <= 2 * self.n - 1 - p, "straightening recursion exceeded bound"
         cached = self._gen_cache.get((m, p))
         if cached is not None:
             return cached
@@ -132,28 +143,17 @@ class StraighteningEngine:
             lst[p] += 1
             return {tuple(lst): self.one}
         if p % 2 == 0 and top == p + 1:
-            # x_i y_i = q_i y_i x_i + (q_i - 1) z_{i-1}, pair i = p//2 (0-based)
-            i = p // 2
+            # the closed form of the class docstring, pair i = p//2 (0-based)
+            s = m[top]
+            qs = self.q[p // 2] ** s
             lst = list(m)
-            lst[top] -= 1
-            m_less = tuple(lst)
-            out: dict = {}
-            first = self._acc_times_gen(
-                self._mono_times_gen(m_less, p, depth + 1), top, depth + 1
-            )
-            qi = self.q[i]
-            for mm, cc in first.items():
-                add_term(out, mm, cc * qi)
-            total = {m_less: self.one}
-            for k in range(i):
-                part = self._acc_times_gen(
-                    self._mono_times_gen(m_less, 2 * k, depth + 1), 2 * k + 1, depth + 1
-                )
-                for mm, cc in part.items():
-                    add_term(total, mm, cc)
-            qm1 = self.qm1[i]
-            for mm, cc in total.items():
-                add_term(out, mm, cc * qm1)
+            lst[p] += 1
+            out = {tuple(lst): qs}
+            qs1 = qs - self.one
+            if qs1:  # a specialized q_i may be a root of unity
+                block = (m[p], s - 1) + m[top + 1:]
+                for low, c in self._times_z(m[:p]).items():
+                    out[low + block] = c * qs1
             return out
         # monomial swap under the whole g_top block
         e = m[top]
@@ -166,6 +166,23 @@ class StraighteningEngine:
             lst = list(mm)
             lst[top] += e
             add_term(out, tuple(lst), cc * c)
+        return out
+
+    def _times_z(self, low: PbwMonomial) -> dict:
+        """``low * z_k`` for an ordered monomial ``low`` on the first k
+        pairs (a tuple of length 2k); read-only like the generator cache."""
+        cached = self._z_cache.get(low)
+        if cached is not None:
+            return cached
+        if not low:
+            out = {low: self.one}
+        else:
+            rest, r, s = low[:-2], low[-2], low[-1]
+            qs = self.q[len(rest) // 2] ** s
+            out = {rest + (r + 1, s + 1): qs}
+            for mm, c in self._times_z(rest).items():
+                out[mm + (r, s)] = c * qs
+        self._z_cache[low] = out
         return out
 
 
@@ -296,6 +313,7 @@ class PbwElement(TermMap):
     params = TermMap.context
     mismatch_error = ParamsMismatchError
     mismatch_message = "elements belong to different instances"
+    _sort_key = staticmethod(lambda t: mono_key(t[0]))
 
     def __init__(self, params: WeylParams, terms=()):
         if isinstance(terms, Mapping):
@@ -311,7 +329,7 @@ class PbwElement(TermMap):
             add_term(acc, m, c)
         object.__setattr__(self, "context", params)
         object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda t: mono_key(t[0])))
+            self, "terms", tuple(sorted(acc.items(), key=self._sort_key))
         )
 
     # -- constructors ---------------------------------------------------------
@@ -373,7 +391,7 @@ class WeylElement(PbwElement):
     scalar_type = QTScalar
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(
+        return self._from_sums(
             self.params, self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
         )
 

@@ -124,6 +124,16 @@ def test_unknown_generator_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["x9^0", "eta^[1]^0"])
+def test_zeroth_power_checks_its_base(capsys, expr):
+    """maltsiniotis rejects a bad base under ^0 with the same line as nf."""
+    code, _, nf_err = run(capsys, "nf", expr)
+    assert code == 2
+    assert nf_err.startswith("error: ") and nf_err.count("\n") == 1
+    code, out, err = run(capsys, "maltsiniotis", expr)
+    assert (code, out, err) == (2, "", nf_err)
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "quantum-plane")
     assert code == 0

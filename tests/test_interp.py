@@ -5,6 +5,7 @@ import pytest
 
 from qweyl import (
     ParameterDomainError,
+    QTScalar,
     QuadPoly,
     SpecializedAlgebra,
     WeylElement,
@@ -15,6 +16,7 @@ from qweyl import (
     wa_commutator,
 )
 from qweyl.suites import random_params, random_weyl
+from qweyl.weyl import build_engine
 
 
 def test_build_e_constant_solution():
@@ -77,6 +79,29 @@ def test_specialization_homomorphism(params2):
         for _ in range(25):
             a, b = random_weyl(rng, params2), random_weyl(rng, params2)
             assert alg.specialize(a * b) == alg.mul(alg.specialize(a), alg.specialize(b))
+
+
+def test_specialized_root_of_unity_drops_zero_terms(params3):
+    """At eta = (2, -1), q_2 = -1, so q_2^2 - 1 = 0 in the same-index step
+    and the z_1 terms of x2^2 * y2^2 vanish; none may be stored as 0, in
+    the result or in the engine's memos."""
+    point = (Fraction(2), Fraction(-1))
+    engine = build_engine(
+        3, Fraction(1), lambda v: QTScalar.monomial(v).eval_at(point),
+        params3.qexp, params3.lexp,
+    )
+    left = [(1, 1, 0, 2, 0, 0), (0, 1, 0, 2, 0, 1)]  # y1 x1 x2^2, x1 x2^2 x3
+    right = (0, 0, 2, 0, 0, 0)  # y2^2
+    stored = []
+    for m in left:
+        formal = WeylElement.monomial(params3, m) * WeylElement.monomial(params3, right)
+        expected = {mm: v for mm, c in formal.terms if (v := c.eval_at(point))}
+        got = engine.mul_terms({m: Fraction(1)}, {right: Fraction(1)})
+        assert got == expected
+        assert len(got) < len(formal.terms)
+        stored.append(got)
+    stored += [*engine._gen_cache.values(), *engine._z_cache.values()]
+    assert all(c != 0 for table in stored for c in table.values())
 
 
 def test_commutator_coefficients_vanish_at_one():
