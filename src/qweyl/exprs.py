@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .scalars import QTScalar
 from .weyl import WeylElement, WeylParams, wa_z
@@ -83,7 +82,10 @@ class Add:
     terms: tuple["Expression", ...]
 
 
-Expression = Union[Num, Gen, EtaMono, Neg, Pow, Mul, Add]
+# ``X | Y``, not ``typing.Union``: typing caches each Union it builds for the
+# life of the process, which would keep these classes, and through them a
+# reloaded package's old modules, alive.
+Expression = Num | Gen | EtaMono | Neg | Pow | Mul | Add
 
 
 # -- tokenizer -------------------------------------------------------------------

@@ -17,8 +17,10 @@ structure constants (see :mod:`qweyl.interp`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
@@ -57,11 +59,11 @@ def mono_key(m: PbwMonomial) -> tuple[int, PbwMonomial]:
 
 
 class StraighteningEngine:
-    """Scalar-generic rewriting of generator words into the ordered basis.
+    """Rewriting of generator words into the ordered basis, on packed scalars.
 
-    ``swap[qp][pp]`` holds the scalar c with ``g_qp g_pp = c g_pp g_qp`` for
-    qp > pp, except the same-index slot (x_i, y_i) which is governed by the
-    quadratic rule above.
+    **Relations.**  ``swap[qp][pp]`` holds the structure constant c with
+    ``g_qp g_pp = c g_pp g_qp`` for qp > pp, except the same-index slot
+    (x_i, y_i) which is governed by the quadratic rule above.
 
     Appending y_i to ``m = L y_i^r x_i^s`` (L on the pairs below i, nothing
     above x_i) is done in closed form.  Since
@@ -84,45 +86,156 @@ class StraighteningEngine:
     closed form reaches only the z memo, whose recursion shortens its key
     by one pair.  The swap depth bound is asserted in debug runs as a
     tripwire.
+
+    **Packed scalars.**  The engine maps (ordered monomial, packed
+    exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
+    ``W = 2^bits`` is linear, so multiplying eta-monomials is one ``int``
+    addition; while every ``|v_k| < W/2`` it is injective, decodes as
+    signed base-W digits and keeps the tuple order.  A structure constant
+    is ``(enc(v), 1)`` in the formal algebra and ``(0, value)`` in a
+    specialized one (:mod:`qweyl.interp`), so one kernel serves both; the
+    two entries of ``q_i^s - 1`` cancel at a root of unity, so no memo
+    stores a zero.  ``mul_terms`` scales each operand by the common
+    denominator of its rationals, so the formal kernel works on ints, and
+    builds one scalar per result monomial on exit.
+
+    **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
+    appending a generator to a monomial of degree d moves exponent entries
+    by at most d*M.  By induction on d: a swap under a block of e letters
+    adds e*M and recurses on degree d - e; the closed form adds s*M for
+    ``q_i^s`` and deg(L)*M for ``L z_{i-1}`` (one ``q_k^{s_k}`` per pair of
+    L), and s + deg(L) <= d.  No result term has degree above d + 1, as
+    z_{i-1} has degree 2.  So ``mono_mul(m1, m2)`` and every memo entry it
+    makes move entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2,
+    and ``mul_terms`` on operands whose exponents have entries up to A and
+    B forms no entry beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
+    past twice that bound when needed; that re-packs the constants and
+    clears the memos, and never changes a result.
     """
 
-    def __init__(self, n, one, q_consts, swap):
+    # the narrowest field; two fields of it share one 30-bit int digit
+    MIN_BITS = 12
+
+    def __init__(self, n, rank, q_consts, swap):
+        """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector,
+        rational) pairs; ``rank`` is None for a specialized engine, whose
+        vectors are empty and whose results are ``Fraction``s."""
         self.n = n
-        self.one = one
-        self.q = list(q_consts)  # q_i per pair, 0-based
-        self.swap = swap
+        self.rank = rank
+        self._consts = (q_consts, swap)
+        vecs = [v for v, _ in q_consts] + [c[0] for row in swap for c in row if c]
+        self._growth = max([abs(x) for v in vecs for x in v], default=0)
+        self._zero = (0,) * (rank or 0)
         # monomial-times-generator results recur heavily across products;
         # values are treated as read-only by every caller
         self._gen_cache: dict = {}
         # L * z_k keyed by the ordered monomial L on the first k pairs
         self._z_cache: dict = {}
+        self._set_width(self.MIN_BITS)
+
+    def _set_width(self, bits: int) -> None:
+        self._bits, self._half = bits, 1 << (bits - 1)
+        q_consts, swap = self._consts
+        enc = self._encode
+        self.q = [(enc(v), k) for v, k in q_consts]
+        self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
+        self._gen_cache.clear()
+        self._z_cache.clear()
+        self._decoded = _Decoder(len(self._zero), bits)
+
+    def _encode(self, vec) -> int:
+        out = 0
+        for x in vec:
+            out = (out << self._bits) + x
+        return out
 
     # -- term-map algebra ----------------------------------------------------
 
     def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
+        """Product of two term maps from ordered monomials to scalars."""
+        (pa, da), (pb, db) = self._pack(ta, tb)
         out: dict = {}
-        for ma, ca in ta.items():
-            for mb, cb in tb.items():
-                c = ca * cb
-                for m, cm in self.mono_mul(ma, mb).items():
-                    add_term(out, m, cm * c)
-        return out
+        for ma, ca in pa:
+            for mb, cb in pb:
+                cab: dict = {}
+                for ea, ka in ca:
+                    for eb, kb in cb:
+                        add_term(cab, ea + eb, ka * kb)
+                for m, d in self.mono_mul(ma, mb).items():
+                    sub = out.setdefault(m, {})
+                    for e2, k2 in cab.items():
+                        _add_shifted(sub, d, e2, k2)
+        return self._unpack(out, da * db)
+
+    def _pack(self, ta: Mapping, tb: Mapping) -> list:
+        """Each operand as (monomial, [(packed exponent, rational * den)])
+        pairs and ``den``, the common denominator of its rationals, after
+        widening the fields if the width bound of the class docstring asks."""
+        zero = self._zero
+        bound = degree = 0
+        operands = []
+        for t in (ta, tb):  # nonzero terms, a rational as a one-term scalar
+            s = [(m, c.terms if isinstance(c, QTScalar) else ((zero, c),))
+                 for m, c in t.items() if c]
+            bound += max([abs(x) for _, c in s for v, _ in c for x in v], default=0)
+            degree += max([sum(m) for m, _ in s], default=0)
+            operands.append(s)
+        bound += self._growth * degree * (degree - 1) // 2
+        if bound >= self._half:
+            self._set_width(bound.bit_length() + 2)
+        enc = self._encode
+        packed = []
+        for s in operands:
+            den = math.lcm(*[k.denominator for _, c in s for _, k in c])
+            packed.append((
+                [(m, [(enc(v), k.numerator * (den // k.denominator)) for v, k in c]) for m, c in s],
+                den,
+            ))
+        return packed
+
+    def _unpack(self, out: dict, den: int) -> dict:
+        """One scalar per monomial of ``out``, its factors divided by ``den``."""
+        result = {}
+        dec = self._decoded
+        for m, d in out.items():
+            if not d:
+                continue
+            if self.rank is None:
+                result[m] = Fraction(d[0], den)
+            else:  # in stored form: an int exactly when den divides c
+                result[m] = QTScalar._canonical(self.rank, [
+                    (dec[e], Fraction(c, den) if c % den else c // den)
+                    for e, c in sorted(d.items())
+                ])
+        return result
 
     def mono_mul(self, m1: PbwMonomial, m2: PbwMonomial) -> dict:
-        acc = {m1: self.one}
-        for p in range(2 * self.n):
-            for _ in range(m2[p]):
-                acc = self._acc_times_gen(acc, p)
+        """``m1 * m2`` as a map from ordered monomials to packed scalars
+        (packed exponent -> rational), built from the generator memo."""
+        gens = [p for p in range(2 * self.n) for _ in range(m2[p])]
+        if not gens:
+            return {m1: {0: 1}}
+        acc: dict = {}
+        for (m, e), c in self._mono_times_gen(m1, gens[0], 0).items():
+            acc.setdefault(m, {})[e] = c
+        for p in gens[1:]:
+            acc = self._acc_times_gen(acc, p)
         return acc
 
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
-        for m, c in acc.items():
-            for m2, c2 in self._mono_times_gen(m, p, 0).items():
-                add_term(out, m2, c2 * c)
+        for m, d in acc.items():
+            for (m2, e2), k2 in self._mono_times_gen(m, p, 0).items():
+                sub = out.get(m2)
+                if sub is None:
+                    out[m2] = {e + e2: c * k2 for e, c in d.items()}
+                else:
+                    _add_shifted(sub, d, e2, k2)
         return out
 
     def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
+        """``m * g_p`` as a map from (ordered monomial, packed exponent) to a
+        nonzero rational."""
         if __debug__:
             assert depth <= 2 * self.n - 1 - p, "straightening recursion exceeded bound"
         cached = self._gen_cache.get((m, p))
@@ -141,68 +254,108 @@ class StraighteningEngine:
         if top < 0:
             lst = list(m)
             lst[p] += 1
-            return {tuple(lst): self.one}
+            return {(tuple(lst), 0): 1}
         if p % 2 == 0 and top == p + 1:
             # the closed form of the class docstring, pair i = p//2 (0-based)
             s = m[top]
-            qs = self.q[p // 2] ** s
+            e, k = self.q[p // 2]
+            es, ks = e * s, k**s
             lst = list(m)
             lst[p] += 1
-            out = {tuple(lst): qs}
-            qs1 = qs - self.one
-            if qs1:  # a specialized q_i may be a root of unity
-                block = (m[p], s - 1) + m[top + 1:]
-                for low, c in self._times_z(m[:p]).items():
-                    out[low + block] = c * qs1
+            out = {(tuple(lst), es): ks}
+            block = (m[p], s - 1) + m[top + 1:]
+            for (low, ez), c in self._times_z(m[:p]).items():
+                mm = low + block
+                add_term(out, (mm, ez + es), c * ks)
+                add_term(out, (mm, ez), -c)  # cancels the line above where q_i^s = 1
             return out
         # monomial swap under the whole g_top block
-        e = m[top]
+        t = m[top]
         lst = list(m)
         lst[top] = 0
-        stripped = tuple(lst)
-        c = self.swap[top][p] ** e
+        e, k = self.swap[top][p]
+        et, kt = e * t, k**t
         out = {}
-        for mm, cc in self._mono_times_gen(stripped, p, depth + 1).items():
+        for (mm, ec), c in self._mono_times_gen(tuple(lst), p, depth + 1).items():
             lst = list(mm)
-            lst[top] += e
-            add_term(out, tuple(lst), cc * c)
+            lst[top] += t
+            out[(tuple(lst), ec + et)] = c * kt
         return out
 
     def _times_z(self, low: PbwMonomial) -> dict:
         """``low * z_k`` for an ordered monomial ``low`` on the first k
-        pairs (a tuple of length 2k); read-only like the generator cache."""
+        pairs (a tuple of length 2k), keyed and read-only like the generator
+        cache."""
         cached = self._z_cache.get(low)
         if cached is not None:
             return cached
         if not low:
-            out = {low: self.one}
+            out = {(low, 0): 1}
         else:
             rest, r, s = low[:-2], low[-2], low[-1]
-            qs = self.q[len(rest) // 2] ** s
-            out = {rest + (r + 1, s + 1): qs}
-            for mm, c in self._times_z(rest).items():
-                out[mm + (r, s)] = c * qs
+            e, k = self.q[len(rest) // 2]
+            es, ks = e * s, k**s
+            out = {(rest + (r + 1, s + 1), es): ks}
+            for (mm, ez), c in self._times_z(rest).items():
+                out[(mm + (r, s), ez + es)] = c * ks
         self._z_cache[low] = out
         return out
+
+
+class _Decoder(dict):
+    """Memo from packed exponents to exponent vectors of length ``rank``;
+    adding W/2 to every field turns the fields into base-W digits."""
+
+    def __init__(self, rank: int, bits: int):
+        super().__init__()
+        self.half, self.mask = 1 << (bits - 1), (1 << bits) - 1
+        self.shifts = [bits * k for k in reversed(range(rank))]
+        self.offset = sum([self.half << s for s in self.shifts])
+
+    def __missing__(self, packed: int) -> ExpVec:
+        x, half, mask = packed + self.offset, self.half, self.mask
+        vec = self[packed] = tuple(((x >> s) & mask) - half for s in self.shifts)
+        return vec
+
+
+def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
+    """``sub += k2 * eta^e2 * d`` on packed scalars, dropping zero sums."""
+    for e, c in d.items():
+        e += e2
+        v = sub.get(e, 0) + c * k2
+        if v:
+            sub[e] = v
+        else:
+            sub.pop(e, None)
 
 
 def build_engine(n: int, one, monomial_of_vec, qexp, lexp) -> StraighteningEngine:
     """Assemble an engine from exponent data and a scalar constructor.
 
-    ``monomial_of_vec`` maps an exponent vector to a scalar (a QTScalar
-    monomial for the formal algebra, a rational for a specialized one).
+    ``monomial_of_vec`` maps an exponent vector to a scalar: a QTScalar
+    monomial for the formal algebra, whose ``one`` is a QTScalar, or a
+    rational for a specialized one.
     """
-    q_consts = [monomial_of_vec(qexp[i]) for i in range(n)]
+    formal = isinstance(one, QTScalar)
+
+    def const(vec):
+        c = monomial_of_vec(vec)
+        if formal:
+            (v, k), = c.terms
+            return v, k
+        return (), c
+
     size = 2 * n
     swap = [[None] * size for _ in range(size)]
     for j in range(1, n + 1):
         for i in range(1, j):
             s_i, l_ij, l_ji = qexp[i - 1], lexp[i - 1][j - 1], lexp[j - 1][i - 1]
-            swap[pos_y(j)][pos_y(i)] = monomial_of_vec(l_ji)
-            swap[pos_y(j)][pos_x(i)] = monomial_of_vec(l_ij)
-            swap[pos_x(j)][pos_y(i)] = monomial_of_vec(vec_add(s_i, l_ij))
-            swap[pos_x(j)][pos_x(i)] = monomial_of_vec(vec_neg(vec_add(s_i, l_ij)))
-    return StraighteningEngine(n, one, q_consts, swap)
+            swap[pos_y(j)][pos_y(i)] = const(l_ji)
+            swap[pos_y(j)][pos_x(i)] = const(l_ij)
+            swap[pos_x(j)][pos_y(i)] = const(vec_add(s_i, l_ij))
+            swap[pos_x(j)][pos_x(i)] = const(vec_neg(vec_add(s_i, l_ij)))
+    q_consts = [const(qexp[i]) for i in range(n)]
+    return StraighteningEngine(n, one.rank if formal else None, q_consts, swap)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
-"""The straightening engine against an oracle that shares no code with it.
+"""qweyl against references that share no code with it.
 
 ``perfbench/oracle.py`` straightens free words by rewriting the leftmost
 out-of-order pair with the five defining relations: no cache, no closed
-form and no qweyl import.  It is loaded from its file, not copied, so the
-benchmark and these tests check against one copy.  The operands lean on
-same-index pairs ``x_i^a ... * y_i^b ...``, where the engine takes its
-closed-form step.  hypothesis is installed where the tests run but is not a
-declared dependency, so the module is skipped without it.
+form, no packed exponents and no qweyl import.  It also reads the CLI
+grammar on its own and tests lattice saturation by minors.  It is loaded
+from its file, not copied, so the benchmark and these tests check against
+one copy.  The operands lean on same-index pairs ``x_i^a ... * y_i^b ...``,
+where the engine takes its closed-form step, and on exponents large enough
+to make the engine widen its packed fields.  hypothesis is installed where
+the tests run but is not a declared dependency, so the module is skipped
+without it.
 """
 
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qweyl import QTScalar, WeylElement, WeylParams  # noqa: E402
+from qweyl import QTScalar, WeylElement, WeylParams, integer_kernel  # noqa: E402
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
@@ -32,21 +36,23 @@ FAST = settings(max_examples=40, deadline=None, database=None)
 
 
 def oracle_product(a: WeylElement, b: WeylElement) -> dict:
+    """{monomial: coefficient terms in exponent order} of a*b by the oracle."""
     p = a.params
-    return oracle.naive_product(
+    product = oracle.naive_product(
         p.n, p.r, p.qexp, p.lexp,
         [(m, dict(c.terms)) for m, c in a.terms],
         [(m, dict(c.terms)) for m, c in b.terms],
     )
+    return {m: tuple(sorted(c.items())) for m, c in product.items()}
 
 
 def engine_product(a: WeylElement, b: WeylElement) -> dict:
-    return {m: dict(c.terms) for m, c in (a * b).terms}
+    return {m: c.terms for m, c in (a * b).terms}
 
 
 @st.composite
 def instances(draw):
-    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     vecs = st.tuples(*[st.integers(-2, 2)] * r)
     qexp = tuple(draw(vecs.filter(any)) for _ in range(n))
     lexp = [[(0,) * r] * n for _ in range(n)]
@@ -103,3 +109,115 @@ def test_same_index_ladder_matches_the_oracle(params3):
         for a in range(5):
             for b in range(5):
                 assert engine_product(x**a, y**b) == oracle_product(x**a, y**b), (i, a, b)
+
+
+# -- packed exponents: entries far beyond the narrowest field ---------------------
+
+
+def monomial_element(params, *terms):
+    """Sum of ``coeff * eta^vec * monomial`` for (monomial, vec, coeff) terms."""
+    return WeylElement(params, [(m, QTScalar.monomial(v, c)) for m, v, c in terms])
+
+
+@pytest.mark.parametrize("big", [2**40, 2**70])
+def test_large_coefficient_exponents_match_the_oracle(params3, big):
+    a = monomial_element(
+        params3, ((0, 1, 0, 2, 0, 0), (big, -big), Fraction(1, 2)),
+        ((1, 0, 0, 0, 0, 1), (-big, 1), -3),
+    )
+    b = monomial_element(
+        params3, ((0, 0, 2, 0, 1, 0), (1, big), 1), ((0, 0, 0, 0, 0, 0), (big, big), 2),
+    )
+    assert engine_product(a, b) == oracle_product(a, b)
+    assert engine_product(b, a) == oracle_product(b, a)
+
+
+def large_instance():
+    """n = 3, r = 2 with entries of s_i and L_ij in the thousands."""
+    l12, l13, l23 = (3001, -1000), (-2000, 4999), (1234, 4321)
+    neg = lambda v: tuple(-e for e in v)  # noqa: E731
+    return WeylParams(
+        3, 2, ((1000, -2999), (-4001, 1), (2500, 2500)),
+        (((0, 0), l12, l13), (neg(l12), (0, 0), l23), (neg(l13), neg(l23), (0, 0))),
+    )
+
+
+def test_large_structure_constants_match_the_oracle():
+    p = large_instance()
+    x2, y2 = WeylElement.generator(p, "x", 2), WeylElement.generator(p, "y", 2)
+    x3, y1 = WeylElement.generator(p, "x", 3), WeylElement.generator(p, "y", 1)
+    for a, b in ((x2**2 * x3, y2**2 * y1), (x3 * x2 + y1, y2 * x3 - x2**2)):
+        assert engine_product(a, b) == oracle_product(a, b)
+
+
+def test_memos_after_widening_match_the_oracle(params3):
+    """An ordinary product fills the memos, a large-exponent one widens the
+    fields and clears them, the next ordinary one refills them."""
+    ordinary = (
+        monomial_element(params3, ((0, 1, 0, 2, 0, 1), (1, 0), 1), ((1, 1, 0, 0, 0, 0), (0, -1), 2)),
+        monomial_element(params3, ((0, 0, 2, 0, 1, 0), (0, 0), 1), ((1, 0, 0, 1, 0, 0), (1, 1), -1)),
+    )
+    big = monomial_element(params3, ((0, 0, 0, 1, 0, 1), (2**70, -(2**40)), 1))
+    engine = params3.engine
+    for a, b in (ordinary, (big, ordinary[1]), ordinary, (ordinary[0], big)):
+        assert engine_product(a, b) == oracle_product(a, b)
+    assert engine._half > 2**70 and engine._gen_cache
+
+
+# -- the printed form read back by the oracle's grammar ---------------------------
+
+
+@st.composite
+def printable_elements(draw):
+    params = draw(instances())
+    n, r = params.n, params.r
+    vecs = st.tuples(*[st.integers(-3, 3)] * r)
+    rationals = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    coeffs = st.lists(st.tuples(vecs, rationals), min_size=1, max_size=3)
+    monos = st.tuples(*[st.integers(0, 2)] * (2 * n))
+    terms = draw(st.lists(st.tuples(monos, coeffs), max_size=4))
+    return WeylElement(params, [(m, QTScalar(r, c)) for m, c in terms])
+
+
+def read_back(a: WeylElement) -> dict:
+    """``str(a)`` evaluated by the oracle's reading of the grammar."""
+    p = a.params
+    words = oracle.free_polynomial(str(a), p.n, p.r)
+    nf = oracle.straighten(p.n, p.r, p.qexp, p.lexp, words)
+    return {m: tuple(sorted(c.items())) for m, c in nf.items()}
+
+
+@FAST
+@given(printable_elements())
+def test_printed_elements_read_back_by_the_oracle(a):
+    assert read_back(a) == {m: c.terms for m, c in a.terms}
+
+
+def test_printed_forms_with_sign_and_parentheses(params3):
+    leading_minus = monomial_element(
+        params3, ((0, 0, 0, 0, 0, 0), (0, 0), Fraction(-3, 2)), ((0, 1, 1, 0, 0, 2), (1, -2), 1),
+    )
+    multi_term = WeylElement(params3, [
+        ((2, 0, 0, 1, 0, 0), QTScalar(2, [((0, 0), 1), ((0, 1), -1), ((-1, 0), Fraction(1, 2))])),
+        ((0, 0, 0, 0, 1, 0), QTScalar.monomial((0, 0), -1)),
+    ])
+    assert str(leading_minus).startswith("-") and "(" in str(multi_term)
+    for a in (leading_minus, multi_term, -multi_term, WeylElement.zero(params3)):
+        assert read_back(a) == {m: c.terms for m, c in a.terms}
+
+
+# -- integer kernels against rational rank and saturation by minors ---------------
+
+
+def test_integer_kernel_rank_and_saturation():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for _ in range(60):
+        ncols = rng.randint(1, 5)
+        rows = [[rng.choice((1, 2, 3)) * rng.randint(-3, 3) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 4))]
+        basis = integer_kernel(rows, ncols)
+        assert len(basis) == ncols - sympy.Matrix(rows).rank()
+        assert all(sum(a * u for a, u in zip(row, v)) == 0 for row in rows for v in basis)
+        assert oracle.rational_rank(basis) == len(basis)
+        assert oracle.is_saturated(basis)

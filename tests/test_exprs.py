@@ -1,4 +1,8 @@
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -102,3 +106,19 @@ def test_round_trip_special_cases(params2):
     for text in ("0", "1", "-1", "(eta^[1,0] - 1)"):
         a = ev(text, params2)
         assert ev(str(a), params2) == a
+
+
+def test_a_reimported_package_is_freed():
+    """Nothing outside the package, such as typing's cache of the Unions it
+    builds, may keep a purged copy of qweyl alive."""
+    saved = {k: m for k, m in sys.modules.items() if k == "qweyl" or k.startswith("qweyl.")}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        copy = weakref.ref(importlib.import_module("qweyl.exprs").Add)
+        for k in [k for k in sys.modules if k == "qweyl" or k.startswith("qweyl.")]:
+            del sys.modules[k]
+    finally:
+        sys.modules.update(saved)
+    gc.collect()
+    assert copy() is None
