@@ -27,6 +27,7 @@ from .scalars import RankMismatchError
 from .spectra import (
     AdmissibleSet,
     center_lattice,
+    count_admissible,
     enumerate_admissible,
     is_admissible,
     stratum_report,
@@ -42,6 +43,10 @@ INTERNAL_ERROR = 3
 # argparse reads an argument that starts with '-' as an option, so printed
 # normal forms such as "-5/12*x2" go back in after a "--" separator
 EXPR_HELP = "element expression; put '--' before one that starts with '-'"
+
+# `admissible N` lists at most this many sets (N <= 9): the count grows
+# about 3.4-fold per N, and N = 11 takes seconds and hundreds of MB
+MAX_ADMISSIBLE_SETS = 100_000
 
 DEFAULT_CONFIG = {
     "n": 2,
@@ -212,6 +217,15 @@ def _scl(args, params, config):
 def _admissible(args, params, config):
     if args.n < 1:
         raise ConfigError("n must be positive")
+    # past n = 2000 the exact count is slow to compute and print; it exceeds
+    # 3^(n-1), as each set of M_{n-1} with z_{n-1} grows 3 ways with z_n
+    huge = args.n > 2000
+    count = f"more than 3^{args.n - 1}" if huge else count_admissible(args.n)
+    if huge or count > MAX_ADMISSIBLE_SETS:
+        raise ConfigError(
+            f"M_{args.n} has {count} admissible sets, more than the "
+            f"{MAX_ADMISSIBLE_SETS} this command lists"
+        )
     names = [",".join(T.names()) or "(empty)" for T in enumerate_admissible(args.n)]
     lines = [f"admissible sets of M_{args.n}: {len(names)}"] + [f"  {s}" for s in names]
     return {"n": args.n, "count": len(names), "result": names}, lines

@@ -50,10 +50,14 @@ class AdmissibleSet:
 
     @classmethod
     def from_markers(cls, n: int, markers: Iterable[Marker]) -> "AdmissibleSet":
-        zs, ys, xs = set(), set(), set()
+        groups = {"z": set(), "y": set(), "x": set()}
         for kind, i in markers:
-            {"z": zs, "y": ys, "x": xs}[kind].add(i)
-        return cls(n, frozenset(zs), frozenset(ys), frozenset(xs))
+            if kind not in groups:
+                raise ValueError(f"unknown marker kind {kind!r}; expected z, y or x")
+            if type(i) is not int:  # bools and strings are not indices
+                raise ValueError(f"marker index {i!r} must be an integer")
+            groups[kind].add(i)
+        return cls(n, groups["z"], groups["y"], groups["x"])
 
     def markers(self) -> tuple[Marker, ...]:
         out = [("z", i) for i in self.zs]
@@ -116,6 +120,21 @@ def enumerate_admissible(n: int) -> list[AdmissibleSet]:
                 grown.append((zs | bz, ys | by, xs | bx))
         partial = grown
     return [AdmissibleSet(n, zs, ys, xs) for zs, ys, xs in partial]
+
+
+def count_admissible(n: int) -> int:
+    """The number of admissible subsets of M_n, without enumerating them.
+
+    With f_i (g_i) the number of admissible subsets of M_i that contain
+    (omit) z_i, the blocks of ``enumerate_admissible`` give
+    f_i = 3 f_{i-1} + g_{i-1} and g_i = f_{i-1} + g_{i-1}, from f_1 = g_1 = 1.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    with_z, without_z = 1, 1
+    for _ in range(2, n + 1):
+        with_z, without_z = 3 * with_z + without_z, with_z + without_z
+    return with_z + without_z
 
 
 def brute_force_admissible(n: int) -> list[AdmissibleSet]:
@@ -208,32 +227,49 @@ def _gen_image(cls, params: WeylParams, w: TaggedGen):
     return cls.generator(params, kind, i)
 
 
-def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
-    """Poisson commutation forms d with {w_i, w_j} = d_ij w_i w_j.
+def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
+    """The mu-form d with {a, b} = d a b, through the actual bracket engine
+    and exact polynomial division, independently of the quantized exponent
+    table."""
+    br = pb_bracket(a, b)
+    if not br:
+        return MuPoly.zero(a.params.r)
+    quot = pe_div_exact(br, a * b)
+    if quot.degree() != 0:
+        raise ArithmeticError(
+            f"bracket of {wa} and {wb} is not a scalar multiple of their product"
+        )
+    return quot.coefficient((0,) * (2 * a.params.n))
 
-    Computed through the actual bracket engine and exact polynomial
-    division, independently of the quantized exponent table.
-    """
-    gens = y_set(T)
-    images = [_gen_image(PoissonElement, params, w) for w in gens]
-    size = len(gens)
+
+def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tuple:
+    """The matrix over ordered pairs (w_i, w_j) of ``gens`` of the Poisson
+    form {w_i, w_j}/(w_i w_j) (side "p") or the quantized product w_i w_j
+    (side "q"), read from the instance's ``torus_pairs`` memo and filled in
+    where missing.  Every ordered pair, (w_j, w_i) and (w_i, w_i) included,
+    is computed on its own, so skew-symmetry stays a check."""
+    memo = params.torus_pairs
+    images: dict = {}
     rows = []
-    for i in range(size):
+    for wi in gens:
         row = []
-        for j in range(size):
-            br = pb_bracket(images[i], images[j])
-            if not br:
-                row.append(MuPoly.zero(params.r))
-                continue
-            quot = pe_div_exact(br, images[i] * images[j])
-            if quot.degree() != 0:
-                raise ArithmeticError(
-                    f"bracket of {gens[i]} and {gens[j]} is not a scalar "
-                    "multiple of their product"
-                )
-            row.append(quot.coefficient((0,) * (2 * params.n)))
+        for wj in gens:
+            key = (side, wi, wj)
+            entry = memo.get(key)
+            if entry is None:
+                if not images:
+                    cls = PoissonElement if side == "p" else WeylElement
+                    images = {w: _gen_image(cls, params, w) for w in gens}
+                a, b = images[wi], images[wj]
+                entry = memo[key] = _bracket_form(a, b, wi, wj) if side == "p" else a * b
+            row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
+    """Poisson commutation forms d with {w_i, w_j} = d_ij w_i w_j."""
+    return _pair_table(params, "p", y_set(T))
 
 
 @dataclass(frozen=True)
@@ -331,6 +367,8 @@ def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:
     """Membership of u in the Z-span of an HNF basis (greedy reduction)."""
     v = list(map(int, u))
     for row in basis:
+        if len(row) != len(v):
+            raise ValueError(f"vector has length {len(v)}, basis rows have length {len(row)}")
         piv = next((j for j, a in enumerate(row) if a), None)
         if piv is None:
             continue
@@ -357,6 +395,8 @@ class CenterLattice:
         return not self.basis
 
     def contains(self, u: Sequence[int]) -> bool:
+        if len(u) != self.size:
+            raise ValueError(f"vector has length {len(u)}, lattice lives in Z^{self.size}")
         return lattice_contains(self.basis, u)
 
 
@@ -507,13 +547,11 @@ def in_stratum_ideal(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> bo
 def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     """Verify every tabulated commutation w_i w_j = eta^{c_ij} w_j w_i
     against the straightening engine, modulo the stratum ideal."""
-    gens = y_set(T)
-    images = [_gen_image(WeylElement, params, w) for w in gens]
+    products = _pair_table(params, "q", y_set(T))
     qm = torus_matrix_q(params, T)
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            lhs = images[i] * images[j]
-            rhs = (images[j] * images[i]).scale(QTScalar.monomial(qm[i][j]))
+    for i, row in enumerate(products):
+        for j, lhs in enumerate(row):
+            rhs = products[j][i].scale(QTScalar.monomial(qm[i][j]))
             if not in_stratum_ideal(params, T, lhs - rhs):
                 return False
     return True

@@ -453,6 +453,14 @@ class WeylParams:
         this instance."""
         return {}
 
+    @cached_property
+    def torus_pairs(self) -> dict:
+        """Memo of stratum-generator pairs, filled by :mod:`qweyl.spectra`:
+        ``("p", w, v)`` holds the Poisson form {w, v}/(w v) and ``("q", w, v)``
+        the quantized product w v, for tagged generators w, v.  At most
+        2(3n - 1)^2 entries; it lives and dies with this instance."""
+        return {}
+
 
 class PbwElement(TermMap):
     """Finite map from ordered (PBW) monomials to nonzero coefficients.

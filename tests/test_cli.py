@@ -67,6 +67,17 @@ def test_admissible(capsys):
     assert json.loads(out)["count"] == 6
 
 
+def test_admissible_refuses_past_the_ceiling(capsys):
+    code, out, err = run(capsys, "admissible", "40")
+    assert (code, out) == (2, "")
+    assert err == (f"error: M_40 has 1072994093040913088512 admissible sets, "
+                   f"more than the {cli.MAX_ADMISSIBLE_SETS} this command lists\n")
+    # past n = 2000 the error gives a bound instead of computing the count
+    code, out, _ = run(capsys, "--json", "admissible", "10000000000")
+    assert code == 2
+    assert json.loads(out)["error"].startswith("M_10000000000 has more than 3^9999999999 ")
+
+
 def test_stratum_and_center(capsys):
     code, out, _ = run(capsys, "stratum", "z1")
     assert code == 0

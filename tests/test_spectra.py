@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -7,10 +9,12 @@ from qweyl import (
     AdmissibleSet,
     MuPoly,
     WeylElement,
+    WeylParams,
     brute_force_admissible,
     center_lattice,
     check_torus_relations,
     clear_denominators,
+    count_admissible,
     enumerate_admissible,
     in_stratum_ideal,
     integer_kernel,
@@ -24,7 +28,8 @@ from qweyl import (
     wa_z,
     y_set,
 )
-from qweyl.spectra import lattice_contains, row_hermite_normal_form
+from qweyl import spectra
+from qweyl.spectra import CenterLattice, lattice_contains, row_hermite_normal_form
 from qweyl.suites import random_params
 
 
@@ -57,6 +62,14 @@ def test_enumerate_matches_brute_force():
     assert len(enumerate_admissible(4)) == 68
 
 
+def test_count_recurrence_matches_enumeration():
+    for n in range(1, 7):
+        assert count_admissible(n) == len(enumerate_admissible(n))
+    assert count_admissible(12) == 1254464
+    with pytest.raises(ValueError):
+        count_admissible(0)
+
+
 def test_enumerate_n1_explicit():
     got = {T.names() for T in enumerate_admissible(1)}
     assert got == {(), ("z1",)}
@@ -67,6 +80,15 @@ def test_marker_validation():
         T_of(2, "y1")  # y1 is not a marker
     with pytest.raises(ValueError):
         T_of(2, "z3")
+
+
+def test_from_markers_rejects_unknown_kind_and_non_int_index():
+    with pytest.raises(ValueError, match="^unknown marker kind 'w'; expected z, y or x$"):
+        AdmissibleSet.from_markers(2, [("w", 1)])
+    with pytest.raises(ValueError, match="^marker index '1' must be an integer$"):
+        AdmissibleSet.from_markers(2, [("z", "1")])
+    with pytest.raises(ValueError, match="must be an integer"):
+        AdmissibleSet.from_markers(2, [("z", True)])
 
 
 # -- stratum generators ----------------------------------------------------------
@@ -186,6 +208,19 @@ def test_center_lattice_examples():
     assert lat2.contains((0, 1, -1))
 
 
+def test_lattice_membership_rejects_wrong_length():
+    with pytest.raises(ValueError, match="length 4.*Z\\^3"):
+        CenterLattice(3, ((1, 0, 0),)).contains((1, 0, 0, 5))
+    with pytest.raises(ValueError, match="length 1.*Z\\^3"):
+        CenterLattice(3, ((0, 0, 2),)).contains((1,))
+    with pytest.raises(ValueError, match="length 2.*Z\\^1"):
+        CenterLattice(1, ()).contains((0, 0))
+    with pytest.raises(ValueError, match="length 4, basis rows have length 3"):
+        lattice_contains(((1, 0, 0),), (1, 0, 0, 5))
+    with pytest.raises(ValueError, match="length 1, basis rows have length 3"):
+        lattice_contains(((0, 0, 2),), (1,))
+
+
 def test_center_lattice_quantum_equals_poisson(params3):
     for T in enumerate_admissible(3):
         qm = torus_matrix_q(params3, T)
@@ -268,3 +303,53 @@ def test_reduction_idempotent_on_normal_forms(params3):
 def test_torus_relations_all_strata(params3):
     for T in enumerate_admissible(3):
         assert check_torus_relations(params3, T)
+
+
+# -- the per-instance pair memo ------------------------------------------------------------
+
+
+def fresh(params):
+    """An equal instance with empty memos."""
+    return WeylParams(params.n, params.r, params.qexp, params.lexp)
+
+
+def test_pair_memo_warm_equals_cold():
+    for seed in (3, 8):
+        for n in (1, 2, 3):
+            warm = random_params(random.Random(seed), n, 2)
+            for T in enumerate_admissible(n):
+                for compute in (
+                    torus_matrix_p,
+                    lambda p, T: stratum_report(p, T).to_dict(),
+                    check_torus_relations,
+                ):
+                    assert compute(warm, T) == compute(fresh(warm), T), (seed, n, T)
+            assert warm.torus_pairs
+            assert len(warm.torus_pairs) <= 2 * (3 * n - 1) ** 2
+
+
+def test_pair_memo_does_not_keep_instances_alive():
+    # exponents no other test uses, so no equal instance is cached anywhere
+    params = WeylParams(2, 1, ((13,), (17,)), (((0,), (19,)), ((-19,), (0,))))
+    ref = weakref.ref(params)
+    for T in enumerate_admissible(2):
+        torus_matrix_p(params, T)
+        assert check_torus_relations(params, T)
+    assert params.torus_pairs
+    del params
+    gc.collect()
+    assert ref() is None
+
+
+def test_pair_memo_keeps_a_wrong_bracket_visible(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    T = T_of(2)
+    torus_matrix_p(params, T)  # fills this instance's memo, not a fresh one's
+    right = spectra.pb_bracket
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: -right(a, b))
+    cold = fresh(params)
+    pm, qm = torus_matrix_p(cold, T), torus_matrix_q(cold, T)
+    size = len(qm)
+    assert any(
+        pm[i][j] != MuPoly.linear(qm[i][j]) for i in range(size) for j in range(size)
+    )
