@@ -23,7 +23,7 @@ from .exprs import ExprEvalError, ExprSyntaxError, eval_free, eval_weyl, parse_e
 from .interp import ParameterDomainError, build_e_family
 from .poisson import gamma1, pb_bracket, semiclassical_bracket
 from .quantum_plane import demo_lines
-from .scalars import RankMismatchError
+from .scalars import DigitLimitError, RankMismatchError
 from .spectra import (
     AdmissibleSet,
     center_lattice,
@@ -98,7 +98,12 @@ def _int(value, field: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's limit on digits read
+            raise ConfigError(
+                f"config field {field!r} has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
     raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
 
 
@@ -329,7 +334,7 @@ COMMANDS = {
 }
 
 USAGE_ERRORS = (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
-                ParameterDomainError, LocalizationRequiredError)
+                ParameterDomainError, LocalizationRequiredError, DigitLimitError)
 
 
 @cache

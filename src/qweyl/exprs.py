@@ -18,6 +18,7 @@ word for the rescaling map.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,7 +225,7 @@ class _Parser:
             tok = self.take("number")
             if "/" in tok.text:
                 raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
-            node = Pow(node, int(tok.text))
+            node = Pow(node, _number(int, tok.text, tok))
         # only the parity of a run of signs matters; one Neg per sign would
         # make evaluation recurse once per sign
         return Neg(node) if negs % 2 else node
@@ -233,10 +234,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take("number")
-            return Num(Fraction(tok.text))
+            return Num(_number(Fraction, tok.text, tok))
         if tok.kind == "gen":
             self.take("gen")
-            return Gen(tok.text[0], int(tok.text[1:]), tok.line, tok.col)
+            return Gen(tok.text[0], _number(int, tok.text[1:], tok), tok.line, tok.col)
         if tok.kind == "eta":
             self.take("eta")
             self.take("^")
@@ -270,7 +271,19 @@ class _Parser:
         tok = self.take("number")
         if "/" in tok.text:
             raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
-        return sign * int(tok.text)
+        return sign * _number(int, tok.text, tok)
+
+
+def _number(convert, text: str, tok: _Token):
+    """``convert(text)`` for a number in ``tok``, its failures syntax errors there."""
+    try:
+        return convert(text)
+    except ZeroDivisionError:
+        raise ExprSyntaxError("zero denominator", tok.line, tok.col) from None
+    except ValueError:
+        raise ExprSyntaxError(
+            f"number with more than {sys.get_int_max_str_digits()} digits", tok.line, tok.col
+        ) from None
 
 
 def parse_expr(text: str) -> Expression:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .scalars import ExpVec, Rat, _as_fraction
+from .scalars import QTScalar, Rat, _as_fraction, signed_sum
 from .weyl import PbwMonomial, WeylElement, WeylParams, build_engine
 
 
@@ -44,25 +44,8 @@ class QuadPoly:
         return 2 * self.a * t + self.b
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, mono in ((self.a, "t^2"), (self.b, "t"), (self.c, "")):
-            if not coeff:
-                continue
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            parts.append(("-" if coeff < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        terms = ((self.a, "t^2"), (self.b, "t"), (self.c, ""))
+        return signed_sum((coeff, mono) for coeff, mono in terms if coeff)
 
 
 def build_e(q: Rat, eta: Rat, mu: Rat) -> QuadPoly:
@@ -117,14 +100,9 @@ class SpecializedAlgebra:
         self.lam = lam
         self.e_values = values
         self.engine = build_engine(
-            params.n, Fraction(1), self._monomial_value, params.qexp, params.lexp
+            params.n, Fraction(1), lambda v: QTScalar.monomial(v).eval_at(values),
+            params.qexp, params.lexp,
         )
-
-    def _monomial_value(self, vec: ExpVec) -> Fraction:
-        out = Fraction(1)
-        for base, e in zip(self.e_values, vec):
-            out *= base**e
-        return out
 
     def specialize(self, a: WeylElement) -> dict[PbwMonomial, Fraction]:
         """Evaluate every coefficient at the e-values; monomials unchanged."""
@@ -164,11 +142,6 @@ def independence_check(e_values: Sequence[Rat], bound: int) -> bool:
     if bound < 1:
         raise ValueError("bound must be positive")
     for exps in product(range(-bound, bound + 1), repeat=len(vals)):
-        if not any(exps):
-            continue
-        prod_val = Fraction(1)
-        for v, u in zip(vals, exps):
-            prod_val *= v**u
-        if prod_val == 1:
+        if any(exps) and QTScalar.monomial(exps).eval_at(vals) == 1:
             return False
     return True

@@ -16,14 +16,15 @@ The bridge between the two domains is the pair of functionals ``eval_one``
 ``eta^v -> v . mu``), together with ``limit_div`` which computes the exact
 value of ``a / (t - 1)`` at ``t = 1`` for scalars vanishing at 1.
 
-Both are :class:`SparseScalar` term maps over the same exponent vectors;
-they differ only in the operations of their ring and in how a monomial
-prints.  :class:`TermMap`, the base of the scalars and of the algebra
-elements in :mod:`qweyl.weyl` and :mod:`qweyl.poisson`, holds the one copy
-of their ring operations and of the commutative product, and
-:func:`divide_terms` their one exact-division loop.  All values are
-immutable after construction and hashable; term maps are kept sorted by
-exponent vector so printing and hashing are deterministic.
+Both are :class:`SparseScalar` term maps over the same vectors of ``int``
+exponents; they differ only in their ring operations and in how a monomial
+prints.  :class:`TermMap`, the base of the scalars and of the elements of
+:mod:`qweyl.weyl`, :mod:`qweyl.poisson` and :mod:`qweyl.quantum_plane`,
+holds the one copy of their ring operations and commutative product,
+:func:`divide_terms` their one exact-division loop, and :func:`signed_sum`
+the one printer of a signed sum of rationals (also for ``QuadPoly``).  All
+values are immutable and hashable; term maps are kept sorted by exponent
+vector so printing and hashing are deterministic.
 
 A rational coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` otherwise, never as a ``float``: the structure constants of the
@@ -44,7 +45,8 @@ shifted terms are already sorted, distinct and nonzero.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping, Sequence
+import sys
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
 
@@ -83,14 +85,6 @@ def unit_vec(rank: int, i: int) -> ExpVec:
     return tuple(v)
 
 
-def _as_fraction(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
-
-
 def _coefficient(x: Rat) -> Rat:
     """Stored form of a rational coefficient: an ``int`` when it is
     integral, else a ``Fraction``.  Raises ``TypeError`` on anything else,
@@ -102,6 +96,10 @@ def _coefficient(x: Rat) -> Rat:
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def _as_fraction(x: Rat) -> Fraction:
+    return Fraction(_coefficient(x))
 
 
 def add_term(table: dict, key, value) -> None:
@@ -180,6 +178,10 @@ class TermMap:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def degree(self) -> int:
+        """Largest total degree of a term; 0 for no terms."""
+        return max((sum(m) for m, _ in self.terms), default=0)
 
     def _check(self, other: "TermMap") -> None:
         if self.context != other.context:
@@ -304,6 +306,36 @@ def divide_terms(f: TermMap, g: TermMap, key, inv, floor: tuple) -> dict:
     return quot
 
 
+class DigitLimitError(ValueError):
+    """A number has more digits than the interpreter converts to text."""
+
+
+def signed_sum(terms: Iterable[tuple[Rat, str]]) -> str:
+    """``c1*m1 + c2*m2 - ...`` for (nonzero rational, monomial string) pairs,
+    ``0`` for none; a magnitude of 1 is left out before a monomial.  A number
+    past the interpreter's limit on printed digits raises DigitLimitError."""
+    parts = []
+    try:
+        for coeff, mono in terms:
+            mag = abs(coeff)
+            if mono and mag == 1:
+                body = mono
+            elif mono:
+                body = f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            if parts:
+                parts.append(("- " if coeff < 0 else "+ ") + body)
+            else:
+                parts.append(("-" if coeff < 0 else "") + body)
+    except ValueError:  # only int-to-text conversion can raise it here
+        raise DigitLimitError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    return " ".join(parts) or "0"
+
+
 class SparseScalar(TermMap):
     """Term map from integer exponent vectors of length ``rank`` to nonzero
     rationals, each stored as an ``int`` when integral, else a ``Fraction``.
@@ -329,8 +361,11 @@ class SparseScalar(TermMap):
                 raise RankMismatchError(
                     f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
                 )
-            if not laurent and min(vec, default=0) < 0:
-                raise ValueError(f"negative exponent in {type(self).__name__} monomial {vec}")
+            for e in vec:
+                if type(e) is not int:  # bools and floats are not exponents
+                    raise ValueError(f"{type(self).__name__} exponents {vec} must be ints")
+                if e < 0 and not laurent:
+                    raise ValueError(f"negative exponent in {type(self).__name__} monomial {vec}")
             # add_term inlined: a sum of two Fractions may be integral
             c = acc.get(vec)
             c = _coefficient(coeff if c is None else c + coeff)
@@ -366,23 +401,7 @@ class SparseScalar(TermMap):
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (vec, coeff) in enumerate(self.terms):
-            mono = self._monomial_str(vec)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if i == 0:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
+        return signed_sum((c, self._monomial_str(v)) for v, c in self.terms)
 
 
 class QTScalar(SparseScalar):
@@ -490,9 +509,6 @@ class MuPoly(SparseScalar):
 
     def is_constant(self) -> bool:
         return all(not any(v) for v, _ in self.terms)
-
-    def degree(self) -> int:
-        return max((sum(v) for v, _ in self.terms), default=0)
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector (c_1 .. c_r) of a mu-linear form without

@@ -437,9 +437,6 @@ class WeylParams:
     def lam_scalar(self, i: int, j: int) -> QTScalar:
         return QTScalar.monomial(self.L(i, j))
 
-    def eta_monomial(self, vec: ExpVec) -> QTScalar:
-        return QTScalar.monomial(vec)
-
     @cached_property
     def engine(self) -> StraighteningEngine:
         return build_engine(
@@ -530,9 +527,6 @@ class PbwElement(TermMap):
 
     # -- structure ------------------------------------------------------------
 
-    def degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=0)
-
     def coefficient(self, m: PbwMonomial):
         m = tuple(m)
         for mm, c in self.terms:
@@ -568,13 +562,13 @@ def pbw_monomial_str(m: PbwMonomial) -> str:
     return "*".join(factors)
 
 
-def element_to_str(a) -> str:
-    """Grammar-compatible rendering shared by Weyl and Poisson elements."""
+def element_to_str(a, monomial_str=pbw_monomial_str) -> str:
+    """Grammar-compatible rendering of an element; ``monomial_str`` prints a monomial."""
     if not a.terms:
         return "0"
     parts = []
     for m, c in a.terms:
-        mono = pbw_monomial_str(m)
+        mono = monomial_str(m)
         cs = str(c)
         if len(c.terms) > 1:
             cs = f"({cs})"

@@ -229,6 +229,7 @@ BASE_CONFIG = {
         {"r": "1 "},
         {"concrete": {"q": "2", "eta": [True], "mu": ["1"]}},
         {"concrete": {"q": "2", "eta": ["3"], "mu": [False]}},
+        {"n": "9" * 5000},  # past the interpreter's 4300-digit limit on int()
     ],
 )
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
@@ -238,6 +239,40 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Python caps the digits of an int converted to or from text (4300 by default)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 5000, reason="needs an int-to-text digit limit below 5000"
+)
+BIG = "9" * 5000
+
+
+@needs_digit_limit
+def test_unprintable_result_is_a_usage_error(capsys):
+    message = f"a number has more than {DIGIT_LIMIT} digits, the limit for printing an integer"
+    assert run(capsys, "nf", "2^20000") == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "--json", "nf", "2^20000")
+    assert (code, json.loads(out)) == (2, {"command": "nf", "error": message})
+
+
+@pytest.mark.parametrize("expr, col, message", [
+    pytest.param(
+        expr, col, f"number with more than {DIGIT_LIMIT} digits", marks=needs_digit_limit, id=name
+    )
+    for name, expr, col in [
+        ("literal", BIG, 1),
+        ("exponent", f"x1^{BIG}", 4),
+        ("index", f"x{BIG}", 1),
+        ("eta-entry", f"eta^[1,-{BIG}]", 9),
+        ("denominator", f"1/{BIG}", 1),
+    ]
+] + [pytest.param("x1 + 3/0", 6, "zero denominator", id="zero-denominator")])
+def test_bad_number_is_a_syntax_error(capsys, expr, col, message):
+    code, out, err = run(capsys, "nf", expr)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} (line 1, column {col})\n"
 
 
 def test_nested_parentheses_limit(capsys):

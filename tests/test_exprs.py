@@ -9,6 +9,7 @@ import pytest
 from qweyl import (
     ExprEvalError,
     ExprSyntaxError,
+    QTScalar,
     WeylElement,
     eval_weyl,
     parse_expr,
@@ -62,7 +63,7 @@ def test_rationals_powers_negation(params2):
         WeylElement.generator(params2, "y", 1) + WeylElement.generator(params2, "x", 1)
     ) ** 2
     assert ev("eta^[-1,2]", params2) == WeylElement.scalar(
-        params2, params2.eta_monomial((-1, 2))
+        params2, QTScalar.monomial((-1, 2))
     )
 
 

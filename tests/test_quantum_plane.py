@@ -6,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from qweyl import MuPoly, QTScalar, quantum_plane
+from qweyl import MuPoly, QTScalar, quantum_plane, semiclassical_bracket
 from qweyl.quantum_plane import (
+    PLANE,
     PlaneElement,
     demo_lines,
     relation_holds,
     semiclassical_bracket_xy,
 )
+from qweyl.weyl import PbwElement
 
 
 def test_product_rule():
@@ -79,3 +81,34 @@ def test_power_monomials():
     # x^2 y^3 = eta^6 y^3 x^2
     rhs = (y * y * y) * (x * x) * QTScalar.monomial((6,))
     assert lhs == rhs
+
+
+def test_plane_element_is_a_pbw_element_over_the_plane_shape():
+    x = PlaneElement.x()
+    assert isinstance(x, PbwElement) and x.params == PLANE
+    assert x.terms == (((0, 1), QTScalar.one(1)),)
+    # the term-map core accepts rational constants on either side
+    assert (x + 1) - x == PlaneElement.one(PLANE)
+    assert 3 - x == -(x - 3)
+    assert (Fraction(1, 2) * x) * 2 == x
+
+
+def test_minus_one_coefficient_prints_as_a_sign():
+    # as in Weyl elements; the plane's own printer used to write -1*y*x
+    y, x = PlaneElement.y(), PlaneElement.x()
+    assert str(-(y * x)) == "-y*x"
+    assert str(x - y) == "x + -y"
+    assert str(y * y * x - 2 * x * y) == "-2*eta^[1]*y*x + y^2*x"
+    assert str(PlaneElement.zero(PLANE)) == "0"
+
+
+def test_bracket_is_the_library_limit(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return semiclassical_bracket(a, b)
+
+    monkeypatch.setattr(quantum_plane, "semiclassical_bracket", spy)
+    assert semiclassical_bracket_xy() == {(1, 1): MuPoly.variable(1, 0)}
+    assert calls == [(PlaneElement.x(), PlaneElement.y())]

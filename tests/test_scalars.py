@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qweyl import MuPoly, NotDivisibleError, QTScalar, RankMismatchError, build_e
+from qweyl import MuPoly, NotDivisibleError, QTScalar, RankMismatchError, WeylElement, build_e
+from qweyl.quantum_plane import PLANE, PlaneElement
 
 
 def mono(vec, coeff=1):
@@ -286,14 +287,34 @@ def test_rings_do_not_mix():
     with pytest.raises(TypeError):
         MuPoly.one(2) * QTScalar.one(2)
     assert QTScalar.one(2) != MuPoly.one(2)
+    # a plane element and a Weyl element over the same shape stay apart
+    x, w = PlaneElement.x(), WeylElement.generator(PLANE, "x", 1)
+    with pytest.raises(TypeError):
+        x + w
+    with pytest.raises(TypeError):
+        w * x
+    with pytest.raises(TypeError):
+        x * w
+    assert x != w and x.terms == w.terms
 
 
 def test_errors_and_repr_name_the_concrete_class():
-    for cls in (QTScalar, MuPoly):
-        value = cls.one(1)
+    for value in (QTScalar.one(1), MuPoly.one(1), PlaneElement.one(PLANE)):
+        cls = type(value)
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             value.rank = 2
         assert repr(value) == f"{cls.__name__}(1)"
+    x = PlaneElement.x()
+    assert repr(x + 1) == "PlaneElement(1 + x)"
+    assert repr(2 * x) == "PlaneElement(2*x)"
+    assert repr(x ** 3) == "PlaneElement(x^3)"
+
+
+@pytest.mark.parametrize("cls", [QTScalar, MuPoly])
+@pytest.mark.parametrize("vec", [(1.5,), (True,), (1, 2.0), (False, 1)])
+def test_exponents_must_be_ints(cls, vec):
+    with pytest.raises(ValueError, match=rf"^{cls.__name__} exponents \(.*\) must be ints$"):
+        cls(len(vec), [(vec, 1)])
 
 
 def test_subs_is_eval_at():
