@@ -82,11 +82,17 @@ def load_config(path: str | None) -> dict:
         return DEFAULT_CONFIG
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer past the interpreter's limit on digits read
+        raise ConfigError(
+            f"config has an integer with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data

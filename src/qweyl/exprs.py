@@ -18,6 +18,7 @@ word for the rescaling map.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,7 +101,17 @@ class _Token:
     col: int
 
 
+# a rational literal (a '/' without digits after it is malformed), and a
+# name with the digits that follow it
+_NUMBER = re.compile(r"[0-9]+(/[0-9]*)?")
+_SYMBOL = re.compile(r"([A-Za-z]+)([0-9]*)")
+
+
 def _tokenize(text: str) -> list[_Token]:
+    if not text.isascii():  # the grammar is ASCII, so no '²' or '١' is read as a digit
+        i = next(i for i, ch in enumerate(text) if not ch.isascii())
+        line, col = text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+        raise ExprSyntaxError(f"unexpected character {text[i]!r}", line, col)
     tokens: list[_Token] = []
     line, col = 1, 1
     i = 0
@@ -115,50 +126,26 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ExprSyntaxError("malformed rational literal", line, col)
-                j = k
-            tokens.append(_Token("number", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            k = j
-            while k < len(text) and text[k].isdigit():
-                k += 1
-            digits = text[j:k]
-            if word == "eta":
-                if digits:
-                    raise ExprSyntaxError("eta takes no index", start_line, start_col)
-                tokens.append(_Token("eta", word, start_line, start_col))
-                col += j - i
-                i = j
-                continue
-            if word in ("y", "x", "z") and digits:
-                tokens.append(_Token("gen", word + digits, start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            raise ExprSyntaxError(f"unknown symbol {word + digits!r}", start_line, start_col)
-        if ch in "+-*^()[],":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
+        number, symbol = _NUMBER.match(text, i), _SYMBOL.match(text, i)
+        if number:
+            if number[1] == "/":
+                raise ExprSyntaxError("malformed rational literal", line, col)
+            kind, j = "number", number.end()
+        elif symbol and symbol[1] == "eta":
+            if symbol[2]:
+                raise ExprSyntaxError("eta takes no index", line, col)
+            kind, j = "eta", symbol.end()
+        elif symbol and symbol[1] in ("y", "x", "z") and symbol[2]:
+            kind, j = "gen", symbol.end()
+        elif symbol:
+            raise ExprSyntaxError(f"unknown symbol {symbol[0]!r}", line, col)
+        elif ch in "+-*^()[],":
+            kind, j = ch, i + 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
+        tokens.append(_Token(kind, text[i:j], line, col))
+        col += j - i
+        i = j
     tokens.append(_Token("end", "", line, col))
     return tokens
 

@@ -265,9 +265,14 @@ class TermMap:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
-        out = self.one(self.context)
-        for _ in range(k):
-            out = out * self
+        # square and multiply; ``base * out`` keeps ``s ** 3`` as ``s^2 * s``
+        out, base = self.one(self.context), self
+        while k:
+            if k & 1:
+                out = base * out
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -414,12 +419,6 @@ class QTScalar(SparseScalar):
     def monomial(cls, vec: ExpVec, coeff: Rat = 1) -> "QTScalar":
         vec = tuple(vec)
         return cls(len(vec), [(vec, _coefficient(coeff))])
-
-    def __pow__(self, k: int):
-        if len(self.terms) == 1 and isinstance(k, int) and k >= 0:
-            (v, c), = self.terms
-            return QTScalar(self.rank, [(tuple(k * e for e in v), c**k)])
-        return super().__pow__(k)
 
     # -- evaluation functionals --------------------------------------------
 

@@ -77,15 +77,16 @@ class StraighteningEngine:
     with ``B = y_k^r x_k^s`` the last pair of L and ``z_0 = 1``; it has
     k + 1 terms with monomial coefficients.
 
-    Termination of the recursion: appending a generator to an ordered
-    monomial either lands directly (no occupied slot above it), or hits
-    the closed form, or commutes under the top block with a monomial
-    scalar.  The swap branch strips the top block, so the number of
-    occupied slots above the target drops by one and at most
-    ``2n - 1 - p`` swaps nest when appending the generator at slot p; the
-    closed form reaches only the z memo, whose recursion shortens its key
-    by one pair.  The swap depth bound is asserted in debug runs as a
-    tripwire.
+    ``mul_terms`` folds each right-hand monomial over the whole left
+    operand, appending its generators in slot order, one per unit of
+    exponent.  Termination: a generator appended to an ordered monomial
+    either lands directly (no occupied slot above it), or hits the closed
+    form, or commutes under the top block with a monomial scalar.  The swap
+    branch strips the top block, so the number of occupied slots above the
+    target drops by one and at most ``2n - 1 - p`` swaps nest when
+    appending the generator at slot p; the closed form reaches only the z
+    memo, whose recursion shortens its key by one pair.  The swap depth
+    bound is asserted in debug runs as a tripwire.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
     exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
@@ -105,10 +106,13 @@ class StraighteningEngine:
     adds e*M and recurses on degree d - e; the closed form adds s*M for
     ``q_i^s`` and deg(L)*M for ``L z_{i-1}`` (one ``q_k^{s_k}`` per pair of
     L), and s + deg(L) <= d.  No result term has degree above d + 1, as
-    z_{i-1} has degree 2.  So ``mono_mul(m1, m2)`` and every memo entry it
-    makes move entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2,
-    and ``mul_terms`` on operands whose exponents have entries up to A and
-    B forms no entry beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
+    z_{i-1} has degree 2.  So the fold of m2, followed from one left term
+    m1, and every memo entry it makes move entries by at most
+    ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Left terms that meet at a
+    monomial add their coefficients, not their exponents, so each packed
+    entry stays within the bound of the single-term chain it came from, and
+    ``mul_terms`` on operands whose exponents have entries up to A and B
+    forms no entry beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
     past twice that bound when needed; that re-packs the constants and
     clears the memos, and never changes a result.
     """
@@ -152,19 +156,20 @@ class StraighteningEngine:
     # -- term-map algebra ----------------------------------------------------
 
     def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
-        """Product of two term maps from ordered monomials to scalars."""
+        """Product of two term maps from ordered monomials to scalars: the
+        fold of each right-hand monomial, scaled by that term's scalar."""
         (pa, da), (pb, db) = self._pack(ta, tb)
+        left = {m: dict(c) for m, c in pa}
         out: dict = {}
-        for ma, ca in pa:
-            for mb, cb in pb:
-                cab: dict = {}
-                for ea, ka in ca:
-                    for eb, kb in cb:
-                        add_term(cab, ea + eb, ka * kb)
-                for m, d in self.mono_mul(ma, mb).items():
-                    sub = out.setdefault(m, {})
-                    for e2, k2 in cab.items():
-                        _add_shifted(sub, d, e2, k2)
+        for mb, cb in pb:
+            acc = left
+            for p, e in enumerate(mb):
+                for _ in range(e):
+                    acc = self._acc_times_gen(acc, p)
+            for m, d in acc.items():
+                sub = out.setdefault(m, {})
+                for eb, kb in cb:
+                    _add_shifted(sub, d, eb, kb)
         return self._unpack(out, da * db)
 
     def _pack(self, ta: Mapping, tb: Mapping) -> list:
@@ -209,19 +214,6 @@ class StraighteningEngine:
                 ])
         return result
 
-    def mono_mul(self, m1: PbwMonomial, m2: PbwMonomial) -> dict:
-        """``m1 * m2`` as a map from ordered monomials to packed scalars
-        (packed exponent -> rational), built from the generator memo."""
-        gens = [p for p in range(2 * self.n) for _ in range(m2[p])]
-        if not gens:
-            return {m1: {0: 1}}
-        acc: dict = {}
-        for (m, e), c in self._mono_times_gen(m1, gens[0], 0).items():
-            acc.setdefault(m, {})[e] = c
-        for p in gens[1:]:
-            acc = self._acc_times_gen(acc, p)
-        return acc
-
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
         for m, d in acc.items():
@@ -235,32 +227,26 @@ class StraighteningEngine:
 
     def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
         """``m * g_p`` as a map from (ordered monomial, packed exponent) to a
-        nonzero rational."""
+        nonzero rational, memoized in ``_gen_cache``."""
         if __debug__:
             assert depth <= 2 * self.n - 1 - p, "straightening recursion exceeded bound"
-        cached = self._gen_cache.get((m, p))
-        if cached is not None:
-            return cached
-        result = self._mono_times_gen_uncached(m, p, depth)
-        self._gen_cache[(m, p)] = result
-        return result
-
-    def _mono_times_gen_uncached(self, m: PbwMonomial, p: int, depth: int) -> dict:
+        out = self._gen_cache.get((m, p))
+        if out is not None:
+            return out
         top = -1
         for pos in range(2 * self.n - 1, p, -1):
             if m[pos]:
                 top = pos
                 break
+        lst = list(m)
         if top < 0:
-            lst = list(m)
             lst[p] += 1
-            return {(tuple(lst), 0): 1}
-        if p % 2 == 0 and top == p + 1:
+            out = {(tuple(lst), 0): 1}
+        elif p % 2 == 0 and top == p + 1:
             # the closed form of the class docstring, pair i = p//2 (0-based)
             s = m[top]
             e, k = self.q[p // 2]
             es, ks = e * s, k**s
-            lst = list(m)
             lst[p] += 1
             out = {(tuple(lst), es): ks}
             block = (m[p], s - 1) + m[top + 1:]
@@ -268,18 +254,18 @@ class StraighteningEngine:
                 mm = low + block
                 add_term(out, (mm, ez + es), c * ks)
                 add_term(out, (mm, ez), -c)  # cancels the line above where q_i^s = 1
-            return out
-        # monomial swap under the whole g_top block
-        t = m[top]
-        lst = list(m)
-        lst[top] = 0
-        e, k = self.swap[top][p]
-        et, kt = e * t, k**t
-        out = {}
-        for (mm, ec), c in self._mono_times_gen(tuple(lst), p, depth + 1).items():
-            lst = list(mm)
-            lst[top] += t
-            out[(tuple(lst), ec + et)] = c * kt
+        else:
+            # monomial swap under the whole g_top block
+            t = m[top]
+            lst[top] = 0
+            e, k = self.swap[top][p]
+            et, kt = e * t, k**t
+            out = {}
+            for (mm, ec), c in self._mono_times_gen(tuple(lst), p, depth + 1).items():
+                lst = list(mm)
+                lst[top] += t
+                out[(tuple(lst), ec + et)] = c * kt
+        self._gen_cache[(m, p)] = out
         return out
 
     def _times_z(self, low: PbwMonomial) -> dict:

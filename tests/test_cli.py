@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qweyl import cli
+from qweyl import WeylElement, cli
 from qweyl.cli import main
 
 
@@ -241,6 +241,16 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, content", [("instance.json", b'{"n": \xff}'), ("a\0b", None)])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:  # a NUL cannot be in a file name, only in the path given
+        path.write_bytes(content)
+    code, out, err = run(capsys, "--config", str(path), "validate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
+
+
 # Python caps the digits of an int converted to or from text (4300 by default)
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(
@@ -257,6 +267,21 @@ def test_unprintable_result_is_a_usage_error(capsys):
     assert (code, json.loads(out)) == (2, {"command": "nf", "error": message})
 
 
+@needs_digit_limit
+def test_unquoted_config_integer_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text('{"n": ' + BIG + "}")
+    message = f"config has an integer with more than {DIGIT_LIMIT} digits"
+    assert run(capsys, "--config", str(path), "validate") == (2, "", f"error: {message}\n")
+
+
+def test_scl_of_a_commutator_not_vanishing_at_one_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(WeylElement, "_product", lambda self, other: self)
+    code, out, err = run(capsys, "scl", "x1", "y1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal error: NotDivisibleError: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("expr, col, message", [
     pytest.param(
         expr, col, f"number with more than {DIGIT_LIMIT} digits", marks=needs_digit_limit, id=name
@@ -268,7 +293,15 @@ def test_unprintable_result_is_a_usage_error(capsys):
         ("eta-entry", f"eta^[1,-{BIG}]", 9),
         ("denominator", f"1/{BIG}", 1),
     ]
-] + [pytest.param("x1 + 3/0", 6, "zero denominator", id="zero-denominator")])
+] + [pytest.param("x1 + 3/0", 6, "zero denominator", id="zero-denominator")] + [
+    # only ASCII digits are digits
+    pytest.param(expr, col, f"unexpected character {expr[col - 1]!r}", id=name)
+    for name, expr, col in [
+        ("superscript-exponent", "x1^\u00b2", 4),
+        ("superscript-denominator", "3/\u00b2", 3),
+        ("arabic-indic-index", "y\u0661", 2),
+    ]
+])
 def test_bad_number_is_a_syntax_error(capsys, expr, col, message):
     code, out, err = run(capsys, "nf", expr)
     assert code == 2 and out == ""

@@ -24,7 +24,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qweyl import QTScalar, WeylElement, WeylParams, integer_kernel  # noqa: E402
+from qweyl import (  # noqa: E402
+    QTScalar,
+    SpecializedAlgebra,
+    WeylElement,
+    WeylParams,
+    integer_kernel,
+)
+from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config  # noqa: E402
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
@@ -221,3 +228,30 @@ def test_integer_kernel_rank_and_saturation():
         assert all(sum(a * u for a, u in zip(row, v)) == 0 for row in rows for v in basis)
         assert oracle.rational_rank(basis) == len(basis)
         assert oracle.is_saturated(basis)
+
+
+# -- left terms that merge and cancel partway through the fold ---------------------
+
+
+def test_left_terms_cancel_partway_through_the_fold():
+    """In (y1*x1 + 1 - q1) * (y1*x1), appending y1 takes both left terms to
+    y1, where (q1 - 1) and (1 - q1) cancel; only q1*y1^2*x1^2 is left."""
+    p = params_from_config(DEFAULT_CONFIG)
+    y1x1 = WeylElement.monomial(p, (1, 1, 0, 0))
+    a = y1x1 + 1 - p.q_scalar(1)
+    one_term = [WeylElement(p, [t]) for t in a.terms]
+    assert len(one_term) == 2
+    product = a * y1x1
+    assert product == WeylElement.monomial(p, (2, 2, 0, 0), p.q_scalar(1))
+    assert engine_product(a, y1x1) == oracle_product(a, y1x1)
+    assert product == one_term[0] * y1x1 + one_term[1] * y1x1
+    e_polys = concrete_from_config(DEFAULT_CONFIG, p)
+    for lam in (Fraction(2), Fraction(1, 2)):
+        alg = SpecializedAlgebra(p, lam, e_polys)
+        sa, sb = alg.specialize(a), alg.specialize(y1x1)
+        assert alg.mul(sa, sb) == alg.specialize(product)
+        summed: dict = {}
+        for m, c in sa.items():
+            for mm, cc in alg.mul({m: c}, sb).items():
+                summed[mm] = summed.get(mm, 0) + cc
+        assert alg.mul(sa, sb) == {m: c for m, c in summed.items() if c}

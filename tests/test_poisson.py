@@ -6,6 +6,7 @@ import pytest
 
 from qweyl import (
     MuPoly,
+    NotDivisibleError,
     PoissonElement,
     WeylElement,
     WeylParams,
@@ -165,3 +166,12 @@ def test_p_z_builds_poisson_elements(params3):
     assert all(type(p_z(params3, i)) is PoissonElement for i in range(4))
     with pytest.raises(ValueError):
         p_z(params3, 4)
+
+
+def test_semiclassical_bracket_leaves_the_t_equals_one_check_to_limit_div(params2, monkeypatch):
+    """A commutator coefficient that does not vanish at t = 1 is caught once,
+    by ``QTScalar.limit_div``."""
+    monkeypatch.setattr(WeylElement, "_product", lambda self, other: self)
+    x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
+    with pytest.raises(NotDivisibleError, match="nonzero at t=1"):
+        semiclassical_bracket(x1, y1)

@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from qweyl import MuPoly, NotDivisibleError, QTScalar, RankMismatchError, WeylElement, build_e
+from qweyl import (
+    MuPoly,
+    NotDivisibleError,
+    PoissonElement,
+    QTScalar,
+    RankMismatchError,
+    WeylElement,
+    build_e,
+)
 from qweyl.quantum_plane import PLANE, PlaneElement
+from qweyl.weyl import StraighteningEngine
 
 
 def mono(vec, coeff=1):
@@ -322,3 +331,39 @@ def test_subs_is_eval_at():
     assert p.subs([2, 5]) == p.eval_at([2, 5]) == 12 - 5 + Fraction(1, 2)
     with pytest.raises(RankMismatchError):
         p.subs([1])
+
+
+def test_powers_are_repeated_products(params2):
+    y1, x2 = WeylElement.generator(params2, "y", 1), WeylElement.generator(params2, "x", 2)
+    for a in (
+        y1 + x2 * y1 - 2,
+        mono((1, -1), Fraction(-3, 2)),
+        mono((1, 0)) - mono((0, 2), 3),
+        MuPoly(2, {(1, 0): 2, (0, 1): -1, (0, 0): 1}),
+        PoissonElement(params2, [((1, 0, 0, 1), MuPoly.linear((1, 2))), ((0, 1, 0, 0), 3)]),
+        PlaneElement.x() + 2 * PlaneElement.y(),
+    ):
+        expected = a.one(a.context)
+        for k in range(10):
+            assert a ** k == expected, (a, k)
+            expected = expected * a
+        for k in (-1, 1.0):
+            with pytest.raises(ValueError, match="powers must be nonnegative integers"):
+                a ** k
+
+
+def test_powers_square_and_multiply(params2, monkeypatch):
+    products = []
+    mul_terms = StraighteningEngine.mul_terms
+
+    def counting(self, ta, tb):
+        products.append(1)
+        return mul_terms(self, ta, tb)
+
+    monkeypatch.setattr(StraighteningEngine, "mul_terms", counting)
+    two, y1 = WeylElement.scalar(params2, 2), WeylElement.generator(params2, "y", 1)
+    for a, expected in ((two, WeylElement.scalar(params2, 2 ** 20000)),
+                        (y1, WeylElement.monomial(params2, (20000, 0, 0, 0)))):
+        products.clear()
+        assert a ** 20000 == expected
+        assert 0 < len(products) <= 30
