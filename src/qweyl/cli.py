@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
-from .exprs import ExprEvalError, ExprSyntaxError, eval_free, eval_weyl, parse_expr
+from .exprs import ExprEvalError, ExprSyntaxError, eval_rescaled, eval_weyl, parse_expr
 from .interp import ParameterDomainError, build_e_family
 from .poisson import gamma1, pb_bracket, semiclassical_bracket
 from .quantum_plane import demo_lines
@@ -162,7 +162,11 @@ def parse_tspec(text: str, n: int) -> AdmissibleSet:
             piece = piece.strip()
             if not re.fullmatch(r"[zyx][0-9]+", piece):
                 raise ConfigError(f"bad marker {piece!r} in set specification")
-            markers.append((piece[0], int(piece[1:])))
+            try:
+                markers.append((piece[0], int(piece[1:])))
+            except ValueError:  # past the interpreter's limit on digits read
+                raise ConfigError(f"bad marker in set specification: {piece[0]} index with "
+                                  f"more than {sys.get_int_max_str_digits()} digits") from None
     try:
         T = AdmissibleSet.from_markers(n, markers)
     except ValueError as exc:
@@ -296,7 +300,7 @@ def _example(args, params, config):
 
 
 def _maltsiniotis(args, params, config):
-    return _plain(from_maltsiniotis(params, eval_free(parse_expr(args.expr), params)))
+    return _plain(from_maltsiniotis(eval_rescaled(parse_expr(args.expr), params)))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Grammar (whitespace-insensitive, LL(1)):
     GEN     := ('y' | 'x' | 'z') digits      -- y1..yn, x1..xn, z0..zn
     ETA     := 'eta' '^' '[' INT (',' INT)* ']'
 
-``z`` names are shorthand: they expand to 1 + sum_{k<=i} y_k x_k when an
-expression is evaluated in the quantized algebra, and to the unrescaled
-presentation's 1 + sum_{k<=i} (q_k - 1) y_k x_k when evaluated as a free
-word for the rescaling map.
+One evaluator folds the tree, with two sets of leaves: the quantized
+algebra's (:func:`eval_weyl`; ``z_i`` = 1 + sum_{k<=i} y_k x_k), and the
+rescaling map's on :class:`~qweyl.weyl.Rescaled` values (:func:`eval_rescaled`;
+``y_i`` is (q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1) y_k x_k).
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .scalars import QTScalar
-from .weyl import WeylElement, WeylParams, wa_z
+from .weyl import Rescaled, WeylElement, WeylParams, wa_z
 
 
 class ExprSyntaxError(ValueError):
@@ -281,7 +282,7 @@ def parse_expr(text: str) -> Expression:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _check_atom(node: Gen | EtaMono, params: WeylParams) -> None:
+def _check_atom(node: Num | Gen | EtaMono, params: WeylParams) -> None:
     """Raise ExprEvalError unless a generator or eta monomial fits the instance."""
     if isinstance(node, EtaMono):
         if len(node.exponents) != params.r:
@@ -289,93 +290,62 @@ def _check_atom(node: Gen | EtaMono, params: WeylParams) -> None:
                 f"eta exponent vector has length {len(node.exponents)}, expected "
                 f"{params.r} (line {node.line}, column {node.col})"
             )
-    elif node.kind == "z":
+    elif isinstance(node, Gen) and node.kind == "z":
         if not 0 <= node.index <= params.n:
             raise ExprEvalError(
                 f"z index {node.index} out of range 0..{params.n} "
                 f"(line {node.line}, column {node.col})"
             )
-    elif not 1 <= node.index <= params.n:
+    elif isinstance(node, Gen) and not 1 <= node.index <= params.n:
         raise ExprEvalError(
             f"unknown generator {node.kind}{node.index} for n={params.n} "
             f"(line {node.line}, column {node.col})"
         )
 
 
+def _evaluate(node: Expression, params: WeylParams, atom):
+    """Fold ``node``, with ``atom(leaf, params)`` for each leaf, checked even under ^0."""
+    if isinstance(node, (Num, Gen, EtaMono)):
+        _check_atom(node, params)
+        return atom(node, params)
+    if isinstance(node, Neg):
+        return -_evaluate(node.item, params, atom)
+    if isinstance(node, Pow):
+        return _evaluate(node.base, params, atom) ** node.exponent
+    if isinstance(node, (Mul, Add)):
+        op, parts = (mul, node.factors) if isinstance(node, Mul) else (add, node.terms)
+        out = _evaluate(parts[0], params, atom)
+        for part in parts[1:]:  # not reduce over a generator, which adds a frame per level
+            out = op(out, _evaluate(part, params, atom))
+        return out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams) -> WeylElement:
+    if isinstance(leaf, Num):
+        return WeylElement.scalar(params, leaf.value)
+    if isinstance(leaf, EtaMono):
+        return WeylElement.scalar(params, QTScalar.monomial(leaf.exponents))
+    if leaf.kind == "z":
+        return wa_z(params, leaf.index)
+    return WeylElement.generator(params, leaf.kind, leaf.index)
+
+
+def _rescaled_atom(leaf: Num | Gen | EtaMono, params: WeylParams) -> Rescaled:
+    if isinstance(leaf, Gen) and leaf.kind == "z":
+        gen = WeylElement.generator
+        terms = [(params.q_scalar(k) - 1) * Rescaled.of(gen(params, "y", k), k)
+                 * Rescaled.of(gen(params, "x", k)) for k in range(1, leaf.index + 1)]
+        return sum(terms, Rescaled.of(WeylElement.one(params)))
+    y = leaf.index if isinstance(leaf, Gen) and leaf.kind == "y" else 0
+    return Rescaled.of(_weyl_atom(leaf, params), y)
+
+
 def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
     """Evaluate an expression tree in the quantized algebra."""
-    if isinstance(node, Num):
-        return WeylElement.scalar(params, node.value)
-    if isinstance(node, Gen):
-        _check_atom(node, params)
-        if node.kind == "z":
-            return wa_z(params, node.index)
-        return WeylElement.generator(params, node.kind, node.index)
-    if isinstance(node, EtaMono):
-        _check_atom(node, params)
-        return WeylElement.scalar(params, QTScalar.monomial(node.exponents))
-    if isinstance(node, Neg):
-        return -eval_weyl(node.item, params)
-    if isinstance(node, Pow):
-        return eval_weyl(node.base, params) ** node.exponent
-    if isinstance(node, Mul):
-        out = WeylElement.one(params)
-        for f in node.factors:
-            out = out * eval_weyl(f, params)
-        return out
-    if isinstance(node, Add):
-        out = WeylElement.zero(params)
-        for t in node.terms:
-            out = out + eval_weyl(t, params)
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+    return _evaluate(node, params, _weyl_atom)
 
 
-FreeTerms = list[tuple[QTScalar, tuple[tuple[str, int], ...]]]
-
-
-def eval_free(node: Expression, params: WeylParams) -> FreeTerms:
-    """Evaluate to a sum of (scalar, word) pairs without straightening.
-
-    This is the input form of the rescaling map; z shorthand expands with
-    the unrescaled presentation's coefficients (q_k - 1).
-    """
-    one = QTScalar.one(params.r)
-    if isinstance(node, Num):
-        return [(QTScalar.constant(params.r, node.value), ())]
-    if isinstance(node, Gen):
-        _check_atom(node, params)
-        if node.kind == "z":
-            terms: FreeTerms = [(one, ())]
-            for k in range(1, node.index + 1):
-                terms.append(
-                    (params.q_scalar(k) - 1, (("y", k), ("x", k)))
-                )
-            return terms
-        return [(one, ((node.kind, node.index),))]
-    if isinstance(node, EtaMono):
-        _check_atom(node, params)
-        return [(QTScalar.monomial(node.exponents), ())]
-    if isinstance(node, Neg):
-        return [(-c, w) for c, w in eval_free(node.item, params)]
-    if isinstance(node, Pow):
-        base = eval_free(node.base, params)  # checked even for a zeroth power
-        out: FreeTerms = [(one, ())]
-        for _ in range(node.exponent):
-            out = _free_mul(out, base)
-        return out
-    if isinstance(node, Mul):
-        out = [(one, ())]
-        for f in node.factors:
-            out = _free_mul(out, eval_free(f, params))
-        return out
-    if isinstance(node, Add):
-        out = []
-        for t in node.terms:
-            out.extend(eval_free(t, params))
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _free_mul(a: FreeTerms, b: FreeTerms) -> FreeTerms:
-    return [(ca * cb, wa + wb) for ca, wa in a for cb, wb in b]
+def eval_rescaled(node: Expression, params: WeylParams) -> Rescaled:
+    """Evaluate in the unrescaled presentation, on y_i -> (q_i - 1)^{-1} y_i."""
+    return _evaluate(node, params, _rescaled_atom)

@@ -13,12 +13,15 @@ arbitrary products back into that basis using the defining relations:
 with q_i = eta^{s_i} and lam_ij = eta^{L_ij} for an instance given by
 exponent data (s_i, L_ij).  The same engine also runs with concrete rational
 structure constants (see :mod:`qweyl.interp`).
+
+The rescaling y_i -> (q_i - 1)^{-1} y_i is computed on :class:`Rescaled` values,
+elements over powers of (q_i - 1); :func:`from_maltsiniotis` clears those.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -217,6 +220,8 @@ class StraighteningEngine:
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
         for m, d in acc.items():
+            if not d:  # its coefficients cancelled earlier in the fold
+                continue
             for (m2, e2), k2 in self._mono_times_gen(m, p, 0).items():
                 sub = out.get(m2)
                 if sub is None:
@@ -585,47 +590,61 @@ def wa_divisible_by_t_minus_1(a: WeylElement) -> bool:
     return all(c.eval_one() == 0 for _, c in a.terms)
 
 
-FreeWord = tuple[tuple[str, int], ...]
+@dataclass(frozen=True)
+class Rescaled:
+    """``numerator / prod_i (q_i - 1)^{denom_i}``.  ``denom`` is that of the
+    expanded sum of generator words: the componentwise max over a sum, the
+    sum over a product, k times over a k-th power, kept on a zero value."""
+
+    numerator: WeylElement
+    denom: tuple[int, ...]
+
+    @classmethod
+    def of(cls, element: WeylElement, y: int = 0) -> "Rescaled":
+        """``element``, over (q_y - 1) for y >= 1: ``of(y_i, i)`` is y_i rescaled."""
+        return cls(element, tuple(int(i == y) for i in range(1, element.params.n + 1)))
+
+    def _over(self, denom: tuple[int, ...]) -> WeylElement:
+        """The numerator of this value over ``denom``, at least ``self.denom``."""
+        if denom == self.denom:
+            return self.numerator
+        params = self.numerator.params
+        mult = QTScalar.one(params.r)
+        for i, (d, e) in enumerate(zip(self.denom, denom)):
+            mult = mult * (params.q_scalar(i + 1) - 1) ** (e - d)
+        return self.numerator.scale(mult)
+
+    def __add__(self, other: "Rescaled") -> "Rescaled":
+        denom = tuple(map(max, self.denom, other.denom))
+        return Rescaled(self._over(denom) + other._over(denom), denom)
+
+    def __neg__(self) -> "Rescaled":
+        return Rescaled(-self.numerator, self.denom)
+
+    def __sub__(self, other: "Rescaled") -> "Rescaled":
+        return self + -other
+
+    def __mul__(self, other: "Rescaled") -> "Rescaled":
+        denom = tuple(d + e for d, e in zip(self.denom, other.denom))
+        return Rescaled(self.numerator * other.numerator, denom)
+
+    def __rmul__(self, c) -> "Rescaled":  # a scalar c, without denominator
+        return Rescaled(self.numerator.scale(c), self.denom)
+
+    def __pow__(self, k: int) -> "Rescaled":
+        return Rescaled(self.numerator ** k, tuple(k * d for d in self.denom))
 
 
-def from_maltsiniotis(
-    params: WeylParams, terms: Iterable[tuple[QTScalar, FreeWord]]
-) -> WeylElement:
-    """Image of an element of the unrescaled presentation under the generator
-    substitution x_i -> x_i, y_i -> (q_i - 1)^{-1} y_i.
-
-    The input is a sum of (scalar, word) pairs, each word a sequence of
-    ("y"|"x", index).  Each y_i occurrence contributes a central denominator
-    (q_i - 1); the result is defined only when, after combining terms over a
-    common denominator, every coefficient clears it exactly.  Otherwise a
-    :class:`LocalizationRequiredError` reports the first offending term.
-    """
-    n, r = params.n, params.r
-    images: list[tuple[tuple[int, ...], WeylElement]] = []
-    for coeff, word in terms:
-        if not isinstance(coeff, QTScalar):
-            coeff = QTScalar.constant(r, coeff)
-        denom = [0] * n
-        elem = WeylElement.scalar(params, coeff)
-        for kind, i in word:
-            if kind == "y":
-                denom[i - 1] += 1
-            elem = elem * WeylElement.generator(params, kind, i)
-        images.append((tuple(denom), elem))
-    if not images:
-        return WeylElement.zero(params)
-    common = tuple(max(d[i] for d, _ in images) for i in range(n))
-    numerator = WeylElement.zero(params)
-    for denom, elem in images:
-        mult = QTScalar.one(r)
-        for i in range(n):
-            mult = mult * (params.q_scalar(i + 1) - 1) ** (common[i] - denom[i])
-        numerator = numerator + elem.scale(mult)
+def from_maltsiniotis(value: Rescaled) -> WeylElement:
+    """``value`` with its denominators cleared, or a LocalizationRequiredError
+    naming the first term of the numerator that a central (q_i - 1) does not
+    divide, with its coefficient as far as it was divided."""
+    params = value.numerator.params
     out = []
-    for mono, c in numerator.terms:
-        for i in range(n):
+    for mono, c in value.numerator.terms:
+        for i, d in enumerate(value.denom):
             factor = params.q_scalar(i + 1) - 1
-            for _ in range(common[i]):
+            for _ in range(d):
                 try:
                     c = c.div_exact(factor)
                 except ArithmeticError:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from qweyl import WeylElement, cli
 from qweyl.cli import main
+from qweyl.weyl import StraighteningEngine
 
 
 def run(capsys, *argv):
@@ -93,6 +95,14 @@ def test_stratum_rejects_non_admissible(capsys):
     assert "not admissible" in err
 
 
+@pytest.mark.parametrize("command, kind", [("stratum", "z"), ("center", "y")])
+def test_marker_index_past_the_digit_limit(capsys, command, kind):
+    code, out, err = run(capsys, command, kind + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad marker in set specification: {kind} index with more "
+                   f"than {sys.get_int_max_str_digits()} digits\n")
+
+
 @pytest.mark.parametrize("tspec", ["z\u00b2", "q1", "z1,,z2"])
 def test_stratum_rejects_bad_marker(capsys, tspec):
     code, out, err = run(capsys, "stratum", tspec)
@@ -143,6 +153,68 @@ def test_zeroth_power_checks_its_base(capsys, expr):
     assert nf_err.startswith("error: ") and nf_err.count("\n") == 1
     code, out, err = run(capsys, "maltsiniotis", expr)
     assert (code, out, err) == (2, "", nf_err)
+
+
+def _rescaling_pair(rng: random.Random, depth: int) -> tuple[str, str]:
+    """A random expression E of the CLI grammar on the built-in config, and E
+    with every y_i replaced by ((q_i - 1)*y_i), q_i written as eta^[s_i]."""
+    kind = rng.randrange(5 if depth else 2)
+    if kind == 0:
+        i = rng.randint(1, 2)
+        return f"y{i}", f"((eta^[{'1,0' if i == 1 else '0,1'}]-1)*y{i})"
+    if kind == 1:
+        leaf = rng.choice(["x1", "x2", "z0", "z1", "z2",
+                           f"{rng.randint(0, 5)}/{rng.randint(1, 3)}",
+                           f"eta^[{rng.randint(-2, 2)},{rng.randint(-2, 2)}]"])
+        return leaf, leaf
+    (a, a_sub), (b, b_sub) = _rescaling_pair(rng, depth - 1), _rescaling_pair(rng, depth - 1)
+    if kind == 2:
+        op = rng.choice("+-")
+        return f"({a} {op} {b})", f"({a_sub} {op} {b_sub})"
+    if kind == 3:
+        return f"{a}*{b}", f"{a_sub}*{b_sub}"
+    return f"({a} + {b})^2", f"({a_sub} + {b_sub})^2"
+
+
+def test_rescaling_oracle_by_substitution(capsys):
+    """maltsiniotis of E with each y_i written as (q_i - 1)*y_i prints what nf
+    of E prints: the rescaling map read off the printed normal forms, with no
+    Rescaled value in the reference."""
+    rng = random.Random(13)
+    for _ in range(300):
+        expr, substituted = _rescaling_pair(rng, 2)
+        code, want, _ = run(capsys, "nf", "--", expr)
+        assert code == 0, expr
+        assert run(capsys, "maltsiniotis", "--", substituted) == (0, want, ""), expr
+
+
+@pytest.mark.parametrize("expr, term", [
+    ("(y1+x1)^2", "1*y1^2"),
+    # the coefficient is y2's (q2 - 1)^2: y1's term is lifted to the common
+    # denominator of the whole sum before (q1 - 1) fails to divide it
+    ("y1 + (eta^[0,1]-1)^2*y2^2", "1 - 2*eta^[0,1] + eta^[0,2]*y1"),
+])
+def test_maltsiniotis_localization_error_text(capsys, expr, term):
+    code, out, err = run(capsys, "maltsiniotis", expr)
+    assert (code, out) == (2, "")
+    assert err == (f"error: term {term} does not clear the denominator (q1 - 1); "
+                   "localization required\n")
+
+
+def test_maltsiniotis_of_a_power_is_a_few_products(capsys, monkeypatch):
+    """The expanded (x1+x2)^16 has 65 536 words; its rescaled value is a
+    power of one sum, so the engine multiplies a handful of times."""
+    calls = []
+    original = StraighteningEngine.mul_terms
+
+    def counted(self, ta, tb):
+        calls.append(1)
+        return original(self, ta, tb)
+
+    monkeypatch.setattr(StraighteningEngine, "mul_terms", counted)
+    code, out, _ = run(capsys, "maltsiniotis", "(x1+x2)^16")
+    assert code == 0 and out.startswith("x1^16 + ")
+    assert len(calls) <= 10
 
 
 def test_verify_single_suite(capsys):

@@ -255,3 +255,28 @@ def test_left_terms_cancel_partway_through_the_fold():
             for mm, cc in alg.mul({m: c}, sb).items():
                 summed[mm] = summed.get(mm, 0) + cc
         assert alg.mul(sa, sb) == {m: c for m, c in summed.items() if c}
+
+
+def test_cancelled_left_terms_leave_the_fold(monkeypatch):
+    """In (y1*x1 + 1 - q1) * (y1*x1*y2^3*x2^3) the monomial y1 cancels after
+    the first append and y1*x1 after the second; the rest of the fold
+    appends nothing to them, so no memo entry is made for them."""
+    p = params_from_config(DEFAULT_CONFIG)
+    a = WeylElement.monomial(p, (1, 1, 0, 0)) + 1 - p.q_scalar(1)
+    b = WeylElement.monomial(p, (1, 1, 3, 3))
+    engine = p.engine
+    engine._gen_cache.clear()
+    engine._z_cache.clear()
+    calls = []
+    original = type(engine)._mono_times_gen
+
+    def counted(self, m, q, depth):
+        calls.append((m, q))
+        return original(self, m, q, depth)
+
+    monkeypatch.setattr(type(engine), "_mono_times_gen", counted)
+    product = a * b
+    assert (len(calls), len(engine._gen_cache)) == (9, 9)
+    monkeypatch.undo()
+    assert engine_product(a, b) == oracle_product(a, b)
+    assert product == sum((WeylElement(p, [t]) * b for t in a.terms), WeylElement.zero(p))

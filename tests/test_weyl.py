@@ -8,6 +8,7 @@ from qweyl import (
     ParamsMismatchError,
     PoissonElement,
     QTScalar,
+    Rescaled,
     WeylElement,
     WeylParams,
     from_maltsiniotis,
@@ -161,32 +162,27 @@ def test_divisibility_flags(params2):
 
 
 def test_rescaling_generators(params2):
-    one = QTScalar.one(2)
-    assert from_maltsiniotis(params2, [(one, (("x", 1),))]) == WeylElement.generator(
-        params2, "x", 1
-    )
+    x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
+    assert from_maltsiniotis(Rescaled.of(x1)) == WeylElement.generator(params2, "x", 1)
     q1 = params2.q_scalar(1)
-    assert from_maltsiniotis(params2, [(q1 - 1, (("y", 1),))]) == WeylElement.generator(
+    assert from_maltsiniotis((q1 - 1) * Rescaled.of(y1, 1)) == WeylElement.generator(
         params2, "y", 1
     )
 
 
 def test_rescaling_needs_localization(params2):
     with pytest.raises(LocalizationRequiredError):
-        from_maltsiniotis(params2, [(QTScalar.one(2), (("y", 1),))])
+        from_maltsiniotis(Rescaled.of(WeylElement.generator(params2, "y", 1), 1))
 
 
 def test_rescaling_kills_defining_relation(params2):
     # x2 y2 - q2 y2 x2 - 1 - (q1 - 1) y1 x1  maps to zero
-    one = QTScalar.one(2)
+    g = {f"{k}{i}": Rescaled.of(WeylElement.generator(params2, k, i), i if k == "y" else 0)
+         for i in (1, 2) for k in "yx"}
+    one = Rescaled.of(WeylElement.one(params2))
     q1, q2 = params2.q_scalar(1), params2.q_scalar(2)
-    rel = [
-        (one, (("x", 2), ("y", 2))),
-        (-q2, (("y", 2), ("x", 2))),
-        (-one, ()),
-        (-(q1 - 1), (("y", 1), ("x", 1))),
-    ]
-    assert from_maltsiniotis(params2, rel) == WeylElement.zero(params2)
+    rel = g["x2"] * g["y2"] - q2 * g["y2"] * g["x2"] - one - (q1 - 1) * g["y1"] * g["x1"]
+    assert from_maltsiniotis(rel) == WeylElement.zero(params2)
 
 
 # -- printing ---------------------------------------------------------------------------
