@@ -154,10 +154,12 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser ----------------------------------------------------------------------
 
 
-# Deepest parenthesis nesting accepted.  Each level costs four frames of the
-# recursive descent, so this stays well inside the interpreter's recursion
-# limit even when the parser is called from deep in a stack.
-MAX_NESTING = 200
+# Deepest parenthesis nesting, and deepest expression tree inside one,
+# accepted.  A level costs four frames of the recursive descent, and up to
+# five of evaluation, one per node (``1 - 2*-(...)^1``: Add, Neg, Mul, Neg,
+# Pow), so both stay well inside the interpreter's recursion limit even when
+# called from deep in a stack.
+MAX_NESTING, MAX_DEPTH = 200, 800
 
 
 class _Parser:
@@ -165,6 +167,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.height = 0  # height of the tree last returned
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -189,17 +192,23 @@ class _Parser:
 
     def expr(self) -> Expression:
         terms = [self.term()]
+        height = self.height
         while self.peek().kind in ("+", "-"):
             op = self.take(self.peek().kind)
             t = self.term()
             terms.append(Neg(t) if op.kind == "-" else t)
+            height = max(height, self.height + (op.kind == "-"))
+        self.height = height + (len(terms) > 1)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expression:
         factors = [self.factor()]
+        height = self.height
         while self.peek().kind == "*":
             self.take("*")
             factors.append(self.factor())
+            height = max(height, self.height)
+        self.height = height + (len(factors) > 1)
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Expression:
@@ -214,12 +223,15 @@ class _Parser:
             if "/" in tok.text:
                 raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
             node = Pow(node, _number(int, tok.text, tok))
+            self.height += 1
         # only the parity of a run of signs matters; one Neg per sign would
         # make evaluation recurse once per sign
+        self.height += negs % 2
         return Neg(node) if negs % 2 else node
 
     def atom(self) -> Expression:
         tok = self.peek()
+        self.height = 1
         if tok.kind == "number":
             self.take("number")
             return Num(_number(Fraction, tok.text, tok))
@@ -245,6 +257,10 @@ class _Parser:
             self.depth += 1
             e = self.expr()
             self.depth -= 1
+            if self.height > MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"expression nested deeper than {MAX_DEPTH} operations", tok.line, tok.col
+                )
             self.take(")")
             return e
         raise ExprSyntaxError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import MuPoly, add_term, divide_terms, vec_add
-from .weyl import PbwElement, PbwMonomial, WeylElement, WeylParams, mono_key
+from .weyl import PbwElement, WeylElement, WeylParams, mono_key
 
 
 class PoissonElement(PbwElement):
@@ -34,23 +34,20 @@ class PoissonElement(PbwElement):
 p_z = PoissonElement.z
 
 
-def _gen_bracket(params: WeylParams, p: int, q: int) -> PoissonElement:
-    """Bracket of the generators sitting at exponent slots p and q."""
+def _gen_bracket(params: WeylParams, p: int, q: int) -> tuple:
+    """Bracket of the generators sitting at exponent slots p and q, as
+    (monomial, mu-terms) pairs with integer coefficients; ``()`` for zero."""
     if p == q:
-        return PoissonElement.zero(params)
+        return ()
     a, b = p // 2 + 1, q // 2 + 1
     akind = "y" if p % 2 == 0 else "x"
     bkind = "y" if q % 2 == 0 else "x"
+    i, j = min(a, b), max(a, b)
     if a == b:
         # {x_i, y_i} = (s_i . mu) z_i
-        base = p_z(params, a).scale(MuPoly.linear(params.s(a)))
-        return base if akind == "x" else -base
-    # products below are commutative monomials g_a * g_b
-    prod = PoissonElement.generator(params, akind, a) * PoissonElement.generator(
-        params, bkind, b
-    )
-    i, j = min(a, b), max(a, b)
-    if akind == "y" and bkind == "y":
+        form = MuPoly.linear(params.s(a))
+        form = form if akind == "x" else -form
+    elif akind == "y" and bkind == "y":
         form = MuPoly.linear(params.L(a, b))
     elif akind == "x" and bkind == "x":
         form = MuPoly.linear(vec_add(params.s(i), params.L(i, j)))
@@ -70,7 +67,12 @@ def _gen_bracket(params: WeylParams, p: int, q: int) -> PoissonElement:
             if a > b
             else -MuPoly.linear(params.L(a, b))
         )
-    return prod.scale(form)
+    # z_i's monomials, or the commutative monomial g_a * g_b
+    monos = (
+        [m for m, _ in p_z(params, a).terms] if a == b
+        else [tuple(int(k in (p, q)) for k in range(2 * params.n))]
+    )
+    return tuple((m, form.terms) for m in monos) if form else ()
 
 
 def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
@@ -78,19 +80,24 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
 
     For monomials the Leibniz rule collapses to the bivector formula
     {m, m'} = sum_{p,q} m_p m'_q (m/g_p)(m'/g_q) {g_p, g_q}; the mu symbols
-    are Poisson constants, so coefficients just multiply through.
+    are Poisson constants, so coefficients just multiply through.  Per pair
+    of terms, {m, m'} is summed with integer coefficients first; it lands on
+    m m' and, through the z_i, a few lower monomials, and the coefficient
+    product multiplies in once per such monomial.  Each result coefficient
+    is built once, at the end.
     """
     a._check(b)
     params = a.params
     memo = params.poisson_brackets
-    out: dict[PbwMonomial, MuPoly] = {}
+    slots = range(2 * params.n)
+    out: dict = {}  # monomial -> {mu-vector: rational}
     for ma, ca in a.terms:
         for mb, cb in b.terms:
-            coeff = ca * cb
-            for p in range(2 * params.n):
+            bare: dict = {}  # monomial -> {mu-vector: int}, the bracket {ma, mb}
+            for p in slots:
                 if not ma[p]:
                     continue
-                for q in range(2 * params.n):
+                for q in slots:
                     if not mb[q]:
                         continue
                     table = memo.get((p, q))
@@ -102,11 +109,26 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
                     la[p] -= 1
                     lb = list(mb)
                     lb[q] -= 1
-                    rest = vec_add(tuple(la), tuple(lb))
-                    c = coeff * ma[p] * mb[q]
-                    for mt, ct in table.terms:
-                        add_term(out, vec_add(rest, mt), c * ct)
-    return PoissonElement(params, out)
+                    rest = vec_add(la, lb)
+                    k = ma[p] * mb[q]
+                    for mt, mus in table:
+                        acc = bare.setdefault(vec_add(rest, mt), {})
+                        for v, c in mus:
+                            add_term(acc, v, k * c)
+            if not bare:
+                continue
+            coeff: dict = {}
+            for va, x in ca.terms:
+                for vb, y in cb.terms:
+                    add_term(coeff, vec_add(va, vb), x * y)
+            for m, mus in bare.items():
+                acc = out.setdefault(m, {})
+                for v, c in mus.items():
+                    for w, d in coeff.items():
+                        add_term(acc, vec_add(v, w), c * d)
+    return PoissonElement._from_sums(
+        params, {m: MuPoly._from_sums(params.r, s) for m, s in out.items()}
+    )
 
 
 def gamma1(a: WeylElement) -> PoissonElement:

@@ -391,6 +391,33 @@ def test_nested_parentheses_limit(capsys):
         assert "nested deeper than 200" in err and err.count("\n") == 1
 
 
+def _signed_nest(levels):
+    expr = "x1"
+    for _ in range(levels):
+        expr = f"1 - 2*-({expr})^1"  # five tree nodes per parenthesis level
+    return expr
+
+
+@pytest.mark.parametrize("command", ["nf", "maltsiniotis"])
+def test_deep_expression_tree_is_an_error_not_a_crash(capsys, command):
+    # 199 levels parse within the parenthesis limit but make a tree of
+    # about 1000 nodes, deeper than evaluation can recurse
+    code, out, err = run(capsys, command, _signed_nest(199))
+    assert code == 2 and out == ""
+    assert err == "error: expression nested deeper than 800 operations (line 1, column 312)\n"
+
+
+@pytest.mark.parametrize("command", ["nf", "maltsiniotis"])
+def test_deepest_accepted_expression_tree_evaluates(capsys, command):
+    def nested_call(frames):  # leave room for a caller deep in a stack
+        return nested_call(frames - 1) if frames else run(capsys, command, _signed_nest(160))
+
+    code, out, err = nested_call(100)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, command, _signed_nest(161))
+    assert code == 2 and "column 8)" in err
+
+
 def test_leading_minus_round_trip(capsys):
     code, out, _ = run(capsys, "nf", "x2*y1*x1 - 5/12*x2")
     assert code == 0

@@ -143,6 +143,19 @@ def test_bracket_memo_does_not_keep_instances_alive():
     assert ref() is None
 
 
+def test_bracket_memo_holds_plain_tuples():
+    params = random_params(random.Random(21), 3, 2)
+    ones = PoissonElement(params, [((1,) * 6, 1)])  # every generator once
+    assert pb_bracket(ones + pgen(params, "x", 3), ones + pgen(params, "y", 1))
+    memo = params.poisson_brackets
+    assert 0 < len(memo) <= (2 * params.n) ** 2
+
+    def plain(x):  # ints and tuples only: no element, scalar or instance
+        return type(x) is int or (type(x) is tuple and all(map(plain, x)))
+
+    assert all(plain(key) and plain(table) for key, table in memo.items())
+
+
 def test_element_classes_do_not_mix(params2):
     with pytest.raises(TypeError):
         WeylElement.one(params2) + PoissonElement.one(params2)

@@ -1,10 +1,10 @@
 """Property tests of the shared term-map core (``scalars.TermMap``).
 
-Sums and products of eta-scalars, and products of Poisson elements with a
-one-term factor (the shortcut in ``TermMap._product``), are checked against
-sympy's polynomial arithmetic, which shares no code with qweyl; exact
-division is checked by multiplying back; equality and hashing by shuffling
-the terms.  Every stored rational coefficient must be an ``int`` or a
+Sums and products of eta-scalars, products of Poisson elements with a
+one-term factor (the shortcut in ``TermMap._product``), and Poisson brackets
+are checked against sympy's polynomial arithmetic, which shares no code with
+qweyl; exact division is checked by multiplying back; equality and hashing by
+shuffling the terms.  Every stored rational coefficient must be an ``int`` or a
 non-integral ``Fraction``.
 hypothesis and sympy are installed where the tests run but are not declared
 dependencies, so the module is skipped without them.
@@ -27,6 +27,7 @@ from qweyl import (  # noqa: E402
     QTScalar,
     WeylElement,
     WeylParams,
+    pb_bracket,
     pe_div_exact,
 )
 from qweyl.weyl import mono_key  # noqa: E402
@@ -208,3 +209,62 @@ def test_rational_results_are_fractions(a, p, v):
     assert type(p.constant_part()) is Fraction
     assert type(p.eval_at([1] * RANK)) is Fraction
     assert all(type(c) is Fraction for c in MuPoly.linear(tuple(v)).linear_coefficients())
+
+
+nonzero_vecs = st.tuples(*[st.integers(-2, 2)] * RANK).filter(any)
+instances = st.builds(
+    lambda s1, s2, l12: WeylParams(
+        2, RANK, (s1, s2), (((0,) * RANK, l12), (tuple(-e for e in l12), (0,) * RANK))
+    ),
+    nonzero_vecs, nonzero_vecs, eta_vecs,
+)
+nonconstant_mu_polys = mu_polys.filter(lambda c: not c.is_constant())
+
+
+def sympy_generator_brackets(params):
+    """{g, h} for every ordered pair of generators, from the five formulas of
+    the ``qweyl.poisson`` docstring (i < j) and antisymmetry."""
+    y, x = GENS[0::2], GENS[1::2]
+
+    def form(*vecs):  # (v + w + ...) . mu
+        return sum(sum(v[k] for v in vecs) * MU[k] for k in range(RANK))
+
+    s = params.qexp
+    L = params.lexp
+    table = {}
+
+    def put(g, h, value):
+        table[g, h], table[h, g] = value, -value
+
+    for i in range(params.n):
+        put(x[i], y[i], form(s[i]) * (1 + sum(y[k] * x[k] for k in range(i + 1))))
+        put(y[i], y[i], 0)
+        put(x[i], x[i], 0)
+        for j in range(i + 1, params.n):
+            put(y[j], y[i], form(L[j][i]) * y[i] * y[j])
+            put(y[j], x[i], form(L[i][j]) * x[i] * y[j])
+            put(x[j], y[i], form(s[i], L[i][j]) * y[i] * x[j])
+            put(x[j], x[i], -form(s[i], L[i][j]) * x[i] * x[j])
+    return table
+
+
+@FAST
+@given(
+    instances,
+    term_lists(pbw_monos, mu_polys, 3),
+    term_lists(pbw_monos, mu_polys, 3),
+    pbw_monos,
+    nonconstant_mu_polys,
+)
+def test_pb_bracket_matches_sympy_bivector(params, ta, tb, m, c):
+    """{f, g} = sum_{p,q} df/dg_p dg/dg_q {g_p, g_q}, with sympy derivatives."""
+    a = PoissonElement(params, ta + [(m, c)])  # at least one mu-dependent coefficient
+    b = PoissonElement(params, tb)
+    f, g = pe_to_sympy(a), pe_to_sympy(b)
+    table = sympy_generator_brackets(params)
+    expected = sum(
+        sympy.diff(f, gp) * sympy.diff(g, gq) * table[gp, gq] for gp in GENS for gq in GENS
+    )
+    got = pb_bracket(a, b)
+    assert sympy.expand(pe_to_sympy(got) - expected) == 0
+    assert pe_stored_form(got)
