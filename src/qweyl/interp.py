@@ -79,7 +79,7 @@ class SpecializedAlgebra:
 
     Elements are plain dicts from ordered monomials to rationals; the
     relations carry the evaluated structure constants q_i(lambda) and
-    lam_ij(lambda).
+    lam_ij(lambda): its engine is the formal one at rank 0.
     """
 
     def __init__(self, params: WeylParams, lam: Rat, e_polys: Sequence[QuadPoly]):
@@ -100,7 +100,7 @@ class SpecializedAlgebra:
         self.lam = lam
         self.e_values = values
         self.engine = build_engine(
-            params.n, Fraction(1), lambda v: QTScalar.monomial(v).eval_at(values),
+            params.n, 0, lambda v: ((), QTScalar.monomial(v).eval_at(values)),
             params.qexp, params.lexp,
         )
 
@@ -119,8 +119,9 @@ class SpecializedAlgebra:
         self, ta: dict[PbwMonomial, Fraction], tb: dict[PbwMonomial, Fraction]
     ) -> dict[PbwMonomial, Fraction]:
         """Product in the concrete algebra (same straightening, rational
-        structure constants)."""
-        return self.engine.mul_terms(ta, tb)
+        structure constants), on the engine's rank-0 scalars."""
+        ta, tb = ({m: QTScalar.constant(0, c) for m, c in t.items()} for t in (ta, tb))
+        return {m: c.eval_one() for m, c in self.engine.mul_terms(ta, tb).items()}
 
 
 def specialize(

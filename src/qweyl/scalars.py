@@ -107,8 +107,8 @@ def add_term(table: dict, key, value) -> None:
 
     Every sparse term map in the package (elements, the engine's
     intermediate results, division remainders) accumulates through here, so
-    no stored coefficient is ever zero; the scalar constructor inlines it
-    to keep its sums in stored form.
+    no stored coefficient is ever zero; :meth:`TermMap._from_sums` and the
+    constructor drop zero sums at the end instead.
     """
     c = table.get(key)
     c = value if c is None else c + value
@@ -127,16 +127,20 @@ class TermMap:
     under its own name (``rank``, ``params``).  ``terms`` is the tuple of
     (exponent tuple, coefficient) pairs, sorted by the subclass's order.
 
-    A subclass supplies the constructor ``cls(context, terms)``, which
-    validates each term, drops zero sums and sorts, and the classmethod
-    ``constant(context, value)``; ``int``, ``Fraction`` and ``scalar_type``
-    values combine with a term map as constants.  ``_product`` is the
-    commutative product (exponents add); a noncommutative ring replaces it.
-    ``_exact`` puts a sum or product of stored coefficients in stored form,
-    and ``_sort_key`` is the key of the subclass's order on the (exponent
-    tuple, coefficient) pairs (``None``: tuple order).  Results of the ring
-    operations, whose terms are valid by construction, skip the
-    constructor's checks through :meth:`_from_sums`.
+    The constructor ``cls(context, terms)`` takes pairs or a mapping.  It
+    checks each pair with the subclass's hook ``_term(context, m, c)``,
+    which raises on a malformed pair (a coefficient of another rank
+    included) and returns it in stored form, adds pairs that share a
+    monomial and keeps the nonzero sums as :meth:`_from_sums` does.  A
+    subclass also supplies the classmethod ``constant(context, value)``;
+    ``int``, ``Fraction`` and ``scalar_type`` values combine with a term map
+    as constants.  ``_product`` is the commutative product (exponents add);
+    a noncommutative ring replaces it.  ``_exact`` puts a sum or product of
+    stored coefficients in stored form, and ``_sort_key`` is the key of the
+    subclass's order on the (exponent tuple, coefficient) pairs (``None``:
+    tuple order).  Results of the ring operations, :meth:`scale` included,
+    are valid by construction and skip the checks through
+    :meth:`_from_sums`.
     """
 
     __slots__ = ("context", "terms")
@@ -145,6 +149,17 @@ class TermMap:
     mismatch_message: str  # formatted with both contexts
     _exact = staticmethod(lambda c: c)
     _sort_key = None
+
+    def __init__(self, context, terms=()):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        term = self._term
+        sums: dict = {}
+        for m, c in terms:
+            m, c = term(context, m, c)
+            old = sums.get(m)
+            sums[m] = c if old is None else old + c
+        self._fill(context, sums)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -162,11 +177,15 @@ class TermMap:
     def _from_sums(cls, context, sums: dict):
         """Instance of the nonzero entries of ``sums``, a dict from exponent
         tuples of the right shape to sums of stored coefficients."""
-        exact = cls._exact
-        return cls._canonical(
-            context,
-            sorted([(m, exact(c)) for m, c in sums.items() if c], key=cls._sort_key),
-        )
+        self = object.__new__(cls)
+        self._fill(context, sums)
+        return self
+
+    def _fill(self, context, sums: dict) -> None:
+        exact = self._exact
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", tuple(sorted(
+            [(m, exact(c)) for m, c in sums.items() if c], key=self._sort_key)))
 
     @classmethod
     def zero(cls, context):
@@ -227,8 +246,10 @@ class TermMap:
         return o + (-self)
 
     def scale(self, c):
-        """Every coefficient times the scalar ``c``."""
-        return type(self)(self.context, [(m, cc * c) for m, cc in self.terms])
+        """Every coefficient times ``c``, a rational or a ``scalar_type`` value."""
+        if not isinstance(c, (int, Fraction, self.scalar_type)):
+            raise TypeError(f"cannot scale a {type(self).__name__} by a {type(c).__name__}")
+        return self._from_sums(self.context, {m: cc * c for m, cc in self.terms})
 
     def _product(self, other: "TermMap") -> "TermMap":
         a, b = self.terms, other.terms
@@ -346,7 +367,8 @@ class SparseScalar(TermMap):
     rationals, each stored as an ``int`` when integral, else a ``Fraction``.
     Subclasses fix what a vector means (an eta-monomial or a mu-monomial)
     and print it via ``_monomial_str``; ``laurent`` says whether negative
-    exponents are allowed."""
+    exponents are allowed.  ``_term`` takes a vector of ``rank`` ``int``
+    entries and a rational coefficient."""
 
     __slots__ = ()
     rank = TermMap.context
@@ -355,31 +377,19 @@ class SparseScalar(TermMap):
     laurent = True
     _exact = staticmethod(_coefficient)
 
-    def __init__(self, rank, terms=()):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        laurent = self.laurent
-        acc: dict[ExpVec, Rat] = {}
-        for vec, coeff in terms:
-            vec = tuple(vec)
-            if len(vec) != rank:
-                raise RankMismatchError(
-                    f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
-                )
-            for e in vec:
-                if type(e) is not int:  # bools and floats are not exponents
-                    raise ValueError(f"{type(self).__name__} exponents {vec} must be ints")
-                if e < 0 and not laurent:
-                    raise ValueError(f"negative exponent in {type(self).__name__} monomial {vec}")
-            # add_term inlined: a sum of two Fractions may be integral
-            c = acc.get(vec)
-            c = _coefficient(coeff if c is None else c + coeff)
-            if c:
-                acc[vec] = c
-            else:
-                acc.pop(vec, None)
-        object.__setattr__(self, "context", int(rank))
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+    @classmethod
+    def _term(cls, rank, vec, coeff):
+        vec = tuple(vec)
+        if len(vec) != rank:
+            raise RankMismatchError(
+                f"exponent vector {vec} has length {len(vec)}, expected rank {rank}"
+            )
+        for e in vec:
+            if type(e) is not int:  # bools and floats are not exponents
+                raise ValueError(f"{cls.__name__} exponents {vec} must be ints")
+            if e < 0 and not cls.laurent:
+                raise ValueError(f"negative exponent in {cls.__name__} monomial {vec}")
+        return vec, _coefficient(coeff)
 
     @classmethod
     def constant(cls, rank: int, value: Rat):
@@ -418,7 +428,7 @@ class QTScalar(SparseScalar):
     @classmethod
     def monomial(cls, vec: ExpVec, coeff: Rat = 1) -> "QTScalar":
         vec = tuple(vec)
-        return cls(len(vec), [(vec, _coefficient(coeff))])
+        return cls(len(vec), [(vec, coeff)])
 
     # -- evaluation functionals --------------------------------------------
 

@@ -82,26 +82,28 @@ class StraighteningEngine:
 
     ``mul_terms`` folds each right-hand monomial over the whole left
     operand, appending its generators in slot order, one per unit of
-    exponent.  Termination: a generator appended to an ordered monomial
-    either lands directly (no occupied slot above it), or hits the closed
-    form, or commutes under the top block with a monomial scalar.  The swap
-    branch strips the top block, so the number of occupied slots above the
-    target drops by one and at most ``2n - 1 - p`` swaps nest when
-    appending the generator at slot p; the closed form reaches only the z
-    memo, whose recursion shortens its key by one pair.  The swap depth
-    bound is asserted in debug runs as a tripwire.
+    exponent; ``_gen_cache`` keeps every step but a direct landing, which
+    costs one tuple, about what a lookup costs.  Termination: a generator
+    appended to an ordered monomial either lands directly (no occupied slot
+    above it), or hits the closed form, or commutes under the top block
+    with a monomial scalar.  The swap branch strips the top block, so the
+    number of occupied slots above the target drops by one and at most
+    ``2n - 1 - p`` swaps nest when appending the generator at slot p; the
+    closed form reaches only the z memo, whose recursion shortens its key
+    by one pair.  The swap depth bound is asserted in debug runs as a
+    tripwire.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
     exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
     ``W = 2^bits`` is linear, so multiplying eta-monomials is one ``int``
     addition; while every ``|v_k| < W/2`` it is injective, decodes as
     signed base-W digits and keeps the tuple order.  A structure constant
-    is ``(enc(v), 1)`` in the formal algebra and ``(0, value)`` in a
-    specialized one (:mod:`qweyl.interp`), so one kernel serves both; the
-    two entries of ``q_i^s - 1`` cancel at a root of unity, so no memo
-    stores a zero.  ``mul_terms`` scales each operand by the common
-    denominator of its rationals, so the formal kernel works on ints, and
-    builds one scalar per result monomial on exit.
+    is ``(enc(v), 1)`` in the formal algebra; a specialization
+    (:mod:`qweyl.interp`) is an engine of rank 0 with constants
+    ``(0, value)``.  The two entries of ``q_i^s - 1`` cancel at a root of
+    unity, so no memo stores a zero.  ``mul_terms`` scales each operand by
+    the common denominator of its rationals, so the formal kernel works on
+    ints, and builds one ``QTScalar`` per result monomial on exit.
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
@@ -124,15 +126,13 @@ class StraighteningEngine:
     MIN_BITS = 12
 
     def __init__(self, n, rank, q_consts, swap):
-        """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector,
-        rational) pairs; ``rank`` is None for a specialized engine, whose
-        vectors are empty and whose results are ``Fraction``s."""
+        """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector of
+        length ``rank``, rational) pairs."""
         self.n = n
         self.rank = rank
         self._consts = (q_consts, swap)
         vecs = [v for v, _ in q_consts] + [c[0] for row in swap for c in row if c]
         self._growth = max([abs(x) for v in vecs for x in v], default=0)
-        self._zero = (0,) * (rank or 0)
         # monomial-times-generator results recur heavily across products;
         # values are treated as read-only by every caller
         self._gen_cache: dict = {}
@@ -148,7 +148,7 @@ class StraighteningEngine:
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
         self._gen_cache.clear()
         self._z_cache.clear()
-        self._decoded = _Decoder(len(self._zero), bits)
+        self._decoded = _Decoder(self.rank, bits)
 
     def _encode(self, vec) -> int:
         out = 0
@@ -179,12 +179,10 @@ class StraighteningEngine:
         """Each operand as (monomial, [(packed exponent, rational * den)])
         pairs and ``den``, the common denominator of its rationals, after
         widening the fields if the width bound of the class docstring asks."""
-        zero = self._zero
         bound = degree = 0
         operands = []
-        for t in (ta, tb):  # nonzero terms, a rational as a one-term scalar
-            s = [(m, c.terms if isinstance(c, QTScalar) else ((zero, c),))
-                 for m, c in t.items() if c]
+        for t in (ta, tb):
+            s = [(m, c.terms) for m, c in t.items() if c]
             bound += max([abs(x) for _, c in s for v, _ in c for x in v], default=0)
             degree += max([sum(m) for m, _ in s], default=0)
             operands.append(s)
@@ -203,19 +201,14 @@ class StraighteningEngine:
 
     def _unpack(self, out: dict, den: int) -> dict:
         """One scalar per monomial of ``out``, its factors divided by ``den``."""
-        result = {}
-        dec = self._decoded
-        for m, d in out.items():
-            if not d:
-                continue
-            if self.rank is None:
-                result[m] = Fraction(d[0], den)
-            else:  # in stored form: an int exactly when den divides c
-                result[m] = QTScalar._canonical(self.rank, [
-                    (dec[e], Fraction(c, den) if c % den else c // den)
-                    for e, c in sorted(d.items())
-                ])
-        return result
+        dec = self._decoded  # in stored form: an int exactly when den divides c
+        return {
+            m: QTScalar._canonical(self.rank, [
+                (dec[e], Fraction(c, den) if c % den else c // den)
+                for e, c in sorted(d.items())
+            ])
+            for m, d in out.items() if d
+        }
 
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
@@ -232,12 +225,10 @@ class StraighteningEngine:
 
     def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
         """``m * g_p`` as a map from (ordered monomial, packed exponent) to a
-        nonzero rational, memoized in ``_gen_cache``."""
+        nonzero rational, memoized in ``_gen_cache`` unless ``g_p`` lands
+        directly."""
         if __debug__:
             assert depth <= 2 * self.n - 1 - p, "straightening recursion exceeded bound"
-        out = self._gen_cache.get((m, p))
-        if out is not None:
-            return out
         top = -1
         for pos in range(2 * self.n - 1, p, -1):
             if m[pos]:
@@ -246,8 +237,11 @@ class StraighteningEngine:
         lst = list(m)
         if top < 0:
             lst[p] += 1
-            out = {(tuple(lst), 0): 1}
-        elif p % 2 == 0 and top == p + 1:
+            return {(tuple(lst), 0): 1}
+        out = self._gen_cache.get((m, p))
+        if out is not None:
+            return out
+        if p % 2 == 0 and top == p + 1:
             # the closed form of the class docstring, pair i = p//2 (0-based)
             s = m[top]
             e, k = self.q[p // 2]
@@ -320,22 +314,14 @@ def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
             sub.pop(e, None)
 
 
-def build_engine(n: int, one, monomial_of_vec, qexp, lexp) -> StraighteningEngine:
-    """Assemble an engine from exponent data and a scalar constructor.
+def build_engine(n: int, rank: int, const, qexp, lexp) -> StraighteningEngine:
+    """Assemble an engine of ``rank`` from exponent data.
 
-    ``monomial_of_vec`` maps an exponent vector to a scalar: a QTScalar
-    monomial for the formal algebra, whose ``one`` is a QTScalar, or a
-    rational for a specialized one.
+    ``const`` maps the exponent vector of a structure constant eta^v to the
+    (vector of length ``rank``, rational) pair the engine keeps for it:
+    ``(v, 1)`` in the formal algebra, ``((), eta^v at the point)`` in a
+    specialization, which is an engine of rank 0.
     """
-    formal = isinstance(one, QTScalar)
-
-    def const(vec):
-        c = monomial_of_vec(vec)
-        if formal:
-            (v, k), = c.terms
-            return v, k
-        return (), c
-
     size = 2 * n
     swap = [[None] * size for _ in range(size)]
     for j in range(1, n + 1):
@@ -346,7 +332,7 @@ def build_engine(n: int, one, monomial_of_vec, qexp, lexp) -> StraighteningEngin
             swap[pos_x(j)][pos_y(i)] = const(vec_add(s_i, l_ij))
             swap[pos_x(j)][pos_x(i)] = const(vec_neg(vec_add(s_i, l_ij)))
     q_consts = [const(qexp[i]) for i in range(n)]
-    return StraighteningEngine(n, one.rank if formal else None, q_consts, swap)
+    return StraighteningEngine(n, rank, q_consts, swap)
 
 
 @dataclass(frozen=True)
@@ -430,9 +416,7 @@ class WeylParams:
 
     @cached_property
     def engine(self) -> StraighteningEngine:
-        return build_engine(
-            self.n, QTScalar.one(self.r), QTScalar.monomial, self.qexp, self.lexp
-        )
+        return build_engine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp)
 
     @cached_property
     def poisson_brackets(self) -> dict:
@@ -455,7 +439,8 @@ class PbwElement(TermMap):
 
     The quantized algebra and its Poisson limit share the basis and differ
     only in the coefficient ring ``scalar_type`` and the product: the
-    Poisson limit keeps the commutative product of :class:`TermMap`.
+    Poisson limit keeps the commutative product of :class:`TermMap`.  A
+    coefficient is a ``scalar_type`` value of rank r, or a rational.
     """
 
     __slots__ = ()
@@ -464,22 +449,16 @@ class PbwElement(TermMap):
     mismatch_message = "elements belong to different instances"
     _sort_key = staticmethod(lambda t: mono_key(t[0]))
 
-    def __init__(self, params: WeylParams, terms=()):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        ring = self.scalar_type
-        acc: dict = {}
-        for m, c in terms:
-            m = tuple(m)
-            if len(m) != 2 * params.n or any(type(e) is not int or e < 0 for e in m):
-                raise ValueError(f"bad monomial exponent tuple {m}")
-            if not isinstance(c, ring):
-                c = ring.constant(params.r, c)
-            add_term(acc, m, c)
-        object.__setattr__(self, "context", params)
-        object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=self._sort_key))
-        )
+    @classmethod
+    def _term(cls, params: WeylParams, m, c):
+        m = tuple(m)
+        if len(m) != 2 * params.n or any(type(e) is not int or e < 0 for e in m):
+            raise ValueError(f"bad monomial exponent tuple {m}")
+        if not isinstance(c, cls.scalar_type):
+            return m, cls.scalar_type.constant(params.r, c)
+        if c.rank != params.r:
+            raise c.mismatch_error(c.mismatch_message.format(c.rank, params.r))
+        return m, c
 
     # -- constructors ---------------------------------------------------------
 

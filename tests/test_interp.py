@@ -87,16 +87,19 @@ def test_specialized_root_of_unity_drops_zero_terms(params3):
     the result or in the engine's memos."""
     point = (Fraction(2), Fraction(-1))
     engine = build_engine(
-        3, Fraction(1), lambda v: QTScalar.monomial(v).eval_at(point),
+        3, 0, lambda v: ((), QTScalar.monomial(v).eval_at(point)),
         params3.qexp, params3.lexp,
     )
     left = [(1, 1, 0, 2, 0, 0), (0, 1, 0, 2, 0, 1)]  # y1 x1 x2^2, x1 x2^2 x3
     right = (0, 0, 2, 0, 0, 0)  # y2^2
+    one = QTScalar.one(0)
     stored = []
     for m in left:
         formal = WeylElement.monomial(params3, m) * WeylElement.monomial(params3, right)
-        expected = {mm: v for mm, c in formal.terms if (v := c.eval_at(point))}
-        got = engine.mul_terms({m: Fraction(1)}, {right: Fraction(1)})
+        expected = {
+            mm: QTScalar.constant(0, v) for mm, c in formal.terms if (v := c.eval_at(point))
+        }
+        got = engine.mul_terms({m: one}, {right: one})
         assert got == expected
         assert len(got) < len(formal.terms)
         stored.append(got)

@@ -266,6 +266,9 @@ def test_float_coefficients_are_rejected(coeff):
         QTScalar.monomial((1,), coeff)
     with pytest.raises(TypeError):
         MuPoly(1, [((1,), coeff)])
+    for value in (mono((1,), 2), MuPoly.variable(1, 0)):
+        with pytest.raises(TypeError):  # scale skips the constructor's checks
+            value.scale(coeff)
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -5,9 +5,11 @@ import pytest
 
 from qweyl import (
     LocalizationRequiredError,
+    MuPoly,
     ParamsMismatchError,
     PoissonElement,
     QTScalar,
+    RankMismatchError,
     Rescaled,
     WeylElement,
     WeylParams,
@@ -16,6 +18,8 @@ from qweyl import (
     wa_divisible_by_t_minus_1,
     wa_z,
 )
+from qweyl.cli import DEFAULT_CONFIG, params_from_config
+from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl.suites import random_params, random_weyl
 
 
@@ -66,6 +70,24 @@ def test_element_rejects_bad_monomials(cls, m):
     p = WeylParams(1, 1, ((1,),), (((0,),),))
     with pytest.raises(ValueError, match="bad monomial exponent tuple"):
         cls.monomial(p, m)
+
+
+ETA3 = QTScalar.monomial((1, 2, 3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: WeylElement(p, [((0, 0, 0, 0), ETA3)]),
+    lambda p: WeylElement(p, {(1, 0, 0, 0): ETA3}),
+    lambda p: PoissonElement(p, [((1, 0, 0, 0), MuPoly.constant(5, 1))]),
+    lambda p: PlaneElement(PLANE, [((1, 0), QTScalar.monomial((1, 2)))]),
+    lambda p: WeylElement.scalar(p, ETA3),
+    lambda p: WeylElement.generator(p, "x", 1) + ETA3,
+    lambda p: ETA3 + WeylElement.generator(p, "x", 1),
+], ids=["weyl", "weyl-mapping", "poisson", "plane", "scalar", "x1+c", "c+x1"])
+def test_coefficient_of_another_rank_is_rejected(params2, build):
+    """A coefficient is a scalar of its instance's rank on every route in."""
+    with pytest.raises(RankMismatchError, match=r"^rank mismatch: \d vs [12]$"):
+        build(params2)
 
 
 def test_from_coordinate_matrices(params2):
@@ -196,3 +218,12 @@ def test_element_str(params2):
     assert str(g["x1"] * g["y1"]) == "(-1 + eta^[1,0]) + eta^[1,0]*y1*x1"
     assert str(-g["y1"]) == "-y1"
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
+
+
+def test_direct_landings_are_not_memoized():
+    """Each y1 appended to a power of y1 lands directly, so a large power
+    on a fresh instance leaves the generator memo empty."""
+    p = params_from_config(DEFAULT_CONFIG)
+    y1 = WeylElement.generator(p, "y", 1)
+    assert y1 ** 100000 == WeylElement.monomial(p, (100000, 0, 0, 0))
+    assert len(p.engine._gen_cache) == 0
