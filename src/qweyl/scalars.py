@@ -249,6 +249,10 @@ class TermMap:
         """Every coefficient times ``c``, a rational or a ``scalar_type`` value."""
         if not isinstance(c, (int, Fraction, self.scalar_type)):
             raise TypeError(f"cannot scale a {type(self).__name__} by a {type(c).__name__}")
+        if not self.terms:
+            # no coefficient product checks the rank of c; the constant does
+            self.constant(self.context, c)
+            return self
         return self._from_sums(self.context, {m: cc * c for m, cc in self.terms})
 
     def _product(self, other: "TermMap") -> "TermMap":

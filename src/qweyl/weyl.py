@@ -429,8 +429,9 @@ class WeylParams:
     def torus_pairs(self) -> dict:
         """Memo of stratum-generator pairs, filled by :mod:`qweyl.spectra`:
         ``("p", w, v)`` holds the Poisson form {w, v}/(w v) and ``("q", w, v)``
-        the quantized product w v, for tagged generators w, v.  At most
-        2(3n - 1)^2 entries; it lives and dies with this instance."""
+        the torus residue w v - eta^c v w of the quantized products, with c
+        the tabulated exponent of (w, v), for tagged generators w, v.  At
+        most 2(3n - 1)^2 entries; it lives and dies with this instance."""
         return {}
 
 

@@ -8,6 +8,7 @@ import pytest
 from qweyl import (
     AdmissibleSet,
     MuPoly,
+    QTScalar,
     WeylElement,
     WeylParams,
     brute_force_admissible,
@@ -353,3 +354,55 @@ def test_pair_memo_keeps_a_wrong_bracket_visible(monkeypatch):
     assert any(
         pm[i][j] != MuPoly.linear(qm[i][j]) for i in range(size) for j in range(size)
     )
+
+
+def _image(params, w):
+    kind, i = w
+    return wa_z(params, i) if kind == "z" else WeylElement.generator(params, kind, i)
+
+
+def test_pair_memo_holds_torus_residues():
+    for seed in (3, 8):
+        for n in (1, 2, 3):
+            params = random_params(random.Random(seed), n, 2)
+            for T in enumerate_admissible(n):
+                check_torus_relations(params, T)
+            entries = {k: v for k, v in params.torus_pairs.items() if k[0] == "q"}
+            pairs = {pair for T in enumerate_admissible(n) for pair in product(y_set(T), repeat=2)}
+            assert {(w, v) for _, w, v in entries} == pairs
+            for (_, w, v), residue in entries.items():
+                a, b = _image(params, w), _image(params, v)
+                eta = QTScalar.monomial(spectra.q_pair_exponent(params, w, v))
+                assert residue == a * b - (b * a).scale(eta), (seed, n, w, v)
+
+
+def test_pair_memo_keeps_a_wrong_exponent_visible(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    T = T_of(2)
+    assert check_torus_relations(params, T)
+    right = spectra.q_pair_exponent
+    bad = (("y", 2), ("y", 1))  # filled after (y1, y2): it must not be derived
+
+    def wrong(p, w, v):
+        c = right(p, w, v)
+        return (c[0] + 1,) + c[1:] if (w, v) == bad else c
+
+    monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
+    assert not check_torus_relations(fresh(params), T)
+
+
+def test_pair_memo_keeps_a_wrong_product_visible(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    T = T_of(2)
+    assert check_torus_relations(params, T)  # fills this instance's memo
+    y1, y2 = (WeylElement.generator(params, "y", i) for i in (1, 2))
+    right = WeylElement._product
+
+    def wrong(a, b):
+        out = right(a, b)
+        return -out if (a, b) == (y2, y1) else out
+
+    monkeypatch.setattr(WeylElement, "_product", wrong)
+    cold = fresh(params)
+    assert cold == params
+    assert not check_torus_relations(cold, T)

@@ -83,7 +83,10 @@ ETA3 = QTScalar.monomial((1, 2, 3))
     lambda p: WeylElement.scalar(p, ETA3),
     lambda p: WeylElement.generator(p, "x", 1) + ETA3,
     lambda p: ETA3 + WeylElement.generator(p, "x", 1),
-], ids=["weyl", "weyl-mapping", "poisson", "plane", "scalar", "x1+c", "c+x1"])
+    lambda p: WeylElement.zero(p).scale(ETA3),
+    lambda p: PoissonElement.zero(p).scale(MuPoly.constant(3, 1)),
+], ids=["weyl", "weyl-mapping", "poisson", "plane", "scalar", "x1+c", "c+x1",
+        "weyl-zero-scale", "poisson-zero-scale"])
 def test_coefficient_of_another_rank_is_rejected(params2, build):
     """A coefficient is a scalar of its instance's rank on every route in."""
     with pytest.raises(RankMismatchError, match=r"^rank mismatch: \d vs [12]$"):
