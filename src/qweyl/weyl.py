@@ -80,18 +80,21 @@ class StraighteningEngine:
     with ``B = y_k^r x_k^s`` the last pair of L and ``z_0 = 1``; it has
     k + 1 terms with monomial coefficients.
 
-    ``mul_terms`` folds each right-hand monomial over the whole left
-    operand, appending its generators in slot order, one per unit of
-    exponent; ``_gen_cache`` keeps every step but a direct landing, which
-    costs one tuple, about what a lookup costs.  Termination: a generator
-    appended to an ordered monomial either lands directly (no occupied slot
-    above it), or hits the closed form, or commutes under the top block
-    with a monomial scalar.  The swap branch strips the top block, so the
-    number of occupied slots above the target drops by one and at most
-    ``2n - 1 - p`` swaps nest when appending the generator at slot p; the
-    closed form reaches only the z memo, whose recursion shortens its key
-    by one pair.  The swap depth bound is asserted in debug runs as a
-    tripwire.
+    **The fold.**  For each right-hand term ``(m2, c2)``, ``mul_terms``
+    scales the whole left operand by c2 and appends the blocks ``g_p^e`` of
+    m2 in slot order; the first fold result becomes the output table and
+    later ones merge into it.  A monomial with no occupied slot above p
+    takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
+    take e single appends, and ``_gen_cache`` keeps each step but a direct
+    landing, which costs one tuple, about what a lookup costs.
+    Termination: a block landing is one step, and a single generator
+    appended to an ordered monomial either lands directly, or hits the
+    closed form, or commutes under the top block with a monomial scalar.
+    The swap branch strips the top block, so the number of occupied slots
+    above the target drops by one and at most ``2n - 1 - p`` swaps nest
+    when appending the generator at slot p; the closed form reaches only
+    the z memo, whose recursion shortens its key by one pair.  The swap
+    depth bound is asserted in debug runs as a tripwire.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
     exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
@@ -103,7 +106,8 @@ class StraighteningEngine:
     ``(0, value)``.  The two entries of ``q_i^s - 1`` cancel at a root of
     unity, so no memo stores a zero.  ``mul_terms`` scales each operand by
     the common denominator of its rationals, so the formal kernel works on
-    ints, and builds one ``QTScalar`` per result monomial on exit.
+    ints, and builds one ``QTScalar`` per result monomial on exit, dividing
+    each distinct numerator once.
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
@@ -111,13 +115,15 @@ class StraighteningEngine:
     adds e*M and recurses on degree d - e; the closed form adds s*M for
     ``q_i^s`` and deg(L)*M for ``L z_{i-1}`` (one ``q_k^{s_k}`` per pair of
     L), and s + deg(L) <= d.  No result term has degree above d + 1, as
-    z_{i-1} has degree 2.  So the fold of m2, followed from one left term
-    m1, and every memo entry it makes move entries by at most
-    ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Left terms that meet at a
-    monomial add their coefficients, not their exponents, so each packed
-    entry stays within the bound of the single-term chain it came from, and
-    ``mul_terms`` on operands whose exponents have entries up to A and B
-    forms no entry beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
+    z_{i-1} has degree 2.  A block landing moves no entry.  So the fold of
+    m2, followed from one left term m1, and every memo entry it makes move
+    entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain
+    starts from one eta-term of m1's scalar times one of c2, with entries
+    up to A + B when the operands' exponents have entries up to A and B.
+    Terms that meet at a monomial, in the fold or in the merge, add their
+    coefficients, not their exponents, so each packed entry stays within
+    the bound of the chain it came from, and ``mul_terms`` forms no entry
+    beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
     past twice that bound when needed; that re-packs the constants and
     clears the memos, and never changes a result.
     """
@@ -160,23 +166,24 @@ class StraighteningEngine:
 
     def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
         """Product of two term maps from ordered monomials to scalars: the
-        fold of each right-hand monomial, scaled by that term's scalar."""
+        sum over right-hand terms of the left operand, scaled by that term's
+        scalar and folded over its monomial."""
         (pa, da), (pb, db) = self._pack(ta, tb)
-        left = {m: dict(c) for m, c in pa}
-        out: dict = {}
+        out = None
         for mb, cb in pb:
-            acc = left
+            acc: dict = {}
+            for m, ca in pa:
+                sub = acc[m] = {}
+                for eb, kb in cb.items():
+                    _add_shifted(sub, ca, eb, kb)
             for p, e in enumerate(mb):
-                for _ in range(e):
-                    acc = self._acc_times_gen(acc, p)
-            for m, d in acc.items():
-                sub = out.setdefault(m, {})
-                for eb, kb in cb:
-                    _add_shifted(sub, d, eb, kb)
-        return self._unpack(out, da * db)
+                if e:
+                    acc = self._acc_times_block(acc, p, e)
+            out = acc if out is None else _merge(out, acc)
+        return self._unpack(out or {}, da * db)
 
     def _pack(self, ta: Mapping, tb: Mapping) -> list:
-        """Each operand as (monomial, [(packed exponent, rational * den)])
+        """Each operand as (monomial, {packed exponent: rational * den})
         pairs and ``den``, the common denominator of its rationals, after
         widening the fields if the width bound of the class docstring asks."""
         bound = degree = 0
@@ -194,21 +201,36 @@ class StraighteningEngine:
         for s in operands:
             den = math.lcm(*[k.denominator for _, c in s for _, k in c])
             packed.append((
-                [(m, [(enc(v), k.numerator * (den // k.denominator)) for v, k in c]) for m, c in s],
+                [(m, {enc(v): k.numerator * (den // k.denominator) for v, k in c}) for m, c in s],
                 den,
             ))
         return packed
 
     def _unpack(self, out: dict, den: int) -> dict:
-        """One scalar per monomial of ``out``, its factors divided by ``den``."""
+        """One scalar per monomial of ``out``, its factors divided by ``den``,
+        once per distinct numerator."""
         dec = self._decoded  # in stored form: an int exactly when den divides c
+        nums = () if den == 1 else {c for d in out.values() for c in d.values()}
+        exact = {c: Fraction(c, den) if c % den else c // den for c in nums}
         return {
             m: QTScalar._canonical(self.rank, [
-                (dec[e], Fraction(c, den) if c % den else c // den)
-                for e, c in sorted(d.items())
+                (dec[e], exact.get(c, c)) for e, c in sorted(d.items())
             ])
             for m, d in out.items() if d
         }
+
+    def _acc_times_block(self, acc: Mapping, p: int, e: int) -> dict:
+        """``acc * g_p^e``: a monomial with no occupied slot above p lands
+        in one step, unmemoized; the others take e single appends."""
+        landed, stepped = {}, {}
+        for m, d in acc.items():
+            if not any(m[p + 1:]):
+                landed[m[:p] + (m[p] + e,) + m[p + 1:]] = d
+            elif d:  # cancelled monomials leave the fold
+                stepped[m] = d
+        for _ in range(e if stepped else 0):  # in a domain, nonzero stays nonzero
+            stepped = self._acc_times_gen(stepped, p)
+        return _merge(stepped, landed)
 
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
         out: dict = {}
@@ -312,6 +334,17 @@ def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
             sub[e] = v
         else:
             sub.pop(e, None)
+
+
+def _merge(out: dict, acc: Mapping) -> dict:
+    """``out += acc``, moving in uncopied the packed scalars new to ``out``."""
+    for m, d in acc.items():
+        sub = out.get(m)
+        if sub is None:
+            out[m] = d
+        else:
+            _add_shifted(sub, d, 0, 1)
+    return out
 
 
 def build_engine(n: int, rank: int, const, qexp, lexp) -> StraighteningEngine:

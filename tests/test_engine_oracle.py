@@ -259,8 +259,9 @@ def test_left_terms_cancel_partway_through_the_fold():
 
 def test_cancelled_left_terms_leave_the_fold(monkeypatch):
     """In (y1*x1 + 1 - q1) * (y1*x1*y2^3*x2^3) the monomial y1 cancels after
-    the first append and y1*x1 after the second; the rest of the fold
-    appends nothing to them, so no memo entry is made for them."""
+    the first append, where y1*x1 takes the closed form and 1 lands; every
+    later block lands whole on what is left, so the fold makes one
+    ``_mono_times_gen`` call and one memo entry."""
     p = params_from_config(DEFAULT_CONFIG)
     a = WeylElement.monomial(p, (1, 1, 0, 0)) + 1 - p.q_scalar(1)
     b = WeylElement.monomial(p, (1, 1, 3, 3))
@@ -276,7 +277,46 @@ def test_cancelled_left_terms_leave_the_fold(monkeypatch):
 
     monkeypatch.setattr(type(engine), "_mono_times_gen", counted)
     product = a * b
-    assert (len(calls), len(engine._gen_cache)) == (9, 1)  # direct landings are not stored
+    assert (len(calls), len(engine._gen_cache)) == (1, 1)  # direct landings are not stored
     monkeypatch.undo()
     assert engine_product(a, b) == oracle_product(a, b)
     assert product == sum((WeylElement(p, [t]) * b for t in a.terms), WeylElement.zero(p))
+
+
+# -- the fold's entry and exit: scaled left operand, merged results, stored form ---
+
+
+def test_fold_entry_and_exit_match_the_oracle(params3):
+    """Each right term scales the left operand before its fold, and the fold
+    results are merged.  Right scalars with several eta-terms and factors
+    over den > 1, a constant right term, a constant right operand, and right
+    terms whose folds cancel at y1*x1, against the oracle and the sum of
+    one-term products.  Coefficients are ints where integral and
+    ``Fraction``s in lowest terms where not."""
+    p = params3
+    g = {f"{k}{i}": WeylElement.generator(p, k, i) for k in "yx" for i in (1, 2, 3)}
+    q1 = p.q_scalar(1)
+    mixed = QTScalar(2, [((0, 0), Fraction(2, 3)), ((1, -1), Fraction(-1, 6)), ((0, 1), 3)])
+    left = g["x2"].scale(Fraction(1, 2)) + g["y2"].scale(QTScalar.monomial((1, 0), 3)) + 2
+    right = WeylElement(p, [
+        ((0,) * 6, mixed),
+        ((1, 0, 0, 0, 0, 0), QTScalar(2, [((0, 0), Fraction(1, 2)), ((-1, 1), Fraction(5, 4))])),
+        ((0, 0, 1, 1, 0, 0), QTScalar.monomial((1, 1), Fraction(-3, 2))),
+    ])
+    cases = [
+        (left, right),
+        (right, left),
+        (left * g["x1"], WeylElement.scalar(p, mixed)),
+        (g["x1"] + 1, g["y1"] * g["x1"] * q1 - g["y1"]),
+    ]
+    kinds = set()
+    for a, b in cases:
+        product = a * b
+        assert engine_product(a, b) == oracle_product(a, b)
+        assert product == sum((a * WeylElement(p, [t]) for t in b.terms), WeylElement.zero(p))
+        for _, c in product.terms:
+            for _, k in c.terms:
+                assert type(k) is (int if k.denominator == 1 else Fraction), k
+                kinds.add(type(k))
+    assert kinds == {int, Fraction}
+    assert all(m != (1, 1, 0, 0, 0, 0) for m, _ in (cases[-1][0] * cases[-1][1]).terms)

@@ -21,6 +21,7 @@ from qweyl import (
 from qweyl.cli import DEFAULT_CONFIG, params_from_config
 from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl.suites import random_params, random_weyl
+from qweyl.weyl import StraighteningEngine
 
 
 def gens(params):
@@ -223,10 +224,56 @@ def test_element_str(params2):
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
 
 
-def test_direct_landings_are_not_memoized():
-    """Each y1 appended to a power of y1 lands directly, so a large power
-    on a fresh instance leaves the generator memo empty."""
+def test_direct_landings_are_not_memoized(monkeypatch):
+    """A block g_p^e appended to a monomial with nothing above slot p lands
+    in one step, whatever e is, so large powers of one generator, and x1^3
+    times one, take no single append and leave the generator memo empty."""
     p = params_from_config(DEFAULT_CONFIG)
-    y1 = WeylElement.generator(p, "y", 1)
-    assert y1 ** 100000 == WeylElement.monomial(p, (100000, 0, 0, 0))
-    assert len(p.engine._gen_cache) == 0
+    g = gens(p)
+    steps = []
+    original = StraighteningEngine._acc_times_gen
+
+    def counted(self, acc, q):
+        steps.append(q)
+        return original(self, acc, q)
+
+    monkeypatch.setattr(StraighteningEngine, "_acc_times_gen", counted)
+    assert g["y1"] ** 10**6 == WeylElement.monomial(p, (10**6, 0, 0, 0))
+    assert g["x1"] ** 3 * g["y2"] ** 10**6 == WeylElement.monomial(p, (0, 3, 10**6, 0))
+    assert (steps, len(p.engine._gen_cache)) == ([], 0)
+    assert g["x1"] ** 10**11 == WeylElement.monomial(p, (0, 10**11, 0, 0))
+
+
+def test_block_append_equals_single_appends(params3):
+    """``_acc_times_block(acc, p, e)`` against e calls of ``_acc_times_gen``.
+    Each accumulator mixes monomials that land and monomials that step; on a
+    y_i slot, L*y_i*x_i steps to a term L*y_i^e, where L lands too, and in
+    the last case the two cancel."""
+    engine, rng = params3.engine, random.Random(5)
+    enc = engine._encode
+
+    def packed():
+        return {enc((rng.randint(-2, 2), rng.randint(-2, 2))): rng.choice((1, -1, 2, -3))
+                for _ in range(rng.randint(1, 2))}
+
+    cases = []
+    for p in range(6):
+        for e in (1, 2, 3):
+            acc = {tuple(rng.randint(0, 1) for _ in range(6)): packed() for _ in range(5)}
+            if p % 2 == 0:
+                low = tuple(rng.randint(0, 1) for _ in range(p)) + (0,) * (6 - p)
+                acc[low] = packed()
+                acc[low[:p] + (1, 1) + low[p + 2:]] = packed()
+            cases.append((acc, p, e))
+    cases.append(({(0,) * 6: {0: 1, enc((1, 0)): -1}, (1, 1, 0, 0, 0, 0): {0: 1}}, 0, 1))
+    met = 0
+    for acc, p, e in cases:
+        stepped = {m: dict(d) for m, d in acc.items()}
+        for _ in range(e):
+            stepped = engine._acc_times_gen(stepped, p)
+        block = engine._acc_times_block({m: dict(d) for m, d in acc.items()}, p, e)
+        assert {m: d for m, d in block.items() if d} == {m: d for m, d in stepped.items() if d}
+        landed = {m[:p] + (m[p] + e,) + m[p + 1:] for m in acc if not any(m[p + 1:])}
+        met += bool(landed & {mm for m in acc if any(m[p + 1:])
+                              for mm in engine._acc_times_block({m: {0: 1}}, p, e)})
+    assert met == 10  # the nine y-slot cases and the cancelling one
