@@ -10,6 +10,11 @@ on generators by (i < j):
     {x_j, x_i} = -((s_i + L_ij) . mu) x_i x_j
     {x_i, y_i} =  (s_i . mu) (1 + sum_{k<=i} y_k x_k)
 
+Every line but the last reads (F_pq . mu) g_p g_q with F_pq a vector of
+ints, and the last is (s_i . mu)(y_i x_i + z_{i-1}), so by the Leibniz rule
+the bracket of two monomials is one bilinear form in their exponents, the
+closed form of :func:`pb_bracket`.
+
 The map ``gamma1`` evaluates every quantized coefficient at the classical
 point, and ``semiclassical_bracket`` realizes {gamma1(a), gamma1(b)} as the
 exact (t-1)-limit of the commutator, giving two independent routes to the
@@ -20,8 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import MuPoly, add_term, divide_terms, vec_add
-from .weyl import PbwElement, WeylElement, WeylParams, mono_key
+from .scalars import MuPoly, divide_terms, vec_add, vec_neg
+from .weyl import (
+    PbwElement, WeylElement, WeylParams, _add_shifted, _Decoder, _pack_terms, _unpack, mono_key,
+)
 
 
 class PoissonElement(PbwElement):
@@ -35,100 +42,107 @@ p_z = PoissonElement.z
 
 
 def _gen_bracket(params: WeylParams, p: int, q: int) -> tuple:
-    """Bracket of the generators sitting at exponent slots p and q, as
-    (monomial, mu-terms) pairs with integer coefficients; ``()`` for zero."""
+    """F_pq, the r-tuple of ints with {g_p, g_q} = (F_pq . mu) g_p g_q for
+    the generators at exponent slots p and q, by the five formulas above:
+    for {x_i, y_i} it is s_i, and :func:`pb_bracket` adds the z_{i-1} part.
+    This is what a ``params.poisson_brackets`` entry holds."""
     if p == q:
-        return ()
+        return (0,) * params.r
     a, b = p // 2 + 1, q // 2 + 1
     akind = "y" if p % 2 == 0 else "x"
     bkind = "y" if q % 2 == 0 else "x"
     i, j = min(a, b), max(a, b)
     if a == b:
-        # {x_i, y_i} = (s_i . mu) z_i
-        form = MuPoly.linear(params.s(a))
-        form = form if akind == "x" else -form
-    elif akind == "y" and bkind == "y":
-        form = MuPoly.linear(params.L(a, b))
-    elif akind == "x" and bkind == "x":
-        form = MuPoly.linear(vec_add(params.s(i), params.L(i, j)))
-        if a > b:
-            form = -form
-    elif akind == "y" and bkind == "x":
+        # {x_i, y_i} = (s_i . mu) (y_i x_i + z_{i-1})
+        return params.s(a) if akind == "x" else vec_neg(params.s(a))
+    if akind == "y" and bkind == "y":
+        return params.L(a, b)
+    if akind == "x" and bkind == "x":
+        form = vec_add(params.s(i), params.L(i, j))
+        return vec_neg(form) if a > b else form
+    if akind == "y":
         # {y_a, x_b}: for a > b this is the (L_ij . mu) x_i y_j line;
         # for a < b it is minus the {x_j, y_i} line.
-        form = (
-            MuPoly.linear(params.L(b, a))
-            if a > b
-            else -MuPoly.linear(vec_add(params.s(a), params.L(a, b)))
-        )
-    else:  # akind == "x", bkind == "y"
-        form = (
-            MuPoly.linear(vec_add(params.s(b), params.L(b, a)))
-            if a > b
-            else -MuPoly.linear(params.L(a, b))
-        )
-    # z_i's monomials, or the commutative monomial g_a * g_b
-    monos = (
-        [m for m, _ in p_z(params, a).terms] if a == b
-        else [tuple(int(k in (p, q)) for k in range(2 * params.n))]
-    )
-    return tuple((m, form.terms) for m in monos) if form else ()
+        return params.L(b, a) if a > b else vec_neg(vec_add(params.s(a), params.L(a, b)))
+    return vec_add(params.s(b), params.L(b, a)) if a > b else vec_neg(params.L(a, b))
 
 
 def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
-    """The biderivation extending the generator table.
+    """The biderivation extending the generator table, in closed form.
 
-    For monomials the Leibniz rule collapses to the bivector formula
-    {m, m'} = sum_{p,q} m_p m'_q (m/g_p)(m'/g_q) {g_p, g_q}; the mu symbols
-    are Poisson constants, so coefficients just multiply through.  Per pair
-    of terms, {m, m'} is summed with integer coefficients first; it lands on
-    m m' and, through the z_i, a few lower monomials, and the coefficient
-    product multiplies in once per such monomial.  Each result coefficient
-    is built once, at the end.
+    By the Leibniz rule {m, m'} = sum_{p,q} m_p m'_q (m/g_p)(m'/g_q) {g_p, g_q}
+    on monomials, the mu symbols being Poisson constants.  Each table entry
+    is (F_pq . mu) g_p g_q, except that (p, q) = (x_i, y_i) adds
+    (s_i . mu) z_{i-1} and (y_i, x_i) subtracts it, so
+
+        {m, m'} = (sum_{p,q} m_p m'_q F_pq . mu) m m'
+                  + sum_i d_i (s_i . mu) (m m' / (y_i x_i)) z_{i-1},
+        d_i = m_{x_i} m'_{y_i} - m_{y_i} m'_{x_i},
+
+    with F_pq from :func:`_gen_bracket` for the slot pairs met and
+    s_i = F_{x_i y_i}.  The bare brackets come first, with integer forms;
+    only if one is nonzero are the coefficients packed as in
+    :meth:`~qweyl.weyl.StraighteningEngine.mul_terms` (int numerators over
+    each operand's common denominator, packed mu-exponents, one scalar per
+    result monomial at the end).  A result entry is at most twice the
+    operands' largest entry plus 1, and the fields hold it below W/2.
     """
     a._check(b)
     params = a.params
-    memo = params.poisson_brackets
-    slots = range(2 * params.n)
-    out: dict = {}  # monomial -> {mu-vector: rational}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            bare: dict = {}  # monomial -> {mu-vector: int}, the bracket {ma, mb}
-            for p in slots:
-                if not ma[p]:
+    r, memo = params.r, params.poisson_brackets
+
+    def form(p, q):
+        f = memo.get((p, q))
+        if f is None:
+            f = memo[(p, q)] = _gen_bracket(params, p, q)
+        return f
+
+    lands = []  # the bare brackets {m, m'}: (monomial, mu-form, index of m, index of m')
+    occupied = [[(q, e) for q, e in enumerate(mb) if e] for mb, _ in b.terms]
+    for ia, (ma, _) in enumerate(a.terms):
+        sa = [(p, e) for p, e in enumerate(ma) if e]
+        if not sa:  # a constant brackets to 0
+            continue
+        rows: dict = {}  # slot q -> sum_p m_p F_pq
+        for ib, (mb, _) in enumerate(b.terms):
+            f = [0] * r
+            for q, eq in occupied[ib]:
+                row = rows.get(q)
+                if row is None:
+                    row = [0] * r
+                    for p, ep in sa:
+                        row = [x + ep * y for x, y in zip(row, form(p, q))]
+                    rows[q] = row
+                f = [x + eq * y for x, y in zip(f, row)]
+                i = q // 2
+                if q % 2 and mb[q - 1]:  # pair i was met at its y_i slot
                     continue
-                for q in slots:
-                    if not mb[q]:
-                        continue
-                    table = memo.get((p, q))
-                    if table is None:
-                        table = memo[(p, q)] = _gen_bracket(params, p, q)
-                    if not table:
-                        continue
-                    la = list(ma)
-                    la[p] -= 1
-                    lb = list(mb)
-                    lb[q] -= 1
-                    rest = vec_add(la, lb)
-                    k = ma[p] * mb[q]
-                    for mt, mus in table:
-                        acc = bare.setdefault(vec_add(rest, mt), {})
-                        for v, c in mus:
-                            add_term(acc, v, k * c)
-            if not bare:
-                continue
-            coeff: dict = {}
-            for va, x in ca.terms:
-                for vb, y in cb.terms:
-                    add_term(coeff, vec_add(va, vb), x * y)
-            for m, mus in bare.items():
-                acc = out.setdefault(m, {})
-                for v, c in mus.items():
-                    for w, d in coeff.items():
-                        add_term(acc, vec_add(v, w), c * d)
-    return PoissonElement._from_sums(
-        params, {m: MuPoly._from_sums(params.r, s) for m, s in out.items()}
-    )
+                d = ma[2 * i + 1] * mb[2 * i] - ma[2 * i] * mb[2 * i + 1]
+                if d:
+                    s_i = [d * x for x in form(2 * i + 1, 2 * i)]
+                    mm = vec_add(ma, mb)
+                    low = mm[:2 * i] + (mm[2 * i] - 1, mm[2 * i + 1] - 1) + mm[2 * i + 2:]
+                    lands.append((low, s_i, ia, ib))  # and low y_k x_k, k < i: m m' z_{i-1}
+                    lands += [(low[:2 * k] + (low[2 * k] + 1, low[2 * k + 1] + 1) + low[2 * k + 2:],
+                               s_i, ia, ib) for k in range(i)]
+            if any(f):
+                lands.append((vec_add(ma, mb), f, ia, ib))
+    if not lands:
+        return PoissonElement._from_sums(params, {})
+    # n > 0, so r > 0: the largest mu-exponent entry of either operand
+    top = max(map(max, [v for t in (a, b) for _, c in t.terms for v, _ in c.terms]))
+    dec = _Decoder(r, (2 * top + 1).bit_length() + 1)
+    (pa, da), (pb, db) = _pack_terms(a.terms, dec.encode), _pack_terms(b.terms, dec.encode)
+    mus = [1 << s for s in dec.shifts]  # mu_1 .. mu_r, packed
+    out: dict = {}  # monomial -> {packed mu-exponent: numerator}
+    for mono, vec, ia, ib in lands:
+        acc = out.setdefault(mono, {})
+        ca = pa[ia][1]
+        for u, k in zip(mus, vec):
+            if k:
+                for eb, nb in pb[ib][1].items():
+                    _add_shifted(acc, ca, eb + u, k * nb)
+    return PoissonElement._from_sums(params, _unpack(out, da * db, dec, MuPoly))
 
 
 def gamma1(a: WeylElement) -> PoissonElement:

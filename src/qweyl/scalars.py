@@ -397,7 +397,8 @@ class SparseScalar(TermMap):
 
     @classmethod
     def constant(cls, rank: int, value: Rat):
-        return cls(rank, [(zero_vec(rank), value)])
+        vec, c = cls._term(rank, zero_vec(rank), value)
+        return cls._canonical(rank, [(vec, c)] if c else ())
 
     # -- evaluation --------------------------------------------------------
 

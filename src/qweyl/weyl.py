@@ -147,20 +147,14 @@ class StraighteningEngine:
         self._set_width(self.MIN_BITS)
 
     def _set_width(self, bits: int) -> None:
-        self._bits, self._half = bits, 1 << (bits - 1)
+        self._half = 1 << (bits - 1)
+        self._decoded = _Decoder(self.rank, bits)
+        self._encode = enc = self._decoded.encode
         q_consts, swap = self._consts
-        enc = self._encode
         self.q = [(enc(v), k) for v, k in q_consts]
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
         self._gen_cache.clear()
         self._z_cache.clear()
-        self._decoded = _Decoder(self.rank, bits)
-
-    def _encode(self, vec) -> int:
-        out = 0
-        for x in vec:
-            out = (out << self._bits) + x
-        return out
 
     # -- term-map algebra ----------------------------------------------------
 
@@ -180,7 +174,7 @@ class StraighteningEngine:
                 if e:
                     acc = self._acc_times_block(acc, p, e)
             out = acc if out is None else _merge(out, acc)
-        return self._unpack(out or {}, da * db)
+        return _unpack(out or {}, da * db, self._decoded, QTScalar)
 
     def _pack(self, ta: Mapping, tb: Mapping) -> list:
         """Each operand as (monomial, {packed exponent: rational * den})
@@ -189,35 +183,14 @@ class StraighteningEngine:
         bound = degree = 0
         operands = []
         for t in (ta, tb):
-            s = [(m, c.terms) for m, c in t.items() if c]
-            bound += max([abs(x) for _, c in s for v, _ in c for x in v], default=0)
+            s = [(m, c) for m, c in t.items() if c]
+            bound += max([abs(x) for _, c in s for v, _ in c.terms for x in v], default=0)
             degree += max([sum(m) for m, _ in s], default=0)
             operands.append(s)
         bound += self._growth * degree * (degree - 1) // 2
         if bound >= self._half:
             self._set_width(bound.bit_length() + 2)
-        enc = self._encode
-        packed = []
-        for s in operands:
-            den = math.lcm(*[k.denominator for _, c in s for _, k in c])
-            packed.append((
-                [(m, {enc(v): k.numerator * (den // k.denominator) for v, k in c}) for m, c in s],
-                den,
-            ))
-        return packed
-
-    def _unpack(self, out: dict, den: int) -> dict:
-        """One scalar per monomial of ``out``, its factors divided by ``den``,
-        once per distinct numerator."""
-        dec = self._decoded  # in stored form: an int exactly when den divides c
-        nums = () if den == 1 else {c for d in out.values() for c in d.values()}
-        exact = {c: Fraction(c, den) if c % den else c // den for c in nums}
-        return {
-            m: QTScalar._canonical(self.rank, [
-                (dec[e], exact.get(c, c)) for e, c in sorted(d.items())
-            ])
-            for m, d in out.items() if d
-        }
+        return [_pack_terms(s, self._encode) for s in operands]
 
     def _acc_times_block(self, acc: Mapping, p: int, e: int) -> dict:
         """``acc * g_p^e``: a monomial with no occupied slot above p lands
@@ -310,19 +283,55 @@ class StraighteningEngine:
 
 
 class _Decoder(dict):
-    """Memo from packed exponents to exponent vectors of length ``rank``;
-    adding W/2 to every field turns the fields into base-W digits."""
+    """Packed exponents with fields of ``bits`` bits: ``encode`` packs a
+    vector of length ``rank`` as ``sum_k v_k W^(rank-1-k)``, W = 2^bits, and
+    the memo maps a packed exponent back, which is exact while every
+    ``|v_k| < W/2``; adding W/2 to every field turns the fields into
+    base-W digits."""
+
+    __slots__ = ("rank", "bits", "half", "mask", "shifts", "offset")
 
     def __init__(self, rank: int, bits: int):
-        super().__init__()
-        self.half, self.mask = 1 << (bits - 1), (1 << bits) - 1
-        self.shifts = [bits * k for k in reversed(range(rank))]
-        self.offset = sum([self.half << s for s in self.shifts])
+        half, width = 1 << (bits - 1), 1 << bits
+        self.rank, self.bits, self.half, self.mask = rank, bits, half, width - 1
+        self.shifts = range(bits * (rank - 1), -1, -bits)
+        self.offset = half * (width**rank - 1) // (width - 1)  # W/2 in every field
+
+    def encode(self, vec) -> int:
+        out, bits = 0, self.bits
+        for x in vec:
+            out = (out << bits) + x
+        return out
 
     def __missing__(self, packed: int) -> ExpVec:
         x, half, mask = packed + self.offset, self.half, self.mask
-        vec = self[packed] = tuple(((x >> s) & mask) - half for s in self.shifts)
+        vec = self[packed] = tuple([((x >> s) & mask) - half for s in self.shifts])
         return vec
+
+
+def _pack_terms(terms, enc) -> tuple[list, int]:
+    """(monomial, scalar) pairs as (monomial, {packed exponent: rational *
+    den}) pairs, and ``den``, the common denominator of the rationals."""
+    den = math.lcm(*[k.denominator for _, c in terms for _, k in c.terms])
+    return [(m, {enc(v): k.numerator * (den // k.denominator) for v, k in c.terms})
+            for m, c in terms], den
+
+
+def _unpack(out: dict, den: int, dec: _Decoder, scalar_type) -> dict:
+    """One ``scalar_type`` value per monomial of ``out``, a map from packed
+    exponents to numerators over ``den``: each distinct numerator is divided
+    once, and monomials whose numerators all cancelled are left out."""
+    # in stored form: an int exactly when den divides c
+    exact = {} if den == 1 else {
+        c: Fraction(c, den) if c % den else c // den
+        for c in {c for d in out.values() for c in d.values()}
+    }
+    return {
+        m: scalar_type._canonical(dec.rank, [
+            (dec[e], exact.get(c, c)) for e, c in sorted(d.items())
+        ])
+        for m, d in out.items() if d
+    }
 
 
 def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
@@ -453,9 +462,11 @@ class WeylParams:
 
     @cached_property
     def poisson_brackets(self) -> dict:
-        """Memo of the Poisson limit's generator brackets, keyed by slot
-        pair and filled by :mod:`qweyl.poisson`; it lives and dies with
-        this instance."""
+        """Memo of the Poisson limit's generator brackets, filled by
+        :mod:`qweyl.poisson` for the slot pairs met: ``(p, q)`` holds F_pq,
+        the r-tuple of ints with {g_p, g_q} = (F_pq . mu) g_p g_q (plus
+        (s_i . mu) z_{i-1} for {x_i, y_i}).  At most (2n)^2 entries; it
+        lives and dies with this instance."""
         return {}
 
     @cached_property
@@ -486,8 +497,11 @@ class PbwElement(TermMap):
     @classmethod
     def _term(cls, params: WeylParams, m, c):
         m = tuple(m)
-        if len(m) != 2 * params.n or any(type(e) is not int or e < 0 for e in m):
+        if len(m) != 2 * params.n:
             raise ValueError(f"bad monomial exponent tuple {m}")
+        for e in m:
+            if type(e) is not int or e < 0:
+                raise ValueError(f"bad monomial exponent tuple {m}")
         if not isinstance(c, cls.scalar_type):
             return m, cls.scalar_type.constant(params.r, c)
         if c.rank != params.r:

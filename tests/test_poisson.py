@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from qweyl import (
     semiclassical_bracket,
     wa_z,
 )
+from qweyl.scalars import vec_add
 from qweyl.suites import random_params, random_poisson, random_weyl
 
 
@@ -154,6 +156,91 @@ def test_bracket_memo_holds_plain_tuples():
         return type(x) is int or (type(x) is tuple and all(map(plain, x)))
 
     assert all(plain(key) and plain(table) for key, table in memo.items())
+
+
+def constant_lifts(params, ta, tb):
+    """pb_bracket of the Poisson elements with rational terms ``ta``, ``tb``
+    and semiclassical_bracket of the Weyl elements with the same terms."""
+    return (
+        pb_bracket(PoissonElement(params, ta), PoissonElement(params, tb)),
+        semiclassical_bracket(WeylElement(params, ta), WeylElement(params, tb)),
+    )
+
+
+@pytest.mark.parametrize("ta, tb", [
+    ([((0, 0, 1, 0), 1)], [((0, 0, 0, 1), 1)]),  # {y2, x2}
+    ([((0, 1, 1, 0), 1)], [((1, 0, 0, 1), 1)]),  # {y2*x1, x2*y1}
+    ([((0, 0, 2, 0), 3)], [((0, 0, 0, 1), Fraction(1, 2))]),  # {3*y2^2, 1/2*x2}
+])
+def test_bracket_with_only_y_before_x(ta, tb):
+    """Only m_{y_i} m'_{x_i} is nonzero, so the slot pair (x_i, y_i) is never
+    met, yet its form s_i weighs the z_{i-1} term; a fresh instance starts
+    with an empty memo."""
+    params = random_params(random.Random(31), 2, 2)
+    got, want = constant_lifts(params, ta, tb)
+    assert got == want and got
+    if ta[0][0] == (0, 0, 1, 0):  # {y2, x2} = -(s_2 . mu) z_2
+        assert got == p_z(params, 2).scale(-MuPoly.linear(params.s(2)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("e", [63, 64, 2**40])
+def test_bracket_packing_width(r, e):
+    """mu-exponents e on both sides reach 2e + 1 in every entry of the result,
+    the most the packed fields must hold (127 = 2^7 - 1 for e = 63)."""
+    params = WeylParams(2, r, ((1,) * r, (-1,) * r), (((0,) * r, (1,) * r), ((-1,) * r, (0,) * r)))
+    big, one = (e,) * r, (0,) * (r - 1) + (1,)
+    c1 = MuPoly(r, [(big, 1), ((0,) * r, Fraction(1, 2))])
+    c2 = MuPoly(r, [(big, -3), (one, 1)])
+    a = PoissonElement(params, [((1, 0, 0, 1), c1)])  # y1*x2
+    b = PoissonElement(params, [((0, 1, 0, 0), c2)])  # x1
+    # {y1 x2, x1} = y1 {x2, x1} + x2 {y1, x1}
+    #             = -((2 s_1 + L_12) . mu) y1 x1 x2 - (s_1 . mu) x2
+    s1 = params.s(1)
+    want = PoissonElement(params, [
+        ((1, 1, 0, 1), -MuPoly.linear(vec_add(vec_add(s1, s1), params.L(1, 2))) * c1 * c2),
+        ((0, 0, 0, 1), -MuPoly.linear(s1) * c1 * c2),
+    ])
+    assert max(x for _, c in want.terms for v, _ in c.terms for x in v) == 2 * e + 1
+    assert pb_bracket(a, b) == want
+    assert pb_bracket(b, a) == -want
+
+
+def test_bracket_drops_cancelled_monomials():
+    """In {y2 x2 + 2 y1 x1, x1 y2} the two term pairs meet at x1 y2 and at
+    y1 x1^2 y2 with opposite coefficients; only x1 y2^2 x2 is left, also
+    with a mu-dependent factor on the left operand."""
+    params = WeylParams(2, 1, ((1,), (2,)), (((0,), (1,)), ((-1,), (0,))))
+    ta, tb = [((0, 0, 1, 1), 1), ((1, 1, 0, 0), 2)], [((0, 1, 1, 0), 1)]
+    got, want = constant_lifts(params, ta, tb)
+    assert got == want
+    assert got.terms == (((0, 1, 2, 1), MuPoly.variable(1, 0)),)
+    c = MuPoly(1, [((3,), 1), ((0,), Fraction(1, 2))])
+    got = pb_bracket(PoissonElement(params, ta).scale(c), PoissonElement(params, tb))
+    assert got.terms == (((0, 1, 2, 1), MuPoly.variable(1, 0) * c),)
+
+
+def test_bracket_coefficients_in_stored_form(params2):
+    """Integral coefficients are ints, the others Fractions in lowest terms,
+    over the common denominator 6 * 7 of the operands."""
+    ta = [((1, 0, 0, 0), Fraction(1, 2)), ((0, 0, 1, 0), Fraction(2, 3))]
+    tb = [((0, 1, 0, 0), 4), ((0, 0, 0, 1), Fraction(3, 7))]
+    got, want = constant_lifts(params2, ta, tb)
+    assert got == want
+    coeffs = [k for _, c in got.terms for _, k in c.terms]
+    assert all(type(k) is int or (type(k) is Fraction and k.denominator != 1) for k in coeffs)
+    assert {type(k) for k in coeffs} == {int, Fraction}
+    # {1/2 y1, 4 x1} = -2 (s_1 . mu) z_1 lands on 1 with the integer -2
+    assert got.coefficient((0, 0, 0, 0)) == MuPoly(2, [((1, 0), -2), ((0, 1), Fraction(-2, 7))])
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_bracket_without_generators_is_zero(r):
+    params = WeylParams(0, r, (), ())
+    a = PoissonElement.scalar(params, 3)
+    b = PoissonElement.scalar(params, MuPoly(r, [((1,) * r, Fraction(1, 2))]))
+    assert pb_bracket(a, b) == PoissonElement.zero(params)
+    assert pb_bracket(a, b).terms == ()
 
 
 def test_element_classes_do_not_mix(params2):

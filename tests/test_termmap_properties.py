@@ -35,8 +35,9 @@ from qweyl.weyl import mono_key  # noqa: E402
 RANK = 2
 PARAMS = WeylParams(2, RANK, ((1, 0), (0, 1)), (((0, 0), (1, -1)), ((-1, 1), (0, 0))))
 ETA = sympy.symbols(f"eta1:{RANK + 1}")
-MU = sympy.symbols(f"mu1:{RANK + 1}")
-GENS = sympy.symbols("y1 x1 y2 x2")
+# enough symbols for brackets with n, r <= 3; ``zip`` takes the first 2n and r
+MU = sympy.symbols("mu1:4")
+GENS = sympy.symbols("y1 x1 y2 x2 y3 x3")
 
 # few examples, so the module stays fast; no example database is written
 FAST = settings(max_examples=30, deadline=None, database=None)
@@ -211,14 +212,33 @@ def test_rational_results_are_fractions(a, p, v):
     assert all(type(c) is Fraction for c in MuPoly.linear(tuple(v)).linear_coefficients())
 
 
-nonzero_vecs = st.tuples(*[st.integers(-2, 2)] * RANK).filter(any)
-instances = st.builds(
-    lambda s1, s2, l12: WeylParams(
-        2, RANK, (s1, s2), (((0,) * RANK, l12), (tuple(-e for e in l12), (0,) * RANK))
-    ),
-    nonzero_vecs, nonzero_vecs, eta_vecs,
-)
-nonconstant_mu_polys = mu_polys.filter(lambda c: not c.is_constant())
+def antisymmetric(n, r, upper):
+    """The n x n table with the vectors ``upper`` above the diagonal, their
+    negatives below it and zeros on it."""
+    table = [[(0,) * r] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), v in zip(pairs, upper):
+        table[i][j], table[j][i] = v, tuple(-e for e in v)
+    return tuple(map(tuple, table))
+
+
+@st.composite
+def bracket_operands(draw):
+    """An instance with n, r in {2, 3} and two Poisson elements on it, the
+    first with a mu-dependent coefficient; coefficients have up to three
+    mu-terms with denominators 1, 2, 3 and 7."""
+    n, r = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    vecs = st.tuples(*[st.integers(-2, 2)] * r)
+    s = draw(st.lists(vecs.filter(any), min_size=n, max_size=n))
+    upper = draw(st.lists(vecs, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    params = WeylParams(n, r, tuple(s), antisymmetric(n, r, upper))
+    monos = st.tuples(*[st.integers(0, 2)] * (2 * n))
+    fractions = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3, 7]))
+    coeffs = term_lists(st.tuples(*[st.integers(0, 2)] * r), fractions, 3).map(
+        lambda t: MuPoly(r, t))
+    ta, tb = draw(term_lists(monos, coeffs, 3)), draw(term_lists(monos, coeffs, 3))
+    m, c = draw(monos), draw(coeffs.filter(lambda c: not c.is_constant()))
+    return PoissonElement(params, ta + [(m, c)]), PoissonElement(params, tb)
 
 
 def sympy_generator_brackets(params):
@@ -227,7 +247,7 @@ def sympy_generator_brackets(params):
     y, x = GENS[0::2], GENS[1::2]
 
     def form(*vecs):  # (v + w + ...) . mu
-        return sum(sum(v[k] for v in vecs) * MU[k] for k in range(RANK))
+        return sum(sum(v[k] for v in vecs) * MU[k] for k in range(params.r))
 
     s = params.qexp
     L = params.lexp
@@ -249,21 +269,15 @@ def sympy_generator_brackets(params):
 
 
 @FAST
-@given(
-    instances,
-    term_lists(pbw_monos, mu_polys, 3),
-    term_lists(pbw_monos, mu_polys, 3),
-    pbw_monos,
-    nonconstant_mu_polys,
-)
-def test_pb_bracket_matches_sympy_bivector(params, ta, tb, m, c):
+@given(bracket_operands())
+def test_pb_bracket_matches_sympy_bivector(operands):
     """{f, g} = sum_{p,q} df/dg_p dg/dg_q {g_p, g_q}, with sympy derivatives."""
-    a = PoissonElement(params, ta + [(m, c)])  # at least one mu-dependent coefficient
-    b = PoissonElement(params, tb)
+    a, b = operands
+    gens = GENS[:2 * a.params.n]
     f, g = pe_to_sympy(a), pe_to_sympy(b)
-    table = sympy_generator_brackets(params)
+    table = sympy_generator_brackets(a.params)
     expected = sum(
-        sympy.diff(f, gp) * sympy.diff(g, gq) * table[gp, gq] for gp in GENS for gq in GENS
+        sympy.diff(f, gp) * sympy.diff(g, gq) * table[gp, gq] for gp in gens for gq in gens
     )
     got = pb_bracket(a, b)
     assert sympy.expand(pe_to_sympy(got) - expected) == 0
