@@ -34,7 +34,7 @@ from .spectra import (
     torus_matrix_q,
 )
 from .suites import DEFAULT_SEED, run_suites
-from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis
+from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis, wa_commutator
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -208,7 +208,7 @@ def _nf(args, params, config):
 
 def _comm(args, params, config):
     a, b = _parse(args.a, params), _parse(args.b, params)
-    return _plain(a * b - b * a)
+    return _plain(wa_commutator(a, b))
 
 
 def _bracket(args, params, config):

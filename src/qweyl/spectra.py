@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .poisson import PoissonElement, pb_bracket, pe_div_exact
-from .scalars import ExpVec, MuPoly, QTScalar, add_term, vec_add, vec_neg, zero_vec
+from .poisson import PoissonElement, pb_bracket
+from .scalars import ExpVec, MuPoly, add_term, vec_add, vec_neg, zero_vec
 from .weyl import WeylElement, WeylParams, pos_x, pos_y, wa_z
 
 Marker = tuple[str, int]
@@ -228,34 +228,23 @@ def _gen_image(cls, params: WeylParams, w: TaggedGen):
 
 
 def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
-    """The mu-form d with {a, b} = d a b, through the actual bracket engine
-    and exact polynomial division, independently of the quantized exponent
-    table."""
+    """The mu-form d with {a, b} = d a b, through the actual bracket engine,
+    independently of the quantized exponent table.  A division of {a, b}
+    by ab whose quotient has degree 0 is one step: the leading monomials
+    agree (Q[mu] has no zero divisors), d = lc({a, b})/lc(ab), and the
+    remainder {a, b} - d ab must vanish, which is checked exactly."""
     br = pb_bracket(a, b)
     if not br:
         return MuPoly.zero(a.params.r)
-    quot = pe_div_exact(br, a * b)
-    if quot.degree() != 0:
-        raise ArithmeticError(
-            f"bracket of {wa} and {wb} is not a scalar multiple of their product"
-        )
-    return quot.coefficient((0,) * (2 * a.params.n))
-
-
-def _torus_residue(lhs: WeylElement, rhs: WeylElement, c: ExpVec) -> WeylElement:
-    """lhs - eta^c rhs, built coefficient by coefficient: a monomial enters
-    only where its coefficient in lhs differs from eta^c times its
-    coefficient in rhs."""
-    eta = QTScalar.monomial(c)
-    sums = dict(lhs.terms)
-    for m, b in rhs.terms:
-        b = b * eta
-        a = sums.pop(m, None)
-        if a is None:
-            sums[m] = -b
-        elif a != b:
-            sums[m] = a - b
-    return WeylElement._from_sums(lhs.params, sums)
+    ab = a * b
+    (m, lc), (mb, lcb) = ab.terms[-1], br.terms[-1]
+    if m == mb and lc.is_constant():
+        d = lcb.scale(1 / lc.constant_part())
+        if br == ab.scale(d):
+            return d
+    raise ArithmeticError(
+        f"bracket of {wa} and {wb} is not a scalar multiple of their product"
+    )
 
 
 def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tuple:
@@ -264,10 +253,11 @@ def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tup
     w_i w_j - eta^{c_ij} w_j w_i with c_ij = ``q_pair_exponent(w_i, w_j)``
     (side "q"), read from the instance's ``torus_pairs`` memo and filled in
     where missing.  Every Poisson form, (w_j, w_i) and (w_i, w_i) included,
-    is computed on its own; a missing residue computes the products w_i w_j
-    and w_j w_i once and fills both ordered entries, each with its own
-    exponent from the table.  So skew-symmetry stays a check on both
-    sides."""
+    is computed on its own.  A missing residue comes from
+    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators`, which folds
+    w_i w_j and w_j w_i once each on packed scalars and fills both ordered
+    entries, each with its own exponent from the table.  So skew-symmetry
+    stays a check on both sides."""
     memo = params.torus_pairs
     images: dict = {}
     rows = []
@@ -284,12 +274,11 @@ def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tup
                 if side == "p":
                     entry = memo[key] = _bracket_form(a, b, wi, wj)
                 else:
-                    ab = a * b
-                    ba = b * a if wi != wj else ab
-                    memo[("q", wj, wi)] = _torus_residue(
-                        ba, ab, q_pair_exponent(params, wj, wi))
-                    entry = memo[key] = _torus_residue(
-                        ab, ba, q_pair_exponent(params, wi, wj))
+                    ab, ba = params.engine.q_commutators(
+                        dict(a.terms), dict(b.terms),
+                        q_pair_exponent(params, wi, wj), q_pair_exponent(params, wj, wi))
+                    memo[("q", wj, wi)] = WeylElement._from_sums(params, ba)
+                    entry = memo[key] = WeylElement._from_sums(params, ab)
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
@@ -311,7 +300,7 @@ class TorusData:
     def __post_init__(self):
         s = len(self.generators)
         for i in range(s):
-            for j in range(s):
+            for j in range(i, s):  # both conditions are symmetric in (i, j)
                 if self.qmatrix[i][j] != vec_neg(self.qmatrix[j][i]):
                     raise ValueError("qmatrix is not exponent-antisymmetric")
                 if self.pmatrix[i][j] != -self.pmatrix[j][i]:
@@ -456,7 +445,7 @@ def poisson_center_lattice(pmatrix: Sequence[Sequence[MuPoly]], r: int) -> Cente
         for k in range(r):
             row = [coeffs[j][k] for j in range(s)]
             denom = lcm(*(f.denominator for f in row)) if row else 1
-            rows.append([int(f * denom) for f in row])
+            rows.append([f.numerator * (denom // f.denominator) for f in row])
     return CenterLattice(s, tuple(integer_kernel(rows, s)))
 
 

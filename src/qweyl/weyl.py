@@ -58,7 +58,7 @@ def mono_key(m: PbwMonomial) -> tuple[int, PbwMonomial]:
     translation-invariant tie-break is a monomial order, which the exact
     division routines rely on.
     """
-    return (sum(m), tuple(-e for e in m))
+    return (sum(m), tuple([-e for e in m]))
 
 
 class StraighteningEngine:
@@ -80,10 +80,12 @@ class StraighteningEngine:
     with ``B = y_k^r x_k^s`` the last pair of L and ``z_0 = 1``; it has
     k + 1 terms with monomial coefficients.
 
-    **The fold.**  For each right-hand term ``(m2, c2)``, ``mul_terms``
+    **The fold.**  For each right-hand term ``(m2, c2)``, ``_fold``
     scales the whole left operand by c2 and appends the blocks ``g_p^e`` of
     m2 in slot order; the first fold result becomes the output table and
-    later ones merge into it.  A monomial with no occupied slot above p
+    later ones merge into it.  ``mul_terms`` folds once; ``q_commutators``
+    folds ab and ba once each and subtracts eta^c ba by adding ``enc(c)``
+    to ba's packed exponents.  A monomial with no occupied slot above p
     takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
     take e single appends, and ``_gen_cache`` keeps each step but a direct
     landing, which costs one tuple, about what a lookup costs.
@@ -123,7 +125,9 @@ class StraighteningEngine:
     Terms that meet at a monomial, in the fold or in the merge, add their
     coefficients, not their exponents, so each packed entry stays within
     the bound of the chain it came from, and ``mul_terms`` forms no entry
-    beyond ``A + B + M * D(D - 1)/2``.  ``_pack`` widens W
+    beyond ``A + B + M * D(D - 1)/2``.  The fold of ba has the same bound
+    and eta^c adds at most |c|, its largest |entry|, so ``q_commutators``
+    forms none beyond that bound plus |c|.  ``_pack`` widens W
     past twice that bound when needed; that re-packs the constants and
     clears the memos, and never changes a result.
     """
@@ -159,10 +163,29 @@ class StraighteningEngine:
     # -- term-map algebra ----------------------------------------------------
 
     def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
-        """Product of two term maps from ordered monomials to scalars: the
-        sum over right-hand terms of the left operand, scaled by that term's
-        scalar and folded over its monomial."""
+        """Product of two term maps from ordered monomials to scalars."""
         (pa, da), (pb, db) = self._pack(ta, tb)
+        return _unpack(self._fold(pa, pb), da * db, self._decoded, QTScalar)
+
+    def q_commutators(self, ta: Mapping, tb: Mapping, *cs: ExpVec) -> list:
+        """For term maps a, b and exponents ``cs`` = (c,) or (c, c'):
+        ``[ab - eta^c ba]`` or ``[ab - eta^c ba, ba - eta^c' ab]``, from one
+        fold per order (one in all when a = b), unpacking only monomials
+        whose numerators survive."""
+        (pa, da), (pb, db) = self._pack(ta, tb, max([abs(x) for v in cs for x in v], default=0))
+        ab = self._fold(pa, pb)
+        ba = ab if ta == tb else self._fold(pb, pa)
+        out = []
+        for left, right, v in zip((ab, ba), (ba, ab), cs):
+            diff, e = {m: dict(d) for m, d in left.items()}, self._encode(v)
+            for m, d in right.items():
+                _add_shifted(diff.setdefault(m, {}), d, e, -1)
+            out.append(_unpack(diff, da * db, self._decoded, QTScalar))
+        return out
+
+    def _fold(self, pa: list, pb: list) -> dict:
+        """Packed a*b, {monomial: {packed exponent: numerator}}: per right-hand
+        term, the left operand scaled by its scalar and folded over its monomial."""
         out = None
         for mb, cb in pb:
             acc: dict = {}
@@ -174,13 +197,14 @@ class StraighteningEngine:
                 if e:
                     acc = self._acc_times_block(acc, p, e)
             out = acc if out is None else _merge(out, acc)
-        return _unpack(out or {}, da * db, self._decoded, QTScalar)
+        return out or {}
 
-    def _pack(self, ta: Mapping, tb: Mapping) -> list:
+    def _pack(self, ta: Mapping, tb: Mapping, shift: int = 0) -> list:
         """Each operand as (monomial, {packed exponent: rational * den})
         pairs and ``den``, the common denominator of its rationals, after
-        widening the fields if the width bound of the class docstring asks."""
-        bound = degree = 0
+        widening the fields if the width bound of the class docstring,
+        plus ``shift`` for a packed twist eta^c, asks."""
+        bound, degree = shift, 0
         operands = []
         for t in (ta, tb):
             s = [(m, c) for m, c in t.items() if c]
@@ -473,9 +497,11 @@ class WeylParams:
     def torus_pairs(self) -> dict:
         """Memo of stratum-generator pairs, filled by :mod:`qweyl.spectra`:
         ``("p", w, v)`` holds the Poisson form {w, v}/(w v) and ``("q", w, v)``
-        the torus residue w v - eta^c v w of the quantized products, with c
-        the tabulated exponent of (w, v), for tagged generators w, v.  At
-        most 2(3n - 1)^2 entries; it lives and dies with this instance."""
+        the torus residue w v - eta^c v w, with c the tabulated exponent of
+        (w, v), for tagged generators w, v; both residues of a pair come
+        from :meth:`StraighteningEngine.q_commutators`, one packed fold per
+        order.  At most 2(3n - 1)^2 entries; it lives and dies with this
+        instance."""
         return {}
 
 
@@ -606,7 +632,9 @@ def element_to_str(a, monomial_str=pbw_monomial_str) -> str:
 
 def wa_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """ab - ba; always divisible by (t - 1) coefficientwise."""
-    return a * b - b * a
+    a._check(b)
+    (comm,) = a.params.engine.q_commutators(dict(a.terms), dict(b.terms), (0,) * a.params.r)
+    return WeylElement._from_sums(a.params, comm)
 
 
 wa_z = WeylElement.z

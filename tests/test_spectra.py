@@ -8,6 +8,7 @@ import pytest
 from qweyl import (
     AdmissibleSet,
     MuPoly,
+    PoissonElement,
     QTScalar,
     WeylElement,
     WeylParams,
@@ -32,6 +33,7 @@ from qweyl import (
 from qweyl import spectra
 from qweyl.spectra import CenterLattice, lattice_contains, row_hermite_normal_form
 from qweyl.suites import random_params
+from qweyl.weyl import StraighteningEngine
 
 
 def T_of(n, *names):
@@ -356,6 +358,32 @@ def test_pair_memo_keeps_a_wrong_bracket_visible(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("fault", ["lower-degree term", "other leading monomial"])
+def test_bracket_form_rejects_a_bracket_off_the_product(monkeypatch, fault):
+    params = random_params(random.Random(4), 2, 2)
+    y1, x2 = ("y", 1), ("x", 2)
+    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (y1, x2))
+    right = spectra.pb_bracket
+    assert right(a, b)  # {y1, x2} = d y1 x2 with d != 0
+    extra = {
+        "lower-degree term": PoissonElement.generator(params, "y", 2),
+        "other leading monomial": a * b * a,
+    }[fault]
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: right(a, b) + extra)
+    with pytest.raises(ArithmeticError, match=r"^bracket of \('y', 1\) and \('x', 2\) "
+                       "is not a scalar multiple of their product$"):
+        spectra._bracket_form(a, b, y1, x2)
+
+
+def test_bracket_form_of_a_zero_bracket_is_zero(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    z1, z2 = (spectra._gen_image(PoissonElement, params, ("z", i)) for i in (1, 2))
+    assert spectra._bracket_form(z1, z2, ("z", 1), ("z", 2)) == MuPoly.zero(2)
+    y1, x2 = (spectra._gen_image(PoissonElement, params, w) for w in (("y", 1), ("x", 2)))
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement.zero(params))
+    assert spectra._bracket_form(y1, x2, ("y", 1), ("x", 2)) == MuPoly.zero(2)
+
+
 def _image(params, w):
     kind, i = w
     return wa_z(params, i) if kind == "z" else WeylElement.generator(params, kind, i)
@@ -395,14 +423,16 @@ def test_pair_memo_keeps_a_wrong_product_visible(monkeypatch):
     params = random_params(random.Random(4), 2, 2)
     T = T_of(2)
     assert check_torus_relations(params, T)  # fills this instance's memo
-    y1, y2 = (WeylElement.generator(params, "y", i) for i in (1, 2))
-    right = WeylElement._product
+    y1, y2 = (WeylElement.generator(params, "y", i).terms[0][0] for i in (1, 2))
+    right = StraighteningEngine._fold
 
-    def wrong(a, b):
-        out = right(a, b)
-        return -out if (a, b) == (y2, y1) else out
+    def wrong(self, pa, pb):  # the packed product y2 * y1, negated
+        out = right(self, pa, pb)
+        if [m for m, _ in pa] == [y2] and [m for m, _ in pb] == [y1]:
+            return {m: {e: -c for e, c in d.items()} for m, d in out.items()}
+        return out
 
-    monkeypatch.setattr(WeylElement, "_product", wrong)
+    monkeypatch.setattr(StraighteningEngine, "_fold", wrong)
     cold = fresh(params)
     assert cold == params
     assert not check_torus_relations(cold, T)

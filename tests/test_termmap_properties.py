@@ -29,6 +29,7 @@ from qweyl import (  # noqa: E402
     WeylParams,
     pb_bracket,
     pe_div_exact,
+    wa_commutator,
 )
 from qweyl.weyl import mono_key  # noqa: E402
 
@@ -56,6 +57,7 @@ def term_lists(keys, coeffs, max_size=4):
 
 qt_scalars = term_lists(eta_vecs, rationals).map(lambda t: QTScalar(RANK, t))
 mu_polys = term_lists(mu_vecs, rationals, 2).map(lambda t: MuPoly(RANK, t))
+weyl_elements = term_lists(pbw_monos, qt_scalars, 3).map(lambda t: WeylElement(PARAMS, t))
 poisson_elements = term_lists(pbw_monos, mu_polys, 3).map(
     lambda t: PoissonElement(PARAMS, t)
 )
@@ -282,3 +284,11 @@ def test_pb_bracket_matches_sympy_bivector(operands):
     got = pb_bracket(a, b)
     assert sympy.expand(pe_to_sympy(got) - expected) == 0
     assert pe_stored_form(got)
+
+
+@FAST
+@given(weyl_elements, weyl_elements)
+def test_commutator_is_the_difference_of_products(a, b):
+    comm = wa_commutator(a, b)
+    assert comm == a * b - b * a
+    assert all(type(c) is QTScalar and stored_form(c) for _, c in comm.terms)

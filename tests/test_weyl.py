@@ -161,6 +161,45 @@ def test_commutator_examples(params2):
     assert wa_commutator(z1, z2) == WeylElement.zero(params2)
 
 
+def big_instance(n, r, big):
+    """s_i and L_ij with entries of order ``big``; s_1 = big * (1, 2, ...)."""
+    qexp = tuple(tuple(big * (i + k + 1) for k in range(r)) for i in range(n))
+    lexp = [[(0,) * r] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = tuple(big * (j - i) - (k + 1) * (i + 2 * j) for k in range(r))
+            lexp[i][j], lexp[j][i] = v, tuple(-e for e in v)
+    return WeylParams(n, r, qexp, tuple(map(tuple, lexp)))
+
+
+@pytest.mark.parametrize("big", [2**40, 2**70])
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 3), (3, 2)])
+def test_q_commutators_match_twisted_products(n, r, big):
+    params = big_instance(n, r, big)
+    engine = params.engine
+    rng = random.Random(n * 10 + r)
+    g = list(gens(params).values()) + [wa_z(params, i) for i in range(1, n + 1)]
+    # s_1 + (1, ..., 1), one off the torus-table exponent of (z_1, y_1):
+    # the residues are nonzero
+    c = tuple(big * (k + 1) + 1 for k in range(r))
+    c_rev = tuple(-e for e in c)
+    # first, on narrow fields, a pair whose fold moves no exponent: only
+    # the shift by c asks for wider fields
+    a, b = g[0], WeylElement.scalar(params, 2)
+    for _ in range(7):
+        ab, ba = engine.q_commutators(dict(a.terms), dict(b.terms), c, c_rev)
+        want_ab = a * b - (b * a).scale(QTScalar.monomial(c))
+        want_ba = b * a - (a * b).scale(QTScalar.monomial(c_rev))
+        assert want_ab and want_ba
+        assert WeylElement._from_sums(params, ab) == want_ab
+        assert WeylElement._from_sums(params, ba) == want_ba
+        (same,) = engine.q_commutators(dict(a.terms), dict(a.terms), c)
+        assert WeylElement._from_sums(params, same) == (a * a).scale(1 - QTScalar.monomial(c))
+        a = rng.choice(g) * rng.choice(g) + QTScalar.monomial((big,) * r, Fraction(1, 2))
+        b = rng.choice(g).scale(QTScalar.monomial(tuple(range(r)), 3)) - rng.choice(g)
+    assert engine._half > 2 * big
+
+
 def test_z_values(params2):
     assert wa_z(params2, 0) == WeylElement.one(params2)
     assert wa_z(params2, 1) == WeylElement.one(params2) + WeylElement.monomial(
