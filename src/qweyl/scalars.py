@@ -526,13 +526,14 @@ class MuPoly(SparseScalar):
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector (c_1 .. c_r) of a mu-linear form without
-        constant term; raises if higher-degree or constant terms appear."""
-        slot = {unit_vec(self.rank, i): i for i in range(self.rank)}
+        constant term; raises if higher-degree or constant terms appear.
+        The exponents are nonnegative, so a term is linear exactly when they
+        sum to 1, and its coefficient goes to the slot holding the 1."""
         coeffs = [Fraction(0)] * self.rank
         for v, c in self.terms:
-            if v not in slot:
+            if sum(v) != 1:
                 raise ValueError(f"{self} is not a homogeneous linear mu-form")
-            coeffs[slot[v]] = Fraction(c)
+            coeffs[v.index(1)] = Fraction(c)
         return tuple(coeffs)
 
     subs = SparseScalar.eval_at

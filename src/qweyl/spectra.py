@@ -16,6 +16,7 @@ commutation exponents is the center lattice of the stratum's torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -213,10 +214,11 @@ def q_pair_exponent(params: WeylParams, w1: TaggedGen, w2: TaggedGen) -> ExpVec:
 
 def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, ...], ...]:
     """Commutation-exponent matrix of the stratum torus."""
-    gens = y_set(T)
-    return tuple(
-        tuple(q_pair_exponent(params, wi, wj) for wj in gens) for wi in gens
-    )
+    return _exponent_table(params, y_set(T))
+
+
+def _exponent_table(params: WeylParams, gens: Sequence[TaggedGen]) -> tuple:
+    return tuple(tuple(q_pair_exponent(params, wi, wj) for wj in gens) for wi in gens)
 
 
 def _gen_image(cls, params: WeylParams, w: TaggedGen):
@@ -229,19 +231,27 @@ def _gen_image(cls, params: WeylParams, w: TaggedGen):
 
 def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
     """The mu-form d with {a, b} = d a b, through the actual bracket engine,
-    independently of the quantized exponent table.  A division of {a, b}
-    by ab whose quotient has degree 0 is one step: the leading monomials
-    agree (Q[mu] has no zero divisors), d = lc({a, b})/lc(ab), and the
-    remainder {a, b} - d ab must vanish, which is checked exactly."""
+    independently of the quantized exponent table.  The generator images
+    have rational coefficients (any other coefficient fails), so ab is a
+    map from monomials to rationals, zero sums dropped.  With m the leading
+    monomial of {a, b} and d = lc({a, b}) / ab[m], {a, b} = d ab exactly
+    when both have the same monomials and each term of {a, b} is d times
+    ab's rational there: rational arithmetic only, so the check is exact."""
     br = pb_bracket(a, b)
     if not br:
         return MuPoly.zero(a.params.r)
-    ab = a * b
-    (m, lc), (mb, lcb) = ab.terms[-1], br.terms[-1]
-    if m == mb and lc.is_constant():
-        d = lcb.scale(1 / lc.constant_part())
-        if br == ab.scale(d):
-            return d
+    ra, rb = ([(m, c.terms[0][1]) for m, c in x.terms if c.is_constant()] for x in (a, b))
+    if len(ra) == len(a.terms) and len(rb) == len(b.terms):
+        ab: dict = {}
+        for ma, ka in ra:
+            for mb, kb in rb:
+                add_term(ab, vec_add(ma, mb), ka * kb)
+        m, lc = br.terms[-1]
+        if len(ab) == len(br.terms) and m in ab:
+            d = lc.scale(Fraction(1, ab[m]))
+            if all(mm in ab and c.terms == tuple((v, e * ab[mm]) for v, e in d.terms)
+                   for mm, c in br.terms):
+                return d
     raise ArithmeticError(
         f"bracket of {wa} and {wb} is not a scalar multiple of their product"
     )
@@ -298,12 +308,12 @@ class TorusData:
     pmatrix: tuple[tuple[MuPoly, ...], ...]
 
     def __post_init__(self):
-        s = len(self.generators)
+        s, q, p = len(self.generators), self.qmatrix, self.pmatrix
         for i in range(s):
             for j in range(i, s):  # both conditions are symmetric in (i, j)
-                if self.qmatrix[i][j] != vec_neg(self.qmatrix[j][i]):
+                if q[i][j] != vec_neg(q[j][i]):
                     raise ValueError("qmatrix is not exponent-antisymmetric")
-                if self.pmatrix[i][j] != -self.pmatrix[j][i]:
+                if p[i][j].terms != tuple((v, -c) for v, c in p[j][i].terms):
                     raise ValueError("pmatrix is not skew-symmetric")
         ys = {i for kind, i in self.generators if kind == "y"}
         xs = {i for kind, i in self.generators if kind == "x"}
@@ -316,7 +326,8 @@ class TorusData:
 
 
 def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
-    return TorusData(y_set(T), torus_matrix_q(params, T), torus_matrix_p(params, T))
+    gens = y_set(T)
+    return TorusData(gens, _exponent_table(params, gens), _pair_table(params, "p", gens))
 
 
 # -- integer linear algebra ---------------------------------------------------

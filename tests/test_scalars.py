@@ -233,6 +233,17 @@ def test_mupoly_linear_coefficients():
         (MuPoly.variable(2, 0) * MuPoly.variable(2, 0)).linear_coefficients()
 
 
+@pytest.mark.parametrize("p, expected", [
+    (MuPoly(3, {(1, 0, 0): Fraction(1, 2), (0, 0, 1): -3}), (Fraction(1, 2), 0, -3)),
+    (MuPoly.zero(3), (0, 0, 0)),
+    (MuPoly.linear((0, 7)), (0, 7)),
+])
+def test_linear_coefficients_fill_every_slot_with_a_fraction(p, expected):
+    coeffs = p.linear_coefficients()
+    assert coeffs == expected
+    assert all(type(c) is Fraction for c in coeffs)
+
+
 @pytest.mark.parametrize("rank, terms", [
     (1, [((-1,), 1)]),
     (2, [((2, -1), 1)]),

@@ -10,6 +10,7 @@ from qweyl import (
     MuPoly,
     PoissonElement,
     QTScalar,
+    TorusData,
     WeylElement,
     WeylParams,
     brute_force_admissible,
@@ -382,6 +383,76 @@ def test_bracket_form_of_a_zero_bracket_is_zero(monkeypatch):
     y1, x2 = (spectra._gen_image(PoissonElement, params, w) for w in (("y", 1), ("x", 2)))
     monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement.zero(params))
     assert spectra._bracket_form(y1, x2, ("y", 1), ("x", 2)) == MuPoly.zero(2)
+
+
+NOT_A_MULTIPLE = "is not a scalar multiple of their product$"
+
+
+@pytest.mark.parametrize("fault", ["missing monomial", "coefficient off", "extra monomial",
+                                   "other monomial"])
+def test_bracket_form_checks_every_term(monkeypatch, fault):
+    params = random_params(random.Random(4), 2, 2)
+    z2, y2 = ("z", 2), ("y", 2)
+    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (z2, y2))
+    right = spectra.pb_bracket
+    br = right(a, b)
+    # {z2, y2} = d (y2 + y1 x1 y2 + y2^2 x2); the faults keep its leading term
+    assert len(br.terms) == 3 and spectra._bracket_form(a, b, z2, y2)
+    low, mid = br.terms[0][0], br.terms[1][0]
+    terms = dict(br.terms)
+    if fault in ("missing monomial", "other monomial"):
+        del terms[mid]
+    if fault == "coefficient off":
+        terms[low] = terms[low] + MuPoly.variable(2, 0)
+    if fault in ("extra monomial", "other monomial"):
+        terms[(1, 0, 0, 0)] = MuPoly.one(2)  # y1, not a monomial of z2 y2
+    wrong = PoissonElement(params, terms)
+    assert wrong.terms[-1] == br.terms[-1]
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: wrong)
+    with pytest.raises(ArithmeticError, match=r"^bracket of \('z', 2\) and \('y', 2\) "
+                       + NOT_A_MULTIPLE):
+        spectra._bracket_form(a, b, z2, y2)
+
+
+def test_bracket_form_rejects_a_coefficient_that_is_not_rational():
+    params = random_params(random.Random(4), 2, 2)
+    y1, x2 = ("y", 1), ("x", 2)
+    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (y1, x2))
+    with pytest.raises(ArithmeticError, match=r"^bracket of \('y', 1\) and \('x', 2\) "
+                       + NOT_A_MULTIPLE):
+        spectra._bracket_form(a.scale(MuPoly.variable(2, 1)), b, y1, x2)
+
+
+def test_bracket_form_matches_the_element_route():
+    """Oracle: d times the element a * b is the element {a, b}; the one pair
+    kind with no such d, y_i with x_i, is rejected."""
+    for seed, n, r in product((3, 8), (1, 2, 3), (1, 2, 3)):
+        params = random_params(random.Random(seed), n, r)
+        gens = [(kind, i) for i in range(1, n + 1) for kind in "zyx"]
+        images = {w: spectra._gen_image(PoissonElement, params, w) for w in gens}
+        for w, v in product(gens, repeat=2):
+            a, b = images[w], images[v]
+            if w[1] == v[1] and {w[0], v[0]} == {"y", "x"}:
+                with pytest.raises(ArithmeticError, match=NOT_A_MULTIPLE):
+                    spectra._bracket_form(a, b, w, v)
+                continue
+            d = spectra._bracket_form(a, b, w, v)
+            assert spectra.pb_bracket(a, b) == (a * b).scale(d), (seed, n, r, w, v)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("p coefficient", "pmatrix is not skew-symmetric"),
+    ("p term missing", "pmatrix is not skew-symmetric"),
+    ("q entry", "qmatrix is not exponent-antisymmetric"),
+])
+def test_torus_data_rejects_a_matrix_that_is_not_skew(fault, message):
+    gens, zero, d = (("y", 1), ("y", 2)), MuPoly.zero(2), MuPoly.linear((1, 2))
+    TorusData(gens, (((0, 0), (1, 2)), ((-1, -2), (0, 0))), ((zero, d), (-d, zero)))  # skew
+    below = {"p coefficient": MuPoly.linear((-1, -3)), "p term missing": MuPoly.linear((-1, 0)),
+             "q entry": -d}[fault]
+    q10 = (-1, -1) if fault == "q entry" else (-1, -2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TorusData(gens, (((0, 0), (1, 2)), (q10, (0, 0))), ((zero, d), (below, zero)))
 
 
 def _image(params, w):
