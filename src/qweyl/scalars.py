@@ -529,12 +529,16 @@ class MuPoly(SparseScalar):
         constant term; raises if higher-degree or constant terms appear.
         The exponents are nonnegative, so a term is linear exactly when they
         sum to 1, and its coefficient goes to the slot holding the 1."""
-        coeffs = [Fraction(0)] * self.rank
+        return tuple(map(Fraction, self._linear_row()))
+
+    def _linear_row(self) -> list:
+        """``linear_coefficients`` in stored form: ints where integral."""
+        coeffs = [0] * self.rank
         for v, c in self.terms:
             if sum(v) != 1:
                 raise ValueError(f"{self} is not a homogeneous linear mu-form")
-            coeffs[v.index(1)] = Fraction(c)
-        return tuple(coeffs)
+            coeffs[v.index(1)] = c
+        return coeffs
 
     subs = SparseScalar.eval_at
 

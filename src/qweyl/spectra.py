@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .poisson import PoissonElement, pb_bracket
 from .scalars import ExpVec, MuPoly, add_term, vec_add, vec_neg, zero_vec
@@ -214,11 +214,7 @@ def q_pair_exponent(params: WeylParams, w1: TaggedGen, w2: TaggedGen) -> ExpVec:
 
 def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, ...], ...]:
     """Commutation-exponent matrix of the stratum torus."""
-    return _exponent_table(params, y_set(T))
-
-
-def _exponent_table(params: WeylParams, gens: Sequence[TaggedGen]) -> tuple:
-    return tuple(tuple(q_pair_exponent(params, wi, wj) for wj in gens) for wi in gens)
+    return _pair_table(params, "c", y_set(T))
 
 
 def _gen_image(cls, params: WeylParams, w: TaggedGen):
@@ -233,10 +229,11 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
     """The mu-form d with {a, b} = d a b, through the actual bracket engine,
     independently of the quantized exponent table.  The generator images
     have rational coefficients (any other coefficient fails), so ab is a
-    map from monomials to rationals, zero sums dropped.  With m the leading
-    monomial of {a, b} and d = lc({a, b}) / ab[m], {a, b} = d ab exactly
-    when both have the same monomials and each term of {a, b} is d times
-    ab's rational there: rational arithmetic only, so the check is exact."""
+    map from monomials to nonzero rationals.  With m the leading monomial
+    of {a, b} and lc its coefficient, {a, b} = d ab for d = lc / ab[m]
+    exactly when both have the same monomials and ab[m] {a, b}[m'] =
+    ab[m'] lc coefficientwise at each of them: integer and rational
+    products only, so the check is exact, and d is the one division."""
     br = pb_bracket(a, b)
     if not br:
         return MuPoly.zero(a.params.r)
@@ -248,50 +245,75 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
                 add_term(ab, vec_add(ma, mb), ka * kb)
         m, lc = br.terms[-1]
         if len(ab) == len(br.terms) and m in ab:
-            d = lc.scale(Fraction(1, ab[m]))
-            if all(mm in ab and c.terms == tuple((v, e * ab[mm]) for v, e in d.terms)
-                   for mm, c in br.terms):
-                return d
+            k = ab[m]
+            if all(mm in ab and [(v, e * k) for v, e in c.terms]
+                   == [(v, e * ab[mm]) for v, e in lc.terms] for mm, c in br.terms):
+                return lc.scale(Fraction(1, k))
     raise ArithmeticError(
         f"bracket of {wa} and {wb} is not a scalar multiple of their product"
     )
 
 
 def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tuple:
-    """The matrix over ordered pairs (w_i, w_j) of ``gens`` of the Poisson
-    form {w_i, w_j}/(w_i w_j) (side "p") or the torus residue
-    w_i w_j - eta^{c_ij} w_j w_i with c_ij = ``q_pair_exponent(w_i, w_j)``
-    (side "q"), read from the instance's ``torus_pairs`` memo and filled in
-    where missing.  Every Poisson form, (w_j, w_i) and (w_i, w_i) included,
-    is computed on its own.  A missing residue comes from
-    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators`, which folds
-    w_i w_j and w_j w_i once each on packed scalars and fills both ordered
-    entries, each with its own exponent from the table.  So skew-symmetry
-    stays a check on both sides."""
-    memo = params.torus_pairs
-    images: dict = {}
+    """The matrix over ordered pairs (w_i, w_j) of ``gens`` of the exponent
+    c_ij = ``q_pair_exponent(w_i, w_j)`` (side "c"), the Poisson form
+    {w_i, w_j}/(w_i w_j) (side "p"), its printed text (side "s") or the
+    torus residue w_i w_j - eta^{c_ij} w_j w_i (side "q"), read from the
+    instance's ``torus_pairs`` and ``torus_table`` memos and filled in
+    where missing by :func:`_pair_entry`.  Each entry is computed once per
+    instance; every stratum only reads."""
+    memo = params.torus_pairs if side in "pq" else params.torus_table
     rows = []
     for wi in gens:
         row = []
         for wj in gens:
-            key = (side, wi, wj)
-            entry = memo.get(key)
-            if entry is None:
-                if not images:
-                    cls = PoissonElement if side == "p" else WeylElement
-                    images = {w: _gen_image(cls, params, w) for w in gens}
-                a, b = images[wi], images[wj]
-                if side == "p":
-                    entry = memo[key] = _bracket_form(a, b, wi, wj)
-                else:
-                    ab, ba = params.engine.q_commutators(
-                        dict(a.terms), dict(b.terms),
-                        q_pair_exponent(params, wi, wj), q_pair_exponent(params, wj, wi))
-                    memo[("q", wj, wi)] = WeylElement._from_sums(params, ba)
-                    entry = memo[key] = WeylElement._from_sums(params, ab)
-            row.append(entry)
+            entry = memo.get((side, wi, wj))
+            row.append(_pair_entry(params, side, wi, wj) if entry is None else entry)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _pair_entry(params: WeylParams, side: str, w: TaggedGen, v: TaggedGen):
+    """The (w, v) entry of ``_pair_table(params, side, ...)``, stored in its
+    memo.  Every Poisson form, (v, w) and (w, w) included, goes through
+    ``pb_bracket`` on its own.  A residue comes from
+    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators`, which folds w v
+    and v w once each on packed scalars and fills both ordered entries,
+    each with its own exponent, so skew-symmetry stays a check on both
+    sides.  Only a diagonal residue w w - eta^c w w with c = 0 is stored as
+    zero unfolded; a nonzero c is folded, so a wrong table shows."""
+    memo = params.torus_pairs if side in "pq" else params.torus_table
+    entry = memo.get((side, w, v))
+    if entry is not None:
+        return entry
+    if side == "c":
+        entry = q_pair_exponent(params, w, v)
+    elif side == "s":
+        entry = str(_pair_entry(params, "p", w, v))
+    elif side == "p":
+        entry = _bracket_form(_image(params, "p", w), _image(params, "p", v), w, v)
+    elif w == v and not any(_pair_entry(params, "c", w, w)):
+        entry = WeylElement.zero(params)
+    else:
+        a, b = _image(params, "q", w), _image(params, "q", v)
+        ab, ba = params.engine.q_commutators(
+            dict(a.terms), dict(b.terms),
+            _pair_entry(params, "c", w, v), _pair_entry(params, "c", v, w))
+        memo[("q", v, w)] = WeylElement._from_sums(params, ba)
+        entry = WeylElement._from_sums(params, ab)
+    memo[(side, w, v)] = entry
+    return entry
+
+
+def _image(params: WeylParams, side: str, w: TaggedGen):
+    """The Poisson (side "p") or quantized (side "q") image of ``w``, built
+    once per instance."""
+    table = params.torus_table
+    image = table.get((side, w))
+    if image is None:
+        cls = PoissonElement if side == "p" else WeylElement
+        image = table[(side, w)] = _gen_image(cls, params, w)
+    return image
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
@@ -327,7 +349,7 @@ class TorusData:
 
 def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
     gens = y_set(T)
-    return TorusData(gens, _exponent_table(params, gens), _pair_table(params, "p", gens))
+    return TorusData(gens, _pair_table(params, "c", gens), _pair_table(params, "p", gens))
 
 
 # -- integer linear algebra ---------------------------------------------------
@@ -452,31 +474,12 @@ def poisson_center_lattice(pmatrix: Sequence[Sequence[MuPoly]], r: int) -> Cente
     s = len(pmatrix)
     rows = []
     for l in range(s):
-        coeffs = [pmatrix[l][j].linear_coefficients() for j in range(s)]
+        coeffs = [pmatrix[l][j]._linear_row() for j in range(s)]
         for k in range(r):
             row = [coeffs[j][k] for j in range(s)]
             denom = lcm(*(f.denominator for f in row)) if row else 1
             rows.append([f.numerator * (denom // f.denominator) for f in row])
     return CenterLattice(s, tuple(integer_kernel(rows, s)))
-
-
-def clear_denominators(
-    terms: Mapping[tuple[int, ...], object]
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], object]]:
-    """Shift a Laurent combination of torus monomials into polynomial range.
-
-    Returns (v, shifted) where v_j = max(0, -min_u u_j) is the minimal
-    clearing exponent; the same v is valid on the quantized and Poisson
-    sides alike, since it only depends on the support.
-    """
-    if not terms:
-        return (), {}
-    size = len(next(iter(terms)))
-    v = tuple(
-        max(0, -min(u[j] for u in terms)) for j in range(size)
-    )
-    shifted = {tuple(a + b for a, b in zip(u, v)): c for u, c in terms.items()}
-    return v, shifted
 
 
 @dataclass(frozen=True)
@@ -510,7 +513,7 @@ def stratum_report(params: WeylParams, T: AdmissibleSet) -> StratumReport:
         markers=T.names(),
         generators=tuple(f"{k}{i}" for k, i in data.generators),
         qmatrix=data.qmatrix,
-        pmatrix=tuple(tuple(str(d) for d in row) for row in data.pmatrix),
+        pmatrix=_pair_table(params, "s", data.generators),
         center_rank=lattice.rank,
         center_basis=lattice.basis,
         center_trivial=lattice.is_trivial,
@@ -574,11 +577,9 @@ def in_stratum_ideal(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> bo
 
 def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     """Verify every tabulated commutation w_i w_j = eta^{c_ij} w_j w_i
-    against the straightening engine, modulo the stratum ideal.  The
-    residues w_i w_j - eta^{c_ij} w_j w_i do not depend on the stratum and
-    come from the instance's memo; only the nonzero ones are reduced."""
-    return all(
-        not residue or in_stratum_ideal(params, T, residue)
-        for row in _pair_table(params, "q", y_set(T))
-        for residue in row
-    )
+    against the straightening engine, exactly: True only when every residue
+    w_i w_j - eta^{c_ij} w_j w_i is 0.  The stratum generators q-commute in
+    the algebra itself, so this is stronger than membership of the
+    residues in the stratum ideal (:func:`in_stratum_ideal`).  The residues
+    do not depend on the stratum and come from the instance's memo."""
+    return not any(residue for row in _pair_table(params, "q", y_set(T)) for residue in row)

@@ -399,8 +399,8 @@ def _quantum_plane(_rng: random.Random) -> Checks:
 
 
 def _torus_relations_ideal(rng: random.Random) -> Checks:
-    """Every tabulated torus commutation reduces into the stratum's
-    one-sided ideal (exact membership), n = 1..3."""
+    """Every tabulated torus commutation holds exactly in the algebra (each
+    residue is 0, which puts it in the stratum's one-sided ideal), n = 1..3."""
     for n in range(1, 4):
         params = random_params(rng, n, 2)
         for T in enumerate_admissible(n):

@@ -497,11 +497,21 @@ class WeylParams:
     def torus_pairs(self) -> dict:
         """Memo of stratum-generator pairs, filled by :mod:`qweyl.spectra`:
         ``("p", w, v)`` holds the Poisson form {w, v}/(w v) and ``("q", w, v)``
-        the torus residue w v - eta^c v w, with c the tabulated exponent of
-        (w, v), for tagged generators w, v; both residues of a pair come
+        the torus residue w v - eta^c v w, with c = ``torus_table[("c", w,
+        v)]``, for tagged generators w, v; both residues of a pair come
         from :meth:`StraighteningEngine.q_commutators`, one packed fold per
-        order.  At most 2(3n - 1)^2 entries; it lives and dies with this
-        instance."""
+        order, and a diagonal residue with c = 0 is zero without a fold.
+        At most 2(3n - 1)^2 entries; it lives and dies with this instance."""
+        return {}
+
+    @cached_property
+    def torus_table(self) -> dict:
+        """Memo of the rest of what every stratum table reads, filled by
+        :mod:`qweyl.spectra`: ``("q", w)`` and ``("p", w)`` hold the
+        quantized and the Poisson image of the tagged generator w,
+        ``("c", w, v)`` the exponent c with w v = eta^c v w and ``("s", w,
+        v)`` the printed Poisson form of (w, v).  At most 6n(3n - 1)
+        entries; it lives and dies with this instance."""
         return {}
 
 

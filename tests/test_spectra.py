@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,7 +17,6 @@ from qweyl import (
     brute_force_admissible,
     center_lattice,
     check_torus_relations,
-    clear_denominators,
     count_admissible,
     enumerate_admissible,
     in_stratum_ideal,
@@ -238,20 +238,6 @@ def test_poisson_center_lattice_rejects_constant_entry():
         poisson_center_lattice(((zero, one), (-one, zero)), 1)
 
 
-# -- denominator clearing --------------------------------------------------------------
-
-
-def test_clear_denominators_examples():
-    v, shifted = clear_denominators({(-1, 0): 1, (0, 1): 1, (0, 0): 1})
-    assert v == (1, 0)
-    assert shifted == {(0, 0): 1, (1, 1): 1, (1, 0): 1}
-    v, shifted = clear_denominators({(1, 2): 5})
-    assert v == (0, 0) and shifted == {(1, 2): 5}
-    v, shifted = clear_denominators({(-2, -1): 1, (1, 0): -1})
-    assert v == (2, 1) and shifted == {(0, 0): 1, (3, 1): -1}
-    assert clear_denominators({}) == ((), {})
-
-
 # -- stratum reports ---------------------------------------------------------------------
 
 
@@ -339,7 +325,7 @@ def test_pair_memo_does_not_keep_instances_alive():
     for T in enumerate_admissible(2):
         torus_matrix_p(params, T)
         assert check_torus_relations(params, T)
-    assert params.torus_pairs
+    assert params.torus_pairs and params.torus_table
     del params
     gc.collect()
     assert ref() is None
@@ -507,3 +493,116 @@ def test_pair_memo_keeps_a_wrong_product_visible(monkeypatch):
     cold = fresh(params)
     assert cold == params
     assert not check_torus_relations(cold, T)
+
+
+# -- the per-instance torus table ------------------------------------------------------------
+
+
+def fill_every_stratum(params):
+    for T in enumerate_admissible(params.n):
+        stratum_report(params, T)
+        torus_matrix_p(params, T)
+        assert check_torus_relations(params, T)
+
+
+def test_diagonal_residues_take_no_fold(monkeypatch):
+    params = random_params(random.Random(6), 3, 2)
+    diagonal = []
+    right = StraighteningEngine._fold
+
+    def counted(self, pa, pb):
+        diagonal.append(pa == pb)  # only the images of one generator pack alike
+        return right(self, pa, pb)
+
+    monkeypatch.setattr(StraighteningEngine, "_fold", counted)
+    fill_every_stratum(params)
+    assert diagonal and not any(diagonal)
+    gens = {w for T in enumerate_admissible(3) for w in y_set(T)}
+    assert all(params.torus_pairs[("q", w, w)] == WeylElement.zero(params) for w in gens)
+
+
+def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    T = T_of(2)
+    assert check_torus_relations(params, T)
+    right = spectra.q_pair_exponent
+
+    def wrong(p, w, v):
+        c = right(p, w, v)
+        return (c[0] + 1,) + c[1:] if w == v == ("y", 1) else c
+
+    monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
+    assert not check_torus_relations(fresh(params), T)
+
+
+def test_generator_images_are_built_once_per_instance(monkeypatch):
+    built = []
+    right = spectra._gen_image
+
+    def counted(cls, params, w):
+        built.append((cls, w))
+        return right(cls, params, w)
+
+    monkeypatch.setattr(spectra, "_gen_image", counted)
+    for n in (1, 2, 3):
+        built.clear()
+        fill_every_stratum(random_params(random.Random(9), n, 2))
+        assert 0 < len(built) <= 2 * (3 * n - 1)
+        assert len(set(built)) == len(built)
+
+
+def test_stratum_report_prints_the_forms_of_the_p_table():
+    for n in (1, 2, 3):
+        params = random_params(random.Random(10), n, 3)
+        for T in enumerate_admissible(n):
+            printed = stratum_report(params, T).pmatrix
+            for pm in (torus_matrix_p(params, T), torus_matrix_p(fresh(params), T)):
+                assert printed == tuple(tuple(str(d) for d in row) for row in pm), (n, T)
+
+
+def test_torus_table_bound():
+    for seed in (3, 8):
+        for n in (1, 2, 3):
+            params = random_params(random.Random(seed), n, 2)
+            fill_every_stratum(params)
+            table, gens = params.torus_table, 3 * n - 1
+            pairs = [key for key in table if len(key) == 3]
+            assert len(pairs) == 2 * len({key[1:] for key in pairs}) <= 2 * gens**2
+            assert len(table) - len(pairs) <= 2 * gens
+            assert len(table) <= 6 * n * (3 * n - 1)
+
+
+def test_torus_check_is_exact_not_modulo_the_ideal(monkeypatch):
+    params = random_params(random.Random(4), 2, 2)
+    T = T_of(2, "z1", "z2", "x2")
+    monkeypatch.setattr(spectra, "in_stratum_ideal", lambda *args: True)  # absorbs everything
+    monkeypatch.setattr(spectra, "reduce_mod_stratum", lambda p, *args: WeylElement.zero(p))
+    assert check_torus_relations(params, T)
+    right = spectra.q_pair_exponent
+
+    def wrong(p, w, v):
+        c = right(p, w, v)
+        return (c[0] + 1,) + c[1:] if (w, v) == (("y", 1), ("y", 2)) else c
+
+    monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
+    assert not check_torus_relations(fresh(params), T)
+
+
+@pytest.mark.parametrize("factor", [2, Fraction(-1, 3)])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_bracket_form_rejects_a_coefficient_off_by_a_factor(monkeypatch, factor, slot):
+    params = random_params(random.Random(4), 2, 2)
+    z2, y2 = ("z", 2), ("y", 2)
+    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (z2, y2))
+    d = spectra._bracket_form(a, b, z2, y2)
+    # {z2, z2 y2} = d z2 z2 y2, whose product has unequal rationals, 3/2 at the leading one
+    a, b = a.scale(Fraction(3, 2)), a * b
+    assert spectra._bracket_form(a, b, z2, y2) == d
+    right = spectra.pb_bracket
+    terms = dict(right(a, b).terms)
+    mono = right(a, b).terms[slot][0]  # below the leading monomial
+    terms[mono] = terms[mono].scale(factor)
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement(params, terms))
+    with pytest.raises(ArithmeticError, match=r"^bracket of \('z', 2\) and \('y', 2\) "
+                       + NOT_A_MULTIPLE):
+        spectra._bracket_form(a, b, z2, y2)
