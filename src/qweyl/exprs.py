@@ -10,10 +10,10 @@ Grammar (whitespace-insensitive, LL(1)):
     GEN     := ('y' | 'x' | 'z') digits      -- y1..yn, x1..xn, z0..zn
     ETA     := 'eta' '^' '[' INT (',' INT)* ']'
 
-One evaluator folds the tree, with two sets of leaves: the quantized
-algebra's (:func:`eval_weyl`; ``z_i`` = 1 + sum_{k<=i} y_k x_k), and the
-rescaling map's on :class:`~qweyl.weyl.Rescaled` values (:func:`eval_rescaled`;
-``y_i`` is (q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1) y_k x_k).
+One evaluator folds the tree, with the leaves of the quantized algebra
+(:func:`eval_weyl`; ``z_i`` = 1 + sum_{k<=i} y_k x_k) or of the rescaled
+presentation (:func:`eval_rescaled`; ``y_i`` is Y_i = (q_i - 1)^{-1} y_i
+and ``z_i`` = 1 + sum_{k<=i} (q_k - 1) Y_k x_k).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .scalars import QTScalar
-from .weyl import Rescaled, WeylElement, WeylParams, wa_z
+from .weyl import MaltsiniotisElement, WeylElement, WeylParams
 
 
 class ExprSyntaxError(ValueError):
@@ -337,24 +337,12 @@ def _evaluate(node: Expression, params: WeylParams, atom):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams) -> WeylElement:
-    if isinstance(leaf, Num):
-        return WeylElement.scalar(params, leaf.value)
-    if isinstance(leaf, EtaMono):
-        return WeylElement.scalar(params, QTScalar.monomial(leaf.exponents))
-    if leaf.kind == "z":
-        return wa_z(params, leaf.index)
-    return WeylElement.generator(params, leaf.kind, leaf.index)
-
-
-def _rescaled_atom(leaf: Num | Gen | EtaMono, params: WeylParams) -> Rescaled:
-    if isinstance(leaf, Gen) and leaf.kind == "z":
-        gen = WeylElement.generator
-        terms = [(params.q_scalar(k) - 1) * Rescaled.of(gen(params, "y", k), k)
-                 * Rescaled.of(gen(params, "x", k)) for k in range(1, leaf.index + 1)]
-        return sum(terms, Rescaled.of(WeylElement.one(params)))
-    y = leaf.index if isinstance(leaf, Gen) and leaf.kind == "y" else 0
-    return Rescaled.of(_weyl_atom(leaf, params), y)
+def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -> WeylElement:
+    if isinstance(leaf, Gen):
+        return (cls.z(params, leaf.index) if leaf.kind == "z"
+                else cls.generator(params, leaf.kind, leaf.index))
+    return cls.scalar(params, leaf.value if isinstance(leaf, Num)
+                      else QTScalar.monomial(leaf.exponents))
 
 
 def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
@@ -362,6 +350,26 @@ def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
     return _evaluate(node, params, _weyl_atom)
 
 
-def eval_rescaled(node: Expression, params: WeylParams) -> Rescaled:
-    """Evaluate in the unrescaled presentation, on y_i -> (q_i - 1)^{-1} y_i."""
-    return _evaluate(node, params, _rescaled_atom)
+def eval_rescaled(node: Expression, params: WeylParams) -> tuple[MaltsiniotisElement, tuple]:
+    """Evaluate in the rescaled presentation, where y_i is Y_i = (q_i -
+    1)^{-1} y_i, and give the ``denom`` of :func:`~qweyl.weyl.from_maltsiniotis`."""
+    value = _evaluate(node, params, lambda leaf, p: _weyl_atom(leaf, p, MaltsiniotisElement))
+    return value, _denominator(node, params.n)
+
+
+def _denominator(node: Expression, n: int) -> tuple[int, ...]:
+    """D with prod_i (q_i - 1)^{D_i} the denominator of ``node``'s expanded
+    sum of words under y_i -> (q_i - 1)^{-1} y_i: e_i for y_i, sum_{k<=i}
+    e_k for z_i, the max over a sum, the sum over a product."""
+    if isinstance(node, (Num, Gen, EtaMono)):
+        kind, i = (node.kind, node.index) if isinstance(node, Gen) else ("", 0)
+        return tuple(int(k == i if kind == "y" else kind == "z" and k <= i)
+                     for k in range(1, n + 1))
+    if isinstance(node, (Neg, Pow)):
+        k, base = (1, node.item) if isinstance(node, Neg) else (node.exponent, node.base)
+        return tuple(k * d for d in _denominator(base, n))
+    op, parts = (add, node.factors) if isinstance(node, Mul) else (max, node.terms)
+    out = _denominator(parts[0], n)
+    for part in parts[1:]:  # one frame per level, as in _evaluate
+        out = tuple(map(op, out, _denominator(part, n)))
+    return out

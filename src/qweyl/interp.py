@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .scalars import QTScalar, Rat, _as_fraction, signed_sum
@@ -129,20 +128,3 @@ def specialize(
 ) -> dict[PbwMonomial, Fraction]:
     return SpecializedAlgebra(a.params, lam, e_polys).specialize(a)
 
-
-def independence_check(e_values: Sequence[Rat], bound: int) -> bool:
-    """Bounded surrogate for multiplicative independence.
-
-    True iff no nontrivial relation prod v_i^{u_i} = 1 exists with all
-    |u_i| <= bound; exhaustive over the (2*bound+1)^len exponent box with
-    exact rational products.
-    """
-    vals = [_as_fraction(v) for v in e_values]
-    if any(v == 0 for v in vals):
-        raise ValueError("all values must be nonzero")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    for exps in product(range(-bound, bound + 1), repeat=len(vals)):
-        if any(exps) and QTScalar.monomial(exps).eval_at(vals) == 1:
-            return False
-    return True

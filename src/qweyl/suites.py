@@ -22,6 +22,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
+from .exprs import eval_rescaled, eval_weyl, parse_expr
 from .interp import SpecializedAlgebra, build_e, build_e_family
 from .poisson import (
     PoissonElement,
@@ -32,7 +33,7 @@ from .poisson import (
     semiclassical_bracket,
 )
 from .quantum_plane import relation_holds, semiclassical_bracket_xy
-from .scalars import MuPoly, QTScalar, vec_add
+from .scalars import MuPoly, QTScalar, vec_add, vec_sub
 from .spectra import (
     brute_force_admissible,
     center_lattice,
@@ -43,10 +44,9 @@ from .spectra import (
     torus_matrix_q,
 )
 from .weyl import (
-    Rescaled,
     WeylElement,
     WeylParams,
-    from_maltsiniotis,
+    _q_minus_one_power,
     pos_x,
     pos_y,
     wa_z,
@@ -363,29 +363,36 @@ def _specialization(rng: random.Random) -> Checks:
 
 
 def _defining_relations(params: WeylParams):
-    """The unrescaled presentation's defining relations on the rescaled generators."""
-    gens = [(Rescaled.of(WeylElement.generator(params, "y", i), i),
-             Rescaled.of(WeylElement.generator(params, "x", i))) for i in range(1, params.n + 1)]
-    z = Rescaled.of(WeylElement.one(params))  # z_{j-1} = 1 + sum_{k<j} (q_k - 1) y_k x_k
-    for j, (yj, xj) in enumerate(gens, 1):
-        for i, (yi, xi) in enumerate(gens[:j - 1], 1):
+    """The rescaled presentation's defining relations, as (scalar, word) lists."""
+    for j in range(1, params.n + 1):
+        for i in range(1, j):
             lam_ij, lam_ji = params.lam_scalar(i, j), params.lam_scalar(j, i)
             qi = params.q_scalar(i)
-            yield yj * yi - lam_ji * yi * yj
-            yield yj * xi - lam_ij * xi * yj
-            yield xj * yi - (qi * lam_ij) * yi * xj
-            yield (qi * lam_ij) * xj * xi - xi * xj
-        yield xj * yj - params.q_scalar(j) * yj * xj - z
-        z = z + (params.q_scalar(j) - 1) * yj * xj
+            yield [(1, f"y{j}*y{i}"), (-lam_ji, f"y{i}*y{j}")]
+            yield [(1, f"y{j}*x{i}"), (-lam_ij, f"x{i}*y{j}")]
+            yield [(1, f"x{j}*y{i}"), (-(qi * lam_ij), f"y{i}*x{j}")]
+            yield [(qi * lam_ij, f"x{j}*x{i}"), (-1, f"x{i}*x{j}")]
+        yield [(1, f"x{j}*y{j}"), (-params.q_scalar(j), f"y{j}*x{j}"), (-1, f"z{j - 1}")]
 
 
 def _rescaling_relations(rng: random.Random) -> Checks:
     """Images of the defining relations under the generator rescaling
-    normalize to zero, n = 1..3."""
+    normalize to zero, n = 1..3: each word is the same on the rescaled and
+    the plain engine through y_i = (q_i - 1) Y_i, denominators cleared, and
+    the plain words sum to zero over the relation's common denominator."""
     for n in range(1, 4):
         params = random_params(rng, n, 2)
+        lift = partial(_q_minus_one_power, params)
         for rel in _defining_relations(params):
-            yield f"nonzero image at n={n}" if from_maltsiniotis(rel) else None
+            denom = [max(w.count(f"y{i}") for _, w in rel) for i in range(1, n + 1)]
+            image, same = WeylElement.zero(params), True
+            for c, word in rel:
+                y, node = [word.count(f"y{i}") for i in range(1, n + 1)], parse_expr(word)
+                (rescaled, _), plain = eval_rescaled(node, params), eval_weyl(node, params)
+                same &= ({m: a * lift(y) for m, a in rescaled.terms}
+                         == {m: a * lift(m[::2]) for m, a in plain.terms})
+                image += plain.scale(c * lift(vec_sub(denom, y)))
+            yield None if same and not image else f"nonzero image at n={n}"
 
 
 def _quantum_plane(_rng: random.Random) -> Checks:

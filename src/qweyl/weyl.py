@@ -14,8 +14,8 @@ with q_i = eta^{s_i} and lam_ij = eta^{L_ij} for an instance given by
 exponent data (s_i, L_ij).  The same engine also runs with concrete rational
 structure constants (see :mod:`qweyl.interp`).
 
-The rescaling y_i -> (q_i - 1)^{-1} y_i is computed on :class:`Rescaled` values,
-elements over powers of (q_i - 1); :func:`from_maltsiniotis` clears those.
+The rescaled presentation, in Y_i = (q_i - 1)^{-1} y_i, has its own engine
+(:class:`MaltsiniotisElement`); :func:`from_maltsiniotis` maps it back.
 """
 
 from __future__ import annotations
@@ -66,19 +66,21 @@ class StraighteningEngine:
 
     **Relations.**  ``swap[qp][pp]`` holds the structure constant c with
     ``g_qp g_pp = c g_pp g_qp`` for qp > pp, except the same-index slot
-    (x_i, y_i) which is governed by the quadratic rule above.
+    (x_i, y_i): ``x_i^s y_i = q_i^s y_i x_i^s + f_s(q_i) z_{i-1} x_i^{s-1}``
+    and ``z_k = z_{k-1} + g(q_k) y_k x_k``, z_0 = 1, with per-pair factors
+    f_s = q^s - 1 and g = 1 in the quantized algebra, and f_s = [s]_q =
+    1 + q + ... + q^{s-1} and g = q - 1 in the rescaled presentation.
 
     Appending y_i to ``m = L y_i^r x_i^s`` (L on the pairs below i, nothing
-    above x_i) is done in closed form.  Since
-    ``x_i^s y_i = q_i^s y_i x_i^s + (q_i^s - 1) z_{i-1} x_i^{s-1}`` and
-    z_{i-1} commutes with y_i and x_i,
+    above x_i) is done in closed form.  Since z_{i-1} commutes with y_i and
+    x_i,
 
-        m y_i = q_i^s (m + e_{y_i}) + (q_i^s - 1) (L z_{i-1}) y_i^r x_i^{s-1}.
+        m y_i = q_i^s (m + e_{y_i}) + f_s(q_i) (L z_{i-1}) y_i^r x_i^{s-1}.
 
     ``L z_{i-1}`` comes from a memo keyed by L alone (its length fixes the
-    index), filled by ``L'B z_k = q_k^s (L' y_k^{r+1} x_k^{s+1} + (L' z_{k-1}) B)``
-    with ``B = y_k^r x_k^s`` the last pair of L and ``z_0 = 1``; it has
-    k + 1 terms with monomial coefficients.
+    index), filled by ``L'B z_k = q_k^s (g(q_k) L' y_k^{r+1} x_k^{s+1} +
+    (L' z_{k-1}) B)`` with ``B = y_k^r x_k^s`` the last pair of L (as 1 +
+    g f_s = q^s); a term takes g(q_j) from at most one pair.
 
     **The fold.**  For each right-hand term ``(m2, c2)``, ``_fold``
     scales the whole left operand by c2 and appends the blocks ``g_p^e`` of
@@ -95,8 +97,9 @@ class StraighteningEngine:
     The swap branch strips the top block, so the number of occupied slots
     above the target drops by one and at most ``2n - 1 - p`` swaps nest
     when appending the generator at slot p; the closed form reaches only
-    the z memo, whose recursion shortens its key by one pair.  The swap
-    depth bound is asserted in debug runs as a tripwire.
+    the z memo, whose recursion shortens its key by one pair, and the
+    factors f_s and g, which are finite sums.  The swap depth bound is
+    asserted in debug runs as a tripwire.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
     exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
@@ -105,42 +108,46 @@ class StraighteningEngine:
     signed base-W digits and keeps the tuple order.  A structure constant
     is ``(enc(v), 1)`` in the formal algebra; a specialization
     (:mod:`qweyl.interp`) is an engine of rank 0 with constants
-    ``(0, value)``.  The two entries of ``q_i^s - 1`` cancel at a root of
-    unity, so no memo stores a zero.  ``mul_terms`` scales each operand by
-    the common denominator of its rationals, so the formal kernel works on
-    ints, and builds one ``QTScalar`` per result monomial on exit, dividing
-    each distinct numerator once.
+    ``(0, value)``.  A packed factor merges equal exponents, so q_i^s - 1
+    is empty at a root of unity and no memo stores a zero.  ``mul_terms``
+    scales each operand by the common denominator of its rationals, so the
+    formal kernel works on ints, and builds one ``QTScalar`` per result
+    monomial on exit, dividing each distinct numerator once.
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
     by at most d*M.  By induction on d: a swap under a block of e letters
-    adds e*M and recurses on degree d - e; the closed form adds s*M for
-    ``q_i^s`` and deg(L)*M for ``L z_{i-1}`` (one ``q_k^{s_k}`` per pair of
-    L), and s + deg(L) <= d.  No result term has degree above d + 1, as
-    z_{i-1} has degree 2.  A block landing moves no entry.  So the fold of
-    m2, followed from one left term m1, and every memo entry it makes move
-    entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain
-    starts from one eta-term of m1's scalar times one of c2, with entries
-    up to A + B when the operands' exponents have entries up to A and B.
-    Terms that meet at a monomial, in the fold or in the merge, add their
-    coefficients, not their exponents, so each packed entry stays within
-    the bound of the chain it came from, and ``mul_terms`` forms no entry
-    beyond ``A + B + M * D(D - 1)/2``.  The fold of ba has the same bound
-    and eta^c adds at most |c|, its largest |entry|, so ``q_commutators``
-    forms none beyond that bound plus |c|.  ``_pack`` widens W
-    past twice that bound when needed; that re-packs the constants and
-    clears the memos, and never changes a result.
+    adds e*M and recurses on degree d - e.  The closed form adds s*M for
+    ``q_i^s``; in the other term f_s adds s*M (q^s - 1) or (s - 1)*M
+    ([s]_q), and ``L z_{i-1}`` deg(L)*M (one q_k^{s_k} per pair of L),
+    plus M for g = q - 1, so (s + deg(L))*M either way, and s + deg(L) <=
+    d.  No result term has degree above d + 1, as z_{i-1} has degree 2.  A
+    block landing moves no entry.  So the fold of m2, followed from one
+    left term m1, and every memo entry it makes move entries by at most
+    ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
+    eta-term of m1's scalar times one of c2, with entries up to A + B when
+    the operands' exponents have entries up to A and B.  Terms that meet at
+    a monomial, in the fold or in the merge, add their coefficients, not
+    their exponents, so each packed entry stays within the bound of the
+    chain it came from, and ``mul_terms`` forms no entry beyond ``A + B + M
+    * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
+    most |c|, its largest |entry|, so ``q_commutators`` forms none beyond
+    that bound plus |c|.  ``_pack`` widens W past twice that bound when
+    needed; that re-packs the constants and clears the memos, and never
+    changes a result.
     """
 
     # the narrowest field; two fields of it share one 30-bit int digit
     MIN_BITS = 12
 
-    def __init__(self, n, rank, q_consts, swap):
+    def __init__(self, n, rank, q_consts, swap, closed, zstep):
         """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector of
-        length ``rank``, rational) pairs."""
+        length ``rank``, rational) pairs; ``closed(s)`` and ``zstep``, the
+        factors f_s and g, are (power, int) pairs of polynomials in q_i."""
         self.n = n
         self.rank = rank
-        self._consts = (q_consts, swap)
+        self._consts = (q_consts, swap, zstep)
+        self._closed = closed
         vecs = [v for v, _ in q_consts] + [c[0] for row in swap for c in row if c]
         self._growth = max([abs(x) for v in vecs for x in v], default=0)
         # monomial-times-generator results recur heavily across products;
@@ -154,11 +161,19 @@ class StraighteningEngine:
         self._half = 1 << (bits - 1)
         self._decoded = _Decoder(self.rank, bits)
         self._encode = enc = self._decoded.encode
-        q_consts, swap = self._consts
+        q_consts, swap, zstep = self._consts
         self.q = [(enc(v), k) for v, k in q_consts]
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
+        self._zstep = [self._in_q(i, zstep) for i in range(self.n)]
         self._gen_cache.clear()
         self._z_cache.clear()
+
+    def _in_q(self, i: int, poly) -> list:
+        """A polynomial in q_i as (packed exponent, nonzero rational) pairs."""
+        (e, k), out = self.q[i], {}
+        for j, a in poly:
+            add_term(out, e * j, a * k**j)
+        return list(out.items())
 
     # -- term-map algebra ----------------------------------------------------
 
@@ -268,10 +283,11 @@ class StraighteningEngine:
             lst[p] += 1
             out = {(tuple(lst), es): ks}
             block = (m[p], s - 1) + m[top + 1:]
+            factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
             for (low, ez), c in self._times_z(m[:p]).items():
                 mm = low + block
-                add_term(out, (mm, ez + es), c * ks)
-                add_term(out, (mm, ez), -c)  # cancels the line above where q_i^s = 1
+                for ef, kf in factor:
+                    add_term(out, (mm, ez + ef), c * kf)
         else:
             # monomial swap under the whole g_top block
             t = m[top]
@@ -299,7 +315,8 @@ class StraighteningEngine:
             rest, r, s = low[:-2], low[-2], low[-1]
             e, k = self.q[len(rest) // 2]
             es, ks = e * s, k**s
-            out = {(rest + (r + 1, s + 1), es): ks}
+            top = rest + (r + 1, s + 1)
+            out = {(top, es + ef): ks * kf for ef, kf in self._zstep[len(rest) // 2]}
             for (mm, ez), c in self._times_z(rest).items():
                 out[(mm + (r, s), ez + es)] = c * ks
         self._z_cache[low] = out
@@ -380,13 +397,15 @@ def _merge(out: dict, acc: Mapping) -> dict:
     return out
 
 
-def build_engine(n: int, rank: int, const, qexp, lexp) -> StraighteningEngine:
+def build_engine(n: int, rank: int, const, qexp, lexp,
+                 closed=lambda s: ((s, 1), (0, -1)), zstep=((0, 1),)) -> StraighteningEngine:
     """Assemble an engine of ``rank`` from exponent data.
 
     ``const`` maps the exponent vector of a structure constant eta^v to the
     (vector of length ``rank``, rational) pair the engine keeps for it:
     ``(v, 1)`` in the formal algebra, ``((), eta^v at the point)`` in a
-    specialization, which is an engine of rank 0.
+    specialization, which is an engine of rank 0.  ``closed`` and
+    ``zstep`` are the factors f_s and g of :class:`StraighteningEngine`.
     """
     size = 2 * n
     swap = [[None] * size for _ in range(size)]
@@ -398,7 +417,7 @@ def build_engine(n: int, rank: int, const, qexp, lexp) -> StraighteningEngine:
             swap[pos_x(j)][pos_y(i)] = const(vec_add(s_i, l_ij))
             swap[pos_x(j)][pos_x(i)] = const(vec_neg(vec_add(s_i, l_ij)))
     q_consts = [const(qexp[i]) for i in range(n)]
-    return StraighteningEngine(n, rank, q_consts, swap)
+    return StraighteningEngine(n, rank, q_consts, swap, closed, zstep)
 
 
 @dataclass(frozen=True)
@@ -485,6 +504,12 @@ class WeylParams:
         return build_engine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp)
 
     @cached_property
+    def rescaled_engine(self) -> StraighteningEngine:
+        """The engine of Y_i = (q_i - 1)^{-1} y_i and x_i: f_s = [s]_q, g = q - 1."""
+        return build_engine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp,
+                            lambda s: [(j, 1) for j in range(s)], ((1, 1), (0, -1)))
+
+    @cached_property
     def poisson_brackets(self) -> dict:
         """Memo of the Poisson limit's generator brackets, filled by
         :mod:`qweyl.poisson` for the slot pairs met: ``(p, q)`` holds F_pq,
@@ -526,6 +551,7 @@ class PbwElement(TermMap):
 
     __slots__ = ()
     params = TermMap.context
+    _z_step = staticmethod(lambda params, k: 1)
     mismatch_error = ParamsMismatchError
     mismatch_message = "elements belong to different instances"
     _sort_key = staticmethod(lambda t: mono_key(t[0]))
@@ -568,7 +594,7 @@ class PbwElement(TermMap):
 
     @classmethod
     def z(cls, params: WeylParams, i: int):
-        """z_i = 1 + sum_{k<=i} y_k x_k, with z_0 = 1."""
+        """z_i = 1 + sum_{k<=i} g_k y_k x_k, g_k = ``_z_step(params, k)``; z_0 = 1."""
         if not 0 <= i <= params.n:
             raise ValueError(f"z index {i} out of range 0..{params.n}")
         terms = [((0,) * (2 * params.n), 1)]
@@ -576,7 +602,7 @@ class PbwElement(TermMap):
             m = [0] * (2 * params.n)
             m[pos_y(k)] = 1
             m[pos_x(k)] = 1
-            terms.append((tuple(m), 1))
+            terms.append((tuple(m), cls._z_step(params, k)))
         return cls(params, terms)
 
     # -- structure ------------------------------------------------------------
@@ -598,11 +624,20 @@ class WeylElement(PbwElement):
 
     __slots__ = ()
     scalar_type = QTScalar
+    _engine = "engine"  # the WeylParams memo that straightens products
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        return self._from_sums(
-            self.params, self.params.engine.mul_terms(dict(self.terms), dict(other.terms))
-        )
+        engine = getattr(self.params, self._engine)
+        return self._from_sums(self.params, engine.mul_terms(dict(self.terms), dict(other.terms)))
+
+
+class MaltsiniotisElement(WeylElement):
+    """Element in the basis Y^a x^b, Y_i = (q_i - 1)^{-1} y_i (printed as
+    y_i), straightened by ``rescaled_engine``; see :func:`from_maltsiniotis`."""
+
+    __slots__ = ()
+    _engine = "rescaled_engine"
+    _z_step = staticmethod(lambda params, k: params.q_scalar(k) - 1)
 
 
 def pbw_monomial_str(m: PbwMonomial) -> str:
@@ -655,67 +690,36 @@ def wa_divisible_by_t_minus_1(a: WeylElement) -> bool:
     return all(c.eval_one() == 0 for _, c in a.terms)
 
 
-@dataclass(frozen=True)
-class Rescaled:
-    """``numerator / prod_i (q_i - 1)^{denom_i}``.  ``denom`` is that of the
-    expanded sum of generator words: the componentwise max over a sum, the
-    sum over a product, k times over a k-th power, kept on a zero value."""
-
-    numerator: WeylElement
-    denom: tuple[int, ...]
-
-    @classmethod
-    def of(cls, element: WeylElement, y: int = 0) -> "Rescaled":
-        """``element``, over (q_y - 1) for y >= 1: ``of(y_i, i)`` is y_i rescaled."""
-        return cls(element, tuple(int(i == y) for i in range(1, element.params.n + 1)))
-
-    def _over(self, denom: tuple[int, ...]) -> WeylElement:
-        """The numerator of this value over ``denom``, at least ``self.denom``."""
-        if denom == self.denom:
-            return self.numerator
-        params = self.numerator.params
-        mult = QTScalar.one(params.r)
-        for i, (d, e) in enumerate(zip(self.denom, denom)):
-            mult = mult * (params.q_scalar(i + 1) - 1) ** (e - d)
-        return self.numerator.scale(mult)
-
-    def __add__(self, other: "Rescaled") -> "Rescaled":
-        denom = tuple(map(max, self.denom, other.denom))
-        return Rescaled(self._over(denom) + other._over(denom), denom)
-
-    def __neg__(self) -> "Rescaled":
-        return Rescaled(-self.numerator, self.denom)
-
-    def __sub__(self, other: "Rescaled") -> "Rescaled":
-        return self + -other
-
-    def __mul__(self, other: "Rescaled") -> "Rescaled":
-        denom = tuple(d + e for d, e in zip(self.denom, other.denom))
-        return Rescaled(self.numerator * other.numerator, denom)
-
-    def __rmul__(self, c) -> "Rescaled":  # a scalar c, without denominator
-        return Rescaled(self.numerator.scale(c), self.denom)
-
-    def __pow__(self, k: int) -> "Rescaled":
-        return Rescaled(self.numerator ** k, tuple(k * d for d in self.denom))
+def from_maltsiniotis(value: MaltsiniotisElement, denom=None) -> WeylElement:
+    """``value`` in the quantized algebra: the coefficient of Y^a x^b is
+    divided once by prod_i (q_i - 1)^{a_i}.  A term that does not clear is
+    named as the numerator over prod_i (q_i - 1)^{denom_i} (default: its
+    own a) divides one (q_i - 1) at a time, i by i, as far as it does."""
+    params, out = value.params, []
+    for mono, c in value.terms:
+        a = mono[::2]
+        try:
+            out.append((mono, c.div_exact(_q_minus_one_power(params, a)) if any(a) else c))
+        except ArithmeticError:
+            raise _localization_error(params, mono, c, a, a if denom is None else denom) from None
+    return WeylElement._canonical(params, out)
 
 
-def from_maltsiniotis(value: Rescaled) -> WeylElement:
-    """``value`` with its denominators cleared, or a LocalizationRequiredError
-    naming the first term of the numerator that a central (q_i - 1) does not
-    divide, with its coefficient as far as it was divided."""
-    params = value.numerator.params
-    out = []
-    for mono, c in value.numerator.terms:
-        for i, d in enumerate(value.denom):
-            factor = params.q_scalar(i + 1) - 1
-            for _ in range(d):
-                try:
-                    c = c.div_exact(factor)
-                except ArithmeticError:
-                    raise LocalizationRequiredError(
-                        f"term {c}*{pbw_monomial_str(mono) or '1'} does not clear "
-                        f"the denominator (q{i + 1} - 1); localization required"
-                    ) from None
-        out.append((mono, c))
-    return WeylElement(params, out)
+def _q_minus_one_power(params: WeylParams, exps: Sequence[int]) -> QTScalar:
+    """prod_i (q_i - 1)^{exps_i}, for exps_i >= 0."""
+    return math.prod([(params.q_scalar(i) - 1) ** e for i, e in enumerate(exps, 1)])
+
+
+def _localization_error(params, mono, c, a, denom) -> LocalizationRequiredError:
+    """The numerator over prod_i (q_i - 1)^{denom_i} is c prod_i (q_i - 1)^{denom_i - a_i}."""
+    c = (c * _q_minus_one_power(params, [max(d - e, 0) for d, e in zip(denom, a)])).div_exact(
+        _q_minus_one_power(params, [max(e - d, 0) for d, e in zip(denom, a)]))
+    for i, d in enumerate(denom, 1):
+        for _ in range(d):
+            try:
+                c = c.div_exact(params.q_scalar(i) - 1)
+            except ArithmeticError:
+                return LocalizationRequiredError(
+                    f"term {c}*{pbw_monomial_str(mono) or '1'} does not clear "
+                    f"the denominator (q{i} - 1); localization required")
+    raise AssertionError("c is not divisible by prod_i (q_i - 1)^{a_i}")

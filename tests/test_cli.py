@@ -201,6 +201,23 @@ def test_maltsiniotis_localization_error_text(capsys, expr, term):
                    "localization required\n")
 
 
+@pytest.mark.parametrize("big", [2**40, 2**70])
+def test_maltsiniotis_with_wide_exponents_matches_nf_by_substitution(capsys, big):
+    """Exponent entries of 2^40 and 2^70 widen the rescaled engine's fields
+    as they do the plain engine's: maltsiniotis of E with each y_i written
+    as (q_i - 1)*y_i prints what nf of E prints."""
+    exprs = [
+        f"eta^[{big},-{big}]*x2^3*y2^3",
+        f"(eta^[{big},1]*x1 + y1 + z1)^2*(x2*y2 - eta^[-{big},{big}]*z2)",
+        f"x1^2*x2^2*(eta^[0,{big}]*y1 + y2)^2 - eta^[{big},0]*z2^2",
+    ]
+    for expr in exprs:
+        substituted = expr.replace("y1", "((eta^[1,0]-1)*y1)").replace("y2", "((eta^[0,1]-1)*y2)")
+        code, want, _ = run(capsys, "nf", expr)
+        assert code == 0 and str(big) in want
+        assert run(capsys, "maltsiniotis", substituted) == (0, want, ""), expr
+
+
 def test_maltsiniotis_of_a_power_is_a_few_products(capsys, monkeypatch):
     """The expanded (x1+x2)^16 has 65 536 words; its rescaled value is a
     power of one sum, so the engine multiplies a handful of times."""

@@ -11,7 +11,6 @@ from qweyl import (
     WeylElement,
     build_e,
     build_e_family,
-    independence_check,
     specialize,
     wa_commutator,
 )
@@ -114,12 +113,3 @@ def test_commutator_coefficients_vanish_at_one():
         a, b = random_weyl(rng, params), random_weyl(rng, params)
         for _, c in wa_commutator(a, b).terms:
             assert c.eval_one() == 0
-
-
-def test_independence_check_examples():
-    assert independence_check([2, 3], 5)
-    assert not independence_check([2, 4], 2)
-    assert independence_check([5], 10)
-    assert not independence_check([Fraction(1, 2), 2], 1)
-    with pytest.raises(ValueError):
-        independence_check([0, 2], 3)

@@ -5,12 +5,12 @@ import pytest
 
 from qweyl import (
     LocalizationRequiredError,
+    MaltsiniotisElement,
     MuPoly,
     ParamsMismatchError,
     PoissonElement,
     QTScalar,
     RankMismatchError,
-    Rescaled,
     WeylElement,
     WeylParams,
     from_maltsiniotis,
@@ -20,7 +20,8 @@ from qweyl import (
 )
 from qweyl.cli import DEFAULT_CONFIG, params_from_config
 from qweyl.quantum_plane import PLANE, PlaneElement
-from qweyl.suites import random_params, random_weyl
+from qweyl import weyl
+from qweyl.suites import ALL_SUITES, DEFAULT_SEED, random_params, random_weyl
 from qweyl.weyl import StraighteningEngine
 
 
@@ -227,27 +228,48 @@ def test_divisibility_flags(params2):
 
 
 def test_rescaling_generators(params2):
-    x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
-    assert from_maltsiniotis(Rescaled.of(x1)) == WeylElement.generator(params2, "x", 1)
+    x1, y1 = (MaltsiniotisElement.generator(params2, k, 1) for k in "xy")
+    assert from_maltsiniotis(x1) == WeylElement.generator(params2, "x", 1)
     q1 = params2.q_scalar(1)
-    assert from_maltsiniotis((q1 - 1) * Rescaled.of(y1, 1)) == WeylElement.generator(
+    assert from_maltsiniotis((q1 - 1) * y1) == WeylElement.generator(
         params2, "y", 1
     )
 
 
 def test_rescaling_needs_localization(params2):
     with pytest.raises(LocalizationRequiredError):
-        from_maltsiniotis(Rescaled.of(WeylElement.generator(params2, "y", 1), 1))
+        from_maltsiniotis(MaltsiniotisElement.generator(params2, "y", 1))
 
 
 def test_rescaling_kills_defining_relation(params2):
     # x2 y2 - q2 y2 x2 - 1 - (q1 - 1) y1 x1  maps to zero
-    g = {f"{k}{i}": Rescaled.of(WeylElement.generator(params2, k, i), i if k == "y" else 0)
-         for i in (1, 2) for k in "yx"}
-    one = Rescaled.of(WeylElement.one(params2))
+    g = {f"{k}{i}": MaltsiniotisElement.generator(params2, k, i) for i in (1, 2) for k in "yx"}
+    one = MaltsiniotisElement.one(params2)
     q1, q2 = params2.q_scalar(1), params2.q_scalar(2)
     rel = g["x2"] * g["y2"] - q2 * g["y2"] * g["x2"] - one - (q1 - 1) * g["y1"] * g["x1"]
     assert from_maltsiniotis(rel) == WeylElement.zero(params2)
+
+
+
+@pytest.mark.parametrize("slot, corrupted", [
+    (6, ((1, 1), (0, -1), (2, 1))),  # z-step factor q - 1 + q^2
+    (6, ((0, 1),)),  # the plain engine's z-step factor
+    (5, lambda s: [(j, 1) for j in range(s + 1)]),  # [s + 1]_q for [s]_q
+])
+def test_rescaling_relations_catch_a_corrupted_rescaled_engine(monkeypatch, slot, corrupted):
+    """The suite compares the rescaled engine with the plain one, so a wrong
+    per-pair factor in ``rescaled_engine`` alone makes it fail."""
+    build = weyl.build_engine
+
+    def build_corrupted(*args):
+        if len(args) == 7:  # the rescaled engine; the plain one takes the defaults
+            args = args[:slot] + (corrupted,) + args[slot + 1:]
+        return build(*args)
+
+    assert ALL_SUITES["rescaling-relations"](DEFAULT_SEED).passed
+    monkeypatch.setattr(weyl, "build_engine", build_corrupted)
+    result = ALL_SUITES["rescaling-relations"](DEFAULT_SEED)
+    assert not result.passed and result.detail.startswith("nonzero image at n=")
 
 
 # -- printing ---------------------------------------------------------------------------
