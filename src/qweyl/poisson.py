@@ -23,11 +23,9 @@ same bracket.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import MuPoly, divide_terms, vec_add, vec_neg
+from .scalars import MuPoly, vec_add, vec_neg
 from .weyl import (
-    PbwElement, WeylElement, WeylParams, _add_shifted, _Decoder, _pack_terms, _unpack, mono_key,
+    PbwElement, WeylElement, WeylParams, _add_shifted, _Decoder, _pack_terms, _unpack,
 )
 
 
@@ -167,27 +165,4 @@ def jacobiator(a: PoissonElement, b: PoissonElement, c: PoissonElement) -> Poiss
         pb_bracket(a, pb_bracket(b, c))
         + pb_bracket(b, pb_bracket(c, a))
         + pb_bracket(c, pb_bracket(a, b))
-    )
-
-
-def pe_div_exact(a: PoissonElement, d: PoissonElement) -> PoissonElement:
-    """Exact quotient a/d in the commutative algebra.
-
-    Single-divisor multivariate division ordered by (degree, lex); the
-    divisor must have an invertible (constant rational) leading coefficient,
-    which holds for all divisors used here (they are monic in their top
-    monomial).  Raises NotDivisibleError when the remainder is nonzero.
-    """
-    a._check(d)
-    params = a.params
-    if not d:
-        raise ZeroDivisionError("division by the zero element")
-    if not a:
-        return a
-    dlc = d.terms[-1][1]
-    if not dlc.is_constant():
-        raise ArithmeticError("divisor leading coefficient is not a rational")
-    floor = (0,) * (2 * params.n)
-    return PoissonElement(
-        params, divide_terms(a, d, mono_key, Fraction(1, dlc.constant_part()), floor)
     )

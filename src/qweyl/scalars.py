@@ -20,9 +20,9 @@ Both are :class:`SparseScalar` term maps over the same vectors of ``int``
 exponents; they differ only in their ring operations and in how a monomial
 prints.  :class:`TermMap`, the base of the scalars and of the elements of
 :mod:`qweyl.weyl`, :mod:`qweyl.poisson` and :mod:`qweyl.quantum_plane`,
-holds the one copy of their ring operations and commutative product,
-:func:`divide_terms` their one exact-division loop, and :func:`signed_sum`
-the one printer of a signed sum of rationals (also for ``QuadPoly``).  All
+holds the one copy of their ring operations and commutative product, and
+:func:`signed_sum` the one printer of a signed sum of rationals (also for
+``QuadPoly``); exact division is :meth:`QTScalar.div_exact`.  All
 values are immutable and hashable; term maps are kept sorted by exponent
 vector so printing and hashing are deterministic.
 
@@ -313,29 +313,6 @@ class TermMap:
         return f"{type(self).__name__}({self})"
 
 
-def divide_terms(f: TermMap, g: TermMap, key, inv, floor: tuple) -> dict:
-    """Term map of the exact quotient ``f / g``, by single-divisor division.
-
-    ``key`` is the monomial order of the exponent tuples (``None``: tuple
-    order) by which both term maps are sorted, so ``g.terms[-1]`` is the
-    leading term of ``g``; ``inv`` is the inverse of its coefficient.  A
-    quotient exponent below ``floor`` in any slot means ``g`` does not
-    divide ``f``; it also bounds the loop.  Raises :class:`NotDivisibleError`.
-    """
-    glead = g.terms[-1][0]
-    rem = dict(f.terms)
-    quot: dict = {}
-    while rem:
-        lead = max(rem, key=key)
-        step = vec_sub(lead, glead)
-        if any(e < b for e, b in zip(step, floor)):
-            raise NotDivisibleError(f"{f} is not divisible by {g}")
-        c = quot[step] = rem[lead] * inv
-        for m, gc in g.terms:
-            add_term(rem, vec_add(step, m), -(c * gc))
-    return quot
-
-
 class DigitLimitError(ValueError):
     """A number has more digits than the interpreter converts to text."""
 
@@ -478,7 +455,10 @@ class QTScalar(SparseScalar):
         Monomials are units, so dividing both operands by their
         componentwise minimal monomials reduces this to polynomial division;
         a quotient exponent may thus go as low as the difference of the two
-        minima, which is the floor handed to :func:`divide_terms`.
+        minima.  Single-divisor division in tuple order, so the divisor's
+        last term leads; a quotient exponent below that floor in any slot
+        means no exact quotient exists, which also bounds the loop.  Raises
+        :class:`NotDivisibleError`.
         """
         o = self._coerce(divisor)
         if o is None:
@@ -489,8 +469,17 @@ class QTScalar(SparseScalar):
         if not self:
             return self
         fmin, gmin = (tuple(map(min, zip(*(v for v, _ in s.terms)))) for s in (self, o))
-        inv = _coefficient(Fraction(1, o.terms[-1][1]))
-        quot = divide_terms(self, o, None, inv, vec_sub(fmin, gmin))
+        floor = vec_sub(fmin, gmin)
+        glead, inv = o.terms[-1][0], _coefficient(Fraction(1, o.terms[-1][1]))
+        rem, quot = dict(self.terms), {}
+        while rem:
+            lead = max(rem)
+            step = vec_sub(lead, glead)
+            if any(e < b for e, b in zip(step, floor)):
+                raise NotDivisibleError(f"{self} is not divisible by {o}")
+            c = quot[step] = rem[lead] * inv
+            for m, gc in o.terms:
+                add_term(rem, vec_add(step, m), -(c * gc))
         return QTScalar(self.rank, quot)
 
     @staticmethod

@@ -259,10 +259,10 @@ def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tup
     c_ij = ``q_pair_exponent(w_i, w_j)`` (side "c"), the Poisson form
     {w_i, w_j}/(w_i w_j) (side "p"), its printed text (side "s") or the
     torus residue w_i w_j - eta^{c_ij} w_j w_i (side "q"), read from the
-    instance's ``torus_pairs`` and ``torus_table`` memos and filled in
-    where missing by :func:`_pair_entry`.  Each entry is computed once per
-    instance; every stratum only reads."""
-    memo = params.torus_pairs if side in "pq" else params.torus_table
+    instance's ``torus_table`` memo and filled in where missing by
+    :func:`_pair_entry`.  Each entry is computed once per instance; every
+    stratum only reads."""
+    memo = params.torus_table
     rows = []
     for wi in gens:
         row = []
@@ -282,7 +282,7 @@ def _pair_entry(params: WeylParams, side: str, w: TaggedGen, v: TaggedGen):
     each with its own exponent, so skew-symmetry stays a check on both
     sides.  Only a diagonal residue w w - eta^c w w with c = 0 is stored as
     zero unfolded; a nonzero c is folded, so a wrong table shows."""
-    memo = params.torus_pairs if side in "pq" else params.torus_table
+    memo = params.torus_table
     entry = memo.get((side, w, v))
     if entry is not None:
         return entry
@@ -355,62 +355,53 @@ def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
 # -- integer linear algebra ---------------------------------------------------
 
 
-def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int):
-    """Row-style Hermite normal form over Z with transformation matrix.
+def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Row-style Hermite normal form over Z.
 
-    Returns (H, U) with U unimodular and U*A = H; pivots are positive and
-    entries above each pivot are reduced into [0, pivot).
+    The rows of the result span the same lattice as ``rows``; pivots are
+    positive, entries above each pivot are reduced into [0, pivot), and
+    zero rows come last.
     """
-    m = len(rows)
     H = [list(map(int, row)) for row in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     pivot_row = 0
     for col in range(ncols):
-        # gcd elimination below pivot_row in this column
-        while True:
-            nonzero = [i for i in range(pivot_row, m) if H[i][col]]
+        while True:  # gcd elimination below pivot_row in this column
+            nonzero = [i for i in range(pivot_row, len(H)) if H[i][col]]
             if len(nonzero) <= 1:
                 break
             i0 = min(nonzero, key=lambda i: abs(H[i][col]))
             for i in nonzero:
-                if i == i0:
-                    continue
-                f = H[i][col] // H[i0][col]
-                H[i] = [a - f * b for a, b in zip(H[i], H[i0])]
-                U[i] = [a - f * b for a, b in zip(U[i], U[i0])]
-        nonzero = [i for i in range(pivot_row, m) if H[i][col]]
+                if i != i0:
+                    f = H[i][col] // H[i0][col]
+                    H[i] = [a - f * b for a, b in zip(H[i], H[i0])]
         if not nonzero:
             continue
         i0 = nonzero[0]
-        H[pivot_row], H[i0] = H[i0], H[pivot_row]
-        U[pivot_row], U[i0] = U[i0], U[pivot_row]
-        if H[pivot_row][col] < 0:
-            H[pivot_row] = [-a for a in H[pivot_row]]
-            U[pivot_row] = [-a for a in U[pivot_row]]
-        piv = H[pivot_row][col]
+        row = H[i0] if H[i0][col] > 0 else [-a for a in H[i0]]
+        H[i0], H[pivot_row] = H[pivot_row], row
         for i in range(pivot_row):
-            f = H[i][col] // piv
+            f = H[i][col] // row[col]
             if f:
-                H[i] = [a - f * b for a, b in zip(H[i], H[pivot_row])]
-                U[i] = [a - f * b for a, b in zip(U[i], U[pivot_row])]
+                H[i] = [a - f * b for a, b in zip(H[i], row)]
         pivot_row += 1
-    return H, U
+    return H
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical (HNF-reduced) Z-basis of {u in Z^ncols : A u = 0}.
 
-    Works on the transpose: row-reducing [A^T] with a unimodular U makes
-    the U-rows over zero rows of the reduced matrix a left-kernel basis.
+    One Hermite pass over the rows [A^T_j | e_j]: the right blocks record
+    the unimodular row operations, so once the first nrows columns are
+    reduced, the rows whose A^T block is zero are those below the last
+    pivot and their right blocks span the kernel.  The pass then reduces
+    those rows among themselves into the (unique) reduced Hermite form of
+    the kernel lattice.
     """
     nrows = len(rows)
-    at = [[int(rows[i][j]) for i in range(nrows)] for j in range(ncols)]
-    H, U = row_hermite_normal_form(at, nrows)
-    kernel = [tuple(U[i]) for i in range(ncols) if not any(H[i])]
-    if not kernel:
-        return []
-    Hk, _ = row_hermite_normal_form(kernel, ncols)
-    return [tuple(row) for row in Hk if any(row)]
+    aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(ncols)]
+           for j in range(ncols)]
+    H = row_hermite_normal_form(aug, nrows + ncols)
+    return [tuple(row[nrows:]) for row in H if not any(row[:nrows])]
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:

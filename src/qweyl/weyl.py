@@ -55,8 +55,8 @@ def mono_key(m: PbwMonomial) -> tuple[int, PbwMonomial]:
     The lexicographic leg compares negated exponents so that, within a
     degree class, monomials concentrated on low-index generators come
     first (z_2 prints as 1 + y1*x1 + y2*x2).  Degree-first with any
-    translation-invariant tie-break is a monomial order, which the exact
-    division routines rely on.
+    translation-invariant tie-break is a monomial order, which the
+    one-term product shortcut of :class:`~qweyl.scalars.TermMap` relies on.
     """
     return (sum(m), tuple([-e for e in m]))
 
@@ -519,24 +519,17 @@ class WeylParams:
         return {}
 
     @cached_property
-    def torus_pairs(self) -> dict:
-        """Memo of stratum-generator pairs, filled by :mod:`qweyl.spectra`:
-        ``("p", w, v)`` holds the Poisson form {w, v}/(w v) and ``("q", w, v)``
-        the torus residue w v - eta^c v w, with c = ``torus_table[("c", w,
-        v)]``, for tagged generators w, v; both residues of a pair come
-        from :meth:`StraighteningEngine.q_commutators`, one packed fold per
-        order, and a diagonal residue with c = 0 is zero without a fold.
-        At most 2(3n - 1)^2 entries; it lives and dies with this instance."""
-        return {}
-
-    @cached_property
     def torus_table(self) -> dict:
-        """Memo of the rest of what every stratum table reads, filled by
-        :mod:`qweyl.spectra`: ``("q", w)`` and ``("p", w)`` hold the
-        quantized and the Poisson image of the tagged generator w,
-        ``("c", w, v)`` the exponent c with w v = eta^c v w and ``("s", w,
-        v)`` the printed Poisson form of (w, v).  At most 6n(3n - 1)
-        entries; it lives and dies with this instance."""
+        """Memo of what every stratum table reads, filled by
+        :mod:`qweyl.spectra`, for tagged generators w, v: ``("q", w)`` and
+        ``("p", w)`` hold the quantized and the Poisson image of w, ``("c",
+        w, v)`` the exponent c with w v = eta^c v w, ``("p", w, v)`` the
+        Poisson form {w, v}/(w v), ``("s", w, v)`` its printed text and
+        ``("q", w, v)`` the torus residue w v - eta^c v w.  Both residues of
+        a pair come from :meth:`StraighteningEngine.q_commutators`, one
+        packed fold per order, and a diagonal residue with c = 0 is zero
+        without a fold.  At most 2(3n - 1)(6n - 1) entries; it lives and
+        dies with this instance."""
         return {}
 
 

@@ -15,6 +15,7 @@ without it.
 import importlib.util
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from qweyl import (  # noqa: E402
     integer_kernel,
 )
 from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config  # noqa: E402
+from qweyl.spectra import lattice_contains  # noqa: E402
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
@@ -228,6 +230,44 @@ def test_integer_kernel_rank_and_saturation():
         assert all(sum(a * u for a, u in zip(row, v)) == 0 for row in rows for v in basis)
         assert oracle.rational_rank(basis) == len(basis)
         assert oracle.is_saturated(basis)
+
+
+@st.composite
+def kernel_systems(draw):
+    """At most 15 integer rows over at most 5 columns (the strata draw r*s
+    rows over s columns), each row a small combination of k <= ncols base
+    rows, so that kernels of every rank occur."""
+    ncols = draw(st.integers(0, 5))
+    k = draw(st.integers(0, ncols))
+    entries = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    base = draw(st.lists(entries, min_size=k, max_size=k))
+    combos = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)]
+            for cs in draw(st.lists(combos, min_size=k, max_size=15))]
+    return rows, ncols
+
+
+@FAST
+@given(kernel_systems())
+def test_integer_kernel_is_the_reduced_hermite_basis(system):
+    """The output is in reduced Hermite form (positive pivots in strictly
+    increasing columns, entries above each pivot in [0, pivot)) and spans
+    exactly the kernel: every row solves the system, every solution in the
+    box [-2, 2]^ncols is in the span, and the span is saturated of full
+    rank.  A lattice has one such basis, so this pins the output."""
+    rows, ncols = system
+    basis = integer_kernel(rows, ncols)
+    pivots = [next(j for j, a in enumerate(v) if a) for v in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (v, p) in enumerate(zip(basis, pivots)):
+        assert v[p] > 0
+        assert all(0 <= u[p] < v[p] for u in basis[:i])
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in basis)
+    assert len(basis) == ncols - oracle.rational_rank(rows)
+    assert oracle.is_saturated(basis)
+    for u in product(range(-2, 3), repeat=ncols):
+        solves = all(sum(a * x for a, x in zip(row, u)) == 0 for row in rows)
+        assert solves == lattice_contains(basis, u)
 
 
 # -- left terms that merge and cancel partway through the fold ---------------------

@@ -161,13 +161,15 @@ def test_torus_data_invariants(params3):
 
 
 def test_hnf_basics():
-    H, U = row_hermite_normal_form([[4, 6], [2, 4]], 2)
+    # reducing [A | I] records the row operations U with U * A = H in the right block
+    A = [[4, 6], [2, 4]]
+    reduced = row_hermite_normal_form([[4, 6, 1, 0], [2, 4, 0, 1]], 4)
+    H, U = [row[:2] for row in reduced], [row[2:] for row in reduced]
     # U unimodular: determinant +-1
     det = U[0][0] * U[1][1] - U[0][1] * U[1][0]
     assert det in (1, -1)
     assert H[0][0] > 0
     # U * A = H
-    A = [[4, 6], [2, 4]]
     for i in range(2):
         for j in range(2):
             assert sum(U[i][k] * A[k][j] for k in range(2)) == H[i][j]
@@ -314,8 +316,9 @@ def test_pair_memo_warm_equals_cold():
                     check_torus_relations,
                 ):
                     assert compute(warm, T) == compute(fresh(warm), T), (seed, n, T)
-            assert warm.torus_pairs
-            assert len(warm.torus_pairs) <= 2 * (3 * n - 1) ** 2
+            pairs = [key for key in warm.torus_table if len(key) == 3 and key[0] in "pq"]
+            assert pairs
+            assert len(pairs) <= 2 * (3 * n - 1) ** 2
 
 
 def test_pair_memo_does_not_keep_instances_alive():
@@ -325,7 +328,7 @@ def test_pair_memo_does_not_keep_instances_alive():
     for T in enumerate_admissible(2):
         torus_matrix_p(params, T)
         assert check_torus_relations(params, T)
-    assert params.torus_pairs and params.torus_table
+    assert {key[0] for key in params.torus_table} == {"c", "p", "q"}
     del params
     gc.collect()
     assert ref() is None
@@ -452,7 +455,7 @@ def test_pair_memo_holds_torus_residues():
             params = random_params(random.Random(seed), n, 2)
             for T in enumerate_admissible(n):
                 check_torus_relations(params, T)
-            entries = {k: v for k, v in params.torus_pairs.items() if k[0] == "q"}
+            entries = {k: v for k, v in params.torus_table.items() if k[0] == "q" and len(k) == 3}
             pairs = {pair for T in enumerate_admissible(n) for pair in product(y_set(T), repeat=2)}
             assert {(w, v) for _, w, v in entries} == pairs
             for (_, w, v), residue in entries.items():
@@ -518,7 +521,7 @@ def test_diagonal_residues_take_no_fold(monkeypatch):
     fill_every_stratum(params)
     assert diagonal and not any(diagonal)
     gens = {w for T in enumerate_admissible(3) for w in y_set(T)}
-    assert all(params.torus_pairs[("q", w, w)] == WeylElement.zero(params) for w in gens)
+    assert all(params.torus_table[("q", w, w)] == WeylElement.zero(params) for w in gens)
 
 
 def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
@@ -567,9 +570,11 @@ def test_torus_table_bound():
             fill_every_stratum(params)
             table, gens = params.torus_table, 3 * n - 1
             pairs = [key for key in table if len(key) == 3]
-            assert len(pairs) == 2 * len({key[1:] for key in pairs}) <= 2 * gens**2
+            cs = [key for key in pairs if key[0] in "cs"]
+            assert len(cs) == 2 * len({key[1:] for key in cs}) <= 2 * gens**2
+            assert len(pairs) - len(cs) <= 2 * gens**2
             assert len(table) - len(pairs) <= 2 * gens
-            assert len(table) <= 6 * n * (3 * n - 1)
+            assert len(table) <= 2 * gens * (6 * n - 1)
 
 
 def test_torus_check_is_exact_not_modulo_the_ideal(monkeypatch):

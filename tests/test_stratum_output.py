@@ -1,6 +1,7 @@
 """``stratum`` and ``center`` print exactly their recorded output, in text
 and ``--json``, on every admissible set of the built-in config (n = 2) and
-of the n = 3 config ``tests/stratum_output/n3.json``.
+of the n = 3 and n = 4 configs ``tests/stratum_output/n3.json`` and
+``n4.json``.
 
 Each file under ``tests/stratum_output/`` is the transcript of one command
 in one format over all sets of one config, in ``enumerate_admissible``
@@ -18,7 +19,7 @@ from qweyl import enumerate_admissible
 from qweyl.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "stratum_output"
-CONFIGS = {"builtin": (2, None), "n3": (3, "n3.json")}  # n, config file in GOLDEN
+CONFIGS = {"builtin": (2, None), "n3": (3, "n3.json"), "n4": (4, "n4.json")}  # n, config file in GOLDEN
 CASES = [(config, command, fmt) for config in CONFIGS
          for command in ("stratum", "center") for fmt in ("txt", "json")]
 

@@ -28,10 +28,8 @@ from qweyl import (  # noqa: E402
     WeylElement,
     WeylParams,
     pb_bracket,
-    pe_div_exact,
     wa_commutator,
 )
-from qweyl.weyl import mono_key  # noqa: E402
 
 RANK = 2
 PARAMS = WeylParams(2, RANK, ((1, 0), (0, 1)), (((0, 0), (1, -1)), ((-1, 1), (0, 0))))
@@ -154,39 +152,6 @@ def test_qt_div_exact_rejects_remainder(a, d, c):
     # d is not a unit (not a monomial), so it does not divide the constant c
     with pytest.raises(NotDivisibleError):
         (a * d + c).div_exact(d)
-
-
-def with_rational_lead(d: PoissonElement, c: Fraction) -> PoissonElement:
-    """``d`` with the coefficient of its leading monomial replaced by ``c``."""
-    lead = max((m for m, _ in d.terms), key=mono_key)
-    return PoissonElement(PARAMS, [t for t in d.terms if t[0] != lead] + [(lead, c)])
-
-
-@FAST
-@given(poisson_elements, poisson_elements.filter(bool), rationals)
-def test_pe_div_exact_inverts_product(a, d, c):
-    d = with_rational_lead(d, c)
-    q = pe_div_exact(a * d, d)
-    assert q == a
-    assert pe_stored_form(q)
-
-
-@FAST
-@given(poisson_elements, poisson_elements.filter(bool), st.sampled_from([2, 3, -3]))
-def test_pe_div_exact_integer_leading_coefficient(a, d, c):
-    d = with_rational_lead(d, c)
-    q = pe_div_exact(a * d, d)
-    assert q == a
-    assert pe_stored_form(q)
-
-
-@FAST
-@given(poisson_elements, poisson_elements.filter(lambda d: d.degree() > 0), rationals)
-def test_pe_div_exact_rejects_remainder(a, d, c):
-    # a nonconstant d does not divide the unit 1
-    d = with_rational_lead(d, c)
-    with pytest.raises(NotDivisibleError):
-        pe_div_exact(a * d + 1, d)
 
 
 @FAST
