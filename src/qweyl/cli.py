@@ -300,7 +300,7 @@ def _example(args, params, config):
 
 
 def _maltsiniotis(args, params, config):
-    return _plain(from_maltsiniotis(*eval_rescaled(parse_expr(args.expr), params)))
+    return _plain(from_maltsiniotis(eval_rescaled(parse_expr(args.expr), params)))
 
 
 @dataclass(frozen=True)

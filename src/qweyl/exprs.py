@@ -350,26 +350,6 @@ def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
     return _evaluate(node, params, _weyl_atom)
 
 
-def eval_rescaled(node: Expression, params: WeylParams) -> tuple[MaltsiniotisElement, tuple]:
-    """Evaluate in the rescaled presentation, where y_i is Y_i = (q_i -
-    1)^{-1} y_i, and give the ``denom`` of :func:`~qweyl.weyl.from_maltsiniotis`."""
-    value = _evaluate(node, params, lambda leaf, p: _weyl_atom(leaf, p, MaltsiniotisElement))
-    return value, _denominator(node, params.n)
-
-
-def _denominator(node: Expression, n: int) -> tuple[int, ...]:
-    """D with prod_i (q_i - 1)^{D_i} the denominator of ``node``'s expanded
-    sum of words under y_i -> (q_i - 1)^{-1} y_i: e_i for y_i, sum_{k<=i}
-    e_k for z_i, the max over a sum, the sum over a product."""
-    if isinstance(node, (Num, Gen, EtaMono)):
-        kind, i = (node.kind, node.index) if isinstance(node, Gen) else ("", 0)
-        return tuple(int(k == i if kind == "y" else kind == "z" and k <= i)
-                     for k in range(1, n + 1))
-    if isinstance(node, (Neg, Pow)):
-        k, base = (1, node.item) if isinstance(node, Neg) else (node.exponent, node.base)
-        return tuple(k * d for d in _denominator(base, n))
-    op, parts = (add, node.factors) if isinstance(node, Mul) else (max, node.terms)
-    out = _denominator(parts[0], n)
-    for part in parts[1:]:  # one frame per level, as in _evaluate
-        out = tuple(map(op, out, _denominator(part, n)))
-    return out
+def eval_rescaled(node: Expression, params: WeylParams) -> MaltsiniotisElement:
+    """Evaluate in the rescaled presentation, where y_i is Y_i = (q_i - 1)^{-1} y_i."""
+    return _evaluate(node, params, lambda leaf, p: _weyl_atom(leaf, p, MaltsiniotisElement))

@@ -22,9 +22,9 @@ prints.  :class:`TermMap`, the base of the scalars and of the elements of
 :mod:`qweyl.weyl`, :mod:`qweyl.poisson` and :mod:`qweyl.quantum_plane`,
 holds the one copy of their ring operations and commutative product, and
 :func:`signed_sum` the one printer of a signed sum of rationals (also for
-``QuadPoly``); exact division is :meth:`QTScalar.div_exact`.  All
-values are immutable and hashable; term maps are kept sorted by exponent
-vector so printing and hashing are deterministic.
+``QuadPoly``); the one exact division is :meth:`QTScalar.div_exact`, by
+``eta^v - 1``.  All values are immutable and hashable; term maps are kept
+sorted by exponent vector so printing and hashing are deterministic.
 
 A rational coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` otherwise, never as a ``float``: the structure constants of the
@@ -449,38 +449,38 @@ class QTScalar(SparseScalar):
 
     # -- exact division ----------------------------------------------------
 
-    def div_exact(self, divisor: "QTScalar") -> "QTScalar":
-        """Exact quotient in the Laurent monomial ring.
+    def div_exact(self, v: ExpVec) -> "QTScalar":
+        """Exact quotient by ``eta^v - 1``, for a nonzero exponent vector ``v``.
 
-        Monomials are units, so dividing both operands by their
-        componentwise minimal monomials reduces this to polynomial division;
-        a quotient exponent may thus go as low as the difference of the two
-        minima.  Single-divisor division in tuple order, so the divisor's
-        last term leads; a quotient exponent below that floor in any slot
-        means no exact quotient exists, which also bounds the loop.  Raises
-        :class:`NotDivisibleError`.
+        Exponents interact only along the lines ``w + Z v``.  Writing the
+        terms of a line at positions ``w + t v``, ``P = (eta^v - 1) Q``
+        reads ``P_t = Q_{t-1} - Q_t``, so ``Q_t = -(P_{t_0} + ... + P_t)``
+        from the line's lowest position ``t_0``.  Q exists exactly when P
+        sums to 0 on every line, which is checked on all lines before any
+        quotient term is built.  Raises :class:`NotDivisibleError`.
         """
-        o = self._coerce(divisor)
-        if o is None:
-            raise TypeError("divisor must be a QTScalar or rational")
-        self._check(o)
-        if not o:
-            raise ZeroDivisionError("division by the zero scalar")
-        if not self:
-            return self
-        fmin, gmin = (tuple(map(min, zip(*(v for v, _ in s.terms)))) for s in (self, o))
-        floor = vec_sub(fmin, gmin)
-        glead, inv = o.terms[-1][0], _coefficient(Fraction(1, o.terms[-1][1]))
-        rem, quot = dict(self.terms), {}
-        while rem:
-            lead = max(rem)
-            step = vec_sub(lead, glead)
-            if any(e < b for e, b in zip(step, floor)):
-                raise NotDivisibleError(f"{self} is not divisible by {o}")
-            c = quot[step] = rem[lead] * inv
-            for m, gc in o.terms:
-                add_term(rem, vec_add(step, m), -(c * gc))
-        return QTScalar(self.rank, quot)
+        v, _ = self._term(self.rank, v, 1)  # an eta-monomial's vector of this rank
+        k = next((k for k, e in enumerate(v) if e), None)
+        if k is None:
+            raise ZeroDivisionError("division by eta^v - 1 with v = 0")
+        lines: dict = {}  # a line's point at t = 0 -> [(t, w, P_t)]
+        for w, c in self.terms:
+            t = w[k] // v[k]
+            lines.setdefault(tuple([a - t * b for a, b in zip(w, v)]), []).append((t, w, c))
+        if any(sum([c for _, _, c in line]) for line in lines.values()):
+            raise NotDivisibleError(f"not divisible by {self._monomial_str(v)} - 1")
+        quot: dict = {}
+        for line in lines.values():
+            line.sort()
+            s = 0
+            for (t, w, c), (u, _, _) in zip(line, line[1:]):
+                s -= c
+                if s:  # Q_t = s at w, and on through the gap up to position u
+                    quot[w] = s
+                    for _ in range(u - t - 1):
+                        w = vec_add(w, v)
+                        quot[w] = s
+        return self._from_sums(self.rank, quot)
 
     @staticmethod
     def _monomial_str(vec: ExpVec) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .exprs import eval_rescaled, eval_weyl, parse_expr
@@ -46,7 +47,6 @@ from .spectra import (
 from .weyl import (
     WeylElement,
     WeylParams,
-    _q_minus_one_power,
     pos_x,
     pos_y,
     wa_z,
@@ -382,16 +382,17 @@ def _rescaling_relations(rng: random.Random) -> Checks:
     the plain words sum to zero over the relation's common denominator."""
     for n in range(1, 4):
         params = random_params(rng, n, 2)
-        lift = partial(_q_minus_one_power, params)
+        # prod(map(pow, g, e)) is prod_i (q_i - 1)^{e_i}
+        g = [params.q_scalar(i) - 1 for i in range(1, n + 1)]
         for rel in _defining_relations(params):
             denom = [max(w.count(f"y{i}") for _, w in rel) for i in range(1, n + 1)]
             image, same = WeylElement.zero(params), True
             for c, word in rel:
                 y, node = [word.count(f"y{i}") for i in range(1, n + 1)], parse_expr(word)
-                (rescaled, _), plain = eval_rescaled(node, params), eval_weyl(node, params)
-                same &= ({m: a * lift(y) for m, a in rescaled.terms}
-                         == {m: a * lift(m[::2]) for m, a in plain.terms})
-                image += plain.scale(c * lift(vec_sub(denom, y)))
+                rescaled, plain = eval_rescaled(node, params), eval_weyl(node, params)
+                same &= ({m: a * prod(map(pow, g, y)) for m, a in rescaled.terms}
+                         == {m: a * prod(map(pow, g, m[::2])) for m, a in plain.terms})
+                image += plain.scale(c * prod(map(pow, g, vec_sub(denom, y))))
             yield None if same and not image else f"nonzero image at n={n}"
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
+from .scalars import ExpVec, NotDivisibleError, QTScalar, TermMap, add_term, vec_add, vec_neg
 
 PbwMonomial = tuple[int, ...]
 
@@ -678,41 +678,21 @@ def wa_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 wa_z = WeylElement.z
 
 
-def wa_divisible_by_t_minus_1(a: WeylElement) -> bool:
-    """True iff every coefficient vanishes at the classical point."""
-    return all(c.eval_one() == 0 for _, c in a.terms)
-
-
-def from_maltsiniotis(value: MaltsiniotisElement, denom=None) -> WeylElement:
+def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
     """``value`` in the quantized algebra: the coefficient of Y^a x^b is
-    divided once by prod_i (q_i - 1)^{a_i}.  A term that does not clear is
-    named as the numerator over prod_i (q_i - 1)^{denom_i} (default: its
-    own a) divides one (q_i - 1) at a time, i by i, as far as it does."""
+    divided by (q_1 - 1) a_1 times, then by (q_2 - 1) a_2 times, and so on.
+    At the first division that fails, the error names the term with the
+    quotient reached so far and that (q_i - 1)."""
     params, out = value.params, []
     for mono, c in value.terms:
-        a = mono[::2]
-        try:
-            out.append((mono, c.div_exact(_q_minus_one_power(params, a)) if any(a) else c))
-        except ArithmeticError:
-            raise _localization_error(params, mono, c, a, a if denom is None else denom) from None
+        for i, a in enumerate(mono[::2], 1):
+            for _ in range(a):
+                try:
+                    c = c.div_exact(params.s(i))
+                except NotDivisibleError:
+                    term = MaltsiniotisElement._canonical(params, [(mono, c)])
+                    raise LocalizationRequiredError(
+                        f"term {term} does not clear the denominator (q{i} - 1); "
+                        "localization required") from None
+        out.append((mono, c))
     return WeylElement._canonical(params, out)
-
-
-def _q_minus_one_power(params: WeylParams, exps: Sequence[int]) -> QTScalar:
-    """prod_i (q_i - 1)^{exps_i}, for exps_i >= 0."""
-    return math.prod([(params.q_scalar(i) - 1) ** e for i, e in enumerate(exps, 1)])
-
-
-def _localization_error(params, mono, c, a, denom) -> LocalizationRequiredError:
-    """The numerator over prod_i (q_i - 1)^{denom_i} is c prod_i (q_i - 1)^{denom_i - a_i}."""
-    c = (c * _q_minus_one_power(params, [max(d - e, 0) for d, e in zip(denom, a)])).div_exact(
-        _q_minus_one_power(params, [max(e - d, 0) for d, e in zip(denom, a)]))
-    for i, d in enumerate(denom, 1):
-        for _ in range(d):
-            try:
-                c = c.div_exact(params.q_scalar(i) - 1)
-            except ArithmeticError:
-                return LocalizationRequiredError(
-                    f"term {c}*{pbw_monomial_str(mono) or '1'} does not clear "
-                    f"the denominator (q{i} - 1); localization required")
-    raise AssertionError("c is not divisible by prod_i (q_i - 1)^{a_i}")

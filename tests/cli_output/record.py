@@ -37,6 +37,7 @@ FIXED = {
         "(x1+x2+z1)^8",
         "eta^[4294967296,-1099511627776]*x2^3*y2^3",
         "eta^[4294967296,-1099511627776]*x2^3*((eta^[0,1]-1)*y2)^3",
+        "eta^[0,1000000000]*y2 + y2", "(y1 - y1)^400 + y1", "(eta^[1,0]-1)*(eta^[0,1]+2)*y1^2",
     ],
     "n3": [
         "y1", "(y1+x1)^2", "y1 + (eta^[2]-1)^2*y2^2", "y3*x3 + y2", "x9^0", "eta^[1,0]^0",

@@ -3,10 +3,12 @@ stderr, and exit with the recorded code, in text and ``--json``, on the
 built-in config (n = 2) and the n = 3 config.
 
 The cases are listed in ``tests/cli_output/cases.txt``: random
-rescaling-pair families at fixed seeds, both localization-error texts, the
-bad bases under ``^0``, ``(x1+x2+z1)^8`` and exponent entries of 2^32 and
-2^40.  ``tests/cli_output/record.py`` rewrites the transcripts from the
-current code.
+rescaling-pair families at fixed seeds, localization errors (a multi-term
+coefficient, a quotient reached after one division, a 10^9 gap between two
+exponents, and ``(y1 - y1)^400 + y1``), the bad bases under ``^0``,
+``(x1+x2+z1)^8`` and exponent entries of 2^32 and 2^40.
+``tests/cli_output/record.py`` rewrites the transcripts from the current
+code.
 """
 
 import importlib.util

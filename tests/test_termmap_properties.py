@@ -3,9 +3,9 @@
 Sums and products of eta-scalars, products of Poisson elements with a
 one-term factor (the shortcut in ``TermMap._product``), and Poisson brackets
 are checked against sympy's polynomial arithmetic, which shares no code with
-qweyl; exact division is checked by multiplying back; equality and hashing by
-shuffling the terms.  Every stored rational coefficient must be an ``int`` or a
-non-integral ``Fraction``.
+qweyl; exact division by eta^v - 1 is checked by multiplying back; equality
+and hashing by shuffling the terms.  Every stored rational coefficient must
+be an ``int`` or a non-integral ``Fraction``.
 hypothesis and sympy are installed where the tests run but are not declared
 dependencies, so the module is skipped without them.
 """
@@ -25,6 +25,7 @@ from qweyl import (  # noqa: E402
     NotDivisibleError,
     PoissonElement,
     QTScalar,
+    RankMismatchError,
     WeylElement,
     WeylParams,
     pb_bracket,
@@ -45,6 +46,7 @@ rationals = st.builds(
     Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)
 )
 eta_vecs = st.tuples(*[st.integers(-2, 2)] * RANK)
+nonzero_eta_vecs = eta_vecs.filter(any)
 mu_vecs = st.tuples(*[st.integers(0, 1)] * RANK)
 pbw_monos = st.tuples(*[st.integers(0, 2)] * (2 * PARAMS.n))
 
@@ -129,29 +131,27 @@ def test_pe_one_term_products_match_sympy(m, b):
 
 
 @FAST
-@given(qt_scalars, qt_scalars.filter(bool))
-def test_qt_div_exact_inverts_product(a, d):
-    q = (a * d).div_exact(d)
+@given(qt_scalars, nonzero_eta_vecs)
+def test_qt_div_exact_inverts_product(a, v):
+    q = (a * (QTScalar.monomial(v) - 1)).div_exact(v)
     assert q == a
     assert stored_form(q)
 
 
 @FAST
-@given(qt_scalars, qt_scalars.filter(bool), st.sampled_from([2, 3, -3]))
-def test_qt_div_exact_integer_leading_coefficient(a, d, c):
-    # an integer leading coefficient must give an exact (Fraction) inverse
-    d = QTScalar(RANK, d.terms[:-1] + ((d.terms[-1][0], c),))
-    q = (a * d).div_exact(d)
-    assert q == a
-    assert stored_form(q)
+@given(qt_scalars, st.sampled_from([(0,) * RANK, (1,) * (RANK - 1), (1,) * (RANK + 1)]))
+def test_qt_div_exact_rejects_bad_vectors(a, v):
+    # the vector is checked before the scalar is read, so zero fails too
+    with pytest.raises(RankMismatchError if len(v) != RANK else ZeroDivisionError):
+        a.div_exact(v)
 
 
 @FAST
-@given(qt_scalars, qt_scalars.filter(lambda d: len(d.terms) > 1), rationals)
-def test_qt_div_exact_rejects_remainder(a, d, c):
-    # d is not a unit (not a monomial), so it does not divide the constant c
+@given(qt_scalars, nonzero_eta_vecs, eta_vecs, rationals)
+def test_qt_div_exact_rejects_remainder(a, v, w, c):
+    # the monomial c eta^w makes the sum of its line nonzero
     with pytest.raises(NotDivisibleError):
-        (a * d + c).div_exact(d)
+        (a * (QTScalar.monomial(v) - 1) + QTScalar.monomial(w, c)).div_exact(v)
 
 
 @FAST

@@ -14,8 +14,8 @@ from qweyl import (
     WeylElement,
     WeylParams,
     from_maltsiniotis,
+    gamma1,
     wa_commutator,
-    wa_divisible_by_t_minus_1,
     wa_z,
 )
 from qweyl.cli import DEFAULT_CONFIG, params_from_config
@@ -216,12 +216,12 @@ def test_z_values(params2):
 def test_divisibility_flags(params2):
     g = gens(params2)
     q1 = params2.q_scalar(1)
-    assert wa_divisible_by_t_minus_1(g["y1"].scale(q1 - 1))
-    assert not wa_divisible_by_t_minus_1(g["y1"])
+    assert not gamma1(g["y1"].scale(q1 - 1))
+    assert gamma1(g["y1"])
     rng = random.Random(9)
     for _ in range(50):
         a, b = random_weyl(rng, params2), random_weyl(rng, params2)
-        assert wa_divisible_by_t_minus_1(wa_commutator(a, b))
+        assert not gamma1(wa_commutator(a, b))
 
 
 # -- the rescaling map ----------------------------------------------------------------
