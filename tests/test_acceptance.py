@@ -40,7 +40,7 @@ CRITERIA = [
     ("13", "quantum-plane",
      "demo relation xy = eta1 yx and limit bracket {x,y} = xy", 3),
     ("14", "torus-relations-ideal",
-     "torus commutation relations reduce into the stratum ideal, n<=3", 28),
+     "torus commutation relations hold exactly in the algebra, n<=3", 28),
 ]
 
 

@@ -1,14 +1,13 @@
-"""``nf`` and ``maltsiniotis`` print exactly their recorded stdout and
-stderr, and exit with the recorded code, in text and ``--json``, on the
-built-in config (n = 2) and the n = 3 config.
+"""Every command line of ``tests/cli_output/cases.txt`` prints exactly its
+recorded stdout and stderr, and exits with the recorded code.
 
-The cases are listed in ``tests/cli_output/cases.txt``: random
-rescaling-pair families at fixed seeds, localization errors (a multi-term
-coefficient, a quotient reached after one division, a 10^9 gap between two
-exponents, and ``(y1 - y1)^400 + y1``), the bad bases under ``^0``,
-``(x1+x2+z1)^8`` and exponent entries of 2^32 and 2^40.
-``tests/cli_output/record.py`` rewrites the transcripts from the current
-code.
+The rows pin ``nf`` and ``maltsiniotis`` on random rescaling-pair families
+and fixed cases (localization errors, bad bases under ``^0``, exponent
+entries of 2^32 and 2^40), ``stratum`` and ``center`` on every admissible
+set of the n = 2, 3 and 4 configs, every other command, ``verify`` at four
+seeds, and an exit-2 row for each command that reads an expression or a
+marker list.  ``tests/cli_output/record.py`` rewrites the transcripts from
+the current code.
 """
 
 import importlib.util
@@ -16,20 +15,34 @@ from pathlib import Path
 
 import pytest
 
+from qweyl.cli import COMMANDS
+
 GOLDEN = Path(__file__).resolve().parent / "cli_output"
 _spec = importlib.util.spec_from_file_location("cli_output_record", GOLDEN / "record.py")
 record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
-CASES = record.transcript_files()
+FILES = sorted({record.file_name(row) for row in record.read_cases()})
 
 
 @pytest.fixture(scope="module")
-def cases():
-    return record.read_cases()
+def runs():
+    return {row: record.run(row) for row in record.read_cases()}
 
 
-@pytest.mark.parametrize("config, command, fmt", CASES,
-                         ids=["-".join(case) for case in CASES])
-def test_cli_output_is_pinned(cases, config, command, fmt):
-    expected = (GOLDEN / f"{config}-{command}.{fmt}").read_text()
-    assert record.transcript(cases, config, command, fmt) == expected
+@pytest.fixture(scope="module")
+def transcripts(runs):
+    return record.transcripts(runs)
+
+
+@pytest.mark.parametrize("name", FILES, ids=[name.replace(".", "-") for name in FILES])
+def test_cli_output_is_pinned(transcripts, name):
+    assert transcripts[name] == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_corpus_pins_every_command(runs):
+    assert {record.command(row) for row in runs} == set(COMMANDS)
+    readers = {name for name, command in COMMANDS.items()
+               if {arg for arg, _ in command.arguments} & {"expr", "a", "b", "tspec"}}
+    exit_2 = {record.command(row) for row, (_, code) in runs.items() if code == 2}
+    assert readers - exit_2 == set()
+    assert {p.name for p in GOLDEN.glob("*-*.*")} == set(FILES)  # no stale transcript

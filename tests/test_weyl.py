@@ -305,6 +305,21 @@ def test_direct_landings_are_not_memoized(monkeypatch):
     assert g["x1"] ** 10**11 == WeylElement.monomial(p, (0, 10**11, 0, 0))
 
 
+def test_straightening_depth_tripwire(params2):
+    """The swap depth bound of ``_mono_times_gen`` is an assert: a debug run
+    stops a call past it, and under ``python -O`` the depth only counts."""
+    engine = params2.engine
+    m, p = (0, 0, 1, 1), 0  # y2*x2 above slot 0 (y1): the swap branch recurses
+    expected = engine._mono_times_gen(m, p, 0)
+    engine._gen_cache.clear()
+    past = 2 * engine.n - p  # one past 2n - 1 - p
+    if __debug__:
+        with pytest.raises(AssertionError, match="straightening recursion exceeded bound"):
+            engine._mono_times_gen(m, p, past)
+    else:
+        assert engine._mono_times_gen(m, p, past) == expected
+
+
 def test_block_append_equals_single_appends(params3):
     """``_acc_times_block(acc, p, e)`` against e calls of ``_acc_times_gen``.
     Each accumulator mixes monomials that land and monomials that step; on a
