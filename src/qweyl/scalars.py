@@ -22,9 +22,10 @@ prints.  :class:`TermMap`, the base of the scalars and of the elements of
 :mod:`qweyl.weyl`, :mod:`qweyl.poisson` and :mod:`qweyl.quantum_plane`,
 holds the one copy of their ring operations and commutative product, and
 :func:`signed_sum` the one printer of a signed sum of rationals (also for
-``QuadPoly``); the one exact division is :meth:`QTScalar.div_exact`, by
-``eta^v - 1``.  All values are immutable and hashable; term maps are kept
-sorted by exponent vector so printing and hashing are deterministic.
+``QuadPoly``).  The ring has no division (the one exact division, by
+``eta^v - 1``, is in :func:`qweyl.weyl.from_maltsiniotis`).  All values are
+immutable and hashable; term maps are kept sorted by exponent vector so
+printing and hashing are deterministic.
 
 A rational coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` otherwise, never as a ``float``: the structure constants of the
@@ -106,8 +107,8 @@ def add_term(table: dict, key, value) -> None:
     """Add ``value`` into ``table[key]``, dropping the key when the sum is zero.
 
     Every sparse term map in the package (elements, the engine's
-    intermediate results, division remainders) accumulates through here, so
-    no stored coefficient is ever zero; :meth:`TermMap._from_sums` and the
+    intermediate results) accumulates through here, so no stored
+    coefficient is ever zero; :meth:`TermMap._from_sums` and the
     constructor drop zero sums at the end instead.
     """
     c = table.get(key)
@@ -446,41 +447,6 @@ class QTScalar(SparseScalar):
                 f"scalar {self} is nonzero at t=1; not divisible by (t-1)"
             )
         return self.deriv_one()
-
-    # -- exact division ----------------------------------------------------
-
-    def div_exact(self, v: ExpVec) -> "QTScalar":
-        """Exact quotient by ``eta^v - 1``, for a nonzero exponent vector ``v``.
-
-        Exponents interact only along the lines ``w + Z v``.  Writing the
-        terms of a line at positions ``w + t v``, ``P = (eta^v - 1) Q``
-        reads ``P_t = Q_{t-1} - Q_t``, so ``Q_t = -(P_{t_0} + ... + P_t)``
-        from the line's lowest position ``t_0``.  Q exists exactly when P
-        sums to 0 on every line, which is checked on all lines before any
-        quotient term is built.  Raises :class:`NotDivisibleError`.
-        """
-        v, _ = self._term(self.rank, v, 1)  # an eta-monomial's vector of this rank
-        k = next((k for k, e in enumerate(v) if e), None)
-        if k is None:
-            raise ZeroDivisionError("division by eta^v - 1 with v = 0")
-        lines: dict = {}  # a line's point at t = 0 -> [(t, w, P_t)]
-        for w, c in self.terms:
-            t = w[k] // v[k]
-            lines.setdefault(tuple([a - t * b for a, b in zip(w, v)]), []).append((t, w, c))
-        if any(sum([c for _, _, c in line]) for line in lines.values()):
-            raise NotDivisibleError(f"not divisible by {self._monomial_str(v)} - 1")
-        quot: dict = {}
-        for line in lines.values():
-            line.sort()
-            s = 0
-            for (t, w, c), (u, _, _) in zip(line, line[1:]):
-                s -= c
-                if s:  # Q_t = s at w, and on through the gap up to position u
-                    quot[w] = s
-                    for _ in range(u - t - 1):
-                        w = vec_add(w, v)
-                        quot[w] = s
-        return self._from_sums(self.rank, quot)
 
     @staticmethod
     def _monomial_str(vec: ExpVec) -> str:

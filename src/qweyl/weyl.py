@@ -15,7 +15,8 @@ exponent data (s_i, L_ij).  The same engine also runs with concrete rational
 structure constants (see :mod:`qweyl.interp`).
 
 The rescaled presentation, in Y_i = (q_i - 1)^{-1} y_i, has its own engine
-(:class:`MaltsiniotisElement`); :func:`from_maltsiniotis` maps it back.
+(:class:`MaltsiniotisElement`); :func:`from_maltsiniotis` maps it back by
+the library's one exact division, on packed numerators as the engine's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .scalars import ExpVec, NotDivisibleError, QTScalar, TermMap, add_term, vec_add, vec_neg
+from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
 
 PbwMonomial = tuple[int, ...]
 
@@ -68,8 +69,9 @@ class StraighteningEngine:
     ``g_qp g_pp = c g_pp g_qp`` for qp > pp, except the same-index slot
     (x_i, y_i): ``x_i^s y_i = q_i^s y_i x_i^s + f_s(q_i) z_{i-1} x_i^{s-1}``
     and ``z_k = z_{k-1} + g(q_k) y_k x_k``, z_0 = 1, with per-pair factors
-    f_s = q^s - 1 and g = 1 in the quantized algebra, and f_s = [s]_q =
-    1 + q + ... + q^{s-1} and g = q - 1 in the rescaled presentation.
+    f_s = q^s - 1 and g = 1 in the quantized algebra, f_s = [s]_q = 1 + q
+    + ... + q^{s-1} and g = q - 1 in the rescaled presentation, and f_s = 0
+    in the quantum plane of :mod:`qweyl.quantum_plane`.
 
     Appending y_i to ``m = L y_i^r x_i^s`` (L on the pairs below i, nothing
     above x_i) is done in closed form.  Since z_{i-1} commutes with y_i and
@@ -617,10 +619,10 @@ class WeylElement(PbwElement):
 
     __slots__ = ()
     scalar_type = QTScalar
-    _engine = "engine"  # the WeylParams memo that straightens products
+    _engine = staticmethod(lambda params: params.engine)  # what straightens products
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        engine = getattr(self.params, self._engine)
+        engine = self._engine(self.params)
         return self._from_sums(self.params, engine.mul_terms(dict(self.terms), dict(other.terms)))
 
 
@@ -629,7 +631,7 @@ class MaltsiniotisElement(WeylElement):
     y_i), straightened by ``rescaled_engine``; see :func:`from_maltsiniotis`."""
 
     __slots__ = ()
-    _engine = "rescaled_engine"
+    _engine = staticmethod(lambda params: params.rescaled_engine)
     _z_step = staticmethod(lambda params, k: params.q_scalar(k) - 1)
 
 
@@ -680,19 +682,55 @@ wa_z = WeylElement.z
 
 def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
     """``value`` in the quantized algebra: the coefficient of Y^a x^b is
-    divided by (q_1 - 1) a_1 times, then by (q_2 - 1) a_2 times, and so on.
-    At the first division that fails, the error names the term with the
-    quotient reached so far and that (q_i - 1)."""
-    params, out = value.params, []
-    for mono, c in value.terms:
-        for i, a in enumerate(mono[::2], 1):
+    divided by (q_1 - 1) a_1 times, then by (q_2 - 1) a_2 times, and so on,
+    on packed numerators.  At the first division that fails, the error names
+    the term with the quotient reached so far and that (q_i - 1)."""
+    params = value.params
+    top = max([abs(x) for _, c in value.terms for v, _ in c.terms for x in v], default=0)
+    size = max([abs(x) for v in params.qexp for x in v], default=0)
+    dec = _Decoder(params.r, (top * (1 + size)).bit_length() + 1)
+    packed, den = _pack_terms(value.terms, dec.encode)
+    out = dict(packed)
+    for mono, d in packed:
+        for i, (a, v) in enumerate(zip(mono[::2], params.qexp), 1):
             for _ in range(a):
-                try:
-                    c = c.div_exact(params.s(i))
-                except NotDivisibleError:
-                    term = MaltsiniotisElement._canonical(params, [(mono, c)])
+                if (quot := _divide_by_q_minus_1(d, v, dec)) is None:
+                    term = MaltsiniotisElement._canonical(
+                        params, _unpack({mono: d}, den, dec, QTScalar).items())
                     raise LocalizationRequiredError(
                         f"term {term} does not clear the denominator (q{i} - 1); "
-                        "localization required") from None
-        out.append((mono, c))
-    return WeylElement._canonical(params, out)
+                        "localization required")
+                d = out[mono] = quot
+    return WeylElement._canonical(params, _unpack(out, den, dec, QTScalar).items())
+
+
+def _divide_by_q_minus_1(d: dict, v: ExpVec, dec: _Decoder) -> dict | None:
+    """``d / (eta^v - 1)`` for d = {packed exponent: numerator}, or None.
+
+    On a line ``w + Z v`` with terms at positions t, ``d = (eta^v - 1) Q``
+    reads ``d_t = Q_{t-1} - Q_t``: Q is a running sum from the lowest
+    position, and exists exactly when d sums to 0 on every line, checked
+    before any quotient term is built.  A term at w sits at ``t = w_k //
+    v_k``, k the first nonzero slot of v, and is keyed by the packed ``w -
+    t v``.  For w' = w + m v, t' = t + m and the keys agree; equal keys
+    give w' - w = (t' - t) v while packing is injective on keys, that is
+    while their entries, at most A (1 + S) for |w_j| <= A, |v_j| <= S and
+    so |t| <= A, are below W/2, the bound W is sized by.  A quotient term
+    lies between its line's end terms, entrywise too: no widening needed.
+    """
+    k = next(k for k, x in enumerate(v) if x)
+    step, lines = dec.encode(v), {}  # key -> [(t, packed exponent, numerator)]
+    for e, c in d.items():
+        t = dec[e][k] // v[k]
+        lines.setdefault(e - t * step, []).append((t, e, c))
+    if any(sum([c for _, _, c in line]) for line in lines.values()):
+        return None
+    quot = {}
+    for line in map(sorted, lines.values()):
+        s = 0
+        for (t, e, c), (u, _, _) in zip(line, line[1:]):
+            s -= c
+            if s:  # Q_t = s at e, and on through the gap up to position u
+                for j in range(u - t):
+                    quot[e + j * step] = s
+    return quot

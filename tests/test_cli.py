@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import random
@@ -11,6 +12,12 @@ import pytest
 from qweyl import WeylElement, cli
 from qweyl.cli import main
 from qweyl.weyl import StraighteningEngine
+
+# the transcript recorder, for its random rescaling-pair expressions
+_spec = importlib.util.spec_from_file_location(
+    "cli_output_record", Path(__file__).resolve().parent / "cli_output" / "record.py")
+recorder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorder)
 
 
 def run(capsys, *argv):
@@ -155,34 +162,13 @@ def test_zeroth_power_checks_its_base(capsys, expr):
     assert (code, out, err) == (2, "", nf_err)
 
 
-def _rescaling_pair(rng: random.Random, depth: int) -> tuple[str, str]:
-    """A random expression E of the CLI grammar on the built-in config, and E
-    with every y_i replaced by ((q_i - 1)*y_i), q_i written as eta^[s_i]."""
-    kind = rng.randrange(5 if depth else 2)
-    if kind == 0:
-        i = rng.randint(1, 2)
-        return f"y{i}", f"((eta^[{'1,0' if i == 1 else '0,1'}]-1)*y{i})"
-    if kind == 1:
-        leaf = rng.choice(["x1", "x2", "z0", "z1", "z2",
-                           f"{rng.randint(0, 5)}/{rng.randint(1, 3)}",
-                           f"eta^[{rng.randint(-2, 2)},{rng.randint(-2, 2)}]"])
-        return leaf, leaf
-    (a, a_sub), (b, b_sub) = _rescaling_pair(rng, depth - 1), _rescaling_pair(rng, depth - 1)
-    if kind == 2:
-        op = rng.choice("+-")
-        return f"({a} {op} {b})", f"({a_sub} {op} {b_sub})"
-    if kind == 3:
-        return f"{a}*{b}", f"{a_sub}*{b_sub}"
-    return f"({a} + {b})^2", f"({a_sub} + {b_sub})^2"
-
-
 def test_rescaling_oracle_by_substitution(capsys):
     """maltsiniotis of E with each y_i written as (q_i - 1)*y_i prints what nf
     of E prints: the rescaling map read off the printed normal forms, with no
     Rescaled value in the reference."""
     rng = random.Random(13)
     for _ in range(300):
-        expr, substituted = _rescaling_pair(rng, 2)
+        expr, substituted = recorder.rescaling_pair(rng, 2, "builtin")
         code, want, _ = run(capsys, "nf", "--", expr)
         assert code == 0, expr
         assert run(capsys, "maltsiniotis", "--", substituted) == (0, want, ""), expr

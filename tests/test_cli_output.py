@@ -4,7 +4,7 @@ recorded stdout and stderr, and exits with the recorded code.
 The rows pin ``nf`` and ``maltsiniotis`` on random rescaling-pair families
 and fixed cases (localization errors, bad bases under ``^0``, exponent
 entries of 2^32 and 2^40), ``stratum`` and ``center`` on every admissible
-set of the n = 2, 3 and 4 configs, every other command, ``verify`` at four
+set of the n = 2, 3 and 4 configs, every other command, ``verify`` at five
 seeds, and an exit-2 row for each command that reads an expression or a
 marker list.  ``tests/cli_output/record.py`` rewrites the transcripts from
 the current code.

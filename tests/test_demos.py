@@ -1,5 +1,6 @@
 """Every narrative script in demos/ runs to completion and prints exactly
-its recorded output in tests/demo_output/."""
+its recorded output in tests/demo_output/, under ``python -O`` too when the
+tests themselves run so."""
 
 import os
 import subprocess
@@ -19,8 +20,9 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    flags = ["-O"] if sys.flags.optimize else []  # subprocesses do not inherit it
     proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True,
+        [sys.executable, *flags, str(script)], env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

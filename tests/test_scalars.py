@@ -183,46 +183,6 @@ def test_leibniz_at_one():
         assert lhs == rhs
 
 
-# -- exact division ---------------------------------------------------------------
-
-
-def test_div_exact_clears_factor():
-    q1 = mono((1, 0))
-    a = (q1 - 1) * (q1 + 2) * mono((-1, 1))
-    assert a.div_exact((1, 0)) == (q1 + 2) * mono((-1, 1))
-
-
-def test_div_exact_rejects_nonmultiple():
-    with pytest.raises(NotDivisibleError):
-        QTScalar.one(2).div_exact((1, 0))
-    # one line holding two terms 10^9 apart: rejected by its sum, not by
-    # walking the gap
-    with pytest.raises(NotDivisibleError):
-        (mono((0, 10**9)) + 1).div_exact((0, 1))
-    for a in (QTScalar.one(2), QTScalar.zero(2)):
-        with pytest.raises(ZeroDivisionError):
-            a.div_exact((0, 0))
-        for v in ((1,), (1, 0, 0)):
-            with pytest.raises(RankMismatchError):
-                a.div_exact(v)
-
-
-def test_div_exact_randomized():
-    rng = random.Random(31)
-    for _ in range(100):
-        r = rng.randint(1, 3)
-        v = (0,) * r
-        while not any(v):
-            v = tuple(rng.randint(-3, 3) for _ in range(r))
-        q = rand_scalar(rng, r)
-        p = q * (mono(v) - 1)
-        assert p.div_exact(v) == q
-        # a monomial changes the sum of its line, which is 0 on a multiple
-        w = tuple(rng.randint(-2, 2) for _ in range(r))
-        with pytest.raises(NotDivisibleError):
-            (p + mono(w, rng.choice([-2, 1, Fraction(1, 3)]))).div_exact(v)
-
-
 def test_eval_at():
     a = mono((1, -1)) + 2
     assert a.eval_at([Fraction(3), Fraction(2)]) == Fraction(3, 2) + 2

@@ -3,9 +3,9 @@
 Sums and products of eta-scalars, products of Poisson elements with a
 one-term factor (the shortcut in ``TermMap._product``), and Poisson brackets
 are checked against sympy's polynomial arithmetic, which shares no code with
-qweyl; exact division by eta^v - 1 is checked by multiplying back; equality
-and hashing by shuffling the terms.  Every stored rational coefficient must
-be an ``int`` or a non-integral ``Fraction``.
+qweyl; the rescaling map's exact division by q_1 - 1 = eta^v - 1 is checked
+by multiplying back; equality and hashing by shuffling the terms.  Every
+stored rational coefficient must be an ``int`` or a non-integral ``Fraction``.
 hypothesis and sympy are installed where the tests run but are not declared
 dependencies, so the module is skipped without them.
 """
@@ -21,13 +21,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qweyl import (  # noqa: E402
+    LocalizationRequiredError,
+    MaltsiniotisElement,
     MuPoly,
-    NotDivisibleError,
     PoissonElement,
     QTScalar,
-    RankMismatchError,
     WeylElement,
     WeylParams,
+    from_maltsiniotis,
     pb_bracket,
     wa_commutator,
 )
@@ -130,28 +131,40 @@ def test_pe_one_term_products_match_sympy(m, b):
         assert pe_stored_form(product)
 
 
-@FAST
-@given(qt_scalars, nonzero_eta_vecs)
-def test_qt_div_exact_inverts_product(a, v):
-    q = (a * (QTScalar.monomial(v) - 1)).div_exact(v)
-    assert q == a
-    assert stored_form(q)
+def one_pair(v) -> WeylParams:
+    """The instance n = 1, r = RANK with q_1 = eta^v."""
+    return WeylParams(1, RANK, (v,), (((0,) * RANK,),))
 
 
 @FAST
-@given(qt_scalars, st.sampled_from([(0,) * RANK, (1,) * (RANK - 1), (1,) * (RANK + 1)]))
-def test_qt_div_exact_rejects_bad_vectors(a, v):
-    # the vector is checked before the scalar is read, so zero fails too
-    with pytest.raises(RankMismatchError if len(v) != RANK else ZeroDivisionError):
-        a.div_exact(v)
+@given(qt_scalars, nonzero_eta_vecs, st.integers(1, 3))
+def test_rescaling_division_inverts_product(a, v, k):
+    params = one_pair(v)
+    rescaled = MaltsiniotisElement.monomial(params, (k, 1), a * (params.q_scalar(1) - 1) ** k)
+    plain = from_maltsiniotis(rescaled)
+    assert plain == WeylElement.monomial(params, (k, 1), a)
+    assert all(stored_form(c) for _, c in plain.terms)
+
+
+@FAST
+@given(st.sampled_from([(0,) * RANK, (1,) * (RANK - 1), (1,) * (RANK + 1)]))
+def test_rescaling_params_reject_bad_vectors(v):
+    # no instance has a q_i that the rescaling map could not divide by
+    with pytest.raises(ValueError, match="^s_1 "):
+        one_pair(v)
 
 
 @FAST
 @given(qt_scalars, nonzero_eta_vecs, eta_vecs, rationals)
-def test_qt_div_exact_rejects_remainder(a, v, w, c):
+def test_rescaling_division_rejects_remainder(a, v, w, c):
     # the monomial c eta^w makes the sum of its line nonzero
-    with pytest.raises(NotDivisibleError):
-        (a * (QTScalar.monomial(v) - 1) + QTScalar.monomial(w, c)).div_exact(v)
+    params = one_pair(v)
+    term = MaltsiniotisElement.monomial(
+        params, (1, 0), a * (params.q_scalar(1) - 1) + QTScalar.monomial(w, c))
+    with pytest.raises(LocalizationRequiredError) as err:
+        from_maltsiniotis(term)
+    assert str(err.value) == (
+        f"term {term} does not clear the denominator (q1 - 1); localization required")
 
 
 @FAST

@@ -250,6 +250,87 @@ def test_rescaling_kills_defining_relation(params2):
     assert from_maltsiniotis(rel) == WeylElement.zero(params2)
 
 
+LOCALIZE = "term {} does not clear the denominator (q{} - 1); localization required"
+# entries near 2^40 in s_i and L_ij
+WIDE = WeylParams(2, 2, ((2**40 + 1, -3), (-7, 2**40 - 1)),
+                  (((0, 0), (2**40, -1)), ((-2**40, 1), (0, 0))))
+
+
+def q_minus_1_powers(params, m, pairs) -> QTScalar:
+    """prod over the pairs i in ``pairs`` of (q_i - 1)^{a_i}, a_i the
+    exponent of y_i in m."""
+    out = QTScalar.one(params.r)
+    for i in pairs:
+        out = out * (params.q_scalar(i) - 1) ** m[2 * (i - 1)]
+    return out
+
+
+def rescaled(a: WeylElement) -> MaltsiniotisElement:
+    """The preimage of ``a`` under the rescaling map, by multiplication
+    alone: each y^a x^b coefficient times prod (q_i - 1)^{a_i}."""
+    pairs = range(1, a.params.n + 1)
+    return MaltsiniotisElement(a.params, [(m, c * q_minus_1_powers(a.params, m, pairs))
+                                          for m, c in a.terms])
+
+
+def test_rescaling_division_clears_factor():
+    params = WeylParams(1, 2, ((2, -3),), (((0, 0),),))  # s_1 of mixed sign
+    q1 = params.q_scalar(1)
+    c = (q1 + 2) * QTScalar.monomial((-1, 1))
+    y1 = MaltsiniotisElement.generator(params, "y", 1)
+    assert from_maltsiniotis(y1.scale((q1 - 1) * c)) == WeylElement.generator(
+        params, "y", 1).scale(c)
+
+
+def test_rescaling_division_rejects_nonmultiple(params2):
+    y1, y2 = (MaltsiniotisElement.generator(params2, "y", i) for i in (1, 2))
+    with pytest.raises(LocalizationRequiredError) as err:
+        from_maltsiniotis(y1)
+    assert str(err.value) == LOCALIZE.format("y1", 1)
+    # one line holding two terms 10^9 apart: rejected by its sum, not by
+    # walking the gap
+    with pytest.raises(LocalizationRequiredError) as err:
+        from_maltsiniotis(y2.scale(QTScalar.monomial((0, 10**9)) + 1))
+    assert str(err.value) == LOCALIZE.format("(1 + eta^[0,1000000000])*y2", 2)
+    # eta^[1,0] and eta^[-2,0] lie on two lines of s_1 = (2, 8), keyed by
+    # (1, 0) and (0, 8): one packed int in fields that hold the exponents
+    # but not the keys
+    params = WeylParams(1, 2, ((2, 8),), (((0, 0),),))
+    term = MaltsiniotisElement.monomial(
+        params, (1, 0), QTScalar.monomial((1, 0)) - QTScalar.monomial((-2, 0)))
+    with pytest.raises(LocalizationRequiredError) as err:
+        from_maltsiniotis(term)
+    assert str(err.value) == LOCALIZE.format("(-eta^[-2,0] + eta^[1,0])*y1", 1)
+
+
+def test_rescaling_division_randomized():
+    """The rescaling map undoes multiplication by prod (q_i - 1)^{a_i} on
+    random instances (s_i of mixed sign, and entries near 2^40).  A
+    remainder c eta^w that survives b of the a_i divisions by (q_i - 1)
+    fails the next one, and the error shows the quotient reached."""
+    rng = random.Random(31)
+    instances = [random_params(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)]
+    for params in instances + [WIDE] * 5:
+        a = random_weyl(rng, params)
+        assert from_maltsiniotis(rescaled(a)) == a
+        i = rng.randint(1, params.n)
+        m = [rng.randint(0, 2) for _ in range(2 * params.n)]
+        m[2 * (i - 1)] += 1
+        m = tuple(m)
+        b = rng.randrange(m[2 * (i - 1)])
+        rest = QTScalar.monomial(tuple(rng.randint(-2, 2) for _ in range(params.r)),
+                                 rng.choice([-2, 1, Fraction(1, 3)]))
+        d_i = params.q_scalar(i) - 1
+        bad = rescaled(a) + MaltsiniotisElement.monomial(
+            params, m, rest * q_minus_1_powers(params, m, range(1, i)) * d_i**b)
+        later = q_minus_1_powers(params, m, range(i + 1, params.n + 1))
+        reached = MaltsiniotisElement.monomial(
+            params, m, rest + a.coefficient(m) * d_i ** (m[2 * (i - 1)] - b) * later)
+        with pytest.raises(LocalizationRequiredError) as err:
+            from_maltsiniotis(bad)
+        assert str(err.value) == LOCALIZE.format(reached, i)
+
+
 
 @pytest.mark.parametrize("slot, corrupted", [
     (6, ((1, 1), (0, -1), (2, 1))),  # z-step factor q - 1 + q^2
