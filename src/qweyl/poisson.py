@@ -26,6 +26,7 @@ from __future__ import annotations
 from .scalars import MuPoly, vec_add, vec_neg
 from .weyl import (
     PbwElement, WeylElement, WeylParams, _add_shifted, _Decoder, _pack_terms, _unpack,
+    wa_commutator,
 )
 
 
@@ -154,8 +155,7 @@ def gamma1(a: WeylElement) -> PoissonElement:
 
 def semiclassical_bracket(a: WeylElement, b: WeylElement) -> PoissonElement:
     """{gamma1(a), gamma1(b)} computed as the exact (t-1)-limit of ab - ba."""
-    a._check(b)
-    comm = a * b - b * a
+    comm = wa_commutator(a, b)
     return PoissonElement(a.params, [(m, c.limit_div()) for m, c in comm.terms])
 
 

@@ -210,7 +210,7 @@ class TermMap:
             )
 
     def _coerce(self, other):
-        if isinstance(other, type(self)):
+        if type(other) is type(self):  # no subclass: a rescaled element is not a plain one
             return other
         if isinstance(other, (int, Fraction, self.scalar_type)):
             return self.constant(self.context, other)
@@ -276,7 +276,7 @@ class TermMap:
         return self._from_sums(self.context, out)
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
+        if type(other) is type(self):
             self._check(other)
             return self._product(other)
         return self.__rmul__(other)

@@ -79,10 +79,15 @@ class StraighteningEngine:
 
         m y_i = q_i^s (m + e_{y_i}) + f_s(q_i) (L z_{i-1}) y_i^r x_i^{s-1}.
 
-    ``L z_{i-1}`` comes from a memo keyed by L alone (its length fixes the
-    index), filled by ``L'B z_k = q_k^s (g(q_k) L' y_k^{r+1} x_k^{s+1} +
-    (L' z_{k-1}) B)`` with ``B = y_k^r x_k^s`` the last pair of L (as 1 +
-    g f_s = q^s); a term takes g(q_j) from at most one pair.
+    ``L z_{i-1}`` unrolls ``L'B z_k = q_k^s (g(q_k) L' y_k^{r+1} x_k^{s+1}
+    + (L' z_{k-1}) B)``, with ``B = y_k^r x_k^s`` the last pair of L (as 1
+    + g f_s = q^s), into one loop over the pairs of L:
+
+        L z_k = Q_1 L + sum_{j<=k} g(q_j) Q_j L^(j),
+
+    ``Q_j = q_j^{s_j} ... q_k^{s_k}`` for the x-exponents s_l of L and
+    ``L^(j)`` = L with y_j x_j added to pair j, so k + 1 distinct
+    monomials, each taking g(q_j) from at most one pair.
 
     **The fold.**  For each right-hand term ``(m2, c2)``, ``_fold``
     scales the whole left operand by c2 and appends the blocks ``g_p^e`` of
@@ -93,15 +98,14 @@ class StraighteningEngine:
     takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
     take e single appends, and ``_gen_cache`` keeps each step but a direct
     landing, which costs one tuple, about what a lookup costs.
-    Termination: a block landing is one step, and a single generator
-    appended to an ordered monomial either lands directly, or hits the
-    closed form, or commutes under the top block with a monomial scalar.
-    The swap branch strips the top block, so the number of occupied slots
-    above the target drops by one and at most ``2n - 1 - p`` swaps nest
-    when appending the generator at slot p; the closed form reaches only
-    the z memo, whose recursion shortens its key by one pair, and the
-    factors f_s and g, which are finite sums.  The swap depth bound is
-    asserted in debug runs as a tripwire.
+    Termination: no method recurses.  A block landing is one step, and a
+    single generator g_p appended to an ordered monomial is one pass: the
+    swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair
+    multiply into one packed scalar, then g_p lands or the closed form
+    applies to the pair and the ones below, and the blocks above are put
+    back unchanged, as no term of the rest times g_p reaches past g_p's
+    pair.  The closed form is one loop over the pairs below and the
+    factors f_s and g, which are finite sums.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
     exponent) to a nonzero rational.  ``enc(v) = sum_k v_k W^(r-1-k)`` with
@@ -111,22 +115,22 @@ class StraighteningEngine:
     is ``(enc(v), 1)`` in the formal algebra; a specialization
     (:mod:`qweyl.interp`) is an engine of rank 0 with constants
     ``(0, value)``.  A packed factor merges equal exponents, so q_i^s - 1
-    is empty at a root of unity and no memo stores a zero.  ``mul_terms``
+    is empty at a root of unity and the memo stores no zero.  ``mul_terms``
     scales each operand by the common denominator of its rationals, so the
     formal kernel works on ints, and builds one ``QTScalar`` per result
     monomial on exit, dividing each distinct numerator once.
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
-    by at most d*M.  By induction on d: a swap under a block of e letters
-    adds e*M and recurses on degree d - e.  The closed form adds s*M for
-    ``q_i^s``; in the other term f_s adds s*M (q^s - 1) or (s - 1)*M
-    ([s]_q), and ``L z_{i-1}`` deg(L)*M (one q_k^{s_k} per pair of L),
-    plus M for g = q - 1, so (s + deg(L))*M either way, and s + deg(L) <=
-    d.  No result term has degree above d + 1, as z_{i-1} has degree 2.  A
-    block landing moves no entry.  So the fold of m2, followed from one
-    left term m1, and every memo entry it makes move entries by at most
-    ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
+    by at most d*M.  The swap constants of the e letters above g_p's pair
+    add at most e*M.  On the rest, of degree d - e, a landing adds nothing
+    and the closed form adds s*M for ``q_i^s``; in its other term f_s adds
+    s*M (q^s - 1) or (s - 1)*M ([s]_q), and ``L z_{i-1}`` deg(L)*M (one
+    q_k^{s_k} per pair of L), plus M for g = q - 1, so (s + deg(L))*M
+    either way, and s + deg(L) <= d - e.  No result term has degree above
+    d + 1, as z_{i-1} has degree 2.  A block landing moves no entry.  So
+    the fold of m2, followed from one left term m1, and every memo entry it
+    makes move entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
     eta-term of m1's scalar times one of c2, with entries up to A + B when
     the operands' exponents have entries up to A and B.  Terms that meet at
     a monomial, in the fold or in the merge, add their coefficients, not
@@ -135,7 +139,7 @@ class StraighteningEngine:
     * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
     most |c|, its largest |entry|, so ``q_commutators`` forms none beyond
     that bound plus |c|.  ``_pack`` widens W past twice that bound when
-    needed; that re-packs the constants and clears the memos, and never
+    needed; that re-packs the constants and clears the memo, and never
     changes a result.
     """
 
@@ -155,8 +159,6 @@ class StraighteningEngine:
         # monomial-times-generator results recur heavily across products;
         # values are treated as read-only by every caller
         self._gen_cache: dict = {}
-        # L * z_k keyed by the ordered monomial L on the first k pairs
-        self._z_cache: dict = {}
         self._set_width(self.MIN_BITS)
 
     def _set_width(self, bits: int) -> None:
@@ -168,7 +170,6 @@ class StraighteningEngine:
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
         self._zstep = [self._in_q(i, zstep) for i in range(self.n)]
         self._gen_cache.clear()
-        self._z_cache.clear()
 
     def _in_q(self, i: int, poly) -> list:
         """A polynomial in q_i as (packed exponent, nonzero rational) pairs."""
@@ -251,7 +252,7 @@ class StraighteningEngine:
         for m, d in acc.items():
             if not d:  # its coefficients cancelled earlier in the fold
                 continue
-            for (m2, e2), k2 in self._mono_times_gen(m, p, 0).items():
+            for (m2, e2), k2 in self._mono_times_gen(m, p).items():
                 sub = out.get(m2)
                 if sub is None:
                     out[m2] = {e + e2: c * k2 for e, c in d.items()}
@@ -259,69 +260,52 @@ class StraighteningEngine:
                     _add_shifted(sub, d, e2, k2)
         return out
 
-    def _mono_times_gen(self, m: PbwMonomial, p: int, depth: int) -> dict:
+    def _mono_times_gen(self, m: PbwMonomial, p: int) -> dict:
         """``m * g_p`` as a map from (ordered monomial, packed exponent) to a
         nonzero rational, memoized in ``_gen_cache`` unless ``g_p`` lands
-        directly."""
-        if __debug__:
-            assert depth <= 2 * self.n - 1 - p, "straightening recursion exceeded bound"
-        top = -1
-        for pos in range(2 * self.n - 1, p, -1):
-            if m[pos]:
-                top = pos
-                break
-        lst = list(m)
-        if top < 0:
-            lst[p] += 1
-            return {(tuple(lst), 0): 1}
+        directly: one swap constant per occupied slot above g_p's pair, then
+        a landing or the closed form on the pair and the ones below."""
+        if not any(m[p + 1:]):
+            return {(m[:p] + (m[p] + 1,) + m[p + 1:], 0): 1}
         out = self._gen_cache.get((m, p))
         if out is not None:
             return out
-        if p % 2 == 0 and top == p + 1:
+        cut = p + 2 - p % 2  # the end of g_p's pair
+        et, kt = 0, 1
+        for u in range(cut, 2 * self.n):
+            if t := m[u]:
+                e, k = self.swap[u][p]
+                et, kt = et + e * t, kt * k**t
+        s = 0 if p % 2 else m[p + 1]  # x_i's exponent when g_p = y_i
+        if not s:
+            out = {(m[:p] + (m[p] + 1,) + m[p + 1:], et): kt}
+        else:
             # the closed form of the class docstring, pair i = p//2 (0-based)
-            s = m[top]
             e, k = self.q[p // 2]
-            es, ks = e * s, k**s
-            lst[p] += 1
-            out = {(tuple(lst), es): ks}
-            block = (m[p], s - 1) + m[top + 1:]
+            high = m[cut:]
+            out = {(m[:p] + (m[p] + 1, s) + high, et + e * s): kt * k**s}
+            block = (m[p], s - 1) + high
             factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
             for (low, ez), c in self._times_z(m[:p]).items():
-                mm = low + block
                 for ef, kf in factor:
-                    add_term(out, (mm, ez + ef), c * kf)
-        else:
-            # monomial swap under the whole g_top block
-            t = m[top]
-            lst[top] = 0
-            e, k = self.swap[top][p]
-            et, kt = e * t, k**t
-            out = {}
-            for (mm, ec), c in self._mono_times_gen(tuple(lst), p, depth + 1).items():
-                lst = list(mm)
-                lst[top] += t
-                out[(tuple(lst), ec + et)] = c * kt
+                    add_term(out, (low + block, ez + ef + et), c * kf * kt)
         self._gen_cache[(m, p)] = out
         return out
 
     def _times_z(self, low: PbwMonomial) -> dict:
-        """``low * z_k`` for an ordered monomial ``low`` on the first k
-        pairs (a tuple of length 2k), keyed and read-only like the generator
-        cache."""
-        cached = self._z_cache.get(low)
-        if cached is not None:
-            return cached
-        if not low:
-            out = {(low, 0): 1}
-        else:
-            rest, r, s = low[:-2], low[-2], low[-1]
-            e, k = self.q[len(rest) // 2]
-            es, ks = e * s, k**s
-            top = rest + (r + 1, s + 1)
-            out = {(top, es + ef): ks * kf for ef, kf in self._zstep[len(rest) // 2]}
-            for (mm, ez), c in self._times_z(rest).items():
-                out[(mm + (r, s), ez + es)] = c * ks
-        self._z_cache[low] = out
+        """``low * z_k`` for an ordered monomial ``low`` on the first k pairs
+        (a tuple of length 2k), as ``Q_1 low + sum_j g(q_j) Q_j low^(j)``:
+        ``Q_j = q_j^{s_j} ... q_k^{s_k}`` for the x-exponents s_l of low, and
+        ``low^(j)`` is low with y_j x_j added to pair j."""
+        out, eq, kq = {}, 0, 1
+        for j in range(len(low) // 2 - 1, -1, -1):
+            r, s = low[2 * j], low[2 * j + 1]
+            e, k = self.q[j]
+            eq, kq = eq + e * s, kq * k**s
+            top = low[:2 * j] + (r + 1, s + 1) + low[2 * j + 2:]
+            for ef, kf in self._zstep[j]:
+                out[(top, eq + ef)] = kq * kf
+        out[(low, eq)] = kq
         return out
 
 
@@ -670,11 +654,15 @@ def element_to_str(a, monomial_str=pbw_monomial_str) -> str:
 # -- named operations ------------------------------------------------------------
 
 
-def wa_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    """ab - ba; always divisible by (t - 1) coefficientwise."""
+def wa_commutator(a: PbwElement, b: PbwElement) -> PbwElement:
+    """ab - ba, folded once per order on the engine of a's class; divisible
+    by (t - 1) coefficientwise in the quantized algebra and the plane."""
+    if type(b) is not type(a):
+        raise TypeError(f"no commutator of a {type(a).__name__} and a {type(b).__name__}")
     a._check(b)
-    (comm,) = a.params.engine.q_commutators(dict(a.terms), dict(b.terms), (0,) * a.params.r)
-    return WeylElement._from_sums(a.params, comm)
+    engine = a._engine(a.params)
+    (comm,) = engine.q_commutators(dict(a.terms), dict(b.terms), (0,) * a.params.r)
+    return type(a)._from_sums(a.params, comm)
 
 
 wa_z = WeylElement.z

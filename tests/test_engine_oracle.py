@@ -33,7 +33,9 @@ from qweyl import (  # noqa: E402
     integer_kernel,
 )
 from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config  # noqa: E402
+from qweyl.scalars import vec_add  # noqa: E402
 from qweyl.spectra import lattice_contains  # noqa: E402
+from qweyl.suites import random_params  # noqa: E402
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
@@ -118,6 +120,80 @@ def test_same_index_ladder_matches_the_oracle(params3):
         for a in range(5):
             for b in range(5):
                 assert engine_product(x**a, y**b) == oracle_product(x**a, y**b), (i, a, b)
+
+
+# -- the engine's two closed forms, one call each ----------------------------------
+
+
+def occupied_monomials(seed: int, count: int):
+    """(instance, monomial) pairs: n <= 4 pairs, every slot occupied, entries <= 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        params = random_params(rng, n, rng.randint(1, 2))
+        yield params, tuple(rng.randint(1, 3) for _ in range(2 * n))
+
+
+def engine_table(engine, table: dict, n: int) -> dict:
+    """A ``_mono_times_gen`` or ``_times_z`` result in the oracle's form,
+    {monomial on n pairs: {exponent vector: coefficient}}."""
+    out: dict = {}
+    for (m, e), c in table.items():
+        out.setdefault(m + (0,) * (2 * n - len(m)), {})[engine._decoded[e]] = c
+    return out
+
+
+def test_generator_append_and_z_product_match_the_oracle():
+    """``_mono_times_gen(m, p)`` is m * g_p for every slot p, and
+    ``_times_z(L)`` is L * z_k for L = m on its first k <= 3 pairs."""
+    for params, m in occupied_monomials(28, 12):
+        n, engine = params.n, params.engine
+        one = {(0,) * params.r: Fraction(1)}
+
+        def oracle_times(left, right):
+            return oracle.naive_product(n, params.r, params.qexp, params.lexp,
+                                        [(left, one)], [(g, one) for g in right])
+
+        unit = [tuple(int(u == p) for u in range(2 * n)) for p in range(2 * n)]
+        for p in range(2 * n):
+            got = engine_table(engine, engine._mono_times_gen(m, p), n)
+            assert got == oracle_times(m, [unit[p]]), (m, p)
+        for k in range(1, min(3, n) + 1):
+            low = m[:2 * k] + (0,) * (2 * n - 2 * k)
+            z = [(0,) * (2 * n)] + [vec_add(unit[2 * j], unit[2 * j + 1]) for j in range(k)]
+            got = engine_table(engine, engine._times_z(m[:2 * k]), n)
+            assert got == oracle_times(low, z), (m, k)
+
+
+def test_rescaled_engine_matches_the_plain_one():
+    """The same calls on the rescaled engine, through y_i = (q_i - 1) Y_i: if
+    the Y-word has y-exponents a, its term Y^a' x^b' with coefficient c
+    reads c prod (q_i - 1)^{a_i} = P prod (q_i - 1)^{a'_i}, P the plain
+    engine's coefficient of y^a' x^b'."""
+    for params, m in occupied_monomials(29, 12):
+        plain, rescaled = params.engine, params.rescaled_engine
+        factors = [params.q_scalar(i) - 1 for i in range(1, params.n + 1)]
+
+        def weight(mono):
+            out = QTScalar.one(params.r)
+            for a, f in zip(mono[::2], factors):
+                out = out * f**a
+            return out
+
+        def scalars(engine, table):
+            return {mm: QTScalar(params.r, d)
+                    for mm, d in engine_table(engine, table, params.n).items()}
+
+        def check(word, call):
+            got, want = scalars(rescaled, call(rescaled)), scalars(plain, call(plain))
+            assert got.keys() == want.keys(), word
+            for mm, c in got.items():
+                assert c * weight(word) == want[mm] * weight(mm), (word, mm)
+
+        for p in range(2 * params.n):
+            check(m[:p] + (m[p] + 1,) + m[p + 1:], lambda e: e._mono_times_gen(m, p))
+        for k in range(1, min(3, params.n) + 1):
+            check(m[:2 * k], lambda e: e._times_z(m[:2 * k]))
 
 
 # -- packed exponents: entries far beyond the narrowest field ---------------------
@@ -307,13 +383,12 @@ def test_cancelled_left_terms_leave_the_fold(monkeypatch):
     b = WeylElement.monomial(p, (1, 1, 3, 3))
     engine = p.engine
     engine._gen_cache.clear()
-    engine._z_cache.clear()
     calls = []
     original = type(engine)._mono_times_gen
 
-    def counted(self, m, q, depth):
+    def counted(self, m, q):
         calls.append((m, q))
-        return original(self, m, q, depth)
+        return original(self, m, q)
 
     monkeypatch.setattr(type(engine), "_mono_times_gen", counted)
     product = a * b

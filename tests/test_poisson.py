@@ -20,6 +20,7 @@ from qweyl import (
 )
 from qweyl.scalars import vec_add
 from qweyl.suites import random_params, random_poisson, random_weyl
+from qweyl.weyl import StraighteningEngine
 
 
 def pgen(params, kind, i):
@@ -265,7 +266,8 @@ def test_p_z_builds_poisson_elements(params3):
 def test_semiclassical_bracket_leaves_the_t_equals_one_check_to_limit_div(params2, monkeypatch):
     """A commutator coefficient that does not vanish at t = 1 is caught once,
     by ``QTScalar.limit_div``."""
-    monkeypatch.setattr(WeylElement, "_product", lambda self, other: self)
+    # a commutator that keeps a's terms does not vanish at t = 1
+    monkeypatch.setattr(StraighteningEngine, "q_commutators", lambda self, ta, tb, *cs: [ta])
     x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
     with pytest.raises(NotDivisibleError, match="nonzero at t=1"):
         semiclassical_bracket(x1, y1)

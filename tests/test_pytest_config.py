@@ -1,13 +1,16 @@
 """The repository's pytest settings report a failing property test like any
-other failure instead of aborting the run."""
+other failure instead of aborting the run, and the library runs the same
+under ``python -O``."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 TWO_TESTS = """
 from hypothesis import given, strategies as st
@@ -35,3 +38,17 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_library_has_no_assert_statement():
+    """``python -O`` strips asserts, so a check in the library is a raised
+    error: the optimized run computes and rejects exactly what the plain
+    one does."""
+    modules = sorted((ROOT / "src" / "qweyl").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert modules and found == []

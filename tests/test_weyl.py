@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -160,6 +161,37 @@ def test_commutator_examples(params2):
     assert wa_commutator(a, a) == WeylElement.zero(params2)
     z1, z2 = wa_z(params2, 1), wa_z(params2, 2)
     assert wa_commutator(z1, z2) == WeylElement.zero(params2)
+
+
+def test_commutators_run_on_the_engine_of_their_class(params2):
+    """ab - ba in the rescaled presentation and the plane, not on the plain
+    engine: x1 Y1 - Y1 x1 = 1 + (q1 - 1) Y1 x1 and x y - y x = (t - 1) y x."""
+    x1, y1 = (MaltsiniotisElement.generator(params2, k, 1) for k in "xy")
+    assert str(wa_commutator(x1, y1)) == "1 + (-1 + eta^[1,0])*y1*x1"
+    assert str(wa_commutator(PlaneElement.x(), PlaneElement.y())) == "(-1 + eta^[1])*y*x"
+    rng = random.Random(31)
+    for cls, params in ((WeylElement, params2), (MaltsiniotisElement, params2),
+                        (PlaneElement, PLANE)):
+        for _ in range(10):
+            a, b = (cls(params, random_weyl(rng, params).terms) for _ in range(2))
+            comm = wa_commutator(a, b)
+            assert type(comm) is cls and comm == a * b - b * a
+
+
+def test_element_classes_do_not_mix(params2):
+    """y1 and the rescaled Y1 = (q1 - 1)^{-1} y1 are different elements, and
+    a Weyl element of the plane's shape is not a plane element: across
+    classes, sums, products and commutators raise and nothing compares
+    equal."""
+    pairs = [
+        (WeylElement.generator(params2, "y", 1), MaltsiniotisElement.generator(params2, "y", 1)),
+        (WeylElement.generator(PLANE, "y", 1), PlaneElement.y()),
+    ]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        assert a.terms == b.terms and not a == b
+        for op in (operator.add, operator.sub, operator.mul, wa_commutator):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def big_instance(n, r, big):
@@ -386,19 +418,27 @@ def test_direct_landings_are_not_memoized(monkeypatch):
     assert g["x1"] ** 10**11 == WeylElement.monomial(p, (0, 10**11, 0, 0))
 
 
-def test_straightening_depth_tripwire(params2):
-    """The swap depth bound of ``_mono_times_gen`` is an assert: a debug run
-    stops a call past it, and under ``python -O`` the depth only counts."""
-    engine = params2.engine
-    m, p = (0, 0, 1, 1), 0  # y2*x2 above slot 0 (y1): the swap branch recurses
-    expected = engine._mono_times_gen(m, p, 0)
+def test_generator_append_takes_one_call(params3, monkeypatch):
+    """Appending y2 under the blocks of pair 3 and onto x2 (the closed form)
+    is one ``_mono_times_gen`` call, one ``_times_z`` call and one memo
+    entry, with no nested call however many blocks it passes; a second
+    append is a memo hit."""
+    engine = params3.engine
     engine._gen_cache.clear()
-    past = 2 * engine.n - p  # one past 2n - 1 - p
-    if __debug__:
-        with pytest.raises(AssertionError, match="straightening recursion exceeded bound"):
-            engine._mono_times_gen(m, p, past)
-    else:
-        assert engine._mono_times_gen(m, p, past) == expected
+    m = (1, 2, 1, 3, 2, 1)
+    calls = []
+    for name in ("_mono_times_gen", "_times_z"):
+        original = getattr(StraighteningEngine, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(StraighteningEngine, name, counted)
+    first = engine._mono_times_gen(m, 2)
+    assert engine._mono_times_gen(m, 2) is first
+    assert calls == ["_mono_times_gen", "_times_z", "_mono_times_gen"]
+    assert list(engine._gen_cache) == [(m, 2)]
 
 
 def test_block_append_equals_single_appends(params3):
