@@ -97,7 +97,10 @@ class StraighteningEngine:
     to ba's packed exponents.  A monomial with no occupied slot above p
     takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
     take e single appends, and ``_gen_cache`` keeps each step but a direct
-    landing, which costs one tuple, about what a lookup costs.
+    landing, which costs one tuple, about what a lookup costs.  It and the
+    decoder's memo of packed exponents hold at most ``MEMO_LIMIT`` entries
+    each: a store past it clears the memo first, as widening does, so an
+    engine kept across calls stays bounded.
     Termination: no method recurses.  A block landing is one step, and a
     single generator g_p appended to an ordered monomial is one pass: the
     swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair
@@ -145,6 +148,8 @@ class StraighteningEngine:
 
     # the narrowest field; two fields of it share one 30-bit int digit
     MIN_BITS = 12
+    # the most entries ``_gen_cache`` or a decoder's memo holds
+    MEMO_LIMIT = 1 << 14
 
     def __init__(self, n, rank, q_consts, swap, closed, zstep):
         """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector of
@@ -289,6 +294,8 @@ class StraighteningEngine:
             for (low, ez), c in self._times_z(m[:p]).items():
                 for ef, kf in factor:
                     add_term(out, (low + block, ez + ef + et), c * kf * kt)
+        if len(self._gen_cache) >= self.MEMO_LIMIT:
+            self._gen_cache.clear()
         self._gen_cache[(m, p)] = out
         return out
 
@@ -331,6 +338,8 @@ class _Decoder(dict):
         return out
 
     def __missing__(self, packed: int) -> ExpVec:
+        if len(self) >= StraighteningEngine.MEMO_LIMIT:
+            self.clear()
         x, half, mask = packed + self.offset, self.half, self.mask
         vec = self[packed] = tuple([((x >> s) & mask) - half for s in self.shifts])
         return vec
@@ -659,6 +668,8 @@ def wa_commutator(a: PbwElement, b: PbwElement) -> PbwElement:
     by (t - 1) coefficientwise in the quantized algebra and the plane."""
     if type(b) is not type(a):
         raise TypeError(f"no commutator of a {type(a).__name__} and a {type(b).__name__}")
+    if not hasattr(a, "_engine"):
+        raise TypeError(f"no commutator of {type(a).__name__}s: the Poisson product commutes")
     a._check(b)
     engine = a._engine(a.params)
     (comm,) = engine.q_commutators(dict(a.terms), dict(b.terms), (0,) * a.params.r)

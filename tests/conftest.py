@@ -1,6 +1,7 @@
 import pytest
 
 from qweyl import WeylParams
+from qweyl.cli import DEFAULT_CONFIG
 
 
 @pytest.fixture
@@ -27,4 +28,14 @@ def params3():
             (tuple(-e for e in l12), (0, 0), l23),
             (tuple(-e for e in l13), tuple(-e for e in l23), (0, 0)),
         ),
+    )
+
+
+@pytest.fixture
+def builtin_params():
+    """A new instance of the CLI's built-in config, with empty memos: the
+    instance the CLI holds may keep memo entries of earlier calls."""
+    c = DEFAULT_CONFIG
+    return WeylParams.from_coordinate_matrices(
+        c["n"], c["r"], c["q_exponents"], c["lambda_exponents"]
     )

@@ -1,15 +1,17 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from qweyl import cli
+from qweyl import cli, spectra
 from qweyl.cli import main
 from qweyl.weyl import StraighteningEngine
 
@@ -455,6 +457,42 @@ def test_unexpected_error_exits_3(monkeypatch, capsys):
     assert code == 3
     assert err == ""
     assert json.loads(out) == {"command": "nf", "error": "internal error: RuntimeError: boom"}
+
+
+def test_failed_call_stores_no_partial_memo_entry(monkeypatch, capsys):
+    """A ``stratum`` call that fails partway through filling the stratum
+    table of the held instance exits 3; the next call, on that instance,
+    prints what it prints on a new one."""
+    monkeypatch.setattr(cli, "_held", None)
+    bracket, calls = spectra.pb_bracket, []
+
+    def third_call_fails(a, b):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return bracket(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "pb_bracket", third_call_fails)
+        assert run(capsys, "stratum", "") == (
+            3, "", "error: internal error: RuntimeError: boom\n")
+    held = cli.params_from_config(cli.DEFAULT_CONFIG)
+    assert held.torus_table  # the entries stored before the failure
+    warm = run(capsys, "stratum", "")
+    assert cli.params_from_config(cli.DEFAULT_CONFIG) is held
+    monkeypatch.setattr(cli, "_held", None)
+    assert warm == run(capsys, "stratum", "") and warm[0] == 0
+
+
+def test_a_new_config_releases_the_held_instance(capsys):
+    """The CLI holds one instance: a command on another config frees the
+    built-in one, with its engines and memos."""
+    assert run(capsys, "nf", "x1*y1")[0] == 0
+    builtin = weakref.ref(cli.params_from_config(cli.DEFAULT_CONFIG))
+    n3 = Path(__file__).resolve().parent / "cli_output" / "n3.json"
+    assert run(capsys, "--config", str(n3), "nf", "x1*y1")[0] == 0
+    gc.collect()
+    assert builtin() is None
 
 
 def test_failed_check_exits_1(monkeypatch, capsys):

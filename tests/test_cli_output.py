@@ -39,6 +39,20 @@ def test_cli_output_is_pinned(transcripts, name):
     assert transcripts[name] == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_rows_replayed_in_reverse_give_their_transcripts():
+    """The rows that run on an instance, replayed from last to first in one
+    process, print their recorded transcripts: no output depends on what
+    earlier calls left in the memos of the instance the CLI holds."""
+    cases = record.read_cases()
+    rows = [row for row in cases if COMMANDS[record.command(row)].on_instance]
+    assert {record.command(row) for row in set(cases) - set(rows)} == {
+        "admissible", "example", "verify"}
+    replayed = {row: record.run(row) for row in reversed(rows)}
+    transcripts = record.transcripts({row: replayed[row] for row in rows})
+    for name, text in transcripts.items():
+        assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
+
+
 def test_corpus_pins_every_command(runs):
     assert {record.command(row) for row in runs} == set(COMMANDS)
     readers = {name for name, command in COMMANDS.items()

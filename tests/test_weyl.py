@@ -19,11 +19,10 @@ from qweyl import (
     wa_commutator,
     wa_z,
 )
-from qweyl.cli import DEFAULT_CONFIG, params_from_config
 from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl import weyl
 from qweyl.suites import ALL_SUITES, DEFAULT_SEED, random_params, random_weyl
-from qweyl.weyl import StraighteningEngine
+from qweyl.weyl import StraighteningEngine, _Decoder
 
 
 def gens(params):
@@ -165,7 +164,8 @@ def test_commutator_examples(params2):
 
 def test_commutators_run_on_the_engine_of_their_class(params2):
     """ab - ba in the rescaled presentation and the plane, not on the plain
-    engine: x1 Y1 - Y1 x1 = 1 + (q1 - 1) Y1 x1 and x y - y x = (t - 1) y x."""
+    engine: x1 Y1 - Y1 x1 = 1 + (q1 - 1) Y1 x1 and x y - y x = (t - 1) y x.
+    The Poisson limit has no engine and no commutator."""
     x1, y1 = (MaltsiniotisElement.generator(params2, k, 1) for k in "xy")
     assert str(wa_commutator(x1, y1)) == "1 + (-1 + eta^[1,0])*y1*x1"
     assert str(wa_commutator(PlaneElement.x(), PlaneElement.y())) == "(-1 + eta^[1])*y*x"
@@ -176,6 +176,9 @@ def test_commutators_run_on_the_engine_of_their_class(params2):
             a, b = (cls(params, random_weyl(rng, params).terms) for _ in range(2))
             comm = wa_commutator(a, b)
             assert type(comm) is cls and comm == a * b - b * a
+    x1, y1 = (PoissonElement.generator(params2, k, 1) for k in "xy")
+    with pytest.raises(TypeError, match="^no commutator of PoissonElements: the Poisson"):
+        wa_commutator(x1, y1)
 
 
 def test_element_classes_do_not_mix(params2):
@@ -398,11 +401,11 @@ def test_element_str(params2):
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
 
 
-def test_direct_landings_are_not_memoized(monkeypatch):
+def test_direct_landings_are_not_memoized(builtin_params, monkeypatch):
     """A block g_p^e appended to a monomial with nothing above slot p lands
     in one step, whatever e is, so large powers of one generator, and x1^3
     times one, take no single append and leave the generator memo empty."""
-    p = params_from_config(DEFAULT_CONFIG)
+    p = builtin_params
     g = gens(p)
     steps = []
     original = StraighteningEngine._acc_times_gen
@@ -439,6 +442,38 @@ def test_generator_append_takes_one_call(params3, monkeypatch):
     assert engine._mono_times_gen(m, 2) is first
     assert calls == ["_mono_times_gen", "_times_z", "_mono_times_gen"]
     assert list(engine._gen_cache) == [(m, 2)]
+
+
+def test_memos_stay_within_their_limit(params3, monkeypatch):
+    """Under a small ``MEMO_LIMIT`` the generator memo and the decoder's memo
+    fill to it and never past it, and a product keeps the value it has
+    with no limit."""
+    def cube_times_square(params):
+        s = sum((WeylElement.generator(params, k, i) for i in range(1, params.n + 1)
+                 for k in "yx"), WeylElement.zero(params))
+        return (s ** 3 * s ** 2).terms
+
+    want = cube_times_square(params3)
+    sizes = {"gen": [], "dec": []}
+    mono_times_gen, missing = StraighteningEngine._mono_times_gen, _Decoder.__missing__
+
+    def gen_sized(self, m, p):
+        out = mono_times_gen(self, m, p)
+        sizes["gen"].append(len(self._gen_cache))
+        return out
+
+    def dec_sized(self, packed):
+        out = missing(self, packed)
+        sizes["dec"].append(len(self))
+        return out
+
+    monkeypatch.setattr(StraighteningEngine, "MEMO_LIMIT", 16)
+    monkeypatch.setattr(StraighteningEngine, "_mono_times_gen", gen_sized)
+    monkeypatch.setattr(_Decoder, "__missing__", dec_sized)
+    fresh = WeylParams(params3.n, params3.r, params3.qexp, params3.lexp)
+    assert cube_times_square(fresh) == want
+    for seen in sizes.values():  # filled to the limit, cleared, and filled again
+        assert max(seen) == 16 and min(seen[seen.index(16):]) == 1
 
 
 def test_block_append_equals_single_appends(params3):
