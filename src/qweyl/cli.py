@@ -126,26 +126,16 @@ def _require(block: dict, fields: Sequence[str], where: str) -> None:
             raise ConfigError(f"{where} is missing field {field!r}")
 
 
-# the most recent instance, whose engines and memos later calls on an equal
-# config reuse: every memo entry is a function of (n, r, qexp, lexp) alone
-_held: WeylParams | None = None
-
-
 def params_from_config(config: dict) -> WeylParams:
-    """The instance of a validated config: the held one when equal to it."""
-    global _held
     _require(config, ("n", "r", "q_exponents", "lambda_exponents"), "config")
     n = _int(config["n"], "n")
     r = _int(config["r"], "r")
     qexp = _int_entries(config["q_exponents"], "q_exponents")
     lexp = _int_entries(config["lambda_exponents"], "lambda_exponents")
     try:
-        params = WeylParams.from_coordinate_matrices(n, r, qexp, lexp)
+        return WeylParams.from_coordinate_matrices(n, r, qexp, lexp)
     except (ValueError, TypeError, LookupError) as exc:
         raise ConfigError(f"invalid instance data: {exc}") from exc
-    if params != _held:
-        _held = params
-    return _held
 
 
 def concrete_from_config(config: dict, params: WeylParams):
@@ -380,7 +370,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the instance of the last call on an instance; a later call on an equal
+# config reuses its engines and memos, each entry a function of the instance
+_held: WeylParams | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _held
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -393,6 +389,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if command.on_instance:
             config = load_config(args.config)
             params = params_from_config(config)
+            if params != _held:
+                _held = params
+            params = _held
             record["instance"] = {
                 "n": params.n,
                 "r": params.r,

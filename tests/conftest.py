@@ -1,7 +1,13 @@
 import pytest
 
-from qweyl import WeylParams
-from qweyl.cli import DEFAULT_CONFIG
+from qweyl import WeylParams, cli
+
+
+@pytest.fixture(autouse=True)
+def _no_held_instance(monkeypatch):
+    """Each test starts with no instance held by ``cli.main``, so no test
+    depends on what the tests before it ran."""
+    monkeypatch.setattr(cli, "_held", None)
 
 
 @pytest.fixture
@@ -28,14 +34,4 @@ def params3():
             (tuple(-e for e in l12), (0, 0), l23),
             (tuple(-e for e in l13), tuple(-e for e in l23), (0, 0)),
         ),
-    )
-
-
-@pytest.fixture
-def builtin_params():
-    """A new instance of the CLI's built-in config, with empty memos: the
-    instance the CLI holds may keep memo entries of earlier calls."""
-    c = DEFAULT_CONFIG
-    return WeylParams.from_coordinate_matrices(
-        c["n"], c["r"], c["q_exponents"], c["lambda_exponents"]
     )

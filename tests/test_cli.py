@@ -463,7 +463,6 @@ def test_failed_call_stores_no_partial_memo_entry(monkeypatch, capsys):
     """A ``stratum`` call that fails partway through filling the stratum
     table of the held instance exits 3; the next call, on that instance,
     prints what it prints on a new one."""
-    monkeypatch.setattr(cli, "_held", None)
     bracket, calls = spectra.pb_bracket, []
 
     def third_call_fails(a, b):
@@ -476,19 +475,27 @@ def test_failed_call_stores_no_partial_memo_entry(monkeypatch, capsys):
         patch.setattr(spectra, "pb_bracket", third_call_fails)
         assert run(capsys, "stratum", "") == (
             3, "", "error: internal error: RuntimeError: boom\n")
-    held = cli.params_from_config(cli.DEFAULT_CONFIG)
+    held = cli._held
     assert held.torus_table  # the entries stored before the failure
     warm = run(capsys, "stratum", "")
-    assert cli.params_from_config(cli.DEFAULT_CONFIG) is held
+    assert cli._held is held
     monkeypatch.setattr(cli, "_held", None)
     assert warm == run(capsys, "stratum", "") and warm[0] == 0
 
 
-def test_a_new_config_releases_the_held_instance(capsys):
-    """The CLI holds one instance: a command on another config frees the
-    built-in one, with its engines and memos."""
-    assert run(capsys, "nf", "x1*y1")[0] == 0
-    builtin = weakref.ref(cli.params_from_config(cli.DEFAULT_CONFIG))
+def test_calls_on_one_config_share_an_instance(monkeypatch, capsys):
+    """``main`` holds the instance of its last call: the next call on an
+    equal config reads the memos it filled, so a repeated ``stratum`` takes
+    no bracket, and a call on another config frees it, with its engines and
+    memos.  ``params_from_config`` builds a new instance each time."""
+    bracket, calls = spectra.pb_bracket, []
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: calls.append(1) or bracket(a, b))
+    cold = run(capsys, "stratum", "")
+    filled = len(calls)
+    assert cold[0] == 0 and filled
+    assert run(capsys, "stratum", "") == cold and len(calls) == filled
+    assert cli.params_from_config(cli.DEFAULT_CONFIG) is not cli._held
+    builtin = weakref.ref(cli._held)
     n3 = Path(__file__).resolve().parent / "cli_output" / "n3.json"
     assert run(capsys, "--config", str(n3), "nf", "x1*y1")[0] == 0
     gc.collect()

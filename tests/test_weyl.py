@@ -19,6 +19,7 @@ from qweyl import (
     wa_commutator,
     wa_z,
 )
+from qweyl.cli import DEFAULT_CONFIG, params_from_config
 from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl import weyl
 from qweyl.suites import ALL_SUITES, DEFAULT_SEED, random_params, random_weyl
@@ -401,11 +402,11 @@ def test_element_str(params2):
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
 
 
-def test_direct_landings_are_not_memoized(builtin_params, monkeypatch):
+def test_direct_landings_are_not_memoized(monkeypatch):
     """A block g_p^e appended to a monomial with nothing above slot p lands
     in one step, whatever e is, so large powers of one generator, and x1^3
     times one, take no single append and leave the generator memo empty."""
-    p = builtin_params
+    p = params_from_config(DEFAULT_CONFIG)
     g = gens(p)
     steps = []
     original = StraighteningEngine._acc_times_gen
