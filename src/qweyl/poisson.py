@@ -12,8 +12,8 @@ on generators by (i < j):
 
 Every line but the last reads (F_pq . mu) g_p g_q with F_pq a vector of
 ints, and the last is (s_i . mu)(y_i x_i + z_{i-1}), so by the Leibniz rule
-the bracket of two monomials is one bilinear form in their exponents, the
-closed form of :func:`pb_bracket`.
+the bracket of two monomials is one bilinear form in their exponents, which
+:func:`pb_bracket` carries as one int with a signed field per mu_k.
 
 The map ``gamma1`` evaluates every quantized coefficient at the classical
 point, and ``semiclassical_bracket`` realizes {gamma1(a), gamma1(b)} as the
@@ -23,11 +23,11 @@ same bracket.
 
 from __future__ import annotations
 
-from .scalars import MuPoly, vec_add, vec_neg
-from .weyl import (
-    PbwElement, WeylElement, WeylParams, _add_shifted, _Decoder, _pack_terms, _unpack,
-    wa_commutator,
-)
+import math
+from operator import add, lshift
+
+from .scalars import MuPoly, exact_quotients, vec_add, vec_neg
+from .weyl import PbwElement, WeylElement, WeylParams, wa_commutator
 
 
 class PoissonElement(PbwElement):
@@ -69,83 +69,104 @@ def _gen_bracket(params: WeylParams, p: int, q: int) -> tuple:
 def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
     """The biderivation extending the generator table, in closed form.
 
-    By the Leibniz rule {m, m'} = sum_{p,q} m_p m'_q (m/g_p)(m'/g_q) {g_p, g_q}
-    on monomials, the mu symbols being Poisson constants.  Each table entry
-    is (F_pq . mu) g_p g_q, except that (p, q) = (x_i, y_i) adds
-    (s_i . mu) z_{i-1} and (y_i, x_i) subtracts it, so
+    By the Leibniz rule, as (p, q) = (x_i, y_i) adds (s_i . mu) z_{i-1} to
+    the entry (F_pq . mu) g_p g_q of :func:`_gen_bracket` and (y_i, x_i)
+    subtracts it, with s_i = F_{x_i y_i} and d_i = m_{x_i} m'_{y_i} - m_{y_i} m'_{x_i}:
 
         {m, m'} = (sum_{p,q} m_p m'_q F_pq . mu) m m'
-                  + sum_i d_i (s_i . mu) (m m' / (y_i x_i)) z_{i-1},
-        d_i = m_{x_i} m'_{y_i} - m_{y_i} m'_{x_i},
+                  + sum_i d_i (s_i . mu) (m m' / (y_i x_i)) z_{i-1}.
 
-    with F_pq from :func:`_gen_bracket` for the slot pairs met and
-    s_i = F_{x_i y_i}.  The bare brackets come first, with integer forms;
-    only if one is nonzero are the coefficients packed as in
-    :meth:`~qweyl.weyl.StraighteningEngine.mul_terms` (int numerators over
-    each operand's common denominator, packed mu-exponents, one scalar per
-    result monomial at the end).  A result entry is at most twice the
-    operands' largest entry plus 1, and the fields hold it below W/2.
+    Each integer form is one int sum_k f_k W^k of r signed fields, W = 2^bits.
+    The mu's are Poisson constants, so {a, b} = sum mu^(va + vb) {a_va, b_vb},
+    a_va the part of a at mu-exponent va (all of a if its coefficients are
+    constant): each result monomial sums one int per v = va + vb, numerators
+    over the operands' common denominator times the forms landing there,
+    field k for mu^(v + e_k), exact while |f| < W/2.  A term pair lands on a
+    monomial at most once (m m', m m' / (y_i x_i), that times y_k x_k, k < i,
+    differ), with entries at most deg m deg m' M, as sum_{p,q} m_p m'_q =
+    deg m deg m' >= |d_i| and M = ``params.max_form_entry``.  So a field and
+    any partial sum is at most B = N_a N_b M, N the sum over an operand's
+    terms of |numerator| deg m, and W/2 = 2^bitlen(B) > B.
     """
+    if type(a) is not PoissonElement or type(b) is not PoissonElement:
+        raise TypeError(f"no Poisson bracket of a {type(a).__name__} and a {type(b).__name__}")
     a._check(b)
-    params = a.params
+    params, ops = a.params, []
     r, memo = params.r, params.poisson_brackets
+    den = math.lcm(*[k.denominator for x in (a, b) for _, c in x.terms for _, k in c.terms])
+    for x in (a, b):  # its terms with their (slot, exponent) pairs; by v, [(term, numerator)]
+        terms, slices, norm = [], {}, 0
+        for m, c in x.terms:
+            if sup := [(p, e) for p, e in enumerate(m) if e]:  # a constant brackets to 0
+                for v, k in c.terms:
+                    norm += abs(k := k.numerator * (den // k.denominator)) * sum(m)
+                    slices.setdefault(v, []).append((len(terms), k))
+                terms.append((m, sup))
+        ops.append((terms, slices, norm))
+    (ta, sa, na), (tb, sb, nb) = ops
+    bits = (na * nb * params.max_form_entry).bit_length() + 1
+    shifts, packed = range(0, bits * r, bits), {}
 
-    def form(p, q):
-        f = memo.get((p, q))
-        if f is None:
-            f = memo[(p, q)] = _gen_bracket(params, p, q)
+    def form(p, q):  # F_pq as one int
+        if (f := packed.get((p, q))) is None:
+            v = memo.get((p, q)) or memo.setdefault((p, q), _gen_bracket(params, p, q))
+            f = packed[p, q] = sum(map(lshift, v, shifts))
         return f
 
-    lands = []  # the bare brackets {m, m'}: (monomial, mu-form, index of m, index of m')
-    occupied = [[(q, e) for q, e in enumerate(mb) if e] for mb, _ in b.terms]
-    for ia, (ma, _) in enumerate(a.terms):
-        sa = [(p, e) for p, e in enumerate(ma) if e]
-        if not sa:  # a constant brackets to 0
-            continue
+    ids, lands = {}, []  # result monomial -> its index; lands[ia][ib]: {m, m'} as [(index, form)]
+    for ma, sup in ta:
         rows: dict = {}  # slot q -> sum_p m_p F_pq
-        for ib, (mb, _) in enumerate(b.terms):
-            f = [0] * r
-            for q, eq in occupied[ib]:
-                row = rows.get(q)
-                if row is None:
-                    row = [0] * r
-                    for p, ep in sa:
-                        row = [x + ep * y for x, y in zip(row, form(p, q))]
-                    rows[q] = row
-                f = [x + eq * y for x, y in zip(f, row)]
-                i = q // 2
-                if q % 2 and mb[q - 1]:  # pair i was met at its y_i slot
+        lands.append(row := [])
+        for mb, occ in tb:
+            mm, f, got = tuple(map(add, ma, mb)), 0, []
+            for q, e in occ:
+                if (w := rows.get(q)) is None:
+                    w = rows[q] = sum([ep * form(p, q) for p, ep in sup])
+                f += e * w
+                if q & 1 and mb[q - 1]:  # pair q // 2 was met at its y slot
                     continue
-                d = ma[2 * i + 1] * mb[2 * i] - ma[2 * i] * mb[2 * i + 1]
-                if d:
-                    s_i = [d * x for x in form(2 * i + 1, 2 * i)]
-                    mm = vec_add(ma, mb)
-                    low = mm[:2 * i] + (mm[2 * i] - 1, mm[2 * i + 1] - 1) + mm[2 * i + 2:]
-                    lands.append((low, s_i, ia, ib))  # and low y_k x_k, k < i: m m' z_{i-1}
-                    lands += [(low[:2 * k] + (low[2 * k] + 1, low[2 * k + 1] + 1) + low[2 * k + 2:],
-                               s_i, ia, ib) for k in range(i)]
-            if any(f):
-                lands.append((vec_add(ma, mb), f, ia, ib))
-    if not lands:
-        return PoissonElement._from_sums(params, {})
-    # n > 0, so r > 0: the largest mu-exponent entry of either operand
-    top = max(map(max, [v for t in (a, b) for _, c in t.terms for v, _ in c.terms]))
-    dec = _Decoder(r, (2 * top + 1).bit_length() + 1)
-    (pa, da), (pb, db) = _pack_terms(a.terms, dec.encode), _pack_terms(b.terms, dec.encode)
-    mus = [1 << s for s in dec.shifts]  # mu_1 .. mu_r, packed
-    out: dict = {}  # monomial -> {packed mu-exponent: numerator}
-    for mono, vec, ia, ib in lands:
-        acc = out.setdefault(mono, {})
-        ca = pa[ia][1]
-        for u, k in zip(mus, vec):
-            if k:
-                for eb, nb in pb[ib][1].items():
-                    _add_shifted(acc, ca, eb + u, k * nb)
-    return PoissonElement._from_sums(params, _unpack(out, da * db, dec, MuPoly))
+                if d := ma[(y := q & -2) + 1] * mb[y] - ma[y] * mb[y + 1]:
+                    s_i, low = d * form(y + 1, y), mm[:y] + (mm[y] - 1, mm[y + 1] - 1) + mm[y + 2:]
+                    got += [(ids.setdefault(m, len(ids)), s_i) for m in [low] + [
+                        low[:j] + (low[j] + 1, low[j + 1] + 1) + low[j + 2:]
+                        for j in range(0, y, 2)]]  # m m' z_{i-1} / (y_i x_i)
+            if f:
+                got.append((ids.setdefault(mm, len(ids)), f))
+            row.append(got)
+    if not ids:  # nothing lands
+        return PoissonElement._canonical(params, ())
+    accs: dict = {}  # v -> {monomial index: numerators times forms}
+    for va, ka_list in sa.items():
+        for vb, kb_list in sb.items():
+            acc = accs.setdefault(tuple(map(add, va, vb)), {})
+            for ia, ka in ka_list:
+                for ib, kb in kb_list:
+                    for i, f in lands[ia][ib]:
+                        acc[i] = acc.get(i, 0) + ka * kb * f
+    half, mask, den = 1 << (bits - 1), (1 << bits) - 1, den * den
+    offset = half * ((1 << bits * r) - 1) // mask  # W/2 in every field: each a base-W digit
+    out: dict = {}  # mu-exponent -> {monomial index: numerator}
+    for v, acc in accs.items():  # mu^(v + e_k) at shift bits * k
+        into = [(out.setdefault(v[:k] + (v[k] + 1,) + v[k + 1:], {}), bits * k) for k in range(r)]
+        for i, x in acc.items():
+            x += offset
+            for t, s in into:
+                t[i] = t.get(i, 0) + ((x >> s) & mask) - half
+    exact = exact_quotients(out, den)  # each distinct numerator divided once
+    coeffs: list = [[] for _ in ids]  # per monomial, its (mu-exponent, coefficient) pairs
+    for e in sorted(out):
+        for i, c in out[e].items():
+            if c:
+                coeffs[i].append((e, exact.get(c, c)))
+    return PoissonElement._canonical(params, sorted(
+        [(m, MuPoly._canonical(r, cs)) for m, cs in zip(ids, coeffs) if cs],  # cancelled ones out
+        key=PoissonElement._sort_key))
 
 
 def gamma1(a: WeylElement) -> PoissonElement:
     """Classical limit map: same monomials, coefficients evaluated at t=1."""
+    if not isinstance(a, WeylElement):
+        raise TypeError(f"gamma1 takes a WeylElement, not a {type(a).__name__}")
     params = a.params
     return PoissonElement(
         params,

@@ -103,6 +103,14 @@ def _as_fraction(x: Rat) -> Fraction:
     return Fraction(_coefficient(x))
 
 
+def exact_quotients(sums: Mapping, den: int) -> dict:
+    """Each distinct value of the inner maps of ``sums`` over ``den``, divided
+    once, in stored form (an ``int`` exactly when den divides it); empty when
+    den = 1, so it is read with ``.get(c, c)``."""
+    return {} if den == 1 else {c: Fraction(c, den) if c % den else c // den
+                                for c in {c for d in sums.values() for c in d.values()}}
+
+
 def add_term(table: dict, key, value) -> None:
     """Add ``value`` into ``table[key]``, dropping the key when the sum is zero.
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .scalars import ExpVec, QTScalar, TermMap, add_term, vec_add, vec_neg
+from .scalars import ExpVec, QTScalar, TermMap, add_term, exact_quotients, vec_add, vec_neg
 
 PbwMonomial = tuple[int, ...]
 
@@ -188,7 +187,7 @@ class StraighteningEngine:
     def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
         """Product of two term maps from ordered monomials to scalars."""
         (pa, da), (pb, db) = self._pack(ta, tb)
-        return _unpack(self._fold(pa, pb), da * db, self._decoded, QTScalar)
+        return _unpack(self._fold(pa, pb), da * db, self._decoded)
 
     def q_commutators(self, ta: Mapping, tb: Mapping, *cs: ExpVec) -> list:
         """For term maps a, b and exponents ``cs`` = (c,) or (c, c'):
@@ -203,7 +202,7 @@ class StraighteningEngine:
             diff, e = {m: dict(d) for m, d in left.items()}, self._encode(v)
             for m, d in right.items():
                 _add_shifted(diff.setdefault(m, {}), d, e, -1)
-            out.append(_unpack(diff, da * db, self._decoded, QTScalar))
+            out.append(_unpack(diff, da * db, self._decoded))
         return out
 
     def _fold(self, pa: list, pb: list) -> dict:
@@ -353,17 +352,13 @@ def _pack_terms(terms, enc) -> tuple[list, int]:
             for m, c in terms], den
 
 
-def _unpack(out: dict, den: int, dec: _Decoder, scalar_type) -> dict:
-    """One ``scalar_type`` value per monomial of ``out``, a map from packed
+def _unpack(out: dict, den: int, dec: _Decoder) -> dict:
+    """One ``QTScalar`` per monomial of ``out``, a map from packed
     exponents to numerators over ``den``: each distinct numerator is divided
     once, and monomials whose numerators all cancelled are left out."""
-    # in stored form: an int exactly when den divides c
-    exact = {} if den == 1 else {
-        c: Fraction(c, den) if c % den else c // den
-        for c in {c for d in out.values() for c in d.values()}
-    }
+    exact = exact_quotients(out, den)
     return {
-        m: scalar_type._canonical(dec.rank, [
+        m: QTScalar._canonical(dec.rank, [
             (dec[e], exact.get(c, c)) for e, c in sorted(d.items())
         ])
         for m, d in out.items() if d
@@ -512,6 +507,12 @@ class WeylParams:
         (s_i . mu) z_{i-1} for {x_i, y_i}).  At most (2n)^2 entries; it
         lives and dies with this instance."""
         return {}
+
+    @cached_property
+    def max_form_entry(self) -> int:
+        """Largest |entry| of any F_pq (of s_i, L_ij, s_i + L_ij, i < j): sizes pb_bracket."""
+        return max([abs(x) for i, s in enumerate(self.qexp) for v in ((0,) * self.r,  # 0: s_i
+                    *self.lexp[i][i + 1:]) for x in (*v, *vec_add(s, v))], default=0)
 
     @cached_property
     def torus_table(self) -> dict:
@@ -695,12 +696,12 @@ def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
             for _ in range(a):
                 if (quot := _divide_by_q_minus_1(d, v, dec)) is None:
                     term = MaltsiniotisElement._canonical(
-                        params, _unpack({mono: d}, den, dec, QTScalar).items())
+                        params, _unpack({mono: d}, den, dec).items())
                     raise LocalizationRequiredError(
                         f"term {term} does not clear the denominator (q{i} - 1); "
                         "localization required")
                 d = out[mono] = quot
-    return WeylElement._canonical(params, _unpack(out, den, dec, QTScalar).items())
+    return WeylElement._canonical(params, _unpack(out, den, dec).items())
 
 
 def _divide_by_q_minus_1(d: dict, v: ExpVec, dec: _Decoder) -> dict | None:

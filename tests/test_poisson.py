@@ -18,6 +18,7 @@ from qweyl import (
     semiclassical_bracket,
     wa_z,
 )
+from qweyl.poisson import _gen_bracket
 from qweyl.scalars import vec_add
 from qweyl.suites import random_params, random_poisson, random_weyl
 from qweyl.weyl import StraighteningEngine
@@ -271,3 +272,52 @@ def test_semiclassical_bracket_leaves_the_t_equals_one_check_to_limit_div(params
     x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
     with pytest.raises(NotDivisibleError, match="nonzero at t=1"):
         semiclassical_bracket(x1, y1)
+
+
+def test_bracket_and_gamma1_reject_other_element_classes():
+    """A Weyl element's eta-coefficients are not mu-polynomials: bracketing
+    one used to return a "MuPoly" with a negative exponent, and gamma1 of a
+    Poisson element failed on its scalars.  Both name the class instead."""
+    from qweyl.cli import DEFAULT_CONFIG, params_from_config
+    from qweyl.scalars import QTScalar
+
+    params = params_from_config(DEFAULT_CONFIG)
+    w = WeylElement.monomial(params, (0, 1, 0, 0), QTScalar.monomial((1, -1)))
+    y1 = pgen(params, "y", 1)
+    for a, b in ((w, y1), (y1, w)):
+        with pytest.raises(TypeError, match="WeylElement"):
+            pb_bracket(a, b)
+    with pytest.raises(TypeError, match="PoissonElement"):
+        gamma1(y1)
+
+
+def test_max_form_entry_is_the_largest_generator_table_entry():
+    """The cached bound M that sizes ``pb_bracket``'s fields is the largest
+    |entry| of any F_pq of the table, read off ``_gen_bracket`` itself."""
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        params = random_params(rng, n, rng.randint(1, 3))
+        table = [_gen_bracket(params, p, q) for p in range(2 * n) for q in range(2 * n)]
+        assert params.max_form_entry == max(abs(x) for f in table for x in f)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("e", [63, 200])
+def test_bracket_numerator_field_width(r, e):
+    """Numerators near 2^e reach the width bound B = N_a N_b M of
+    ``pb_bracket`` in every field, all with one sign: {y2^2, y1^3} =
+    2 * 3 * (L_21 . mu) y1^3 y2^2 with L_21 = (M, ..., M) the largest entry
+    of the instance.  Over the common denominator 3 the numerators are
+    2^e - 1 and 3 (2^e + 1), so N_a = 2 (2^e - 1), N_b = 9 (2^e + 1), and
+    each field holds 3 (2^e - 1)(2^e + 1) * 6 * M = B before the division
+    by 3 * 3.  One bit less and the fields wrap."""
+    M = 5
+    params = WeylParams(2, r, ((1,) * r, (1,) * r), (((0,) * r, (-M,) * r), ((M,) * r, (0,) * r)))
+    assert params.max_form_entry == M
+    a = PoissonElement(params, [((0, 0, 2, 0), Fraction(2**e - 1, 3))])  # y2^2
+    b = PoissonElement(params, [((3, 0, 0, 0), 2**e + 1)])  # y1^3
+    bound = 2 * (2**e - 1) * 9 * (2**e + 1) * M
+    want = PoissonElement(params, [((3, 0, 2, 0), MuPoly.linear((bound // 9,) * r))])
+    assert pb_bracket(a, b) == want
+    assert pb_bracket(b, a) == -want
+    assert {c * 9 for _, c in pb_bracket(a, b).terms[0][1].terms} == {bound}

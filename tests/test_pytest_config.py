@@ -52,3 +52,31 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert modules and found == []
+
+
+def private_weyl_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports from ``qweyl.weyl``."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "qweyl.weyl" or (node.level == 1 and node.module == "weyl"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_only_weyl_uses_the_engine_private_names():
+    """The engine's packed dicts (``_Decoder``, ``_pack_terms``, ...) are
+    private to ``weyl.py``: no other module imports an underscore name from
+    it, so the engine and the Poisson bracket kernel change independently."""
+    assert private_weyl_imports("from .weyl import WeylParams, _Decoder") == ["_Decoder"]
+    assert private_weyl_imports("from qweyl.weyl import _unpack as u") == ["_unpack"]
+    modules = sorted((ROOT / "src" / "qweyl").rglob("*.py"))
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in modules
+        if path.name != "weyl.py"
+        and (names := private_weyl_imports(path.read_text(encoding="utf-8")))
+    }
+    assert len(modules) > 1 and found == {}

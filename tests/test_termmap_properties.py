@@ -10,6 +10,8 @@ hypothesis and sympy are installed where the tests run but are not declared
 dependencies, so the module is skipped without them.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,11 +250,8 @@ def sympy_generator_brackets(params):
     return table
 
 
-@FAST
-@given(bracket_operands())
-def test_pb_bracket_matches_sympy_bivector(operands):
+def assert_bracket_matches_sympy_bivector(a, b):
     """{f, g} = sum_{p,q} df/dg_p dg/dg_q {g_p, g_q}, with sympy derivatives."""
-    a, b = operands
     gens = GENS[:2 * a.params.n]
     f, g = pe_to_sympy(a), pe_to_sympy(b)
     table = sympy_generator_brackets(a.params)
@@ -262,6 +261,43 @@ def test_pb_bracket_matches_sympy_bivector(operands):
     got = pb_bracket(a, b)
     assert sympy.expand(pe_to_sympy(got) - expected) == 0
     assert pe_stored_form(got)
+
+
+@FAST
+@given(bracket_operands())
+def test_pb_bracket_matches_sympy_bivector(operands):
+    assert_bracket_matches_sympy_bivector(*operands)
+
+
+def many_mu_operands():
+    """n = r = 3, a of 12 terms of degree 1..3 and b of 8 terms of degree
+    1..2, each with 30 distinct mu-exponents: 30 vectors of [0, 3]^3 dealt
+    out over its terms (2 or 3 to a term of a, 3 or 4 to a term of b), with
+    rational coefficients of denominator 1, 2 or 3.  So every term pair of
+    the bracket meets several mu-exponents on both sides."""
+    rng = random.Random(30)
+    params = WeylParams(3, 3, ((1, 0, 2), (0, -1, 1), (2, 1, 0)),
+                        antisymmetric(3, 3, [(1, -2, 0), (2, 1, -1), (0, 2, 1)]))
+    exponents = list(itertools.product(range(4), repeat=3))
+
+    def element(count, top):
+        monos = rng.sample([m for m in itertools.product(range(top + 1), repeat=6)
+                            if 1 <= sum(m) <= top], count)
+        vecs = rng.sample(exponents, 30)
+        return PoissonElement(params, [
+            (m, MuPoly(3, [(v, Fraction(rng.choice([-9, -5, -2, 1, 3, 7]), rng.randint(1, 3)))
+                           for v in vecs[i::count]]))
+            for i, m in enumerate(monos)])
+
+    return element(12, 3), element(8, 2)
+
+
+def test_pb_bracket_with_many_mu_exponents_matches_sympy_bivector():
+    """900 pairs of operand mu-exponents, each a slice pair of the kernel."""
+    a, b = many_mu_operands()
+    for x in (a, b):
+        assert len({v for _, c in x.terms for v, _ in c.terms}) == 30
+    assert_bracket_matches_sympy_bivector(a, b)
 
 
 @FAST
