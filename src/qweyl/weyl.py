@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .scalars import ExpVec, QTScalar, TermMap, add_term, exact_quotients, vec_add, vec_neg
 
@@ -96,10 +96,12 @@ class StraighteningEngine:
     to ba's packed exponents.  A monomial with no occupied slot above p
     takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
     take e single appends, and ``_gen_cache`` keeps each step but a direct
-    landing, which costs one tuple, about what a lookup costs.  It and the
-    decoder's memo of packed exponents hold at most ``MEMO_LIMIT`` entries
-    each: a store past it clears the memo first, as widening does, so an
-    engine kept across calls stays bounded.
+    landing, which costs one tuple, about what a lookup costs; ``_factors``
+    keeps the closed form's factor f_s(q_i) per (pair, s).  Each holds at
+    most ``MEMO_LIMIT`` entries: a store past it clears the memo first, as
+    widening does, so an engine kept across calls stays bounded.  Packed
+    exponents decode through the memo of the engine's rank and width,
+    shared by every engine in the process (``_decoder``).
     Termination: no method recurses.  A block landing is one step, and a
     single generator g_p appended to an ordered monomial is one pass: the
     swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair
@@ -147,7 +149,7 @@ class StraighteningEngine:
 
     # the narrowest field; two fields of it share one 30-bit int digit
     MIN_BITS = 12
-    # the most entries ``_gen_cache`` or a decoder's memo holds
+    # the most entries ``_gen_cache``, ``_factors`` or a decoder's memo holds
     MEMO_LIMIT = 1 << 14
 
     def __init__(self, n, rank, q_consts, swap, closed, zstep):
@@ -163,17 +165,19 @@ class StraighteningEngine:
         # monomial-times-generator results recur heavily across products;
         # values are treated as read-only by every caller
         self._gen_cache: dict = {}
+        self._factors: dict = {}
         self._set_width(self.MIN_BITS)
 
     def _set_width(self, bits: int) -> None:
         self._half = 1 << (bits - 1)
-        self._decoded = _Decoder(self.rank, bits)
+        self._decoded = _decoder(self.rank, bits)
         self._encode = enc = self._decoded.encode
         q_consts, swap, zstep = self._consts
         self.q = [(enc(v), k) for v, k in q_consts]
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
         self._zstep = [self._in_q(i, zstep) for i in range(self.n)]
         self._gen_cache.clear()
+        self._factors.clear()
 
     def _in_q(self, i: int, poly) -> list:
         """A polynomial in q_i as (packed exponent, nonzero rational) pairs."""
@@ -289,14 +293,12 @@ class StraighteningEngine:
             high = m[cut:]
             out = {(m[:p] + (m[p] + 1, s) + high, et + e * s): kt * k**s}
             block = (m[p], s - 1) + high
-            factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
+            if (factor := self._factors.get((p // 2, s))) is None:  # empty where it is zero
+                factor = _remember(self._factors, (p // 2, s), self._in_q(p // 2, self._closed(s)))
             for (low, ez), c in self._times_z(m[:p]).items():
                 for ef, kf in factor:
                     add_term(out, (low + block, ez + ef + et), c * kf * kt)
-        if len(self._gen_cache) >= self.MEMO_LIMIT:
-            self._gen_cache.clear()
-        self._gen_cache[(m, p)] = out
-        return out
+        return _remember(self._gen_cache, (m, p), out)
 
     def _times_z(self, low: PbwMonomial) -> dict:
         """``low * z_k`` for an ordered monomial ``low`` on the first k pairs
@@ -315,12 +317,20 @@ class StraighteningEngine:
         return out
 
 
+def _remember(memo: dict, key, value):
+    """``memo[key] = value``, returned; a memo holding ``MEMO_LIMIT`` entries is cleared first."""
+    if len(memo) >= StraighteningEngine.MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class _Decoder(dict):
     """Packed exponents with fields of ``bits`` bits: ``encode`` packs a
     vector of length ``rank`` as ``sum_k v_k W^(rank-1-k)``, W = 2^bits, and
     the memo maps a packed exponent back, which is exact while every
     ``|v_k| < W/2``; adding W/2 to every field turns the fields into
-    base-W digits."""
+    base-W digits; the memo is cleared when a store would pass ``MEMO_LIMIT``."""
 
     __slots__ = ("rank", "bits", "half", "mask", "shifts", "offset")
 
@@ -337,11 +347,15 @@ class _Decoder(dict):
         return out
 
     def __missing__(self, packed: int) -> ExpVec:
-        if len(self) >= StraighteningEngine.MEMO_LIMIT:
-            self.clear()
         x, half, mask = packed + self.offset, self.half, self.mask
-        vec = self[packed] = tuple([((x >> s) & mask) - half for s in self.shifts])
-        return vec
+        return _remember(self, packed, tuple([((x >> s) & mask) - half for s in self.shifts]))
+
+
+@lru_cache(maxsize=8)
+def _decoder(rank: int, bits: int) -> _Decoder:
+    """The process's decoder of ``rank`` and ``bits``: it holds no instance, and the 8
+    kept hold at most ``8 * MEMO_LIMIT`` exponents (an engine keeps an evicted one)."""
+    return _Decoder(rank, bits)
 
 
 def _pack_terms(terms, enc) -> tuple[list, int]:
@@ -688,7 +702,8 @@ def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
     params = value.params
     top = max([abs(x) for _, c in value.terms for v, _ in c.terms for x in v], default=0)
     size = max([abs(x) for v in params.qexp for x in v], default=0)
-    dec = _Decoder(params.r, (top * (1 + size)).bit_length() + 1)
+    # no narrower than an engine, so that it shares the engines' decoder
+    dec = _decoder(params.r, max((top * (1 + size)).bit_length() + 1, StraighteningEngine.MIN_BITS))
     packed, den = _pack_terms(value.terms, dec.encode)
     out = dict(packed)
     for mono, d in packed:

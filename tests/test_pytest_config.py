@@ -80,3 +80,51 @@ def test_only_weyl_uses_the_engine_private_names():
         and (names := private_weyl_imports(path.read_text(encoding="utf-8")))
     }
     assert len(modules) > 1 and found == {}
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions with parameters that ``source`` decorates with a cache of
+    no finite integer size: ``functools.cache``, or ``lru_cache`` whose
+    ``maxsize`` is ``None`` or not an integer literal.  Such a cache keeps
+    every argument it meets, instances included, for the life of the
+    process; a bare ``lru_cache`` keeps 128."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            sizes = (call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                     if call else [])
+            if name == "cache" or (name == "lru_cache" and not all(
+                    isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)):
+                found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_library_caches_are_bounded():
+    """Every ``lru_cache`` in the library has a finite integer ``maxsize``;
+    ``functools.cache`` and ``lru_cache(maxsize=None)`` decorate only
+    functions with no parameters, which hold one value."""
+    assert unbounded_caches(
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(p): pass\n"
+        "@lru_cache(None)\ndef b(p): pass\n"
+        "@cache\ndef c(self): pass\n"
+        "@lru_cache(maxsize=SIZE)\ndef d(*p): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(p): pass\n"
+        "@lru_cache\ndef f(p): pass\n"
+        "@functools.cache\ndef g(): pass\n"
+    ) == ["a:3", "b:5", "c:7", "d:9"]
+    modules = sorted((ROOT / "src" / "qweyl").rglob("*.py"))
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in modules
+        if (names := unbounded_caches(path.read_text(encoding="utf-8")))
+    }
+    assert len(modules) > 1 and found == {}

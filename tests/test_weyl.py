@@ -1,5 +1,7 @@
+import gc
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -446,21 +448,26 @@ def test_generator_append_takes_one_call(params3, monkeypatch):
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
-    """Under a small ``MEMO_LIMIT`` the generator memo and the decoder's memo
-    fill to it and never past it, and a product keeps the value it has
-    with no limit."""
-    def cube_times_square(params):
-        s = sum((WeylElement.generator(params, k, i) for i in range(1, params.n + 1)
-                 for k in "yx"), WeylElement.zero(params))
-        return (s ** 3 * s ** 2).terms
+    """Under a small ``MEMO_LIMIT`` the generator memo, the closed-form
+    factor table and the decoder's memo fill to it and never past it, and
+    products keep the values they have with no limit.  Decoders are shared
+    by every engine of one rank and width, so the table is emptied first and
+    the new instance starts from an empty decoder."""
+    def products(params):
+        g = gens(params)
+        s = sum(g.values(), WeylElement.zero(params))
+        # x_i^t * y_i takes the closed form with the factor f_t(q_i): 24 keys
+        return [(s ** 3 * s ** 2).terms] + [(g[f"x{i}"] ** t * g[f"y{i}"]).terms
+                                            for i in range(1, params.n + 1) for t in range(1, 9)]
 
-    want = cube_times_square(params3)
-    sizes = {"gen": [], "dec": []}
+    want = products(params3)
+    sizes = {"gen": [], "factors": [], "dec": []}
     mono_times_gen, missing = StraighteningEngine._mono_times_gen, _Decoder.__missing__
 
     def gen_sized(self, m, p):
         out = mono_times_gen(self, m, p)
         sizes["gen"].append(len(self._gen_cache))
+        sizes["factors"].append(len(self._factors))
         return out
 
     def dec_sized(self, packed):
@@ -471,10 +478,67 @@ def test_memos_stay_within_their_limit(params3, monkeypatch):
     monkeypatch.setattr(StraighteningEngine, "MEMO_LIMIT", 16)
     monkeypatch.setattr(StraighteningEngine, "_mono_times_gen", gen_sized)
     monkeypatch.setattr(_Decoder, "__missing__", dec_sized)
+    weyl._decoder.cache_clear()
     fresh = WeylParams(params3.n, params3.r, params3.qexp, params3.lexp)
-    assert cube_times_square(fresh) == want
+    assert products(fresh) == want
     for seen in sizes.values():  # filled to the limit, cleared, and filled again
         assert max(seen) == 16 and min(seen[seen.index(16):]) == 1
+
+
+def test_shared_decoders_never_change_a_result():
+    """A decoded exponent depends on the rank and the width alone: products
+    on one instance read the same after products on instances of its rank
+    and of others, a product whose exponents reach 2^11 (its engine widens
+    after a closed-form step), a division at a width of its own, and after
+    the decoder table is emptied, on the instance and on a new equal one."""
+    rng = random.Random(31)
+    a = random_params(rng, 3, 2)
+
+    def products(params):
+        g = gens(params)
+        s = sum(g.values(), WeylElement.zero(params))
+        return (s ** 3 * s ** 2).terms, (g["x2"] ** 3 * g["y2"] * g["x1"] ** 2 * g["y1"]).terms
+
+    want = products(a)
+    for params in (random_params(rng, 3, 2), random_params(rng, 2, 3), random_params(rng, 3, 1)):
+        products(params)
+    wide = random_params(rng, 2, 2)
+    c, q1 = QTScalar.monomial((2**11, -5)), wide.q_scalar(1)
+    x1, y1 = (WeylElement.generator(wide, k, 1) for k in "xy")
+    assert x1 * y1 == (y1 * x1).scale(q1) + WeylElement.scalar(wide, q1 - 1)
+    assert x1.scale(c) * y1 == (y1 * x1).scale(c * q1) + WeylElement.scalar(wide, c * (q1 - 1))
+    assert wide.engine._decoded.bits > StraighteningEngine.MIN_BITS
+    # a division in 16-bit fields, wider than the 14 bits of the engine
+    y2 = WeylElement.generator(wide, "y", 2).scale(QTScalar.monomial((3000, -7000)))
+    assert from_maltsiniotis(rescaled(y2 * y1)) == y2 * y1
+    for _ in range(2):  # warm decoders, then an emptied table
+        assert products(a) == want
+        assert products(WeylParams(a.n, a.r, a.qexp, a.lexp)) == want
+        weyl._decoder.cache_clear()
+
+
+def test_shared_decoders_stay_bounded_and_pin_no_instance(monkeypatch):
+    """Under a small ``MEMO_LIMIT``, products on 50 new instances of mixed
+    rank and width leave at most 8 decoders in the table, every decoder
+    within the limit, and no instance alive: a decoder holds only its rank,
+    its width and its memo."""
+    monkeypatch.setattr(StraighteningEngine, "MEMO_LIMIT", 16)
+    weyl._decoder.cache_clear()
+    rng, refs, decoders = random.Random(41), [], []
+    for k in range(50):
+        params = random_params(rng, 1 + k % 3, 1 + k % 4)
+        # exponents up to 2^16: fields of 12 to about 20 bits
+        c = QTScalar.monomial((2 ** (4 * (k % 5)),) + (0,) * (params.r - 1))
+        s = sum(gens(params).values(), WeylElement.zero(params)).scale(c)
+        assert (s ** 2 * s).terms
+        decoders.append(params.engine._decoded)
+        refs.append(weakref.ref(params))
+    del params, s
+    gc.collect()
+    info = weyl._decoder.cache_info()
+    assert len({(d.rank, d.bits) for d in decoders}) > info.maxsize == 8 >= info.currsize
+    assert max(len(d) for d in decoders) <= 16
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_block_append_equals_single_appends(params3):
