@@ -19,10 +19,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
 
+from . import DEFAULT_SEED
 from .exprs import ExprEvalError, ExprSyntaxError, eval_rescaled, eval_weyl, parse_expr
 from .interp import ParameterDomainError, build_e_family
 from .poisson import gamma1, pb_bracket, semiclassical_bracket
-from .quantum_plane import demo_lines
 from .scalars import DigitLimitError, RankMismatchError
 from .spectra import (
     AdmissibleSet,
@@ -33,7 +33,6 @@ from .spectra import (
     stratum_report,
     torus_matrix_q,
 )
-from .suites import DEFAULT_SEED, run_suites
 from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis, wa_commutator
 
 VERIFY_ERROR = 1
@@ -277,6 +276,8 @@ def _center(args, params, config):
 
 
 def _verify(args, params, config):
+    from .suites import run_suites  # loaded here: no other command needs it
+
     seed = args.suite_seed if args.suite_seed is not None else args.seed
     if seed is None:
         config_seed = load_config(args.config).get("seed")
@@ -295,6 +296,8 @@ def _verify(args, params, config):
 
 
 def _example(args, params, config):
+    from .quantum_plane import demo_lines
+
     lines = demo_lines()
     return {"result": lines, "checks": []}, lines
 

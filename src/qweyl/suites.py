@@ -23,6 +23,7 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterator, Sequence
 
+from . import DEFAULT_SEED
 from .exprs import eval_rescaled, eval_weyl, parse_expr
 from .interp import SpecializedAlgebra, build_e, build_e_family
 from .poisson import (
@@ -51,8 +52,6 @@ from .weyl import (
     pos_y,
     wa_z,
 )
-
-DEFAULT_SEED = 20250808
 
 # random cases per randomized suite
 PBW_TRIPLES = 200

@@ -71,6 +71,7 @@ COMMAND_LINES = [
     ("builtin", "verify", "--seed", "1"),
     ("builtin", "verify", "--seed", "7"),
     ("builtin", "verify", "--suite", "torus-relations-ideal", "--seed", "3"),
+    ("builtin", "verify", "--suite", "admissible-counts"),
     ("builtin", "example", "quantum-plane"),
     ("builtin", "nf", "x2^8*y2^8"),
     ("builtin", "nf", "(y1+x1+y2+x2)^5"),
