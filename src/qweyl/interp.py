@@ -105,6 +105,8 @@ class SpecializedAlgebra:
 
     def specialize(self, a: WeylElement) -> dict[PbwMonomial, Fraction]:
         """Evaluate every coefficient at the e-values; monomials unchanged."""
+        if type(a) is not WeylElement:
+            raise TypeError(f"specialize takes a WeylElement, not a {type(a).__name__}")
         if a.params != self.params:
             raise ParameterDomainError("element belongs to a different instance")
         out: dict[PbwMonomial, Fraction] = {}

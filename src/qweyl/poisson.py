@@ -27,7 +27,7 @@ import math
 from operator import add, lshift
 
 from .scalars import MuPoly, exact_quotients, vec_add, vec_neg
-from .weyl import PbwElement, WeylElement, WeylParams, wa_commutator
+from .weyl import MaltsiniotisElement, PbwElement, WeylElement, WeylParams, wa_commutator
 
 
 class PoissonElement(PbwElement):
@@ -165,7 +165,7 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
 
 def gamma1(a: WeylElement) -> PoissonElement:
     """Classical limit map: same monomials, coefficients evaluated at t=1."""
-    if not isinstance(a, WeylElement):
+    if type(a) is not WeylElement:  # a rescaled Y_i = (q_i - 1)^{-1} y_i has no limit
         raise TypeError(f"gamma1 takes a WeylElement, not a {type(a).__name__}")
     params = a.params
     return PoissonElement(
@@ -175,7 +175,10 @@ def gamma1(a: WeylElement) -> PoissonElement:
 
 
 def semiclassical_bracket(a: WeylElement, b: WeylElement) -> PoissonElement:
-    """{gamma1(a), gamma1(b)} computed as the exact (t-1)-limit of ab - ba."""
+    """{gamma1(a), gamma1(b)} computed as the exact (t-1)-limit of ab - ba,
+    for quantized or quantum-plane elements of one class."""
+    if MaltsiniotisElement in (type(a), type(b)):
+        raise TypeError("semiclassical_bracket takes no MaltsiniotisElement")
     comm = wa_commutator(a, b)
     return PoissonElement(a.params, [(m, c.limit_div()) for m, c in comm.terms])
 

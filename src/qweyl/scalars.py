@@ -35,12 +35,6 @@ equal ``Fraction`` compare and hash alike, the form changes no value, hash or
 printed output.  Every inverse is exact (``Fraction(1, c)``), and the
 functionals that return one rational (``eval_one``, ``eval_at``,
 ``constant_part``, ``linear_coefficients``) return ``Fraction``.
-
-A product with a one-term factor ``c * m`` is built directly by shifting the
-other factor's terms by ``m`` and scaling them by ``c``: both monomial orders
-(tuple order here, :func:`qweyl.weyl.mono_key` for elements) are
-translation-invariant and the coefficient rings have no zero divisors, so the
-shifted terms are already sorted, distinct and nonzero.
 """
 
 from __future__ import annotations
@@ -265,21 +259,9 @@ class TermMap:
         return self._from_sums(self.context, {m: cc * c for m, cc in self.terms})
 
     def _product(self, other: "TermMap") -> "TermMap":
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # Both monomial orders are translation-invariant and no
-            # coefficient ring has zero divisors, so shifting by one term
-            # keeps the terms sorted, distinct and nonzero.
-            (v, k), = a
-            exact = self._exact
-            return self._canonical(
-                self.context, [(vec_add(m, v), exact(c * k)) for m, c in b]
-            )
         out: dict = {}
-        for ma, ca in a:
-            for mb, cb in b:
+        for ma, ca in self.terms:
+            for mb, cb in other.terms:
                 add_term(out, vec_add(ma, mb), ca * cb)
         return self._from_sums(self.context, out)
 

@@ -91,6 +91,14 @@ def _require_admissible(T: AdmissibleSet) -> None:
         raise ValueError(f"set {T} is not admissible")
 
 
+def _generators(params: WeylParams, T: AdmissibleSet) -> tuple[TaggedGen, ...]:
+    """``y_set(T)`` for a stratum of ``params``: every function of an
+    instance and a marker set checks through here that both have one n."""
+    if T.n != params.n:
+        raise ValueError(f"marker set {T} has n = {T.n}, the instance n = {params.n}")
+    return y_set(T)
+
+
 def enumerate_admissible(n: int) -> list[AdmissibleSet]:
     """All admissible subsets of M_n, by index-by-index extension.
 
@@ -214,7 +222,7 @@ def q_pair_exponent(params: WeylParams, w1: TaggedGen, w2: TaggedGen) -> ExpVec:
 
 def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, ...], ...]:
     """Commutation-exponent matrix of the stratum torus."""
-    return _pair_table(params, "c", y_set(T))
+    return _pair_table(params, "c", _generators(params, T))
 
 
 def _gen_image(cls, params: WeylParams, w: TaggedGen):
@@ -318,7 +326,7 @@ def _image(params: WeylParams, side: str, w: TaggedGen):
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
     """Poisson commutation forms d with {w_i, w_j} = d_ij w_i w_j."""
-    return _pair_table(params, "p", y_set(T))
+    return _pair_table(params, "p", _generators(params, T))
 
 
 @dataclass(frozen=True)
@@ -348,7 +356,7 @@ class TorusData:
 
 
 def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
-    gens = y_set(T)
+    gens = _generators(params, T)
     return TorusData(gens, _pair_table(params, "c", gens), _pair_table(params, "p", gens))
 
 
@@ -522,14 +530,18 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
         term is a scalar multiple of y_i times a monomial);
       * likewise for x_i in T (admissibility puts z_{i-1} in T, absorbing
         the cross terms of moving x_i into place);
-      * for z_i in T, a monomial containing the pair y_i x_i rewrites via
-        y_i x_i = z_i - z_{i-1} to minus the z_{i-1} version, since the
-        z_i version lies in the ideal.
+      * for z_i in T, a monomial ``m = low y_i^r x_i^s high`` (low on the
+        pairs below i, high on those above) rewrites via y_i x_i = z_i -
+        z_{i-1} to minus its z_{i-1} version, since the z_i version lies in
+        the ideal.  z_{i-1} commutes with y_i, x_i and every higher pair,
+        so that version is ``(low z_{i-1}) y_i^(r-1) x_i^(s-1) high``: one
+        product ``low * z_{i-1}``, whose monomials live on the pairs below
+        i, with the rest of m appended to each.
     The rewrite moves degree from pair i to pairs k < i (or lowers total
     degree), so the weighted degree sum over pairs strictly drops and the
     loop terminates.  A zero normal form certifies membership.
     """
-    _require_admissible(T)
+    _generators(params, T)  # checks T
     agenda = dict(a.terms)
     result: dict = {}
     while agenda:
@@ -544,21 +556,11 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
         if hit is None:
             add_term(result, m, c)
             continue
-        i = hit
-        prefix = list(m)
-        suffix = [0] * len(m)
-        for slot in range(pos_x(i), len(m)):
-            suffix[slot] = prefix[slot]
-            prefix[slot] = 0
-        prefix[pos_y(i)] -= 1
-        suffix[pos_x(i)] -= 1
-        replaced = (
-            WeylElement.monomial(params, tuple(prefix))
-            * wa_z(params, i - 1)
-            * WeylElement.monomial(params, tuple(suffix))
-        )
-        for mm, cc in replaced.terms:
-            add_term(agenda, mm, -(c * cc))
+        y = pos_y(hit)
+        rest = (m[y] - 1, m[y + 1] - 1) + m[y + 2:]
+        low = WeylElement.monomial(params, m[:y] + (0,) * len(rest))
+        for mm, cc in (low * wa_z(params, hit - 1)).terms:
+            add_term(agenda, mm[:y] + rest, -(c * cc))
     return WeylElement(params, result)
 
 
@@ -573,4 +575,5 @@ def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     the algebra itself, so this is stronger than membership of the
     residues in the stratum ideal (:func:`in_stratum_ideal`).  The residues
     do not depend on the stratum and come from the instance's memo."""
-    return not any(residue for row in _pair_table(params, "q", y_set(T)) for residue in row)
+    rows = _pair_table(params, "q", _generators(params, T))
+    return not any(residue for row in rows for residue in row)

@@ -54,9 +54,7 @@ def mono_key(m: PbwMonomial) -> tuple[int, PbwMonomial]:
 
     The lexicographic leg compares negated exponents so that, within a
     degree class, monomials concentrated on low-index generators come
-    first (z_2 prints as 1 + y1*x1 + y2*x2).  Degree-first with any
-    translation-invariant tie-break is a monomial order, which the
-    one-term product shortcut of :class:`~qweyl.scalars.TermMap` relies on.
+    first (z_2 prints as 1 + y1*x1 + y2*x2).
     """
     return (sum(m), tuple([-e for e in m]))
 
@@ -196,11 +194,9 @@ class StraighteningEngine:
     def q_commutators(self, ta: Mapping, tb: Mapping, *cs: ExpVec) -> list:
         """For term maps a, b and exponents ``cs`` = (c,) or (c, c'):
         ``[ab - eta^c ba]`` or ``[ab - eta^c ba, ba - eta^c' ab]``, from one
-        fold per order (one in all when a = b), unpacking only monomials
-        whose numerators survive."""
+        fold per order, unpacking only monomials whose numerators survive."""
         (pa, da), (pb, db) = self._pack(ta, tb, max([abs(x) for v in cs for x in v], default=0))
-        ab = self._fold(pa, pb)
-        ba = ab if ta == tb else self._fold(pb, pa)
+        ab, ba = self._fold(pa, pb), self._fold(pb, pa)
         out = []
         for left, right, v in zip((ab, ba), (ba, ab), cs):
             diff, e = {m: dict(d) for m, d in left.items()}, self._encode(v)
@@ -699,6 +695,9 @@ def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
     divided by (q_1 - 1) a_1 times, then by (q_2 - 1) a_2 times, and so on,
     on packed numerators.  At the first division that fails, the error names
     the term with the quotient reached so far and that (q_i - 1)."""
+    if type(value) is not MaltsiniotisElement:
+        raise TypeError(
+            f"from_maltsiniotis takes a MaltsiniotisElement, not a {type(value).__name__}")
     params = value.params
     top = max([abs(x) for _, c in value.terms for v, _ in c.terms for x in v], default=0)
     size = max([abs(x) for v in params.qexp for x in v], default=0)

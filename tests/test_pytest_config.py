@@ -40,16 +40,26 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout
 
 
+def optimize_dependent(source: str) -> list[int]:
+    """Lines of ``source`` whose meaning ``python -O`` changes: an
+    ``assert`` statement or a use of ``__debug__``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+
+
 def test_library_has_no_assert_statement():
-    """``python -O`` strips asserts, so a check in the library is a raised
-    error: the optimized run computes and rejects exactly what the plain
-    one does."""
+    """``python -O`` strips asserts and sets ``__debug__`` to False, so a
+    check in the library is a raised error and no code reads ``__debug__``:
+    the optimized run computes and rejects exactly what the plain one does."""
+    assert optimize_dependent("x = 1\nassert x\nif __debug__:\n    y = __debug__\n") == [2, 3, 4]
     modules = sorted((ROOT / "src" / "qweyl").rglob("*.py"))
     found = [
-        f"{path.relative_to(ROOT)}:{node.lineno}"
+        f"{path.relative_to(ROOT)}:{line}"
         for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        for line in optimize_dependent(path.read_text(encoding="utf-8"))
     ]
     assert modules and found == []
 

@@ -292,6 +292,39 @@ def test_reduction_idempotent_on_normal_forms(params3):
     assert reduce_mod_stratum(params3, T, nf) == nf
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_marker_containment_is_set_inclusion(n):
+    """All of T's markers reduce to 0 mod U exactly when T is a subset of
+    U, for every ordered pair of admissible sets: plain set inclusion is an
+    oracle that shares no code with the reduction.  Each marker is also
+    reduced times y1^2 x1^2 on the right: that factor lies in no stratum
+    ideal and the ideals are completely prime, so the product lies in U's
+    ideal exactly when the marker does, and its rewrites leave pair 1 with
+    exponents above 1."""
+    params = random_params(random.Random(n), n, 2)
+    sets = enumerate_admissible(n)
+    tail = WeylElement.monomial(params, (2, 2) + (0,) * (2 * n - 2))
+    zero = {}  # (marker, U) -> whether the marker and its product reduce to 0 mod U
+    for U in sets:
+        for marker in {m for T in sets for m in T.markers()}:
+            a = spectra._gen_image(WeylElement, params, marker)
+            zero[marker, U] = [not reduce_mod_stratum(params, U, x) for x in (a, a * tail)]
+    for T, U in product(sets, sets):
+        inside = set(T.markers()) <= set(U.markers())
+        for k in (0, 1):
+            assert all(zero[m, U][k] for m in T.markers()) == inside, (str(T), str(U), k)
+
+
+def test_marker_set_of_another_size_is_rejected(params2):
+    """A marker set for n = 1 or 3 is not a stratum of an n = 2 instance."""
+    calls = [torus_matrix_q, torus_matrix_p, torus_data, stratum_report,
+             check_torus_relations, lambda p, T: reduce_mod_stratum(p, T, WeylElement.one(p))]
+    for T in (T_of(1, "z1"), T_of(3, "z3")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"has n = {T.n}, the instance n = 2"):
+                call(params2, T)
+
+
 def test_torus_relations_all_strata(params3):
     for T in enumerate_admissible(3):
         assert check_torus_relations(params3, T)

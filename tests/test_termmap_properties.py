@@ -1,9 +1,9 @@
 """Property tests of the shared term-map core (``scalars.TermMap``).
 
-Sums and products of eta-scalars, products of Poisson elements with a
-one-term factor (the shortcut in ``TermMap._product``), and Poisson brackets
-are checked against sympy's polynomial arithmetic, which shares no code with
-qweyl; the rescaling map's exact division by q_1 - 1 = eta^v - 1 is checked
+Sums and products of eta-scalars, products with a one-term factor (an edge
+case of the one product loop, ``TermMap._product``, that random operands
+rarely reach), and Poisson brackets are checked against sympy's polynomial
+arithmetic, which shares no code with qweyl; the rescaling map's exact division by q_1 - 1 = eta^v - 1 is checked
 by multiplying back; equality and hashing by shuffling the terms.  Every
 stored rational coefficient must be an ``int`` or a non-integral ``Fraction``.
 hypothesis and sympy are installed where the tests run but are not declared

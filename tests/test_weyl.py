@@ -14,10 +14,13 @@ from qweyl import (
     PoissonElement,
     QTScalar,
     RankMismatchError,
+    SpecializedAlgebra,
     WeylElement,
     WeylParams,
+    build_e_family,
     from_maltsiniotis,
     gamma1,
+    semiclassical_bracket,
     wa_commutator,
     wa_z,
 )
@@ -188,16 +191,29 @@ def test_element_classes_do_not_mix(params2):
     """y1 and the rescaled Y1 = (q1 - 1)^{-1} y1 are different elements, and
     a Weyl element of the plane's shape is not a plane element: across
     classes, sums, products and commutators raise and nothing compares
-    equal."""
-    pairs = [
-        (WeylElement.generator(params2, "y", 1), MaltsiniotisElement.generator(params2, "y", 1)),
-        (WeylElement.generator(PLANE, "y", 1), PlaneElement.y()),
-    ]
+    equal.  A map defined on one class rejects the others by name: Y1 has
+    no classical limit and no specialization, and only a rescaled element
+    is mapped back from the rescaled presentation."""
+    y1, big_y1 = (cls.generator(params2, "y", 1) for cls in (WeylElement, MaltsiniotisElement))
+    pairs = [(y1, big_y1), (WeylElement.generator(PLANE, "y", 1), PlaneElement.y())]
     for a, b in pairs + [(b, a) for a, b in pairs]:
         assert a.terms == b.terms and not a == b
         for op in (operator.add, operator.sub, operator.mul, wa_commutator):
             with pytest.raises(TypeError):
                 op(a, b)
+    algebra = SpecializedAlgebra(params2, 2, build_e_family(2, [3, 5], [1, 1]))
+    wrong = [
+        (gamma1, big_y1, "MaltsiniotisElement"),
+        (gamma1, gamma1(y1), "PoissonElement"),
+        (algebra.specialize, big_y1, "MaltsiniotisElement"),
+        (algebra.specialize, gamma1(y1), "PoissonElement"),
+        (from_maltsiniotis, y1.scale(params2.q_scalar(1) - 1), "WeylElement"),
+        (lambda a: semiclassical_bracket(a, a), big_y1, "MaltsiniotisElement"),
+    ]
+    for f, a, name in wrong:
+        with pytest.raises(TypeError, match=name):
+            f(a)
+    assert semiclassical_bracket(PlaneElement.x(), PlaneElement.y())  # the plane's is {x, y} = mu1 x y
 
 
 def big_instance(n, r, big):
