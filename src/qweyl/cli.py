@@ -278,7 +278,7 @@ def _center(args, params, config):
 def _verify(args, params, config):
     from .suites import run_suites  # loaded here: no other command needs it
 
-    seed = args.suite_seed if args.suite_seed is not None else args.seed
+    seed = args.seed
     if seed is None:
         config_seed = load_config(args.config).get("seed")
         seed = DEFAULT_SEED if config_seed is None else _int(config_seed, "seed")
@@ -319,7 +319,7 @@ PAIR_ARGS = (("a", {"help": EXPR_HELP}), ("b", {"help": EXPR_HELP}))
 TSPEC_HELP = "comma list of markers, e.g. 'z1,z2,y2' ('' = empty)"
 VERIFY_ARGS = (
     ("--suite", {"action": "append", "help": "run only the named suite(s)"}),
-    ("--seed", {"type": int, "default": None, "dest": "suite_seed"}),
+    ("--seed", {"type": int, "default": None, "help": "seed for randomized suites"}),
 )
 
 COMMANDS = {
@@ -361,9 +361,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON instance configuration")
     parser.add_argument(
         "--json", action="store_true", help="emit a machine-readable record"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized suites"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():

@@ -154,12 +154,11 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser ----------------------------------------------------------------------
 
 
-# Deepest parenthesis nesting, and deepest expression tree inside one,
-# accepted.  A level costs four frames of the recursive descent, and up to
-# five of evaluation, one per node (``1 - 2*-(...)^1``: Add, Neg, Mul, Neg,
-# Pow), so both stay well inside the interpreter's recursion limit even when
-# called from deep in a stack.
-MAX_NESTING, MAX_DEPTH = 200, 800
+# Deepest parenthesis nesting accepted, the one depth limit.  A level costs
+# four frames of the recursive descent and at most two of evaluation (Add
+# and Mul; Neg and Pow take none), so both stay well inside the interpreter's
+# default recursion limit even when called from deep in a stack.
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -167,7 +166,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
-        self.height = 0  # height of the tree last returned
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -192,23 +190,16 @@ class _Parser:
 
     def expr(self) -> Expression:
         terms = [self.term()]
-        height = self.height
         while self.peek().kind in ("+", "-"):
             op = self.take(self.peek().kind)
-            t = self.term()
-            terms.append(Neg(t) if op.kind == "-" else t)
-            height = max(height, self.height + (op.kind == "-"))
-        self.height = height + (len(terms) > 1)
+            terms.append(Neg(self.term()) if op.kind == "-" else self.term())
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expression:
         factors = [self.factor()]
-        height = self.height
         while self.peek().kind == "*":
             self.take("*")
             factors.append(self.factor())
-            height = max(height, self.height)
-        self.height = height + (len(factors) > 1)
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Expression:
@@ -223,15 +214,11 @@ class _Parser:
             if "/" in tok.text:
                 raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
             node = Pow(node, _number(int, tok.text, tok))
-            self.height += 1
-        # only the parity of a run of signs matters; one Neg per sign would
-        # make evaluation recurse once per sign
-        self.height += negs % 2
+        # only the parity of a run of signs matters
         return Neg(node) if negs % 2 else node
 
     def atom(self) -> Expression:
         tok = self.peek()
-        self.height = 1
         if tok.kind == "number":
             self.take("number")
             return Num(_number(Fraction, tok.text, tok))
@@ -257,10 +244,6 @@ class _Parser:
             self.depth += 1
             e = self.expr()
             self.depth -= 1
-            if self.height > MAX_DEPTH:
-                raise ExprSyntaxError(
-                    f"expression nested deeper than {MAX_DEPTH} operations", tok.line, tok.col
-                )
             self.take(")")
             return e
         raise ExprSyntaxError(
@@ -320,27 +303,31 @@ def _check_atom(node: Num | Gen | EtaMono, params: WeylParams) -> None:
 
 
 def _evaluate(node: Expression, params: WeylParams, atom):
-    """Fold ``node``, with ``atom(leaf, params)`` for each leaf, checked even under ^0."""
+    """Fold ``node``, with ``atom(leaf, params)`` for each leaf, checked even
+    under ^0.  Neg and Pow wrappers are peeled in a loop and applied, the
+    innermost first, to the value they wrap: only Mul and Add take a frame."""
+    wrappers = []
+    while isinstance(node, (Neg, Pow)):
+        wrappers.append(node)
+        node = node.item if isinstance(node, Neg) else node.base
     if isinstance(node, (Num, Gen, EtaMono)):
         _check_atom(node, params)
-        return atom(node, params)
-    if isinstance(node, Neg):
-        return -_evaluate(node.item, params, atom)
-    if isinstance(node, Pow):
-        return _evaluate(node.base, params, atom) ** node.exponent
-    if isinstance(node, (Mul, Add)):
+        out = atom(node, params)
+    elif isinstance(node, (Mul, Add)):
         op, parts = (mul, node.factors) if isinstance(node, Mul) else (add, node.terms)
         out = _evaluate(parts[0], params, atom)
         for part in parts[1:]:  # not reduce over a generator, which adds a frame per level
             out = op(out, _evaluate(part, params, atom))
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for wrapper in reversed(wrappers):
+        out = -out if isinstance(wrapper, Neg) else out ** wrapper.exponent
+    return out
 
 
 def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -> WeylElement:
     if isinstance(leaf, Gen):
-        return (cls.z(params, leaf.index) if leaf.kind == "z"
-                else cls.generator(params, leaf.kind, leaf.index))
+        return cls.generator(params, leaf.kind, leaf.index)
     return cls.scalar(params, leaf.value if isinstance(leaf, Num)
                       else QTScalar.monomial(leaf.exponents))
 

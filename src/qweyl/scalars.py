@@ -43,6 +43,7 @@ import operator
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import wraps
 from typing import Union
 
 ExpVec = tuple[int, ...]
@@ -308,29 +309,41 @@ class DigitLimitError(ValueError):
     """A number has more digits than the interpreter converts to text."""
 
 
+def digit_limited(printer):
+    """``printer`` raising DigitLimitError where it would convert an integer
+    past the interpreter's limit on printed digits: the one guard of every
+    printer of numbers and monomials."""
+
+    @wraps(printer)
+    def guarded(*args):
+        try:
+            return printer(*args)
+        except ValueError:  # only int-to-text conversion can raise it in a printer
+            raise DigitLimitError(
+                f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                "the limit for printing an integer"
+            ) from None
+
+    return guarded
+
+
+@digit_limited
 def signed_sum(terms: Iterable[tuple[Rat, str]]) -> str:
     """``c1*m1 + c2*m2 - ...`` for (nonzero rational, monomial string) pairs,
-    ``0`` for none; a magnitude of 1 is left out before a monomial.  A number
-    past the interpreter's limit on printed digits raises DigitLimitError."""
+    ``0`` for none; a magnitude of 1 is left out before a monomial."""
     parts = []
-    try:
-        for coeff, mono in terms:
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if parts:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-            else:
-                parts.append(("-" if coeff < 0 else "") + body)
-    except ValueError:  # only int-to-text conversion can raise it here
-        raise DigitLimitError(
-            f"a number has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for printing an integer"
-        ) from None
+    for coeff, mono in terms:
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if parts:
+            parts.append(("- " if coeff < 0 else "+ ") + body)
+        else:
+            parts.append(("-" if coeff < 0 else "") + body)
     return " ".join(parts) or "0"
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, Sequence
 
 from .poisson import PoissonElement, pb_bracket
@@ -225,14 +226,6 @@ def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, 
     return _pair_table(params, "c", _generators(params, T))
 
 
-def _gen_image(cls, params: WeylParams, w: TaggedGen):
-    """A tagged generator as an element of ``cls`` (quantized or Poisson)."""
-    kind, i = w
-    if kind == "z":
-        return cls.z(params, i)
-    return cls.generator(params, kind, i)
-
-
 def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
     """The mu-form d with {a, b} = d a b, through the actual bracket engine,
     independently of the quantized exponent table.  The generator images
@@ -320,7 +313,7 @@ def _image(params: WeylParams, side: str, w: TaggedGen):
     image = table.get((side, w))
     if image is None:
         cls = PoissonElement if side == "p" else WeylElement
-        image = table[(side, w)] = _gen_image(cls, params, w)
+        image = table[(side, w)] = cls.generator(params, *w)
     return image
 
 
@@ -368,9 +361,9 @@ def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[l
 
     The rows of the result span the same lattice as ``rows``; pivots are
     positive, entries above each pivot are reduced into [0, pivot), and
-    zero rows come last.
+    zero rows come last.  An entry that is not an integer raises TypeError.
     """
-    H = [list(map(int, row)) for row in rows]
+    H = [list(map(index, row)) for row in rows]
     pivot_row = 0
     for col in range(ncols):
         while True:  # gcd elimination below pivot_row in this column
@@ -406,7 +399,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     the kernel lattice.
     """
     nrows = len(rows)
-    aug = [[int(row[j]) for row in rows] + [int(i == j) for i in range(ncols)]
+    aug = [[index(row[j]) for row in rows] + [int(i == j) for i in range(ncols)]
            for j in range(ncols)]
     H = row_hermite_normal_form(aug, nrows + ncols)
     return [tuple(row[nrows:]) for row in H if not any(row[:nrows])]
@@ -414,7 +407,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
 
 def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:
     """Membership of u in the Z-span of an HNF basis (greedy reduction)."""
-    v = list(map(int, u))
+    v = list(map(index, u))
     for row in basis:
         if len(row) != len(v):
             raise ValueError(f"vector has length {len(v)}, basis rows have length {len(row)}")

@@ -26,7 +26,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .scalars import ExpVec, QTScalar, TermMap, add_term, exact_quotients, vec_add, vec_neg
+from .scalars import (
+    ExpVec, QTScalar, TermMap, add_term, digit_limited, exact_quotients, vec_add, vec_neg,
+)
 
 PbwMonomial = tuple[int, ...]
 
@@ -583,6 +585,9 @@ class PbwElement(TermMap):
 
     @classmethod
     def generator(cls, params: WeylParams, kind: str, i: int):
+        """y_i or x_i (1 <= i <= n), or z_i (0 <= i <= n, built by ``z``)."""
+        if kind == "z":
+            return cls.z(params, i)
         if kind not in ("y", "x"):
             raise ValueError(f"unknown generator kind {kind!r}")
         if not 1 <= i <= params.n:
@@ -650,6 +655,7 @@ def pbw_monomial_str(m: PbwMonomial) -> str:
     return "*".join(factors)
 
 
+@digit_limited
 def element_to_str(a, monomial_str=pbw_monomial_str) -> str:
     """Grammar-compatible rendering of an element; ``monomial_str`` prints a monomial."""
     if not a.terms:

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from qweyl import cli, spectra
+from qweyl import cli, exprs, spectra
 from qweyl.cli import main
+from qweyl.quantum_plane import PLANE, PlaneElement
+from qweyl.scalars import DigitLimitError
 from qweyl.weyl import StraighteningEngine
 
 # the transcript recorder, for its random rescaling-pair expressions
@@ -345,6 +347,24 @@ def test_unprintable_result_is_a_usage_error(capsys):
     assert (code, json.loads(out)) == (2, {"command": "nf", "error": message})
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_unprintable_monomial_exponent_is_a_usage_error(capsys):
+    """A monomial exponent past the digit limit meets the printers' one
+    guard: exit 2 with the limit's line, also where a localization error
+    would print the term, and from the quantum plane's printer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit allowed
+    try:
+        big = "9" * 640  # read as input; its double has 641 digits
+        message = "a number has more than 640 digits, the limit for printing an integer"
+        assert run(capsys, "nf", f"x1^{big}*x1^{big}") == (2, "", f"error: {message}\n")
+        assert run(capsys, "maltsiniotis", f"y1^{big}*y1^{big}") == (2, "", f"error: {message}\n")
+        with pytest.raises(DigitLimitError, match=f"^{message}$"):
+            str(PlaneElement.monomial(PLANE, (0, 10**640)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @needs_digit_limit
 def test_unquoted_config_integer_past_the_digit_limit(tmp_path, capsys):
     path = tmp_path / "instance.json"
@@ -407,22 +427,35 @@ def _signed_nest(levels):
 
 @pytest.mark.parametrize("command", ["nf", "maltsiniotis"])
 def test_deep_expression_tree_is_an_error_not_a_crash(capsys, command):
-    # 199 levels parse within the parenthesis limit but make a tree of
-    # about 1000 nodes, deeper than evaluation can recurse
-    code, out, err = run(capsys, command, _signed_nest(199))
+    # one level past the parenthesis limit: the one-line syntax error at
+    # the 201st parenthesis, whatever the size of the tree around it
+    code, out, err = run(capsys, command, _signed_nest(201))
     assert code == 2 and out == ""
-    assert err == "error: expression nested deeper than 800 operations (line 1, column 312)\n"
+    assert err == "error: parentheses nested deeper than 200 levels (line 1, column 1608)\n"
 
 
 @pytest.mark.parametrize("command", ["nf", "maltsiniotis"])
-def test_deepest_accepted_expression_tree_evaluates(capsys, command):
+def test_deepest_accepted_expression_tree_evaluates(capsys, monkeypatch, command):
+    """200 levels of ``1 - 2*-(...)^1`` (about 1000 tree nodes) evaluate to
+    (2^200 - 1) + 2^200*x1, also from deep in a stack; evaluation nests only
+    at Add and Mul, two frames a level, as Neg and Pow take none."""
     def nested_call(frames):  # leave room for a caller deep in a stack
-        return nested_call(frames - 1) if frames else run(capsys, command, _signed_nest(160))
+        return nested_call(frames - 1) if frames else run(capsys, command, _signed_nest(200))
 
-    code, out, err = nested_call(100)
-    assert (code, err) == (0, "")
-    code, out, err = run(capsys, command, _signed_nest(161))
-    assert code == 2 and "column 8)" in err
+    assert nested_call(100) == (0, f"{2**200 - 1} + {2**200}*x1\n", "")
+    evaluate, depth, deepest = exprs._evaluate, [0], [0]
+
+    def counted(node, params, atom):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return evaluate(node, params, atom)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exprs, "_evaluate", counted)
+    assert run(capsys, command, _signed_nest(200))[0] == 0
+    assert deepest[0] == 2 * 200 + 1  # Add and Mul per level, and the leaf x1
 
 
 def test_leading_minus_round_trip(capsys):
@@ -546,10 +579,11 @@ def test_parser_keeps_no_state_between_calls(capsys):
     """The parser is built once per process; an earlier call's options and a
     rejected argv must not leak into a later call."""
     argv = ["--json", "verify", "--suite", "quantum-plane"]
-    code, _, _ = run(capsys, "--seed", "5", "verify", "--suite", "admissible-counts",
-                     "--seed", "9")
+    code, _, _ = run(capsys, "verify", "--suite", "admissible-counts", "--seed", "9")
     assert code == 0
     code, out, _ = run(capsys, "verify", "--suite")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "--seed", "5", "verify")  # the seed is verify's own flag
     assert (code, out) == (2, "")
     code, out, _ = run(capsys, *argv)
     fresh = subprocess.run([sys.executable, "-m", "qweyl.cli", *argv], env=_cli_env(),

@@ -262,6 +262,14 @@ def test_p_z_builds_poisson_elements(params3):
     assert all(type(p_z(params3, i)) is PoissonElement for i in range(4))
     with pytest.raises(ValueError):
         p_z(params3, 4)
+    # the one constructor of a tagged generator builds z_i by ``z``
+    for cls in (PoissonElement, WeylElement):
+        for i in range(4):
+            z = cls.generator(params3, "z", i)
+            assert type(z) is cls and z == cls.z(params3, i)
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match=f"^z index {i} out of range 0..3$"):
+                cls.generator(params3, "z", i)
 
 
 def test_semiclassical_bracket_leaves_the_t_equals_one_check_to_limit_div(params2, monkeypatch):

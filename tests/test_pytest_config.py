@@ -1,6 +1,6 @@
 """The repository's pytest settings report a failing property test like any
 other failure instead of aborting the run, and the library runs the same
-under ``python -O``."""
+under ``python -O`` and keeps the interpreter's default recursion limit."""
 
 import ast
 import subprocess
@@ -60,6 +60,35 @@ def test_library_has_no_assert_statement():
         f"{path.relative_to(ROOT)}:{line}"
         for path in modules
         for line in optimize_dependent(path.read_text(encoding="utf-8"))
+    ]
+    assert modules and found == []
+
+
+def recursion_limit_uses(source: str) -> list[int]:
+    """Lines of ``source`` that name ``setrecursionlimit``: a use through
+    ``sys``, or an import of it under any name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit")
+        or (isinstance(node, ast.Name) and node.id == "setrecursionlimit")
+        or (isinstance(node, ast.alias) and node.name == "setrecursionlimit")
+    )
+
+
+def test_library_keeps_the_default_recursion_limit():
+    """The expression depth bound (``exprs.MAX_NESTING``: four parser frames
+    and at most two evaluation frames a level) assumes the interpreter's
+    default recursion limit, so no library module changes it."""
+    assert recursion_limit_uses(
+        "import sys\nsys.setrecursionlimit(10**4)\n"
+        "from sys import setrecursionlimit as s\ns(5)\n"
+    ) == [2, 3]
+    modules = sorted((ROOT / "src" / "qweyl").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in modules
+        for line in recursion_limit_uses(path.read_text(encoding="utf-8"))
     ]
     assert modules and found == []
 

@@ -34,7 +34,7 @@ from qweyl import (
 from qweyl import spectra
 from qweyl.spectra import CenterLattice, lattice_contains, row_hermite_normal_form
 from qweyl.suites import random_params
-from qweyl.weyl import StraighteningEngine
+from qweyl.weyl import PbwElement, StraighteningEngine
 
 
 def T_of(n, *names):
@@ -227,6 +227,24 @@ def test_lattice_membership_rejects_wrong_length():
         lattice_contains(((0, 0, 2),), (1,))
 
 
+def test_lattice_functions_reject_non_integers():
+    """A rational or float entry raises TypeError instead of being truncated:
+    the kernel of [1/2, 1] is spanned by (2, -1), not by (1, 0)."""
+    half = Fraction(1, 2)
+    calls = [
+        lambda: row_hermite_normal_form([[half, 1]], 2),
+        lambda: row_hermite_normal_form([[1.0, 2]], 2),
+        lambda: integer_kernel([[half, 1]], 2),
+        lambda: integer_kernel([[1, 2.0]], 2),
+        lambda: lattice_contains(((1, 0),), (half, 0)),
+        lambda: CenterLattice(2, ((1, 0),)).contains((0.5, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    assert integer_kernel([[1, 2]], 2) == [(2, -1)]
+
+
 def test_center_lattice_quantum_equals_poisson(params3):
     for T in enumerate_admissible(3):
         qm = torus_matrix_q(params3, T)
@@ -307,7 +325,7 @@ def test_marker_containment_is_set_inclusion(n):
     zero = {}  # (marker, U) -> whether the marker and its product reduce to 0 mod U
     for U in sets:
         for marker in {m for T in sets for m in T.markers()}:
-            a = spectra._gen_image(WeylElement, params, marker)
+            a = WeylElement.generator(params, *marker)
             zero[marker, U] = [not reduce_mod_stratum(params, U, x) for x in (a, a * tail)]
     for T, U in product(sets, sets):
         inside = set(T.markers()) <= set(U.markers())
@@ -385,7 +403,7 @@ def test_pair_memo_keeps_a_wrong_bracket_visible(monkeypatch):
 def test_bracket_form_rejects_a_bracket_off_the_product(monkeypatch, fault):
     params = random_params(random.Random(4), 2, 2)
     y1, x2 = ("y", 1), ("x", 2)
-    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (y1, x2))
+    a, b = (PoissonElement.generator(params, *w) for w in (y1, x2))
     right = spectra.pb_bracket
     assert right(a, b)  # {y1, x2} = d y1 x2 with d != 0
     extra = {
@@ -400,9 +418,9 @@ def test_bracket_form_rejects_a_bracket_off_the_product(monkeypatch, fault):
 
 def test_bracket_form_of_a_zero_bracket_is_zero(monkeypatch):
     params = random_params(random.Random(4), 2, 2)
-    z1, z2 = (spectra._gen_image(PoissonElement, params, ("z", i)) for i in (1, 2))
+    z1, z2 = (PoissonElement.generator(params, "z", i) for i in (1, 2))
     assert spectra._bracket_form(z1, z2, ("z", 1), ("z", 2)) == MuPoly.zero(2)
-    y1, x2 = (spectra._gen_image(PoissonElement, params, w) for w in (("y", 1), ("x", 2)))
+    y1, x2 = (PoissonElement.generator(params, *w) for w in (("y", 1), ("x", 2)))
     monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement.zero(params))
     assert spectra._bracket_form(y1, x2, ("y", 1), ("x", 2)) == MuPoly.zero(2)
 
@@ -415,7 +433,7 @@ NOT_A_MULTIPLE = "is not a scalar multiple of their product$"
 def test_bracket_form_checks_every_term(monkeypatch, fault):
     params = random_params(random.Random(4), 2, 2)
     z2, y2 = ("z", 2), ("y", 2)
-    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (z2, y2))
+    a, b = (PoissonElement.generator(params, *w) for w in (z2, y2))
     right = spectra.pb_bracket
     br = right(a, b)
     # {z2, y2} = d (y2 + y1 x1 y2 + y2^2 x2); the faults keep its leading term
@@ -439,7 +457,7 @@ def test_bracket_form_checks_every_term(monkeypatch, fault):
 def test_bracket_form_rejects_a_coefficient_that_is_not_rational():
     params = random_params(random.Random(4), 2, 2)
     y1, x2 = ("y", 1), ("x", 2)
-    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (y1, x2))
+    a, b = (PoissonElement.generator(params, *w) for w in (y1, x2))
     with pytest.raises(ArithmeticError, match=r"^bracket of \('y', 1\) and \('x', 2\) "
                        + NOT_A_MULTIPLE):
         spectra._bracket_form(a.scale(MuPoly.variable(2, 1)), b, y1, x2)
@@ -451,7 +469,7 @@ def test_bracket_form_matches_the_element_route():
     for seed, n, r in product((3, 8), (1, 2, 3), (1, 2, 3)):
         params = random_params(random.Random(seed), n, r)
         gens = [(kind, i) for i in range(1, n + 1) for kind in "zyx"]
-        images = {w: spectra._gen_image(PoissonElement, params, w) for w in gens}
+        images = {w: PoissonElement.generator(params, *w) for w in gens}
         for w, v in product(gens, repeat=2):
             a, b = images[w], images[v]
             if w[1] == v[1] and {w[0], v[0]} == {"y", "x"}:
@@ -477,11 +495,6 @@ def test_torus_data_rejects_a_matrix_that_is_not_skew(fault, message):
         TorusData(gens, (((0, 0), (1, 2)), (q10, (0, 0))), ((zero, d), (below, zero)))
 
 
-def _image(params, w):
-    kind, i = w
-    return wa_z(params, i) if kind == "z" else WeylElement.generator(params, kind, i)
-
-
 def test_pair_memo_holds_torus_residues():
     for seed in (3, 8):
         for n in (1, 2, 3):
@@ -492,7 +505,7 @@ def test_pair_memo_holds_torus_residues():
             pairs = {pair for T in enumerate_admissible(n) for pair in product(y_set(T), repeat=2)}
             assert {(w, v) for _, w, v in entries} == pairs
             for (_, w, v), residue in entries.items():
-                a, b = _image(params, w), _image(params, v)
+                a, b = WeylElement.generator(params, *w), WeylElement.generator(params, *v)
                 eta = QTScalar.monomial(spectra.q_pair_exponent(params, w, v))
                 assert residue == a * b - (b * a).scale(eta), (seed, n, w, v)
 
@@ -573,13 +586,13 @@ def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
 
 def test_generator_images_are_built_once_per_instance(monkeypatch):
     built = []
-    right = spectra._gen_image
+    right = PbwElement.generator.__func__
 
-    def counted(cls, params, w):
-        built.append((cls, w))
-        return right(cls, params, w)
+    def counted(cls, params, kind, i):
+        built.append((cls, kind, i))
+        return right(cls, params, kind, i)
 
-    monkeypatch.setattr(spectra, "_gen_image", counted)
+    monkeypatch.setattr(PbwElement, "generator", classmethod(counted))
     for n in (1, 2, 3):
         built.clear()
         fill_every_stratum(random_params(random.Random(9), n, 2))
@@ -631,7 +644,7 @@ def test_torus_check_is_exact_not_modulo_the_ideal(monkeypatch):
 def test_bracket_form_rejects_a_coefficient_off_by_a_factor(monkeypatch, factor, slot):
     params = random_params(random.Random(4), 2, 2)
     z2, y2 = ("z", 2), ("y", 2)
-    a, b = (spectra._gen_image(PoissonElement, params, w) for w in (z2, y2))
+    a, b = (PoissonElement.generator(params, *w) for w in (z2, y2))
     d = spectra._bracket_form(a, b, z2, y2)
     # {z2, z2 y2} = d z2 z2 y2, whose product has unequal rationals, 3/2 at the leading one
     a, b = a.scale(Fraction(3, 2)), a * b
