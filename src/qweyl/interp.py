@@ -120,8 +120,10 @@ class SpecializedAlgebra:
         self, ta: dict[PbwMonomial, Fraction], tb: dict[PbwMonomial, Fraction]
     ) -> dict[PbwMonomial, Fraction]:
         """Product in the concrete algebra (same straightening, rational
-        structure constants), on the engine's rank-0 scalars."""
-        ta, tb = ({m: QTScalar.constant(0, c) for m, c in t.items()} for t in (ta, tb))
+        structure constants), on the engine's rank-0 scalars.  A key that
+        is no ordered monomial of the instance raises ``ValueError``."""
+        ta, tb = ({WeylElement._monomial(self.params, m): QTScalar.constant(0, c)
+                   for m, c in t.items()} for t in (ta, tb))
         return {m: c.eval_one() for m, c in self.engine.mul_terms(ta, tb).items()}
 
 

@@ -94,14 +94,12 @@ class StraighteningEngine:
     later ones merge into it.  ``mul_terms`` folds once; ``q_commutators``
     folds ab and ba once each and subtracts eta^c ba by adding ``enc(c)``
     to ba's packed exponents.  A monomial with no occupied slot above p
-    takes ``g_p^e`` in one step, unmemoized (a direct landing); the others
-    take e single appends, and ``_gen_cache`` keeps each step but a direct
-    landing, which costs one tuple, about what a lookup costs; ``_factors``
-    keeps the closed form's factor f_s(q_i) per (pair, s).  Each holds at
-    most ``MEMO_LIMIT`` entries: a store past it clears the memo first, as
-    widening does, so an engine kept across calls stays bounded.  Packed
-    exponents decode through the memo of the engine's rank and width,
-    shared by every engine in the process (``_decoder``).
+    takes ``g_p^e`` in one step (a block landing); the others take e
+    single appends, each one pass over the accumulator that adds every
+    term straight into the next one.  The engine keeps no memo: its state
+    is fixed by its constants and its width.  Packed exponents decode
+    through the memo of the engine's rank and width, shared by every
+    engine in the process (``_decoder``).
     Termination: no method recurses.  A block landing is one step, and a
     single generator g_p appended to an ordered monomial is one pass: the
     swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair
@@ -119,7 +117,7 @@ class StraighteningEngine:
     is ``(enc(v), 1)`` in the formal algebra; a specialization
     (:mod:`qweyl.interp`) is an engine of rank 0 with constants
     ``(0, value)``.  A packed factor merges equal exponents, so q_i^s - 1
-    is empty at a root of unity and the memo stores no zero.  ``mul_terms``
+    is empty at a root of unity and no zero is stored.  ``mul_terms``
     scales each operand by the common denominator of its rationals, so the
     formal kernel works on ints, and builds one ``QTScalar`` per result
     monomial on exit, dividing each distinct numerator once.
@@ -133,8 +131,8 @@ class StraighteningEngine:
     q_k^{s_k} per pair of L), plus M for g = q - 1, so (s + deg(L))*M
     either way, and s + deg(L) <= d - e.  No result term has degree above
     d + 1, as z_{i-1} has degree 2.  A block landing moves no entry.  So
-    the fold of m2, followed from one left term m1, and every memo entry it
-    makes move entries by at most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
+    the fold of m2, followed from one left term m1, moves entries by at
+    most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
     eta-term of m1's scalar times one of c2, with entries up to A + B when
     the operands' exponents have entries up to A and B.  Terms that meet at
     a monomial, in the fold or in the merge, add their coefficients, not
@@ -143,13 +141,15 @@ class StraighteningEngine:
     * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
     most |c|, its largest |entry|, so ``q_commutators`` forms none beyond
     that bound plus |c|.  ``_pack`` widens W past twice that bound when
-    needed; that re-packs the constants and clears the memo, and never
-    changes a result.
+    needed, to at least twice its width, so that a run of products with
+    growing degrees (the squarings of a power) widens only a logarithmic
+    number of times; that re-packs the constants and never changes a
+    result.
     """
 
     # the narrowest field; two fields of it share one 30-bit int digit
     MIN_BITS = 12
-    # the most entries ``_gen_cache``, ``_factors`` or a decoder's memo holds
+    # the most entries a decoder's memo holds, the engine layer's only memo
     MEMO_LIMIT = 1 << 14
 
     def __init__(self, n, rank, q_consts, swap, closed, zstep):
@@ -162,10 +162,6 @@ class StraighteningEngine:
         self._closed = closed
         vecs = [v for v, _ in q_consts] + [c[0] for row in swap for c in row if c]
         self._growth = max([abs(x) for v in vecs for x in v], default=0)
-        # monomial-times-generator results recur heavily across products;
-        # values are treated as read-only by every caller
-        self._gen_cache: dict = {}
-        self._factors: dict = {}
         self._set_width(self.MIN_BITS)
 
     def _set_width(self, bits: int) -> None:
@@ -176,8 +172,6 @@ class StraighteningEngine:
         self.q = [(enc(v), k) for v, k in q_consts]
         self.swap = [[c and (enc(c[0]), c[1]) for c in row] for row in swap]
         self._zstep = [self._in_q(i, zstep) for i in range(self.n)]
-        self._gen_cache.clear()
-        self._factors.clear()
 
     def _in_q(self, i: int, poly) -> list:
         """A polynomial in q_i as (packed exponent, nonzero rational) pairs."""
@@ -203,7 +197,7 @@ class StraighteningEngine:
         for left, right, v in zip((ab, ba), (ba, ab), cs):
             diff, e = {m: dict(d) for m, d in left.items()}, self._encode(v)
             for m, d in right.items():
-                _add_shifted(diff.setdefault(m, {}), d, e, -1)
+                _add_shifted(diff, m, d, e, -1)
             out.append(_unpack(diff, da * db, self._decoded))
         return out
 
@@ -214,9 +208,8 @@ class StraighteningEngine:
         for mb, cb in pb:
             acc: dict = {}
             for m, ca in pa:
-                sub = acc[m] = {}
                 for eb, kb in cb.items():
-                    _add_shifted(sub, ca, eb, kb)
+                    _add_shifted(acc, m, ca, eb, kb)
             for p, e in enumerate(mb):
                 if e:
                     acc = self._acc_times_block(acc, p, e)
@@ -237,12 +230,12 @@ class StraighteningEngine:
             operands.append(s)
         bound += self._growth * degree * (degree - 1) // 2
         if bound >= self._half:
-            self._set_width(bound.bit_length() + 2)
+            self._set_width(max(bound.bit_length() + 2, 2 * self._decoded.bits))
         return [_pack_terms(s, self._encode) for s in operands]
 
     def _acc_times_block(self, acc: Mapping, p: int, e: int) -> dict:
         """``acc * g_p^e``: a monomial with no occupied slot above p lands
-        in one step, unmemoized; the others take e single appends."""
+        in one step; the others take e single appends."""
         landed, stepped = {}, {}
         for m, d in acc.items():
             if not any(m[p + 1:]):
@@ -254,49 +247,33 @@ class StraighteningEngine:
         return _merge(stepped, landed)
 
     def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
+        """``acc * g_p``, one pass per monomial m: one swap constant per
+        occupied slot above g_p's pair, then a landing or the closed form on
+        the pair and the ones below, each term added into the output."""
         out: dict = {}
+        cut = p + 2 - p % 2  # the end of g_p's pair
+        eq, kq = self.q[p // 2]
         for m, d in acc.items():
             if not d:  # its coefficients cancelled earlier in the fold
                 continue
-            for (m2, e2), k2 in self._mono_times_gen(m, p).items():
-                sub = out.get(m2)
-                if sub is None:
-                    out[m2] = {e + e2: c * k2 for e, c in d.items()}
-                else:
-                    _add_shifted(sub, d, e2, k2)
-        return out
-
-    def _mono_times_gen(self, m: PbwMonomial, p: int) -> dict:
-        """``m * g_p`` as a map from (ordered monomial, packed exponent) to a
-        nonzero rational, memoized in ``_gen_cache`` unless ``g_p`` lands
-        directly: one swap constant per occupied slot above g_p's pair, then
-        a landing or the closed form on the pair and the ones below."""
-        if not any(m[p + 1:]):
-            return {(m[:p] + (m[p] + 1,) + m[p + 1:], 0): 1}
-        out = self._gen_cache.get((m, p))
-        if out is not None:
-            return out
-        cut = p + 2 - p % 2  # the end of g_p's pair
-        et, kt = 0, 1
-        for u in range(cut, 2 * self.n):
-            if t := m[u]:
-                e, k = self.swap[u][p]
-                et, kt = et + e * t, kt * k**t
-        s = 0 if p % 2 else m[p + 1]  # x_i's exponent when g_p = y_i
-        if not s:
-            out = {(m[:p] + (m[p] + 1,) + m[p + 1:], et): kt}
-        else:
+            et, kt = 0, 1
+            for u in range(cut, 2 * self.n):
+                if t := m[u]:
+                    e, k = self.swap[u][p]
+                    et, kt = et + e * t, kt * k**t
+            s = 0 if p % 2 else m[p + 1]  # x_i's exponent when g_p = y_i
+            top = m[:p] + (m[p] + 1,) + m[p + 1:]
+            if not s:
+                _add_shifted(out, top, d, et, kt)
+                continue
             # the closed form of the class docstring, pair i = p//2 (0-based)
-            e, k = self.q[p // 2]
-            high = m[cut:]
-            out = {(m[:p] + (m[p] + 1, s) + high, et + e * s): kt * k**s}
-            block = (m[p], s - 1) + high
-            if (factor := self._factors.get((p // 2, s))) is None:  # empty where it is zero
-                factor = _remember(self._factors, (p // 2, s), self._in_q(p // 2, self._closed(s)))
+            _add_shifted(out, top, d, et + eq * s, kt * kq**s)
+            block = (m[p], s - 1) + m[cut:]
+            factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
             for (low, ez), c in self._times_z(m[:p]).items():
                 for ef, kf in factor:
-                    add_term(out, (low + block, ez + ef + et), c * kf * kt)
-        return _remember(self._gen_cache, (m, p), out)
+                    _add_shifted(out, low + block, d, ez + ef + et, c * kf * kt)
+        return out
 
     def _times_z(self, low: PbwMonomial) -> dict:
         """``low * z_k`` for an ordered monomial ``low`` on the first k pairs
@@ -313,14 +290,6 @@ class StraighteningEngine:
                 out[(top, eq + ef)] = kq * kf
         out[(low, eq)] = kq
         return out
-
-
-def _remember(memo: dict, key, value):
-    """``memo[key] = value``, returned; a memo holding ``MEMO_LIMIT`` entries is cleared first."""
-    if len(memo) >= StraighteningEngine.MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 class _Decoder(dict):
@@ -346,7 +315,10 @@ class _Decoder(dict):
 
     def __missing__(self, packed: int) -> ExpVec:
         x, half, mask = packed + self.offset, self.half, self.mask
-        return _remember(self, packed, tuple([((x >> s) & mask) - half for s in self.shifts]))
+        if len(self) >= StraighteningEngine.MEMO_LIMIT:
+            self.clear()
+        out = self[packed] = tuple([((x >> s) & mask) - half for s in self.shifts])
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -377,8 +349,13 @@ def _unpack(out: dict, den: int, dec: _Decoder) -> dict:
     }
 
 
-def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
-    """``sub += k2 * eta^e2 * d`` on packed scalars, dropping zero sums."""
+def _add_shifted(out: dict, m: PbwMonomial, d: Mapping, e2: int, k2) -> None:
+    """``out[m] += k2 * eta^e2 * d`` on packed scalars, dropping zero sums;
+    a monomial new to ``out`` takes a new packed scalar."""
+    sub = out.get(m)
+    if sub is None:
+        out[m] = {e + e2: c * k2 for e, c in d.items()}
+        return
     for e, c in d.items():
         e += e2
         v = sub.get(e, 0) + c * k2
@@ -391,11 +368,10 @@ def _add_shifted(sub: dict, d: Mapping, e2: int, k2) -> None:
 def _merge(out: dict, acc: Mapping) -> dict:
     """``out += acc``, moving in uncopied the packed scalars new to ``out``."""
     for m, d in acc.items():
-        sub = out.get(m)
-        if sub is None:
-            out[m] = d
+        if m in out:
+            _add_shifted(out, m, d, 0, 1)
         else:
-            _add_shifted(sub, d, 0, 1)
+            out[m] = d
     return out
 
 
@@ -559,17 +535,23 @@ class PbwElement(TermMap):
 
     @classmethod
     def _term(cls, params: WeylParams, m, c):
+        m = cls._monomial(params, m)
+        if not isinstance(c, cls.scalar_type):
+            return m, cls.scalar_type.constant(params.r, c)
+        if c.rank != params.r:
+            raise c.mismatch_error(c.mismatch_message.format(c.rank, params.r))
+        return m, c
+
+    @staticmethod
+    def _monomial(params: WeylParams, m) -> PbwMonomial:
+        """``m`` as a tuple, checked to be an ordered monomial on n pairs."""
         m = tuple(m)
         if len(m) != 2 * params.n:
             raise ValueError(f"bad monomial exponent tuple {m}")
         for e in m:
             if type(e) is not int or e < 0:
                 raise ValueError(f"bad monomial exponent tuple {m}")
-        if not isinstance(c, cls.scalar_type):
-            return m, cls.scalar_type.constant(params.r, c)
-        if c.rank != params.r:
-            raise c.mismatch_error(c.mismatch_message.format(c.rank, params.r))
-        return m, c
+        return m
 
     # -- constructors ---------------------------------------------------------
 

@@ -53,6 +53,13 @@ def test_rows_replayed_in_reverse_give_their_transcripts():
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
 
 
+def test_cases_are_the_recorders_rows():
+    """``cases.txt`` holds exactly the rows of ``record.build_cases``, in
+    order, so an edit to the recorder's row lists cannot drop rows from the
+    corpus unless ``cases.txt`` is rebuilt with it."""
+    assert record.read_cases() == record.build_cases()
+
+
 def test_corpus_pins_every_command(runs):
     assert {record.command(row) for row in runs} == set(COMMANDS)
     readers = {name for name, command in COMMANDS.items()

@@ -134,8 +134,15 @@ def occupied_monomials(seed: int, count: int):
         yield params, tuple(rng.randint(1, 3) for _ in range(2 * n))
 
 
+def append(engine, m, p) -> dict:
+    """m * g_p by one ``_acc_times_gen`` step on the accumulator {m: 1}, as
+    a map from (ordered monomial, packed exponent) to a nonzero rational."""
+    return {(mm, e): c for mm, d in engine._acc_times_gen({m: {0: 1}}, p).items()
+            for e, c in d.items()}
+
+
 def engine_table(engine, table: dict, n: int) -> dict:
-    """A ``_mono_times_gen`` or ``_times_z`` result in the oracle's form,
+    """An ``append`` or ``_times_z`` result in the oracle's form,
     {monomial on n pairs: {exponent vector: coefficient}}."""
     out: dict = {}
     for (m, e), c in table.items():
@@ -144,7 +151,7 @@ def engine_table(engine, table: dict, n: int) -> dict:
 
 
 def test_generator_append_and_z_product_match_the_oracle():
-    """``_mono_times_gen(m, p)`` is m * g_p for every slot p, and
+    """``append(engine, m, p)`` is m * g_p for every slot p, and
     ``_times_z(L)`` is L * z_k for L = m on its first k <= 3 pairs."""
     for params, m in occupied_monomials(28, 12):
         n, engine = params.n, params.engine
@@ -156,7 +163,7 @@ def test_generator_append_and_z_product_match_the_oracle():
 
         unit = [tuple(int(u == p) for u in range(2 * n)) for p in range(2 * n)]
         for p in range(2 * n):
-            got = engine_table(engine, engine._mono_times_gen(m, p), n)
+            got = engine_table(engine, append(engine, m, p), n)
             assert got == oracle_times(m, [unit[p]]), (m, p)
         for k in range(1, min(3, n) + 1):
             low = m[:2 * k] + (0,) * (2 * n - 2 * k)
@@ -191,7 +198,7 @@ def test_rescaled_engine_matches_the_plain_one():
                 assert c * weight(word) == want[mm] * weight(mm), (word, mm)
 
         for p in range(2 * params.n):
-            check(m[:p] + (m[p] + 1,) + m[p + 1:], lambda e: e._mono_times_gen(m, p))
+            check(m[:p] + (m[p] + 1,) + m[p + 1:], lambda e: append(e, m, p))
         for k in range(1, min(3, params.n) + 1):
             check(m[:2 * k], lambda e: e._times_z(m[:2 * k]))
 
@@ -236,8 +243,8 @@ def test_large_structure_constants_match_the_oracle():
 
 
 def test_memos_after_widening_match_the_oracle(params3):
-    """An ordinary product fills the memos, a large-exponent one widens the
-    fields and clears them, the next ordinary one refills them."""
+    """Ordinary products before and after large-exponent ones that widen the
+    fields past 70 bits: every product matches the oracle at either width."""
     ordinary = (
         monomial_element(params3, ((0, 1, 0, 2, 0, 1), (1, 0), 1), ((1, 1, 0, 0, 0, 0), (0, -1), 2)),
         monomial_element(params3, ((0, 0, 2, 0, 1, 0), (0, 0), 1), ((1, 0, 0, 1, 0, 0), (1, 1), -1)),
@@ -246,7 +253,7 @@ def test_memos_after_widening_match_the_oracle(params3):
     engine = params3.engine
     for a, b in (ordinary, (big, ordinary[1]), ordinary, (ordinary[0], big)):
         assert engine_product(a, b) == oracle_product(a, b)
-    assert engine._half > 2**70 and engine._gen_cache
+    assert engine._half > 2**70
 
 
 # -- the printed form read back by the oracle's grammar ---------------------------
@@ -376,23 +383,22 @@ def test_left_terms_cancel_partway_through_the_fold():
 def test_cancelled_left_terms_leave_the_fold(monkeypatch):
     """In (y1*x1 + 1 - q1) * (y1*x1*y2^3*x2^3) the monomial y1 cancels after
     the first append, where y1*x1 takes the closed form and 1 lands; every
-    later block lands whole on what is left, so the fold makes one
-    ``_mono_times_gen`` call and one memo entry."""
+    later block lands whole on what is left, so the fold steps one
+    monomial once."""
     p = params_from_config(DEFAULT_CONFIG)
     a = WeylElement.monomial(p, (1, 1, 0, 0)) + 1 - p.q_scalar(1)
     b = WeylElement.monomial(p, (1, 1, 3, 3))
     engine = p.engine
-    engine._gen_cache.clear()
-    calls = []
-    original = type(engine)._mono_times_gen
+    stepped = []
+    original = type(engine)._acc_times_gen
 
-    def counted(self, m, q):
-        calls.append((m, q))
-        return original(self, m, q)
+    def counted(self, acc, q):
+        stepped.extend((m, q) for m, d in acc.items() if d)
+        return original(self, acc, q)
 
-    monkeypatch.setattr(type(engine), "_mono_times_gen", counted)
+    monkeypatch.setattr(type(engine), "_acc_times_gen", counted)
     product = a * b
-    assert (len(calls), len(engine._gen_cache)) == (1, 1)  # direct landings are not stored
+    assert stepped == [((1, 1, 0, 0), 0)]  # block landings take no single append
     monkeypatch.undo()
     assert engine_product(a, b) == oracle_product(a, b)
     assert product == sum((WeylElement(p, [t]) * b for t in a.terms), WeylElement.zero(p))

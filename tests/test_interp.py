@@ -14,8 +14,9 @@ from qweyl import (
     specialize,
     wa_commutator,
 )
+from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config
 from qweyl.suites import random_params, random_weyl
-from qweyl.weyl import build_engine
+from qweyl.weyl import StraighteningEngine, build_engine
 
 
 def test_build_e_constant_solution():
@@ -80,10 +81,10 @@ def test_specialization_homomorphism(params2):
             assert alg.specialize(a * b) == alg.mul(alg.specialize(a), alg.specialize(b))
 
 
-def test_specialized_root_of_unity_drops_zero_terms(params3):
+def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
     """At eta = (2, -1), q_2 = -1, so q_2^2 - 1 = 0 in the same-index step
     and the z_1 terms of x2^2 * y2^2 vanish; none may be stored as 0, in
-    the result or in the engine's memo."""
+    the result or in what a generator append passes on."""
     point = (Fraction(2), Fraction(-1))
     engine = build_engine(
         3, 0, lambda v: ((), QTScalar.monomial(v).eval_at(point)),
@@ -92,7 +93,13 @@ def test_specialized_root_of_unity_drops_zero_terms(params3):
     left = [(1, 1, 0, 2, 0, 0), (0, 1, 0, 2, 0, 1)]  # y1 x1 x2^2, x1 x2^2 x3
     right = (0, 0, 2, 0, 0, 0)  # y2^2
     one = QTScalar.one(0)
-    stored = []
+    stored, steps, step = [], [], StraighteningEngine._acc_times_gen
+
+    def recorded(self, acc, p):
+        steps.append(step(self, acc, p))
+        return steps[-1]
+
+    monkeypatch.setattr(StraighteningEngine, "_acc_times_gen", recorded)
     for m in left:
         formal = WeylElement.monomial(params3, m) * WeylElement.monomial(params3, right)
         expected = {
@@ -102,8 +109,21 @@ def test_specialized_root_of_unity_drops_zero_terms(params3):
         assert got == expected
         assert len(got) < len(formal.terms)
         stored.append(got)
-    stored += engine._gen_cache.values()
-    assert all(c != 0 for table in stored for c in table.values())
+    stored += [d for out in steps for d in out.values()]
+    assert steps and all(c != 0 for table in stored for c in table.values())
+
+
+def test_specialized_mul_rejects_malformed_monomials():
+    """A key of either operand that is not 2n nonnegative ints raises the
+    element constructor's error, on the n = 2 built-in instance."""
+    params = params_from_config(DEFAULT_CONFIG)
+    alg = SpecializedAlgebra(params, 2, concrete_from_config(DEFAULT_CONFIG, params))
+    good = {(0, 1, 0, 0): 1}
+    for bad in ((1, 0, 0), (0,) * 6, (-1, 0, 0, 0), (0, 1.0, 0, 0), (True, 0, 0, 0)):
+        for ta, tb in (({bad: 1}, good), (good, {bad: 1})):
+            with pytest.raises(ValueError, match="bad monomial exponent tuple"):
+                alg.mul(ta, tb)
+    assert alg.mul({(1, 0, 0, 0): 1}, good) == {(1, 1, 0, 0): 1}
 
 
 def test_commutator_coefficients_vanish_at_one():

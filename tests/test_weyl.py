@@ -1,3 +1,4 @@
+import copy
 import gc
 import operator
 import random
@@ -420,10 +421,10 @@ def test_element_str(params2):
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
 
 
-def test_direct_landings_are_not_memoized(monkeypatch):
+def test_block_landings_take_no_single_append(monkeypatch):
     """A block g_p^e appended to a monomial with nothing above slot p lands
     in one step, whatever e is, so large powers of one generator, and x1^3
-    times one, take no single append and leave the generator memo empty."""
+    times one, take no single append."""
     p = params_from_config(DEFAULT_CONFIG)
     g = gens(p)
     steps = []
@@ -436,20 +437,19 @@ def test_direct_landings_are_not_memoized(monkeypatch):
     monkeypatch.setattr(StraighteningEngine, "_acc_times_gen", counted)
     assert g["y1"] ** 10**6 == WeylElement.monomial(p, (10**6, 0, 0, 0))
     assert g["x1"] ** 3 * g["y2"] ** 10**6 == WeylElement.monomial(p, (0, 3, 10**6, 0))
-    assert (steps, len(p.engine._gen_cache)) == ([], 0)
+    assert steps == []
     assert g["x1"] ** 10**11 == WeylElement.monomial(p, (0, 10**11, 0, 0))
 
 
 def test_generator_append_takes_one_call(params3, monkeypatch):
     """Appending y2 under the blocks of pair 3 and onto x2 (the closed form)
-    is one ``_mono_times_gen`` call, one ``_times_z`` call and one memo
-    entry, with no nested call however many blocks it passes; a second
-    append is a memo hit."""
+    is one ``_acc_times_gen`` step and one ``_times_z`` call, with no nested
+    call however many blocks it passes; a second append repeats both calls
+    and the result, as nothing is kept between them."""
     engine = params3.engine
-    engine._gen_cache.clear()
     m = (1, 2, 1, 3, 2, 1)
     calls = []
-    for name in ("_mono_times_gen", "_times_z"):
+    for name in ("_acc_times_gen", "_times_z"):
         original = getattr(StraighteningEngine, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -457,18 +457,18 @@ def test_generator_append_takes_one_call(params3, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(StraighteningEngine, name, counted)
-    first = engine._mono_times_gen(m, 2)
-    assert engine._mono_times_gen(m, 2) is first
-    assert calls == ["_mono_times_gen", "_times_z", "_mono_times_gen"]
-    assert list(engine._gen_cache) == [(m, 2)]
+    first = engine._acc_times_gen({m: {0: 1}}, 2)
+    assert calls == ["_acc_times_gen", "_times_z"]
+    assert engine._acc_times_gen({m: {0: 1}}, 2) == first
+    assert calls == ["_acc_times_gen", "_times_z"] * 2
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
-    """Under a small ``MEMO_LIMIT`` the generator memo, the closed-form
-    factor table and the decoder's memo fill to it and never past it, and
-    products keep the values they have with no limit.  Decoders are shared
-    by every engine of one rank and width, so the table is emptied first and
-    the new instance starts from an empty decoder."""
+    """Under a small ``MEMO_LIMIT`` the decoder's memo, the engine layer's
+    only one, fills to it and never past it, and products keep the values
+    they have with no limit.  Decoders are shared by every engine of one
+    rank and width, so the table is emptied first and the new instance
+    starts from an empty decoder."""
     def products(params):
         g = gens(params)
         s = sum(g.values(), WeylElement.zero(params))
@@ -477,28 +477,20 @@ def test_memos_stay_within_their_limit(params3, monkeypatch):
                                             for i in range(1, params.n + 1) for t in range(1, 9)]
 
     want = products(params3)
-    sizes = {"gen": [], "factors": [], "dec": []}
-    mono_times_gen, missing = StraighteningEngine._mono_times_gen, _Decoder.__missing__
-
-    def gen_sized(self, m, p):
-        out = mono_times_gen(self, m, p)
-        sizes["gen"].append(len(self._gen_cache))
-        sizes["factors"].append(len(self._factors))
-        return out
+    seen, missing = [], _Decoder.__missing__
 
     def dec_sized(self, packed):
         out = missing(self, packed)
-        sizes["dec"].append(len(self))
+        seen.append(len(self))
         return out
 
     monkeypatch.setattr(StraighteningEngine, "MEMO_LIMIT", 16)
-    monkeypatch.setattr(StraighteningEngine, "_mono_times_gen", gen_sized)
     monkeypatch.setattr(_Decoder, "__missing__", dec_sized)
     weyl._decoder.cache_clear()
     fresh = WeylParams(params3.n, params3.r, params3.qexp, params3.lexp)
     assert products(fresh) == want
-    for seen in sizes.values():  # filled to the limit, cleared, and filled again
-        assert max(seen) == 16 and min(seen[seen.index(16):]) == 1
+    # filled to the limit, cleared, and filled again
+    assert max(seen) == 16 and min(seen[seen.index(16):]) == 1
 
 
 def test_shared_decoders_never_change_a_result():
@@ -524,7 +516,7 @@ def test_shared_decoders_never_change_a_result():
     assert x1 * y1 == (y1 * x1).scale(q1) + WeylElement.scalar(wide, q1 - 1)
     assert x1.scale(c) * y1 == (y1 * x1).scale(c * q1) + WeylElement.scalar(wide, c * (q1 - 1))
     assert wide.engine._decoded.bits > StraighteningEngine.MIN_BITS
-    # a division in 16-bit fields, wider than the 14 bits of the engine
+    # a division in 16-bit fields, a width other than the 24 bits of the engine
     y2 = WeylElement.generator(wide, "y", 2).scale(QTScalar.monomial((3000, -7000)))
     assert from_maltsiniotis(rescaled(y2 * y1)) == y2 * y1
     for _ in range(2):  # warm decoders, then an emptied table
@@ -543,8 +535,8 @@ def test_shared_decoders_stay_bounded_and_pin_no_instance(monkeypatch):
     rng, refs, decoders = random.Random(41), [], []
     for k in range(50):
         params = random_params(rng, 1 + k % 3, 1 + k % 4)
-        # exponents up to 2^16: fields of 12 to about 20 bits
-        c = QTScalar.monomial((2 ** (4 * (k % 5)),) + (0,) * (params.r - 1))
+        # exponents up to 2^60: fields of 12 to about 64 bits
+        c = QTScalar.monomial((2 ** (15 * (k % 5)),) + (0,) * (params.r - 1))
         s = sum(gens(params).values(), WeylElement.zero(params)).scale(c)
         assert (s ** 2 * s).terms
         decoders.append(params.engine._decoded)
@@ -555,6 +547,45 @@ def test_shared_decoders_stay_bounded_and_pin_no_instance(monkeypatch):
     assert len({(d.rank, d.bits) for d in decoders}) > info.maxsize == 8 >= info.currsize
     assert max(len(d) for d in decoders) <= 16
     assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_engines_hold_no_state_that_grows_with_products():
+    """After 200 random products on one instance, in both presentations,
+    every attribute of both engines, and so the size of every container it
+    holds, is what it was before; the decoder, bounded on its own, is left
+    out."""
+    rng = random.Random(35)
+    params = random_params(rng, 3, 2)
+    engines = (params.engine, params.rescaled_engine)
+
+    def state():
+        return [{k: copy.deepcopy(v) for k, v in vars(e).items()
+                 if k not in ("_decoded", "_encode")} for e in engines]
+
+    before = state()
+    for _ in range(200):
+        a, b = random_weyl(rng, params), random_weyl(rng, params)
+        assert from_maltsiniotis(rescaled(a) * rescaled(b)) == a * b
+    assert state() == before
+
+
+def test_powers_widen_a_logarithmic_number_of_times(monkeypatch):
+    """``x1 ** 10**100`` squares 332 times and each squaring raises the
+    width bound by about 2 bits, but each widening at least doubles the
+    fields: from 12 bits to the final width in at most 8 ``_set_width``
+    calls, the first at construction."""
+    widths, set_width = [], StraighteningEngine._set_width
+
+    def counted(self, bits):
+        widths.append(bits)
+        return set_width(self, bits)
+
+    monkeypatch.setattr(StraighteningEngine, "_set_width", counted)
+    p = params_from_config(DEFAULT_CONFIG)
+    x1 = WeylElement.generator(p, "x", 1)
+    assert x1 ** 10**100 == WeylElement.monomial(p, (0, 10**100, 0, 0))
+    assert widths[0] == StraighteningEngine.MIN_BITS and len(widths) <= 8
+    assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
 
 
 def test_block_append_equals_single_appends(params3):
