@@ -4,16 +4,17 @@ spectra: ordered-basis normal forms, commutators, limit brackets, admissible
 sets, quantum-torus commutation data, and center lattices -- all over exact
 rational arithmetic.
 
-``import qweyl`` loads only the algebra: :mod:`~qweyl.scalars`,
-:mod:`~qweyl.weyl`, :mod:`~qweyl.poisson` and :mod:`~qweyl.spectra`.  The
-expression parser (:mod:`~qweyl.exprs`), the specializations
-(:mod:`~qweyl.interp`), the quantum-plane demo (:mod:`~qweyl.quantum_plane`)
-and the verification suites (:mod:`~qweyl.suites`) load on first access to
-one of their names (PEP 562)."""
+``import qweyl`` loads only the algebra and its limit: :mod:`~qweyl.scalars`,
+:mod:`~qweyl.weyl` and :mod:`~qweyl.poisson`.  The strata
+(:mod:`~qweyl.spectra`), the expression parser (:mod:`~qweyl.exprs`), the
+specializations (:mod:`~qweyl.interp`), the quantum-plane demo
+(:mod:`~qweyl.quantum_plane`) and the verification suites
+(:mod:`~qweyl.suites`) load on first access to one of their names (PEP 562)."""
 
+import sys
 from importlib import import_module
 
-from . import poisson, scalars, spectra, weyl
+from . import poisson, scalars, weyl
 
 __version__ = "0.1.0"
 
@@ -52,7 +53,8 @@ def __getattr__(name):
     # Not cached in the package's globals: each access reads the module's
     # current binding, so a wrapper set on it and removed again is not kept.
     if name in _HOME:
-        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+        module = f"{__name__}.{_HOME[name]}"
+        return getattr(sys.modules.get(module) or import_module(module), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

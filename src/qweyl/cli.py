@@ -17,23 +17,16 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import DEFAULT_SEED
 from .exprs import ExprEvalError, ExprSyntaxError, eval_rescaled, eval_weyl, parse_expr
-from .interp import ParameterDomainError, build_e_family
 from .poisson import gamma1, pb_bracket, semiclassical_bracket
 from .scalars import DigitLimitError, RankMismatchError
-from .spectra import (
-    AdmissibleSet,
-    center_lattice,
-    count_admissible,
-    enumerate_admissible,
-    is_admissible,
-    stratum_report,
-    torus_matrix_q,
-)
 from .weyl import LocalizationRequiredError, WeylParams, from_maltsiniotis, wa_commutator
+
+if TYPE_CHECKING:
+    from .spectra import AdmissibleSet
 
 VERIFY_ERROR = 1
 USAGE_ERROR = 2
@@ -138,6 +131,8 @@ def params_from_config(config: dict) -> WeylParams:
 
 
 def concrete_from_config(config: dict, params: WeylParams):
+    from .interp import ParameterDomainError, build_e_family
+
     block = config["concrete"]
     if not isinstance(block, dict):
         raise ConfigError("config field 'concrete' must be a JSON object")
@@ -150,10 +145,15 @@ def concrete_from_config(config: dict, params: WeylParams):
     mus = [_rat(v) for v in block["mu"]]
     if len(etas) != params.r or len(mus) != params.r:
         raise ConfigError(f"concrete eta/mu lists must have length r={params.r}")
-    return build_e_family(q, etas, mus)
+    try:
+        return build_e_family(q, etas, mus)
+    except ParameterDomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_tspec(text: str, n: int) -> AdmissibleSet:
+    from .spectra import AdmissibleSet, is_admissible
+
     markers = []
     body = text.strip()
     if body:
@@ -229,6 +229,8 @@ def _scl(args, params, config):
 
 
 def _admissible(args, params, config):
+    from .spectra import count_admissible, enumerate_admissible
+
     if args.n < 1:
         raise ConfigError("n must be positive")
     # past n = 2000 the exact count is slow to compute and print; it exceeds
@@ -246,6 +248,8 @@ def _admissible(args, params, config):
 
 
 def _stratum(args, params, config):
+    from .spectra import stratum_report
+
     report = stratum_report(params, parse_tspec(args.tspec, params.n))
     d = report.to_dict()
     return {"result": d, "checks": []}, [
@@ -260,6 +264,8 @@ def _stratum(args, params, config):
 
 
 def _center(args, params, config):
+    from .spectra import center_lattice, torus_matrix_q
+
     T = parse_tspec(args.tspec, params.n)
     lattice = center_lattice(torus_matrix_q(params, T), params.r)
     d = {
@@ -347,7 +353,7 @@ COMMANDS = {
 }
 
 USAGE_ERRORS = (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
-                ParameterDomainError, LocalizationRequiredError, DigitLimitError)
+                LocalizationRequiredError, DigitLimitError)
 
 
 @cache

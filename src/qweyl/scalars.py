@@ -282,15 +282,16 @@ class TermMap:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
-        # square and multiply; ``base * out`` keeps ``s ** 3`` as ``s^2 * s``
-        out, base = self.one(self.context), self
+        # square and multiply, no product by one; ``base * out`` keeps
+        # ``s ** 3`` as ``s^2 * s``
+        out, base = None, self
         while k:
             if k & 1:
-                out = base * out
+                out = base if out is None else base * out
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return self.one(self.context) if out is None else out
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -576,7 +576,7 @@ class PbwElement(TermMap):
             raise ValueError(f"generator index {i} out of range 1..{params.n}")
         m = [0] * (2 * params.n)
         m[pos_y(i) if kind == "y" else pos_x(i)] = 1
-        return cls.monomial(params, tuple(m))
+        return cls._canonical(params, [(tuple(m), cls.scalar_type.constant(params.r, 1))])
 
     @classmethod
     def z(cls, params: WeylParams, i: int):

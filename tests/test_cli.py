@@ -321,6 +321,21 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, change):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("concrete, message", [
+    ({"q": "1", "eta": ["3"], "mu": ["1"]}, "sample point q must avoid 0 and 1"),
+    ({"q": "2", "eta": ["0"], "mu": ["1"]}, "target eta value must be nonzero"),
+], ids=["q", "eta"])
+def test_concrete_block_outside_the_domain_is_a_usage_error(tmp_path, capsys, concrete, message):
+    """A concrete block the interpolation rejects is a one-line usage error,
+    in text and in the JSON record."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, concrete=concrete)))
+    assert run(capsys, "--config", str(path), "validate") == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "--config", str(path), "--json", "validate")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"command": "validate", "error": message}
+
+
 @pytest.mark.parametrize("name, content", [("instance.json", b'{"n": \xff}'), ("a\0b", None)])
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys, name, content):
     path = tmp_path / name

@@ -1,8 +1,9 @@
-"""``import qweyl`` loads only the algebra (scalars, weyl, poisson, spectra);
-the parser, the specializations, the quantum-plane demo and the
-verification suites load on first use of one of their names.  The import
-checks and the cold command runs each start a fresh interpreter, in which
-nothing of qweyl is loaded yet."""
+"""``import qweyl`` loads only the algebra and its limit (scalars, weyl,
+poisson); the strata, the parser, the specializations, the quantum-plane
+demo and the verification suites load on first use of one of their names,
+and each CLI command loads only the modules it runs.  The import checks and
+the cold command runs each start a fresh interpreter, in which nothing of
+qweyl is loaded yet."""
 
 import importlib
 import os
@@ -16,7 +17,8 @@ import qweyl
 
 ROOT = Path(__file__).resolve().parent.parent
 TRANSCRIPTS = ROOT / "tests" / "cli_output"
-ALGEBRA = {"qweyl", "qweyl.scalars", "qweyl.weyl", "qweyl.poisson", "qweyl.spectra"}
+ALGEBRA = {"qweyl", "qweyl.scalars", "qweyl.weyl", "qweyl.poisson"}
+CLI = ALGEBRA | {"qweyl.cli", "qweyl.exprs"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -41,8 +43,22 @@ def test_import_qweyl_loads_only_the_algebra():
 
 
 def test_import_cli_loads_neither_the_suites_nor_the_demo():
-    assert _loaded_by("import qweyl.cli") == ALGEBRA | {
-        "qweyl.cli", "qweyl.exprs", "qweyl.interp"}
+    # nor the strata or the specializations: only the commands that run them do
+    assert _loaded_by("import qweyl.cli") == CLI
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["nf", "x1*y1"], set()),
+    (["comm", "x1", "y1"], set()),
+    (["stratum", "z1"], {"qweyl.spectra"}),
+    (["validate"], {"qweyl.interp"}),
+], ids=["nf", "comm", "stratum", "validate"])
+def test_a_command_loads_only_what_it_runs(argv, extra):
+    run = ("import contextlib, io, qweyl.cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    code = qweyl.cli.main({argv!r})\n"
+           "if code:\n    raise SystemExit(f'exit {code}')")  # no assert: it may run under -O
+    assert _loaded_by(run) == CLI | extra
 
 
 def test_every_public_name_resolves():
@@ -55,13 +71,14 @@ def test_every_public_name_resolves():
 
 
 def test_a_lazy_name_is_read_from_its_module_each_time(monkeypatch):
-    exprs = importlib.import_module("qweyl.exprs")
-    assert qweyl.parse_expr is exprs.parse_expr
-    assert "parse_expr" not in vars(qweyl)
-    monkeypatch.setattr(exprs, "parse_expr", wrapper := lambda text: None)
-    assert qweyl.parse_expr is wrapper
-    monkeypatch.undo()
-    assert qweyl.parse_expr is exprs.parse_expr
+    for module, name in (("exprs", "parse_expr"), ("spectra", "stratum_report")):
+        home = importlib.import_module(f"qweyl.{module}")
+        assert getattr(qweyl, name) is getattr(home, name)
+        assert name not in vars(qweyl)
+        monkeypatch.setattr(home, name, wrapper := lambda *args: None)
+        assert getattr(qweyl, name) is wrapper
+        monkeypatch.undo()
+        assert getattr(qweyl, name) is getattr(home, name)
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -588,6 +588,45 @@ def test_powers_widen_a_logarithmic_number_of_times(monkeypatch):
     assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
 
 
+def test_powers_take_no_product_by_one(params2, monkeypatch):
+    """``s ** k`` squares and multiplies from the first factor: k = 0, 1,
+    2, 3 and 5 take 0, 0, 1, 2 and 3 folds, ``s ** 3`` folds s^2 * s, and
+    every power equals the product of its factors."""
+    s = sum(gens(params2).values(), WeylElement.zero(params2))
+    s2 = s * s
+    want = [WeylElement.one(params2), s, s2, s2 * s, s2 * s2 * s]
+    folds, fold = [], StraighteningEngine._fold
+
+    def counted(self, pa, pb):
+        folds.append((len(pa), len(pb)))
+        return fold(self, pa, pb)
+
+    monkeypatch.setattr(StraighteningEngine, "_fold", counted)
+    counts = []
+    for k, power in zip((0, 1, 2, 3, 5), want):
+        folds.clear()
+        assert s ** k == power
+        counts.append(len(folds))
+        if k == 3:
+            assert folds == [(len(s.terms), len(s.terms)), (len(s2.terms), len(s.terms))]
+    assert counts == [0, 0, 1, 2, 3]
+
+
+def test_generator_is_its_monomial(params2):
+    """``generator`` builds y_i and x_i without the checking constructor:
+    the same class, terms and coefficient class as ``monomial`` for every
+    element class."""
+    for cls, params in ((WeylElement, params2), (MaltsiniotisElement, params2),
+                        (PoissonElement, params2), (PlaneElement, PLANE)):
+        for i in range(1, params.n + 1):
+            for slot, kind in ((2 * i - 2, "y"), (2 * i - 1, "x")):
+                m = tuple(int(k == slot) for k in range(2 * params.n))
+                g, want = cls.generator(params, kind, i), cls.monomial(params, m)
+                assert type(g) is cls and g.params is params and g.terms == want.terms
+                assert [type(c) for _, c in g.terms] == [cls.scalar_type]
+                assert g.terms[0][1].rank == params.r
+
+
 def test_block_append_equals_single_appends(params3):
     """``_acc_times_block(acc, p, e)`` against e calls of ``_acc_times_gen``.
     Each accumulator mixes monomials that land and monomials that step; on a
