@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import index
 from typing import Iterable, Sequence
@@ -356,14 +357,28 @@ def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
 # -- integer linear algebra ---------------------------------------------------
 
 
+def _integer_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of ints of length ``ncols``.  An entry that is not
+    an integer raises TypeError; a negative ``ncols`` or a row of another
+    length raises ValueError."""
+    if index(ncols) < 0:
+        raise ValueError(f"ncols must be nonnegative, not {ncols}")
+    out = tuple(tuple(map(index, row)) for row in rows)
+    for row in out:
+        if len(row) != ncols:
+            raise ValueError(f"a row has length {len(row)}, not ncols = {ncols}")
+    return out
+
+
 def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Row-style Hermite normal form over Z.
 
     The rows of the result span the same lattice as ``rows``; pivots are
     positive, entries above each pivot are reduced into [0, pivot), and
-    zero rows come last.  An entry that is not an integer raises TypeError.
+    zero rows come last.  An entry that is not an integer raises TypeError,
+    and a row whose length is not ``ncols`` raises ValueError.
     """
-    H = [list(map(index, row)) for row in rows]
+    H = list(map(list, _integer_rows(rows, ncols)))
     pivot_row = 0
     for col in range(ncols):
         while True:  # gcd elimination below pivot_row in this column
@@ -389,20 +404,36 @@ def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[l
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Canonical (HNF-reduced) Z-basis of {u in Z^ncols : A u = 0}.
+    """Canonical (HNF-reduced) Z-basis of {u in Z^ncols : A u = 0}, as a
+    new list.
 
-    One Hermite pass over the rows [A^T_j | e_j]: the right blocks record
-    the unimodular row operations, so once the first nrows columns are
-    reduced, the rows whose A^T block is zero are those below the last
-    pivot and their right blocks span the kernel.  The pass then reduces
-    those rows among themselves into the (unique) reduced Hermite form of
-    the kernel lattice.
+    The rows are checked (as by :func:`row_hermite_normal_form`) and
+    turned into a tuple key before the process-wide memo is read, so bad
+    input never enters it.  A kernel depends on the integer system alone,
+    and a stratum's Poisson-side rows are exactly its quantized-side rows,
+    so each system is solved once per process, whichever side or instance
+    asks.  The memo keeps the 1024 systems used last; an entry holds
+    nrows * ncols ints of key and at most ncols^2 of basis, which for a
+    stratum of an instance with n pairs and rank r (ncols <= 2n, nrows =
+    ncols * r) is at most 4 n^2 (r + 1) ints.
     """
+    key = _integer_rows(rows, ncols)
+    return list(_kernel_basis(key, ncols))
+
+
+@lru_cache(maxsize=1024)
+def _kernel_basis(rows: tuple[tuple[int, ...], ...], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """The kernel of :func:`integer_kernel`, from one Hermite pass over the
+    rows [A^T_j | e_j]: the right blocks record the unimodular row
+    operations, so once the first nrows columns are reduced, the rows whose
+    A^T block is zero are those below the last pivot and their right blocks
+    span the kernel.  The pass then reduces those rows among themselves
+    into the (unique) reduced Hermite form of the kernel lattice."""
     nrows = len(rows)
-    aug = [[index(row[j]) for row in rows] + [int(i == j) for i in range(ncols)]
+    aug = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
            for j in range(ncols)]
     H = row_hermite_normal_form(aug, nrows + ncols)
-    return [tuple(row[nrows:]) for row in H if not any(row[:nrows])]
+    return tuple(tuple(row[nrows:]) for row in H if not any(row[:nrows]))
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:
@@ -442,17 +473,27 @@ class CenterLattice:
         return lattice_contains(self.basis, u)
 
 
+def _square(matrix: Sequence[Sequence], name: str) -> int:
+    """The size of a square ``matrix``; a row of another length raises ValueError."""
+    s = len(matrix)
+    for row in matrix:
+        if len(row) != s:
+            raise ValueError(f"{name} is not square: a row of length {len(row)} among {s} rows")
+    return s
+
+
 def center_lattice(qmatrix: Sequence[Sequence[ExpVec]], r: int) -> CenterLattice:
     """Integer kernel of the stacked commutation-exponent system.
 
     Central monomials w^u are exactly those with sum_j u_j c_{l j} = 0 in
     Z^r for every row l; the system stacks one row per (l, eta-coordinate).
+    A matrix that is not square, or an exponent vector whose length is not
+    ``r``, raises ValueError.
     """
-    s = len(qmatrix)
-    rows = []
-    for l in range(s):
-        for k in range(r):
-            rows.append([qmatrix[l][j][k] for j in range(s)])
+    s = _square(qmatrix, "qmatrix")
+    if any(len(v) != r for row in qmatrix for v in row):
+        raise ValueError(f"qmatrix holds an exponent vector whose length is not r = {r}")
+    rows = [coords for row in qmatrix for coords in zip(*row)]
     return CenterLattice(s, tuple(integer_kernel(rows, s)))
 
 
@@ -461,16 +502,17 @@ def poisson_center_lattice(pmatrix: Sequence[Sequence[MuPoly]], r: int) -> Cente
 
     The condition sum_j u_j d_{l j} = 0 in Q[mu] splits per mu-coordinate
     into rational linear equations; rows are scaled to integers before the
-    kernel computation.
+    kernel computation.  A matrix that is not square, or a form whose rank
+    is not ``r``, raises ValueError.
     """
-    s = len(pmatrix)
+    s = _square(pmatrix, "pmatrix")
+    if any(f.rank != r for row in pmatrix for f in row):
+        raise ValueError(f"pmatrix holds a form whose rank is not r = {r}")
     rows = []
-    for l in range(s):
-        coeffs = [pmatrix[l][j]._linear_row() for j in range(s)]
-        for k in range(r):
-            row = [coeffs[j][k] for j in range(s)]
-            denom = lcm(*(f.denominator for f in row)) if row else 1
-            rows.append([f.numerator * (denom // f.denominator) for f in row])
+    for row in pmatrix:
+        for coeffs in zip(*(f._linear_row() for f in row)):
+            denom = lcm(*(c.denominator for c in coeffs))
+            rows.append([c.numerator * (denom // c.denominator) for c in coeffs])
     return CenterLattice(s, tuple(integer_kernel(rows, s)))
 
 

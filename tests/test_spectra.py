@@ -229,19 +229,23 @@ def test_lattice_membership_rejects_wrong_length():
 
 def test_lattice_functions_reject_non_integers():
     """A rational or float entry raises TypeError instead of being truncated:
-    the kernel of [1/2, 1] is spanned by (2, -1), not by (1, 0)."""
+    the kernel of [1/2, 1] is spanned by (2, -1), not by (1, 0).  The
+    kernel memo is never read or filled."""
     half = Fraction(1, 2)
+    before = spectra._kernel_basis.cache_info()
     calls = [
         lambda: row_hermite_normal_form([[half, 1]], 2),
         lambda: row_hermite_normal_form([[1.0, 2]], 2),
         lambda: integer_kernel([[half, 1]], 2),
         lambda: integer_kernel([[1, 2.0]], 2),
+        lambda: integer_kernel([[1, 2]], 2.0),
         lambda: lattice_contains(((1, 0),), (half, 0)),
         lambda: CenterLattice(2, ((1, 0),)).contains((0.5, 0)),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
+    assert spectra._kernel_basis.cache_info() == before
     assert integer_kernel([[1, 2]], 2) == [(2, -1)]
 
 
@@ -256,6 +260,74 @@ def test_poisson_center_lattice_rejects_constant_entry():
     zero, one = MuPoly.zero(1), MuPoly.constant(1, 1)
     with pytest.raises(ValueError, match="is not a homogeneous linear mu-form"):
         poisson_center_lattice(((zero, one), (-one, zero)), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: row_hermite_normal_form([[2, 4, 1], [1, 3]], 3), "length 2, not ncols = 3"),
+    (lambda: integer_kernel([[1, 2, 3]], 2), "length 3, not ncols = 2"),
+    (lambda: integer_kernel([[1]], 2), "length 1, not ncols = 2"),
+    (lambda: integer_kernel([[1, 1]], -1), "ncols must be nonnegative"),
+    (lambda: row_hermite_normal_form([], -1), "ncols must be nonnegative"),
+])
+def test_lattice_functions_reject_malformed_systems(call, message):
+    """A row whose length is not ``ncols``, or a negative ``ncols``, raises
+    a one-line ValueError, on every call, and never enters the kernel memo:
+    no row is cut to ``ncols`` entries or read past its end."""
+    size = spectra._kernel_basis.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        assert "\n" not in str(info.value)
+    assert spectra._kernel_basis.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: center_lattice([[(0, 1)]], 1), "length is not r = 1"),
+    (lambda: center_lattice([[(0,)]], 2), "length is not r = 2"),
+    (lambda: center_lattice([[(0,), (1,)], [(0,)]], 1), "qmatrix is not square"),
+    (lambda: center_lattice([[(0,), (1,)]], 1), "qmatrix is not square"),
+    (lambda: poisson_center_lattice([[MuPoly.linear((1,))]], 2), "rank is not r = 2"),
+    (lambda: poisson_center_lattice([[MuPoly.zero(1)], []], 1), "pmatrix is not square"),
+])
+def test_center_lattices_check_their_matrix(call, message):
+    """The ``r`` passed beside a matrix must be the length of every exponent
+    vector (the rank of every form), and the matrix must be square, or
+    ValueError: [[(0, 1)]] has only u = 0 in its kernel, not rank 1."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kernel_memo_solves_each_stratum_system_once():
+    """A stratum's Poisson-side rows are exactly its quantized-side rows: from
+    a cleared memo, the 20 strata of an n = 3 instance miss 20 times on
+    the q side and hit 20 times on the p side."""
+    params = random_params(random.Random(3), 3, 2)
+    spectra._kernel_basis.cache_clear()
+    for T in enumerate_admissible(3):
+        q = center_lattice(torus_matrix_q(params, T), params.r)
+        assert poisson_center_lattice(torus_matrix_p(params, T), params.r) == q
+    info = spectra._kernel_basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (20, 20, 20)
+    assert info.maxsize == 1024
+
+
+def test_kernel_memo_returns_a_new_list():
+    basis = integer_kernel([[1, 1, 0], [0, 0, 0]], 3)
+    assert basis == [(1, -1, 0), (0, 0, 1)]
+    basis.append((5, 5, 5))
+    basis[0] = (0, 0, 0)
+    assert integer_kernel([[1, 1, 0], [0, 0, 0]], 3) == [(1, -1, 0), (0, 0, 1)]
+
+
+def test_stratum_reports_are_the_same_from_a_cold_and_a_warm_memo():
+    params = random_params(random.Random(17), 4, 2)
+    strata = enumerate_admissible(4)
+    spectra._kernel_basis.cache_clear()
+    cold = [stratum_report(params, T).to_dict() for T in strata]
+    assert spectra._kernel_basis.cache_info().hits == 0
+    warm = [stratum_report(fresh(params), T).to_dict() for T in strata]
+    assert spectra._kernel_basis.cache_info().hits == len(strata)
+    assert warm == cold
 
 
 # -- stratum reports ---------------------------------------------------------------------
