@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import index
 from typing import Iterable, Sequence
@@ -86,11 +87,6 @@ def is_admissible(T: AdmissibleSet) -> bool:
         if left != right:
             return False
     return True
-
-
-def _require_admissible(T: AdmissibleSet) -> None:
-    if not is_admissible(T):
-        raise ValueError(f"set {T} is not admissible")
 
 
 def _generators(params: WeylParams, T: AdmissibleSet) -> tuple[TaggedGen, ...]:
@@ -171,7 +167,8 @@ def y_set(T: AdmissibleSet) -> tuple[TaggedGen, ...]:
     is in T but y_i is not; x_i alone when z_i, y_i are in T but x_i is not;
     nothing when all three are.  Ordered by index with z before y before x.
     """
-    _require_admissible(T)
+    if not is_admissible(T):
+        raise ValueError(f"set {T} is not admissible")
     out: list[TaggedGen] = []
     for i in range(1, T.n + 1):
         if i not in T.zs:
@@ -224,7 +221,7 @@ def q_pair_exponent(params: WeylParams, w1: TaggedGen, w2: TaggedGen) -> ExpVec:
 
 def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, ...], ...]:
     """Commutation-exponent matrix of the stratum torus."""
-    return _pair_table(params, "c", _generators(params, T))
+    return _pair_table(params, 0, _generators(params, T))
 
 
 def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
@@ -256,71 +253,61 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
     )
 
 
-def _pair_table(params: WeylParams, side: str, gens: Sequence[TaggedGen]) -> tuple:
-    """The matrix over ordered pairs (w_i, w_j) of ``gens`` of the exponent
-    c_ij = ``q_pair_exponent(w_i, w_j)`` (side "c"), the Poisson form
-    {w_i, w_j}/(w_i w_j) (side "p"), its printed text (side "s") or the
-    torus residue w_i w_j - eta^{c_ij} w_j w_i (side "q"), read from the
-    instance's ``torus_table`` memo and filled in where missing by
-    :func:`_pair_entry`.  Each entry is computed once per instance; every
-    stratum only reads."""
+def _pair_table(params: WeylParams, field: int, gens: Sequence[TaggedGen]) -> tuple:
+    """The matrix over ordered pairs (w_i, w_j) of ``gens`` of one field of
+    their :func:`_pair_record`: the exponent (0), the Poisson form (1) or
+    its printed text (2)."""
     memo = params.torus_table
-    rows = []
-    for wi in gens:
-        row = []
-        for wj in gens:
-            entry = memo.get((side, wi, wj))
-            row.append(_pair_entry(params, side, wi, wj) if entry is None else entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple([tuple([(memo.get((wi, wj)) or _pair_record(params, wi, wj))[field]
+                         for wj in gens]) for wi in gens])
 
 
-def _pair_entry(params: WeylParams, side: str, w: TaggedGen, v: TaggedGen):
-    """The (w, v) entry of ``_pair_table(params, side, ...)``, stored in its
-    memo.  Every Poisson form, (v, w) and (w, w) included, goes through
-    ``pb_bracket`` on its own.  A residue comes from
-    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators`, which folds w v
-    and v w once each on packed scalars and fills both ordered entries,
-    each with its own exponent, so skew-symmetry stays a check on both
-    sides.  Only a diagonal residue w w - eta^c w w with c = 0 is stored as
-    zero unfolded; a nonzero c is folded, so a wrong table shows."""
+def _pair_record(params: WeylParams, w: TaggedGen, v: TaggedGen) -> tuple[ExpVec, MuPoly, str]:
+    """The record ``(c, d, str(d))`` of the ordered pair (w, v), with c =
+    ``q_pair_exponent(w, v)`` and d = {w, v}/(w v) from :func:`_bracket_form`,
+    stored whole, once per instance, in its ``torus_table`` under ``(w, v)``.
+    The table also holds each generator's quantized and Poisson image under
+    ``("q", w)`` and ``("p", w)``, and the verdict of :func:`_residue_is_zero`
+    under ``("q", w, v)``; every stratum only reads it.  Each ordered pair's
+    form, (v, w) and (w, w) included, goes through ``pb_bracket`` on its own."""
+    record = params.torus_table.get((w, v))
+    if record is None:
+        d = _bracket_form(_image(params, "p", w), _image(params, "p", v), w, v)
+        record = params.torus_table[(w, v)] = (q_pair_exponent(params, w, v), d, str(d))
+    return record
+
+
+def _residue_is_zero(params: WeylParams, w: TaggedGen, v: TaggedGen) -> bool:
+    """Whether the torus residue w v - eta^c v w is 0, c the exponent of the
+    (w, v) record, stored under ``("q", w, v)``.  One
+    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators` call folds w v and
+    v w once each and gives both orders' verdicts, each from its own
+    exponent, so skew-symmetry stays checked.  Only a diagonal pair with
+    c = 0 is true without a fold; a nonzero c is folded, so a wrong table shows."""
     memo = params.torus_table
-    entry = memo.get((side, w, v))
-    if entry is not None:
-        return entry
-    if side == "c":
-        entry = q_pair_exponent(params, w, v)
-    elif side == "s":
-        entry = str(_pair_entry(params, "p", w, v))
-    elif side == "p":
-        entry = _bracket_form(_image(params, "p", w), _image(params, "p", v), w, v)
-    elif w == v and not any(_pair_entry(params, "c", w, w)):
-        entry = WeylElement.zero(params)
-    else:
-        a, b = _image(params, "q", w), _image(params, "q", v)
-        ab, ba = params.engine.q_commutators(
-            dict(a.terms), dict(b.terms),
-            _pair_entry(params, "c", w, v), _pair_entry(params, "c", v, w))
-        memo[("q", v, w)] = WeylElement._from_sums(params, ba)
-        entry = WeylElement._from_sums(params, ab)
-    memo[(side, w, v)] = entry
-    return entry
+    if ("q", w, v) not in memo:
+        c, c2 = _pair_record(params, w, v)[0], _pair_record(params, v, w)[0]
+        if w == v and not any(c):
+            memo[("q", w, w)] = True
+        else:
+            a, b = _image(params, "q", w), _image(params, "q", v)
+            ab, ba = params.engine.q_commutators(dict(a.terms), dict(b.terms), c, c2)
+            memo[("q", w, v)], memo[("q", v, w)] = not any(ab.values()), not any(ba.values())
+    return memo[("q", w, v)]
 
 
 def _image(params: WeylParams, side: str, w: TaggedGen):
     """The Poisson (side "p") or quantized (side "q") image of ``w``, built
     once per instance."""
     table = params.torus_table
-    image = table.get((side, w))
-    if image is None:
-        cls = PoissonElement if side == "p" else WeylElement
-        image = table[(side, w)] = cls.generator(params, *w)
-    return image
+    if (side, w) not in table:
+        table[(side, w)] = (PoissonElement if side == "p" else WeylElement).generator(params, *w)
+    return table[(side, w)]
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
     """Poisson commutation forms d with {w_i, w_j} = d_ij w_i w_j."""
-    return _pair_table(params, "p", _generators(params, T))
+    return _pair_table(params, 1, _generators(params, T))
 
 
 @dataclass(frozen=True)
@@ -351,7 +338,7 @@ class TorusData:
 
 def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
     gens = _generators(params, T)
-    return TorusData(gens, _pair_table(params, "c", gens), _pair_table(params, "p", gens))
+    return TorusData(gens, _pair_table(params, 0, gens), _pair_table(params, 1, gens))
 
 
 # -- integer linear algebra ---------------------------------------------------
@@ -378,9 +365,13 @@ def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[l
     zero rows come last.  An entry that is not an integer raises TypeError,
     and a row whose length is not ``ncols`` raises ValueError.
     """
-    H = list(map(list, _integer_rows(rows, ncols)))
+    return _hermite(list(map(list, _integer_rows(rows, ncols))))
+
+
+def _hermite(H: list[list[int]]) -> list[list[int]]:
+    """:func:`row_hermite_normal_form` of ``H``, rows of ints of one length, in place."""
     pivot_row = 0
-    for col in range(ncols):
+    for col in range(len(H[0]) if H else 0):
         while True:  # gcd elimination below pivot_row in this column
             nonzero = [i for i in range(pivot_row, len(H)) if H[i][col]]
             if len(nonzero) <= 1:
@@ -408,32 +399,28 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     new list.
 
     The rows are checked (as by :func:`row_hermite_normal_form`) and
-    turned into a tuple key before the process-wide memo is read, so bad
-    input never enters it.  A kernel depends on the integer system alone,
-    and a stratum's Poisson-side rows are exactly its quantized-side rows,
-    so each system is solved once per process, whichever side or instance
-    asks.  The memo keeps the 1024 systems used last; an entry holds
-    nrows * ncols ints of key and at most ncols^2 of basis, which for a
-    stratum of an instance with n pairs and rank r (ncols <= 2n, nrows =
-    ncols * r) is at most 4 n^2 (r + 1) ints.
+    flattened, row by row, into one tuple key before the process-wide memo
+    is read, so bad input never enters it.  A kernel depends on the integer
+    system alone, and a stratum's Poisson-side rows are exactly its
+    quantized-side rows, so each system is solved once per process,
+    whichever side or instance asks.  The memo keeps the 1024 systems used
+    last; an entry holds nrows * ncols ints of key and at most ncols^2 of
+    basis, which for a stratum of an instance with n pairs and rank r
+    (ncols <= 2n, nrows = ncols * r) is at most 4 n^2 (r + 1) ints.
     """
-    key = _integer_rows(rows, ncols)
-    return list(_kernel_basis(key, ncols))
+    entries = tuple(chain.from_iterable(_integer_rows(rows, ncols)))
+    return list(_kernel_basis(entries, ncols))
 
 
 @lru_cache(maxsize=1024)
-def _kernel_basis(rows: tuple[tuple[int, ...], ...], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """The kernel of :func:`integer_kernel`, from one Hermite pass over the
-    rows [A^T_j | e_j]: the right blocks record the unimodular row
-    operations, so once the first nrows columns are reduced, the rows whose
-    A^T block is zero are those below the last pivot and their right blocks
-    span the kernel.  The pass then reduces those rows among themselves
-    into the (unique) reduced Hermite form of the kernel lattice."""
-    nrows = len(rows)
-    aug = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
-           for j in range(ncols)]
-    H = row_hermite_normal_form(aug, nrows + ncols)
-    return tuple(tuple(row[nrows:]) for row in H if not any(row[:nrows]))
+def _kernel_basis(entries: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """The kernel of :func:`integer_kernel` for the rows of length ``ncols``
+    read in order from ``entries``, from one Hermite pass over the rows
+    [A^T_j | e_j]: the right blocks record the unimodular row operations, so
+    once the A^T block is reduced, the right blocks of the rows where it is
+    zero span the kernel, and the pass leaves them in its reduced Hermite form."""
+    aug = [list(entries[j::ncols]) + [int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return tuple(tuple(row[-ncols:]) for row in _hermite(aug) if not any(row[:-ncols]))
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:
@@ -547,7 +534,7 @@ def stratum_report(params: WeylParams, T: AdmissibleSet) -> StratumReport:
         markers=T.names(),
         generators=tuple(f"{k}{i}" for k, i in data.generators),
         qmatrix=data.qmatrix,
-        pmatrix=_pair_table(params, "s", data.generators),
+        pmatrix=_pair_table(params, 2, data.generators),
         center_rank=lattice.rank,
         center_basis=lattice.basis,
         center_trivial=lattice.is_trivial,
@@ -608,7 +595,8 @@ def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     against the straightening engine, exactly: True only when every residue
     w_i w_j - eta^{c_ij} w_j w_i is 0.  The stratum generators q-commute in
     the algebra itself, so this is stronger than membership of the
-    residues in the stratum ideal (:func:`in_stratum_ideal`).  The residues
-    do not depend on the stratum and come from the instance's memo."""
-    rows = _pair_table(params, "q", _generators(params, T))
-    return not any(residue for row in rows for residue in row)
+    residues in the stratum ideal (:func:`in_stratum_ideal`).  A residue's
+    verdict does not depend on the stratum and comes from the instance's memo."""
+    memo, gens = params.torus_table, _generators(params, T)
+    return all([memo.get(("q", w, v)) or _residue_is_zero(params, w, v)
+                for w in gens for v in gens])

@@ -505,15 +505,10 @@ class WeylParams:
     @cached_property
     def torus_table(self) -> dict:
         """Memo of what every stratum table reads, filled by
-        :mod:`qweyl.spectra`, for tagged generators w, v: ``("q", w)`` and
-        ``("p", w)`` hold the quantized and the Poisson image of w, ``("c",
-        w, v)`` the exponent c with w v = eta^c v w, ``("p", w, v)`` the
-        Poisson form {w, v}/(w v), ``("s", w, v)`` its printed text and
-        ``("q", w, v)`` the torus residue w v - eta^c v w.  Both residues of
-        a pair come from :meth:`StraighteningEngine.q_commutators`, one
-        packed fold per order, and a diagonal residue with c = 0 is zero
-        without a fold.  At most 2(3n - 1)(6n - 1) entries; it lives and
-        dies with this instance."""
+        :mod:`qweyl.spectra`: per ordered pair of the 3n - 1 tagged stratum
+        generators one record and one verdict, and per generator two
+        images, so at most 6n(3n - 1) entries; it lives and dies with this
+        instance."""
         return {}
 
 

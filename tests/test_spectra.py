@@ -428,20 +428,36 @@ def fresh(params):
     return WeylParams(params.n, params.r, params.qexp, params.lexp)
 
 
+def table_parts(params):
+    """The instance's torus table split into the (w, v) -> (c, d, str(d))
+    records, the (w, v) -> residue-is-zero verdicts and the (side, w) ->
+    generator images."""
+    records, verdicts, images = {}, {}, {}
+    for key, entry in params.torus_table.items():
+        if len(key) == 3:
+            verdicts[key[1:]] = entry
+        elif isinstance(key[0], tuple):
+            records[key] = entry
+        else:
+            images[key] = entry
+    return records, verdicts, images
+
+
 def test_pair_memo_warm_equals_cold():
     for seed in (3, 8):
         for n in (1, 2, 3):
             warm = random_params(random.Random(seed), n, 2)
             for T in enumerate_admissible(n):
                 for compute in (
+                    torus_matrix_q,
                     torus_matrix_p,
                     lambda p, T: stratum_report(p, T).to_dict(),
                     check_torus_relations,
                 ):
                     assert compute(warm, T) == compute(fresh(warm), T), (seed, n, T)
-            pairs = [key for key in warm.torus_table if len(key) == 3 and key[0] in "pq"]
-            assert pairs
-            assert len(pairs) <= 2 * (3 * n - 1) ** 2
+            records, verdicts, _ = table_parts(warm)
+            assert records and verdicts
+            assert len(records) + len(verdicts) <= 2 * (3 * n - 1) ** 2
 
 
 def test_pair_memo_does_not_keep_instances_alive():
@@ -451,7 +467,8 @@ def test_pair_memo_does_not_keep_instances_alive():
     for T in enumerate_admissible(2):
         torus_matrix_p(params, T)
         assert check_torus_relations(params, T)
-    assert {key[0] for key in params.torus_table} == {"c", "p", "q"}
+    records, verdicts, images = map(set, table_parts(params))  # keys only: no elements
+    assert records and verdicts and {side for side, _ in images} == {"p", "q"}
     del params
     gc.collect()
     assert ref() is None
@@ -573,13 +590,13 @@ def test_pair_memo_holds_torus_residues():
             params = random_params(random.Random(seed), n, 2)
             for T in enumerate_admissible(n):
                 check_torus_relations(params, T)
-            entries = {k: v for k, v in params.torus_table.items() if k[0] == "q" and len(k) == 3}
+            _, verdicts, _ = table_parts(params)
             pairs = {pair for T in enumerate_admissible(n) for pair in product(y_set(T), repeat=2)}
-            assert {(w, v) for _, w, v in entries} == pairs
-            for (_, w, v), residue in entries.items():
+            assert set(verdicts) == pairs
+            for (w, v), verdict in verdicts.items():
                 a, b = WeylElement.generator(params, *w), WeylElement.generator(params, *v)
                 eta = QTScalar.monomial(spectra.q_pair_exponent(params, w, v))
-                assert residue == a * b - (b * a).scale(eta), (seed, n, w, v)
+                assert verdict is (a * b == (b * a).scale(eta)), (seed, n, w, v)
 
 
 def test_pair_memo_keeps_a_wrong_exponent_visible(monkeypatch):
@@ -639,7 +656,7 @@ def test_diagonal_residues_take_no_fold(monkeypatch):
     fill_every_stratum(params)
     assert diagonal and not any(diagonal)
     gens = {w for T in enumerate_admissible(3) for w in y_set(T)}
-    assert all(params.torus_table[("q", w, w)] == WeylElement.zero(params) for w in gens)
+    assert all(params.torus_table[("q", w, w)] is True for w in gens)
 
 
 def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
@@ -686,13 +703,54 @@ def test_torus_table_bound():
         for n in (1, 2, 3):
             params = random_params(random.Random(seed), n, 2)
             fill_every_stratum(params)
-            table, gens = params.torus_table, 3 * n - 1
-            pairs = [key for key in table if len(key) == 3]
-            cs = [key for key in pairs if key[0] in "cs"]
-            assert len(cs) == 2 * len({key[1:] for key in cs}) <= 2 * gens**2
-            assert len(pairs) - len(cs) <= 2 * gens**2
-            assert len(table) - len(pairs) <= 2 * gens
-            assert len(table) <= 2 * gens * (6 * n - 1)
+            records, verdicts, images = table_parts(params)
+            gens = 3 * n - 1
+            assert set(records) == set(verdicts) and len(records) <= gens**2
+            assert all(text == str(d) for _, d, text in records.values())
+            assert len(images) <= 2 * gens
+            assert len(params.torus_table) <= 6 * n * gens
+
+
+def test_each_pair_is_computed_once(monkeypatch):
+    """Filling every stratum of an instance computes each ordered pair's
+    exponent and Poisson bracket once, and one q_commutators call per
+    unordered off-diagonal pair gives both residues."""
+    params = random_params(random.Random(6), 3, 2)
+    exponents, brackets, commutators, depth = [], [], [], []
+    exponent, bracket = spectra.q_pair_exponent, spectra.pb_bracket
+    commute = StraighteningEngine.q_commutators
+
+    def counted_exponent(p, w, v):  # counts the outer call, not its recursion
+        if not depth:
+            exponents.append((w, v))
+        depth.append(1)
+        try:
+            return exponent(p, w, v)
+        finally:
+            depth.pop()
+
+    def counted_bracket(a, b):
+        brackets.append((a, b))  # the images stay in the table, so ids stay unique
+        return bracket(a, b)
+
+    def counted_commute(self, ta, tb, *cs):
+        commutators.append((tuple(ta), tuple(tb)))
+        return commute(self, ta, tb, *cs)
+
+    monkeypatch.setattr(spectra, "q_pair_exponent", counted_exponent)
+    monkeypatch.setattr(spectra, "pb_bracket", counted_bracket)
+    monkeypatch.setattr(StraighteningEngine, "q_commutators", counted_commute)
+    fill_every_stratum(params)
+    pairs = {pair for T in enumerate_admissible(3) for pair in product(y_set(T), repeat=2)}
+    _, _, images = table_parts(params)
+    of_image = {id(image): w for (side, w), image in images.items() if side == "p"}
+    of_monomials = {tuple(m for m, _ in image.terms): w
+                    for (side, w), image in images.items() if side == "q"}
+    assert len(of_monomials) == len(of_image) == len({w for pair in pairs for w in pair})
+    assert sorted(exponents) == sorted(pairs)
+    assert sorted((of_image[id(a)], of_image[id(b)]) for a, b in brackets) == sorted(pairs)
+    met = sorted(tuple(sorted(of_monomials[monos] for monos in call)) for call in commutators)
+    assert met == sorted(pair for pair in pairs if pair[0] < pair[1])
 
 
 def test_torus_check_is_exact_not_modulo_the_ideal(monkeypatch):
