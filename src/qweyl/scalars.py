@@ -280,7 +280,7 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:  # bools are not exponents
             raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
         # square and multiply, no product by one; ``base * out`` keeps
         # ``s ** 3`` as ``s^2 * s``

@@ -46,6 +46,11 @@ class AdmissibleSet:
         object.__setattr__(self, "zs", frozenset(self.zs))
         object.__setattr__(self, "ys", frozenset(self.ys))
         object.__setattr__(self, "xs", frozenset(self.xs))
+        if type(self.n) is not int:  # bools, floats and strings are not sizes or indices
+            raise ValueError(f"n = {self.n!r} must be an integer")
+        for i in (*self.zs, *self.ys, *self.xs):
+            if type(i) is not int:
+                raise ValueError(f"marker index {i!r} must be an integer")
         if any(not 1 <= i <= self.n for i in self.zs):
             raise ValueError("z markers must have indices in 1..n")
         for group in (self.ys, self.xs):
@@ -58,8 +63,6 @@ class AdmissibleSet:
         for kind, i in markers:
             if kind not in groups:
                 raise ValueError(f"unknown marker kind {kind!r}; expected z, y or x")
-            if type(i) is not int:  # bools and strings are not indices
-                raise ValueError(f"marker index {i!r} must be an integer")
             groups[kind].add(i)
         return cls(n, groups["z"], groups["y"], groups["x"])
 

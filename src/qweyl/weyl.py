@@ -93,20 +93,20 @@ class StraighteningEngine:
     m2 in slot order; the first fold result becomes the output table and
     later ones merge into it.  ``mul_terms`` folds once; ``q_commutators``
     folds ab and ba once each and subtracts eta^c ba by adding ``enc(c)``
-    to ba's packed exponents.  A monomial with no occupied slot above p
-    takes ``g_p^e`` in one step (a block landing); the others take e
-    single appends, each one pass over the accumulator that adds every
-    term straight into the next one.  The engine keeps no memo: its state
-    is fixed by its constants and its width.  Packed exponents decode
-    through the memo of the engine's rank and width, shared by every
-    engine in the process (``_decoder``).
-    Termination: no method recurses.  A block landing is one step, and a
-    single generator g_p appended to an ordered monomial is one pass: the
-    swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair
-    multiply into one packed scalar, then g_p lands or the closed form
-    applies to the pair and the ones below, and the blocks above are put
-    back unchanged, as no term of the rest times g_p reaches past g_p's
-    pair.  The closed form is one loop over the pairs below and the
+    to ba's packed exponents.  A block append is one pass per monomial: the
+    swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair multiply
+    into one packed scalar, raised to the power e (a block swap), and
+    ``g_p^e`` lands in one step; a monomial whose scalar is trivial moves
+    over uncopied.  The exception is ``y_i^e`` under ``x_i^s``, s > 0:
+    those monomials take e closed-form passes together, each term adding
+    straight into the next table, with the blocks above carried along
+    unchanged, as no term of the rest times y_i reaches past pair i; a
+    term whose x_i is used up lands the y_i's left.  The engine keeps no
+    memo: its state is fixed by its constants and its width.  Packed
+    exponents decode through the memo of the engine's rank and width,
+    shared by every engine in the process (``_decoder``).
+    Termination: no method recurses.  A block append is one pass, and at
+    most e closed-form passes, each one loop over the pairs below and the
     factors f_s and g, which are finite sums.
 
     **Packed scalars.**  The engine maps (ordered monomial, packed
@@ -124,15 +124,17 @@ class StraighteningEngine:
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
-    by at most d*M.  The swap constants of the e letters above g_p's pair
-    add at most e*M.  On the rest, of degree d - e, a landing adds nothing
+    by at most d*M.  The swap constants of the t letters above g_p's pair
+    add at most t*M.  On the rest, of degree d - t, a landing adds nothing
     and the closed form adds s*M for ``q_i^s``; in its other term f_s adds
     s*M (q^s - 1) or (s - 1)*M ([s]_q), and ``L z_{i-1}`` deg(L)*M (one
-    q_k^{s_k} per pair of L), plus M for g = q - 1, so (s + deg(L))*M
-    either way, and s + deg(L) <= d - e.  No result term has degree above
-    d + 1, as z_{i-1} has degree 2.  A block landing moves no entry.  So
-    the fold of m2, followed from one left term m1, moves entries by at
-    most ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
+    q_k^{s_k} per pair of L), plus M for g = q - 1, so (s + deg(L))*M either
+    way, and s + deg(L) <= d - t.  No result term has degree above d + 1, as
+    z_{i-1} has degree 2.  A block swap of ``g_p^e`` moves entries by
+    e*t*M, at most what e single appends past the same t letters would, as
+    e*t <= C(t + e, 2), and a closed-form pass is one single append.  So
+    the fold of m2, followed from one left term m1, moves entries by at most
+    ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
     eta-term of m1's scalar times one of c2, with entries up to A + B when
     the operands' exponents have entries up to A and B.  Terms that meet at
     a monomial, in the fold or in the merge, add their coefficients, not
@@ -234,46 +236,40 @@ class StraighteningEngine:
         return [_pack_terms(s, self._encode) for s in operands]
 
     def _acc_times_block(self, acc: Mapping, p: int, e: int) -> dict:
-        """``acc * g_p^e``: a monomial with no occupied slot above p lands
-        in one step; the others take e single appends."""
-        landed, stepped = {}, {}
-        for m, d in acc.items():
-            if not any(m[p + 1:]):
-                landed[m[:p] + (m[p] + e,) + m[p + 1:]] = d
-            elif d:  # cancelled monomials leave the fold
-                stepped[m] = d
-        for _ in range(e if stepped else 0):  # in a domain, nonzero stays nonzero
-            stepped = self._acc_times_gen(stepped, p)
-        return _merge(stepped, landed)
-
-    def _acc_times_gen(self, acc: Mapping, p: int) -> dict:
-        """``acc * g_p``, one pass per monomial m: one swap constant per
-        occupied slot above g_p's pair, then a landing or the closed form on
-        the pair and the ones below, each term added into the output."""
-        out: dict = {}
+        """``acc * g_p^e``, one pass per monomial: a block swap, then g_p^e
+        lands, or y_i^e under x_i^s, s > 0, takes e closed-form passes."""
+        out, under = {}, {}
         cut = p + 2 - p % 2  # the end of g_p's pair
-        eq, kq = self.q[p // 2]
         for m, d in acc.items():
             if not d:  # its coefficients cancelled earlier in the fold
                 continue
             et, kt = 0, 1
             for u in range(cut, 2 * self.n):
                 if t := m[u]:
-                    e, k = self.swap[u][p]
-                    et, kt = et + e * t, kt * k**t
-            s = 0 if p % 2 else m[p + 1]  # x_i's exponent when g_p = y_i
-            top = m[:p] + (m[p] + 1,) + m[p + 1:]
-            if not s:
-                _add_shifted(out, top, d, et, kt)
-                continue
-            # the closed form of the class docstring, pair i = p//2 (0-based)
-            _add_shifted(out, top, d, et + eq * s, kt * kq**s)
-            block = (m[p], s - 1) + m[cut:]
-            factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
-            for (low, ez), c in self._times_z(m[:p]).items():
-                for ef, kf in factor:
-                    _add_shifted(out, low + block, d, ez + ef + et, c * kf * kt)
-        return out
+                    c, k = self.swap[u][p]
+                    et, kt = et + c * t, kt * k**t
+            if p % 2 == 0 and m[p + 1]:  # y_i under x_i^s
+                key, table = m, under
+            else:
+                key, table = m[:p] + (m[p] + e,) + m[p + 1:], out
+            if et or kt != 1:
+                _add_shifted(table, key, d, et * e, kt**e)
+            else:  # a trivial scalar: it moves over uncopied
+                table[key] = d
+        eq, kq = self.q[p // 2]
+        for left in range(e if under else 0, 0, -1):  # the y_i's still to append
+            step, under = under, {}
+            for m, d in step.items():
+                if not (s := m[p + 1]):  # x_i is used up: the y_i's left land
+                    _add_shifted(out, m[:p] + (m[p] + left,) + m[p + 1:], d, 0, 1)
+                elif d:  # the closed form of the class docstring, pair i = p//2 (0-based)
+                    _add_shifted(under, m[:p] + (m[p] + 1,) + m[p + 1:], d, eq * s, kq**s)
+                    block = (m[p], s - 1) + m[cut:]
+                    factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
+                    for (low, ez), c in self._times_z(m[:p]).items():
+                        for ef, kf in factor:
+                            _add_shifted(under, low + block, d, ez + ef, c * kf)
+        return _merge(out, under)
 
     def _times_z(self, low: PbwMonomial) -> dict:
         """``low * z_k`` for an ordered monomial ``low`` on the first k pairs

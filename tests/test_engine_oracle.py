@@ -134,11 +134,11 @@ def occupied_monomials(seed: int, count: int):
         yield params, tuple(rng.randint(1, 3) for _ in range(2 * n))
 
 
-def append(engine, m, p) -> dict:
-    """m * g_p by one ``_acc_times_gen`` step on the accumulator {m: 1}, as
+def append(engine, m, p, e=1) -> dict:
+    """m * g_p^e by one ``_acc_times_block`` call on the accumulator {m: 1}, as
     a map from (ordered monomial, packed exponent) to a nonzero rational."""
-    return {(mm, e): c for mm, d in engine._acc_times_gen({m: {0: 1}}, p).items()
-            for e, c in d.items()}
+    return {(mm, x): c for mm, d in engine._acc_times_block({m: {0: 1}}, p, e).items()
+            for x, c in d.items()}
 
 
 def engine_table(engine, table: dict, n: int) -> dict:
@@ -170,6 +170,23 @@ def test_generator_append_and_z_product_match_the_oracle():
             z = [(0,) * (2 * n)] + [vec_add(unit[2 * j], unit[2 * j + 1]) for j in range(k)]
             got = engine_table(engine, engine._times_z(m[:2 * k]), n)
             assert got == oracle_times(low, z), (m, k)
+
+
+def test_block_appends_match_the_oracle():
+    """``append(engine, m, p, e)`` is m * g_p^e for every slot p and e <= 3,
+    n <= 3, with every slot of m occupied: below the last pair each block
+    takes a block swap, and a y_i block under x_i the closed-form passes."""
+    rng = random.Random(30)
+    for n in (1, 2, 3, 2, 3):
+        params = random_params(rng, n, rng.randint(1, 2))
+        m, engine = tuple(rng.randint(1, 2) for _ in range(2 * n)), params.engine
+        one = {(0,) * params.r: Fraction(1)}
+        for p in range(2 * n):
+            for e in (1, 2, 3):
+                block = tuple(e * (u == p) for u in range(2 * n))
+                want = oracle.naive_product(n, params.r, params.qexp, params.lexp,
+                                            [(m, one)], [(block, one)])
+                assert engine_table(engine, append(engine, m, p, e), n) == want, (m, p, e)
 
 
 def test_rescaled_engine_matches_the_plain_one():
@@ -381,24 +398,31 @@ def test_left_terms_cancel_partway_through_the_fold():
 
 
 def test_cancelled_left_terms_leave_the_fold(monkeypatch):
-    """In (y1*x1 + 1 - q1) * (y1*x1*y2^3*x2^3) the monomial y1 cancels after
-    the first append, where y1*x1 takes the closed form and 1 lands; every
-    later block lands whole on what is left, so the fold steps one
-    monomial once."""
+    """In (y1*x1 + 1 - q1) * (y1*x1*y2^3*x2^3) the monomial y1 cancels in
+    the first block, where y1*x1 takes the closed form and 1 lands; it
+    leaves the fold there, and every later block lands whole on what is
+    left, so the fold takes one closed-form step."""
     p = params_from_config(DEFAULT_CONFIG)
     a = WeylElement.monomial(p, (1, 1, 0, 0)) + 1 - p.q_scalar(1)
     b = WeylElement.monomial(p, (1, 1, 3, 3))
     engine = p.engine
-    stepped = []
-    original = type(engine)._acc_times_gen
+    lows, outputs = [], []
+    times_z, block = type(engine)._times_z, type(engine)._acc_times_block
 
-    def counted(self, acc, q):
-        stepped.extend((m, q) for m, d in acc.items() if d)
-        return original(self, acc, q)
+    def counted(self, low):
+        lows.append(low)
+        return times_z(self, low)
 
-    monkeypatch.setattr(type(engine), "_acc_times_gen", counted)
+    def recorded(self, acc, q, e):
+        outputs.append(block(self, acc, q, e))
+        return outputs[-1]
+
+    monkeypatch.setattr(type(engine), "_times_z", counted)
+    monkeypatch.setattr(type(engine), "_acc_times_block", recorded)
     product = a * b
-    assert stepped == [((1, 1, 0, 0), 0)]  # block landings take no single append
+    assert lows == [()]  # y1*x1 times y1; block landings take no closed form
+    assert len(outputs) == 4
+    assert [m for out in outputs for m, d in out.items() if not d] == [(1, 0, 0, 0)]
     monkeypatch.undo()
     assert engine_product(a, b) == oracle_product(a, b)
     assert product == sum((WeylElement(p, [t]) * b for t in a.terms), WeylElement.zero(p))

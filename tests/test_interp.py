@@ -16,6 +16,7 @@ from qweyl import (
 )
 from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config
 from qweyl.suites import random_params, random_weyl
+from qweyl import weyl
 from qweyl.weyl import StraighteningEngine, build_engine
 
 
@@ -84,7 +85,8 @@ def test_specialization_homomorphism(params2):
 def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
     """At eta = (2, -1), q_2 = -1, so q_2^2 - 1 = 0 in the same-index step
     and the z_1 terms of x2^2 * y2^2 vanish; none may be stored as 0, in
-    the result or in what a generator append passes on."""
+    the result, in what a block append passes on or in any table entry a
+    closed-form pass writes."""
     point = (Fraction(2), Fraction(-1))
     engine = build_engine(
         3, 0, lambda v: ((), QTScalar.monomial(v).eval_at(point)),
@@ -93,13 +95,18 @@ def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
     left = [(1, 1, 0, 2, 0, 0), (0, 1, 0, 2, 0, 1)]  # y1 x1 x2^2, x1 x2^2 x3
     right = (0, 0, 2, 0, 0, 0)  # y2^2
     one = QTScalar.one(0)
-    stored, steps, step = [], [], StraighteningEngine._acc_times_gen
+    stored, steps, step, add = [], [], StraighteningEngine._acc_times_block, weyl._add_shifted
 
-    def recorded(self, acc, p):
-        steps.append(step(self, acc, p))
+    def recorded(self, acc, p, e):
+        steps.append(step(self, acc, p, e))
         return steps[-1]
 
-    monkeypatch.setattr(StraighteningEngine, "_acc_times_gen", recorded)
+    def written(out, mono, d, e2, k2):
+        add(out, mono, d, e2, k2)
+        stored.append(dict(out[mono]))
+
+    monkeypatch.setattr(StraighteningEngine, "_acc_times_block", recorded)
+    monkeypatch.setattr(weyl, "_add_shifted", written)
     for m in left:
         formal = WeylElement.monomial(params3, m) * WeylElement.monomial(params3, right)
         expected = {

@@ -339,6 +339,15 @@ def test_powers_are_repeated_products(params2):
                 a ** k
 
 
+def test_powers_reject_bools(params2):
+    """``True`` is no exponent, as everywhere else in the package."""
+    y1 = WeylElement.generator(params2, "y", 1)
+    for a in (y1, QTScalar.monomial((1, 0)), PlaneElement.x()):
+        for k in (True, False):
+            with pytest.raises(ValueError, match="powers must be nonnegative integers"):
+                a ** k
+
+
 def test_powers_square_and_multiply(params2, monkeypatch):
     products = []
     mul_terms = StraighteningEngine.mul_terms

@@ -95,6 +95,21 @@ def test_from_markers_rejects_unknown_kind_and_non_int_index():
         AdmissibleSet.from_markers(2, [("z", True)])
 
 
+def test_admissible_set_rejects_indices_and_sizes_that_are_not_ints():
+    """Floats, bools and strings are refused as marker indices and as n,
+    by the constructor itself, so no set prints as {z1.0} or {zTrue}."""
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"^marker index {bad!r} must be an integer$"):
+            AdmissibleSet(2, {bad}, (), ())
+        with pytest.raises(ValueError, match=f"^marker index {bad!r} must be an integer$"):
+            AdmissibleSet(2, {1, 2}, (), {bad})
+        with pytest.raises(ValueError, match=f"^n = {bad!r} must be an integer$"):
+            AdmissibleSet(bad, (), (), ())
+    with pytest.raises(ValueError, match="^n = True must be an integer$"):
+        enumerate_admissible(True)
+    assert str(AdmissibleSet(2, {1, 2}, {2}, ())) == "{z1,z2,y2}"
+
+
 # -- stratum generators ----------------------------------------------------------
 
 

@@ -421,46 +421,64 @@ def test_element_str(params2):
     assert str(g["y1"].scale(q1)) == "eta^[1,0]*y1"
 
 
+def spy(monkeypatch, calls, *targets):
+    """Record in ``calls`` the name of each call to the (owner, name) targets."""
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
 def test_block_landings_take_no_single_append(monkeypatch):
     """A block g_p^e appended to a monomial with nothing above slot p lands
-    in one step, whatever e is, so large powers of one generator, and x1^3
-    times one, take no single append."""
+    in one step, whatever e is, and moves its scalar over uncopied: the only
+    ``_add_shifted`` call of each product is the fold's scaling of its one
+    left term, and no closed form runs, so large powers of one generator,
+    and x1^3 times one, take no single append."""
     p = params_from_config(DEFAULT_CONFIG)
     g = gens(p)
-    steps = []
-    original = StraighteningEngine._acc_times_gen
-
-    def counted(self, acc, q):
-        steps.append(q)
-        return original(self, acc, q)
-
-    monkeypatch.setattr(StraighteningEngine, "_acc_times_gen", counted)
+    calls = []
+    spy(monkeypatch, calls, (weyl, "_add_shifted"), (StraighteningEngine, "mul_terms"),
+        (StraighteningEngine, "_times_z"))
     assert g["y1"] ** 10**6 == WeylElement.monomial(p, (10**6, 0, 0, 0))
     assert g["x1"] ** 3 * g["y2"] ** 10**6 == WeylElement.monomial(p, (0, 3, 10**6, 0))
-    assert steps == []
+    assert calls.count("_add_shifted") == calls.count("mul_terms") > 20
+    assert "_times_z" not in calls
     assert g["x1"] ** 10**11 == WeylElement.monomial(p, (0, 10**11, 0, 0))
+
+
+def test_block_swap_takes_one_step(monkeypatch):
+    """x1^(10^6) passes y2^(10^6) in one block swap: the swap constant
+    lam_12 = eta^[1,0] is raised to the power 10^6 * 10^6 once, with one
+    ``_add_shifted`` call past the fold's scaling and no closed form, where
+    single appends would pass over the accumulator 10^6 times."""
+    p = params_from_config(DEFAULT_CONFIG)
+    y2, x1 = WeylElement.generator(p, "y", 2) ** 10**6, WeylElement.generator(p, "x", 1) ** 10**6
+    calls = []
+    spy(monkeypatch, calls, (weyl, "_add_shifted"), (StraighteningEngine, "_times_z"))
+    assert y2 * x1 == WeylElement.monomial(p, (0, 10**6, 10**6, 0),
+                                           QTScalar.monomial((10**12, 0)))
+    assert calls == ["_add_shifted"] * 2
 
 
 def test_generator_append_takes_one_call(params3, monkeypatch):
     """Appending y2 under the blocks of pair 3 and onto x2 (the closed form)
-    is one ``_acc_times_gen`` step and one ``_times_z`` call, with no nested
-    call however many blocks it passes; a second append repeats both calls
-    and the result, as nothing is kept between them."""
+    is one ``_acc_times_block`` call and one ``_times_z`` call, with no
+    nested call however many blocks it passes; a second append repeats both
+    calls and the result, as nothing is kept between them."""
     engine = params3.engine
     m = (1, 2, 1, 3, 2, 1)
     calls = []
-    for name in ("_acc_times_gen", "_times_z"):
-        original = getattr(StraighteningEngine, name)
-
-        def counted(self, *args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, *args)
-
-        monkeypatch.setattr(StraighteningEngine, name, counted)
-    first = engine._acc_times_gen({m: {0: 1}}, 2)
-    assert calls == ["_acc_times_gen", "_times_z"]
-    assert engine._acc_times_gen({m: {0: 1}}, 2) == first
-    assert calls == ["_acc_times_gen", "_times_z"] * 2
+    spy(monkeypatch, calls, (StraighteningEngine, "_acc_times_block"),
+        (StraighteningEngine, "_times_z"))
+    first = engine._acc_times_block({m: {0: 1}}, 2, 1)
+    assert calls == ["_acc_times_block", "_times_z"]
+    assert engine._acc_times_block({m: {0: 1}}, 2, 1) == first
+    assert calls == ["_acc_times_block", "_times_z"] * 2
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
@@ -628,10 +646,11 @@ def test_generator_is_its_monomial(params2):
 
 
 def test_block_append_equals_single_appends(params3):
-    """``_acc_times_block(acc, p, e)`` against e calls of ``_acc_times_gen``.
-    Each accumulator mixes monomials that land and monomials that step; on a
-    y_i slot, L*y_i*x_i steps to a term L*y_i^e, where L lands too, and in
-    the last case the two cancel."""
+    """``_acc_times_block(acc, p, e)`` against e calls of
+    ``_acc_times_block(acc, p, 1)``.  Each accumulator mixes monomials with
+    nothing above p and monomials that take a block swap; on a y_i slot,
+    L*y_i*x_i steps to a term L*y_i^e, where L lands too, and in the last
+    case the two cancel."""
     engine, rng = params3.engine, random.Random(5)
     enc = engine._encode
 
@@ -653,7 +672,7 @@ def test_block_append_equals_single_appends(params3):
     for acc, p, e in cases:
         stepped = {m: dict(d) for m, d in acc.items()}
         for _ in range(e):
-            stepped = engine._acc_times_gen(stepped, p)
+            stepped = engine._acc_times_block(stepped, p, 1)
         block = engine._acc_times_block({m: dict(d) for m, d in acc.items()}, p, e)
         assert {m: d for m, d in block.items() if d} == {m: d for m, d in stepped.items() if d}
         landed = {m[:p] + (m[p] + e,) + m[p + 1:] for m in acc if not any(m[p + 1:])}
