@@ -29,10 +29,10 @@ _PUBLIC = {
     "weyl": """LocalizationRequiredError MaltsiniotisElement ParamsMismatchError
         PbwMonomial WeylElement WeylParams from_maltsiniotis wa_commutator wa_z""",
     "poisson": "PoissonElement gamma1 jacobiator p_z pb_bracket semiclassical_bracket",
-    "spectra": """AdmissibleSet CenterLattice StratumReport TorusData
+    "spectra": """AdmissibleSet CenterLattice StratumReport
         brute_force_admissible center_lattice check_torus_relations count_admissible
         enumerate_admissible in_stratum_ideal integer_kernel is_admissible
-        poisson_center_lattice reduce_mod_stratum stratum_report torus_data
+        poisson_center_lattice reduce_mod_stratum stratum_report
         torus_matrix_p torus_matrix_q y_set""",
     "interp": """ParameterDomainError QuadPoly SpecializedAlgebra build_e
         build_e_family specialize""",

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .poisson import PoissonElement, pb_bracket
 from .scalars import ExpVec, MuPoly, add_term, vec_add, vec_neg, zero_vec
-from .weyl import WeylElement, WeylParams, pos_x, pos_y, wa_z
+from .weyl import ParamsMismatchError, WeylElement, WeylParams, pos_x, pos_y, wa_z
 
 Marker = tuple[str, int]
 TaggedGen = tuple[str, int]
@@ -100,6 +100,15 @@ def _generators(params: WeylParams, T: AdmissibleSet) -> tuple[TaggedGen, ...]:
     return y_set(T)
 
 
+def _check_size(n: int) -> None:
+    """The check of n shared by the three enumerations, with the message of
+    :class:`AdmissibleSet`."""
+    if type(n) is not int:
+        raise ValueError(f"n = {n!r} must be an integer")
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 def enumerate_admissible(n: int) -> list[AdmissibleSet]:
     """All admissible subsets of M_n, by index-by-index extension.
 
@@ -108,8 +117,7 @@ def enumerate_admissible(n: int) -> list[AdmissibleSet]:
     depends only on whether z_{i-1} was taken.  Output order is the
     deterministic recursion order.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_size(n)
     partial: list[tuple[frozenset, frozenset, frozenset]] = [
         (frozenset(), frozenset(), frozenset()),
         (frozenset({1}), frozenset(), frozenset()),
@@ -139,8 +147,7 @@ def count_admissible(n: int) -> int:
     (omit) z_i, the blocks of ``enumerate_admissible`` give
     f_i = 3 f_{i-1} + g_{i-1} and g_i = f_{i-1} + g_{i-1}, from f_1 = g_1 = 1.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_size(n)
     with_z, without_z = 1, 1
     for _ in range(2, n + 1):
         with_z, without_z = 3 * with_z + without_z, with_z + without_z
@@ -149,8 +156,7 @@ def count_admissible(n: int) -> int:
 
 def brute_force_admissible(n: int) -> list[AdmissibleSet]:
     """Independent oracle: filter all 2^|M_n| subsets through is_admissible."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_size(n)
     markers: list[Marker] = [("z", 1)]
     for i in range(2, n + 1):
         markers += [("z", i), ("y", i), ("x", i)]
@@ -311,37 +317,6 @@ def _image(params: WeylParams, side: str, w: TaggedGen):
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
     """Poisson commutation forms d with {w_i, w_j} = d_ij w_i w_j."""
     return _pair_table(params, 1, _generators(params, T))
-
-
-@dataclass(frozen=True)
-class TorusData:
-    """Stratum torus: ordered generators with both commutation matrices."""
-
-    generators: tuple[TaggedGen, ...]
-    qmatrix: tuple[tuple[ExpVec, ...], ...]
-    pmatrix: tuple[tuple[MuPoly, ...], ...]
-
-    def __post_init__(self):
-        s, q, p = len(self.generators), self.qmatrix, self.pmatrix
-        for i in range(s):
-            for j in range(i, s):  # both conditions are symmetric in (i, j)
-                if q[i][j] != vec_neg(q[j][i]):
-                    raise ValueError("qmatrix is not exponent-antisymmetric")
-                if p[i][j].terms != tuple((v, -c) for v, c in p[j][i].terms):
-                    raise ValueError("pmatrix is not skew-symmetric")
-        ys = {i for kind, i in self.generators if kind == "y"}
-        xs = {i for kind, i in self.generators if kind == "x"}
-        if ys & xs:
-            raise ValueError("y_i and x_i co-occur among generators")
-
-    @property
-    def size(self) -> int:
-        return len(self.generators)
-
-
-def torus_data(params: WeylParams, T: AdmissibleSet) -> TorusData:
-    gens = _generators(params, T)
-    return TorusData(gens, _pair_table(params, 0, gens), _pair_table(params, 1, gens))
 
 
 # -- integer linear algebra ---------------------------------------------------
@@ -531,13 +506,16 @@ class StratumReport:
 
 
 def stratum_report(params: WeylParams, T: AdmissibleSet) -> StratumReport:
-    data = torus_data(params, T)
-    lattice = center_lattice(data.qmatrix, params.r)
+    """The stratum's torus read from the instance's pair table: the
+    exponents (field 0) and the forms' printed text (field 2)."""
+    gens = _generators(params, T)
+    qmatrix = _pair_table(params, 0, gens)
+    lattice = center_lattice(qmatrix, params.r)
     return StratumReport(
         markers=T.names(),
-        generators=tuple(f"{k}{i}" for k, i in data.generators),
-        qmatrix=data.qmatrix,
-        pmatrix=_pair_table(params, 2, data.generators),
+        generators=tuple(f"{k}{i}" for k, i in gens),
+        qmatrix=qmatrix,
+        pmatrix=_pair_table(params, 2, gens),
         center_rank=lattice.rank,
         center_basis=lattice.basis,
         center_trivial=lattice.is_trivial,
@@ -564,9 +542,15 @@ def reduce_mod_stratum(params: WeylParams, T: AdmissibleSet, a: WeylElement) -> 
         i, with the rest of m appended to each.
     The rewrite moves degree from pair i to pairs k < i (or lowers total
     degree), so the weighted degree sum over pairs strictly drops and the
-    loop terminates.  A zero normal form certifies membership.
+    loop terminates.  A zero normal form certifies membership.  ``a`` must
+    be a plain :class:`~qweyl.weyl.WeylElement` (TypeError otherwise) of
+    ``params`` (ParamsMismatchError otherwise).
     """
     _generators(params, T)  # checks T
+    if type(a) is not WeylElement:  # a rescaled Y_i is not an element of this algebra
+        raise TypeError(f"reduce_mod_stratum takes a WeylElement, not a {type(a).__name__}")
+    if a.params != params:
+        raise ParamsMismatchError(WeylElement.mismatch_message)
     agenda = dict(a.terms)
     result: dict = {}
     while agenda:

@@ -26,7 +26,8 @@ CRITERIA = [
     ("06", "z-relations-poisson",
      "full Poisson bracket table with the z family, n=1..4", 110),
     ("07", "torus-derivative-link",
-     "stratum bracket forms equal commutation exponents dotted with mu, n=1..4", 1708),
+     "stratum bracket forms equal commutation exponents dotted with mu; both antisymmetric, "
+     "n=1..4", 1708),
     ("08", "center-lattices",
      "quantized and Poisson center lattices coincide and match the box oracle, n<=3", 185612),
     ("09", "admissible-counts",

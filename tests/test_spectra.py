@@ -8,10 +8,11 @@ import pytest
 
 from qweyl import (
     AdmissibleSet,
+    LocalizationRequiredError,
     MuPoly,
+    ParamsMismatchError,
     PoissonElement,
     QTScalar,
-    TorusData,
     WeylElement,
     WeylParams,
     brute_force_admissible,
@@ -19,13 +20,15 @@ from qweyl import (
     check_torus_relations,
     count_admissible,
     enumerate_admissible,
+    eval_rescaled,
+    from_maltsiniotis,
     in_stratum_ideal,
     integer_kernel,
     is_admissible,
+    parse_expr,
     poisson_center_lattice,
     reduce_mod_stratum,
     stratum_report,
-    torus_data,
     torus_matrix_p,
     torus_matrix_q,
     wa_z,
@@ -33,7 +36,7 @@ from qweyl import (
 )
 from qweyl import spectra
 from qweyl.spectra import CenterLattice, lattice_contains, row_hermite_normal_form
-from qweyl.suites import random_params
+from qweyl.suites import SuiteResult, random_params, run_suite
 from qweyl.weyl import PbwElement, StraighteningEngine
 
 
@@ -74,6 +77,14 @@ def test_count_recurrence_matches_enumeration():
         count_admissible(0)
 
 
+@pytest.mark.parametrize("call", [enumerate_admissible, count_admissible,
+                                  brute_force_admissible])
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_enumerations_reject_a_size_that_is_not_an_int(call, n):
+    with pytest.raises(ValueError, match=f"^n = {n!r} must be an integer$"):
+        call(n)
+
+
 def test_enumerate_n1_explicit():
     got = {T.names() for T in enumerate_admissible(1)}
     assert got == {(), ("z1",)}
@@ -105,8 +116,6 @@ def test_admissible_set_rejects_indices_and_sizes_that_are_not_ints():
             AdmissibleSet(2, {1, 2}, (), {bad})
         with pytest.raises(ValueError, match=f"^n = {bad!r} must be an integer$"):
             AdmissibleSet(bad, (), (), ())
-    with pytest.raises(ValueError, match="^n = True must be an integer$"):
-        enumerate_admissible(True)
     assert str(AdmissibleSet(2, {1, 2}, {2}, ())) == "{z1,z2,y2}"
 
 
@@ -165,11 +174,11 @@ def test_qmatrix_row_against_z_y_block(params3):
 def test_torus_data_invariants(params3):
     for n, params in ((2, random_params(random.Random(5), 2, 2)), (3, params3)):
         for T in enumerate_admissible(n):
-            data = torus_data(params, T)
-            s = data.size
-            for i in range(s):
-                for j in range(s):
-                    assert data.pmatrix[i][j] == MuPoly.linear(data.qmatrix[i][j])
+            qm, pm = torus_matrix_q(params, T), torus_matrix_p(params, T)
+            assert len(qm) == len(pm) == len(y_set(T))
+            for i, j in product(range(len(qm)), repeat=2):
+                assert pm[i][j] == MuPoly.linear(qm[i][j])
+                assert qm[i][j] == tuple(-e for e in qm[j][i])
 
 
 # -- integer linear algebra ----------------------------------------------------------
@@ -422,12 +431,32 @@ def test_marker_containment_is_set_inclusion(n):
 
 def test_marker_set_of_another_size_is_rejected(params2):
     """A marker set for n = 1 or 3 is not a stratum of an n = 2 instance."""
-    calls = [torus_matrix_q, torus_matrix_p, torus_data, stratum_report,
+    calls = [torus_matrix_q, torus_matrix_p, stratum_report,
              check_torus_relations, lambda p, T: reduce_mod_stratum(p, T, WeylElement.one(p))]
     for T in (T_of(1, "z1"), T_of(3, "z3")):
         for call in calls:
             with pytest.raises(ValueError, match=f"has n = {T.n}, the instance n = 2"):
                 call(params2, T)
+
+
+def test_ideal_membership_rejects_a_rescaled_element(params2):
+    """Y1 x1 + 1 is not even in the algebra: from_maltsiniotis refuses it."""
+    a = eval_rescaled(parse_expr("y1*x1 + 1"), params2)
+    with pytest.raises(LocalizationRequiredError):
+        from_maltsiniotis(a)
+    for call in (reduce_mod_stratum, in_stratum_ideal):
+        with pytest.raises(TypeError, match="^reduce_mod_stratum takes a WeylElement, "
+                                            "not a MaltsiniotisElement$"):
+            call(params2, T_of(2, "z1"), a)
+
+
+def test_ideal_membership_rejects_an_element_of_another_instance(params2):
+    other = WeylParams(2, 2, ((2, 0), (0, 1)), params2.lexp)
+    a = WeylElement.generator(other, "x", 2) * WeylElement.generator(other, "y", 2)
+    for call in (reduce_mod_stratum, in_stratum_ideal):
+        with pytest.raises(ParamsMismatchError, match="^elements belong to different instances$"):
+            call(params2, T_of(2, "z2"), a)
+    assert reduce_mod_stratum(other, T_of(2, "z2"), a).params is other
 
 
 def test_torus_relations_all_strata(params3):
@@ -584,19 +613,25 @@ def test_bracket_form_matches_the_element_route():
             assert spectra.pb_bracket(a, b) == (a * b).scale(d), (seed, n, r, w, v)
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("p coefficient", "pmatrix is not skew-symmetric"),
-    ("p term missing", "pmatrix is not skew-symmetric"),
-    ("q entry", "qmatrix is not exponent-antisymmetric"),
-])
-def test_torus_data_rejects_a_matrix_that_is_not_skew(fault, message):
-    gens, zero, d = (("y", 1), ("y", 2)), MuPoly.zero(2), MuPoly.linear((1, 2))
-    TorusData(gens, (((0, 0), (1, 2)), ((-1, -2), (0, 0))), ((zero, d), (-d, zero)))  # skew
-    below = {"p coefficient": MuPoly.linear((-1, -3)), "p term missing": MuPoly.linear((-1, 0)),
-             "q entry": -d}[fault]
-    q10 = (-1, -1) if fault == "q entry" else (-1, -2)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TorusData(gens, (((0, 0), (1, 2)), (q10, (0, 0))), ((zero, d), (below, zero)))
+def test_torus_derivative_link_sees_a_pair_that_is_not_skew(monkeypatch):
+    """One ordered pair shifted on both sides alike keeps d = c . mu, so
+    only the suite's antisymmetry check can see it: at the 13th entry of
+    the first n = 2 stratum, (y2, y1) of {}."""
+    bad = (("y", 2), ("y", 1))
+    right_q, right_p = spectra.q_pair_exponent, spectra._bracket_form
+
+    def wrong_q(p, w, v):
+        c = right_q(p, w, v)
+        return (c[0] + 1,) + c[1:] if (w, v) == bad else c
+
+    def wrong_p(a, b, wa, wb):
+        d = right_p(a, b, wa, wb)
+        return d + MuPoly.variable(a.params.r, 0) if (wa, wb) == bad else d
+
+    monkeypatch.setattr(spectra, "q_pair_exponent", wrong_q)
+    monkeypatch.setattr(spectra, "_bracket_form", wrong_p)
+    assert run_suite("torus-derivative-link", 3) == SuiteResult(
+        "torus-derivative-link", False, 12, "n=2 T={}")
 
 
 def test_pair_memo_holds_torus_residues():
