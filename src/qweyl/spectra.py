@@ -46,8 +46,7 @@ class AdmissibleSet:
         object.__setattr__(self, "zs", frozenset(self.zs))
         object.__setattr__(self, "ys", frozenset(self.ys))
         object.__setattr__(self, "xs", frozenset(self.xs))
-        if type(self.n) is not int:  # bools, floats and strings are not sizes or indices
-            raise ValueError(f"n = {self.n!r} must be an integer")
+        _check_size(self.n)
         for i in (*self.zs, *self.ys, *self.xs):
             if type(i) is not int:
                 raise ValueError(f"marker index {i!r} must be an integer")
@@ -101,9 +100,9 @@ def _generators(params: WeylParams, T: AdmissibleSet) -> tuple[TaggedGen, ...]:
 
 
 def _check_size(n: int) -> None:
-    """The check of n shared by the three enumerations, with the message of
-    :class:`AdmissibleSet`."""
-    if type(n) is not int:
+    """The check of n shared by :class:`AdmissibleSet` and the three
+    enumerations."""
+    if type(n) is not int:  # bools, floats and strings are not sizes
         raise ValueError(f"n = {n!r} must be an integer")
     if n < 1:
         raise ValueError("n must be positive")

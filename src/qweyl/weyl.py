@@ -88,19 +88,21 @@ class StraighteningEngine:
     ``L^(j)`` = L with y_j x_j added to pair j, so k + 1 distinct
     monomials, each taking g(q_j) from at most one pair.
 
-    **The fold.**  For each right-hand term ``(m2, c2)``, ``_fold``
-    scales the whole left operand by c2 and appends the blocks ``g_p^e`` of
-    m2 in slot order; the first fold result becomes the output table and
-    later ones merge into it.  ``mul_terms`` folds once; ``q_commutators``
-    folds ab and ba once each and subtracts eta^c ba by adding ``enc(c)``
-    to ba's packed exponents.  A block append is one pass per monomial: the
-    swap constants ``c^t`` of the blocks ``g_u^t`` above g_p's pair multiply
-    into one packed scalar, raised to the power e (a block swap), and
-    ``g_p^e`` lands in one step; a monomial whose scalar is trivial moves
-    over uncopied.  The exception is ``y_i^e`` under ``x_i^s``, s > 0:
-    those monomials take e closed-form passes together, each term adding
-    straight into the next table, with the blocks above carried along
-    unchanged, as no term of the rest times y_i reaches past pair i; a
+    **The fold.**  ``_fold`` appends the blocks ``g_p^e`` of each right-hand
+    term ``(m2, c2)`` to the left operand in slot order.  The first pass
+    applies c2 in its add, which copies, as the next term reads the left
+    operand again; the last adds straight into the product's one table, as
+    a constant term does.  ``mul_terms`` folds once; ``q_commutators``
+    folds ab and ba once each and subtracts eta^c ba, adding ``enc(c)`` to
+    ba's packed exponents, in the fold it will not read again.  A block
+    append is one pass per monomial: the swap constants ``c^t`` of the
+    blocks ``g_u^t`` above g_p's pair multiply into one packed scalar,
+    raised to the power e (a block swap), and ``g_p^e`` lands in one step;
+    past the first pass, a trivial scalar moves over uncopied onto a key
+    new to its table.  The exception is ``y_i^e`` under ``x_i^s``, s > 0:
+    those monomials take e closed-form passes together, each adding into
+    the next table, the last into the block's output, with the blocks above
+    carried along, as no term of the rest times y_i reaches past pair i; a
     term whose x_i is used up lands the y_i's left.  The engine keeps no
     memo: its state is fixed by its constants and its width.  Packed
     exponents decode through the memo of the engine's rank and width,
@@ -137,7 +139,7 @@ class StraighteningEngine:
     ``M * D(D - 1)/2``, D = deg m1 + deg m2.  Each chain starts from one
     eta-term of m1's scalar times one of c2, with entries up to A + B when
     the operands' exponents have entries up to A and B.  Terms that meet at
-    a monomial, in the fold or in the merge, add their coefficients, not
+    a monomial, in a pass or in the one table, add their coefficients, not
     their exponents, so each packed entry stays within the bound of the
     chain it came from, and ``mul_terms`` forms no entry beyond ``A + B + M
     * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
@@ -195,28 +197,31 @@ class StraighteningEngine:
         fold per order, unpacking only monomials whose numerators survive."""
         (pa, da), (pb, db) = self._pack(ta, tb, max([abs(x) for v in cs for x in v], default=0))
         ab, ba = self._fold(pa, pb), self._fold(pb, pa)
+        # each difference is taken in place; the second reads ab, so the first copies it
+        first = {m: dict(d) for m, d in ab.items()} if len(cs) == 2 else ab
         out = []
-        for left, right, v in zip((ab, ba), (ba, ab), cs):
-            diff, e = {m: dict(d) for m, d in left.items()}, self._encode(v)
+        for left, right, e in zip((first, ba), (ba, ab), map(self._encode, cs)):
             for m, d in right.items():
-                _add_shifted(diff, m, d, e, -1)
-            out.append(_unpack(diff, da * db, self._decoded))
+                _add_shifted(left, m, d, e, -1)
+            out.append(_unpack(left, da * db, self._decoded))
         return out
 
     def _fold(self, pa: list, pb: list) -> dict:
         """Packed a*b, {monomial: {packed exponent: numerator}}: per right-hand
-        term, the left operand scaled by its scalar and folded over its monomial."""
-        out = None
+        term, the left operand times its monomial's blocks, scaled in the first
+        pass and added into the one output table in the last."""
+        out, left = {}, dict(pa)
         for mb, cb in pb:
-            acc: dict = {}
-            for m, ca in pa:
-                for eb, kb in cb.items():
-                    _add_shifted(acc, m, ca, eb, kb)
-            for p, e in enumerate(mb):
-                if e:
-                    acc = self._acc_times_block(acc, p, e)
-            out = acc if out is None else _merge(out, acc)
-        return out or {}
+            if blocks := [(p, e) for p, e in enumerate(mb) if e]:
+                acc, scale = left, cb
+                for p, e in blocks[:-1]:
+                    acc, scale = self._acc_times_block(acc, p, e, scale), None
+                self._acc_times_block(acc, *blocks[-1], scale, out)
+            else:  # a constant: no block carries its scalar
+                for m, ca in pa:
+                    for eb, kb in cb.items():
+                        _add_shifted(out, m, ca, eb, kb)
+        return out
 
     def _pack(self, ta: Mapping, tb: Mapping, shift: int = 0) -> list:
         """Each operand as (monomial, {packed exponent: rational * den})
@@ -235,10 +240,11 @@ class StraighteningEngine:
             self._set_width(max(bound.bit_length() + 2, 2 * self._decoded.bits))
         return [_pack_terms(s, self._encode) for s in operands]
 
-    def _acc_times_block(self, acc: Mapping, p: int, e: int) -> dict:
-        """``acc * g_p^e``, one pass per monomial: a block swap, then g_p^e
-        lands, or y_i^e under x_i^s, s > 0, takes e closed-form passes."""
-        out, under = {}, {}
+    def _acc_times_block(self, acc: Mapping, p: int, e: int, scale=None, out=None) -> dict:
+        """``out + scale * acc * g_p^e`` (scale None for 1, out a new table by
+        default), one pass per monomial: a block swap, then g_p^e lands, or
+        y_i^e under x_i^s, s > 0, takes e closed-form passes; returns out."""
+        out, under = {} if out is None else out, {}
         cut = p + 2 - p % 2  # the end of g_p's pair
         for m, d in acc.items():
             if not d:  # its coefficients cancelled earlier in the fold
@@ -252,13 +258,16 @@ class StraighteningEngine:
                 key, table = m, under
             else:
                 key, table = m[:p] + (m[p] + e,) + m[p + 1:], out
-            if et or kt != 1:
+            if scale is not None:
+                for es, ks in scale.items():
+                    _add_shifted(table, key, d, et * e + es, kt**e * ks)
+            elif et or kt != 1 or key in table:
                 _add_shifted(table, key, d, et * e, kt**e)
-            else:  # a trivial scalar: it moves over uncopied
+            else:  # a trivial scalar onto a new key: it moves over uncopied
                 table[key] = d
         eq, kq = self.q[p // 2]
         for left in range(e if under else 0, 0, -1):  # the y_i's still to append
-            step, under = under, {}
+            step, under = under, {} if left > 1 else out
             for m, d in step.items():
                 if not (s := m[p + 1]):  # x_i is used up: the y_i's left land
                     _add_shifted(out, m[:p] + (m[p] + left,) + m[p + 1:], d, 0, 1)
@@ -269,7 +278,7 @@ class StraighteningEngine:
                     for (low, ez), c in self._times_z(m[:p]).items():
                         for ef, kf in factor:
                             _add_shifted(under, low + block, d, ez + ef, c * kf)
-        return _merge(out, under)
+        return out
 
     def _times_z(self, low: PbwMonomial) -> dict:
         """``low * z_k`` for an ordered monomial ``low`` on the first k pairs
@@ -359,16 +368,6 @@ def _add_shifted(out: dict, m: PbwMonomial, d: Mapping, e2: int, k2) -> None:
             sub[e] = v
         else:
             sub.pop(e, None)
-
-
-def _merge(out: dict, acc: Mapping) -> dict:
-    """``out += acc``, moving in uncopied the packed scalars new to ``out``."""
-    for m, d in acc.items():
-        if m in out:
-            _add_shifted(out, m, d, 0, 1)
-        else:
-            out[m] = d
-    return out
 
 
 def build_engine(n: int, rank: int, const, qexp, lexp,

@@ -93,3 +93,21 @@ def test_marker_commands_exit_0_or_2(tspec, as_json):
     flags = ["--json"] if as_json else []
     for command in ("stratum", "center"):
         assert_contract(flags + [command, "--", tspec])
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_marker_commands_on_an_instance_of_no_pairs_exit_2(tmp_path, as_json):
+    """An n = 0 instance is valid, but M_0 has no sets: ``stratum`` and
+    ``center`` give the size error of ``admissible 0``."""
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps({"n": 0, "r": 1, "q_exponents": [], "lambda_exponents": [[]]}))
+    flags = ["--config", str(path)] + (["--json"] if as_json else [])
+    for argv in (flags + ["stratum", ""], flags + ["center", ""], ["admissible", "0"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        if "--json" in argv:
+            assert json.loads(out.getvalue())["error"] == "n must be positive"
+        else:
+            assert (out.getvalue(), err.getvalue()) == ("", "error: n must be positive\n")

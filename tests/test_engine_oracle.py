@@ -413,8 +413,8 @@ def test_cancelled_left_terms_leave_the_fold(monkeypatch):
         lows.append(low)
         return times_z(self, low)
 
-    def recorded(self, acc, q, e):
-        outputs.append(block(self, acc, q, e))
+    def recorded(self, acc, q, e, scale=None, out=None):
+        outputs.append(block(self, acc, q, e, scale, out))
         return outputs[-1]
 
     monkeypatch.setattr(type(engine), "_times_z", counted)
@@ -428,16 +428,16 @@ def test_cancelled_left_terms_leave_the_fold(monkeypatch):
     assert product == sum((WeylElement(p, [t]) * b for t in a.terms), WeylElement.zero(p))
 
 
-# -- the fold's entry and exit: scaled left operand, merged results, stored form ---
+# -- the fold's entry and exit: scaled first pass, one output table, stored form ---
 
 
 def test_fold_entry_and_exit_match_the_oracle(params3):
-    """Each right term scales the left operand before its fold, and the fold
-    results are merged.  Right scalars with several eta-terms and factors
-    over den > 1, a constant right term, a constant right operand, and right
-    terms whose folds cancel at y1*x1, against the oracle and the sum of
-    one-term products.  Coefficients are ints where integral and
-    ``Fraction``s in lowest terms where not."""
+    """Each right term's scalar is applied in the first pass of its fold,
+    and every fold writes into one output table.  Right scalars with
+    several eta-terms and factors over den > 1, a constant right term, a
+    constant right operand, and right terms whose folds cancel at y1*x1,
+    against the oracle and the sum of one-term products.  Coefficients are
+    ints where integral and ``Fraction``s in lowest terms where not."""
     p = params3
     g = {f"{k}{i}": WeylElement.generator(p, k, i) for k in "yx" for i in (1, 2, 3)}
     q1 = p.q_scalar(1)
@@ -465,3 +465,41 @@ def test_fold_entry_and_exit_match_the_oracle(params3):
                 kinds.add(type(k))
     assert kinds == {int, Fraction}
     assert all(m != (1, 1, 0, 0, 0, 0) for m, _ in (cases[-1][0] * cases[-1][1]).terms)
+
+
+def meeting_operands(case: str, rng: random.Random):
+    """(a, b), every coefficient 1, on a seeded instance of n <= 3 pairs,
+    whose right terms write one monomial of the product's output table twice:
+
+    * "trivial-swap": two-block right terms y_i x_j and x_i x_j, j > i,
+      whose last pass, x_j onto nothing above pair j, moves packed scalars
+      over uncopied; y_i x_i x_j comes from x_i * y_i x_j and y_i * x_i x_j;
+    * "one-monomial": one-block right terms, y_i^2 from y_i * y_i and from
+      1 * y_i^2, with y_i read again after the second write;
+    * "closed-form": the last closed-form pass of x_i * y_i lands
+      (q_i - 1) on the monomial 1 that the constant right term wrote."""
+    n = rng.randint(2, 3)
+    p = random_params(rng, n, rng.randint(1, 2))
+    i = rng.randint(1, n - 1)
+    y, x = WeylElement.generator(p, "y", i), WeylElement.generator(p, "x", i)
+    if case == "trivial-swap":
+        xj = WeylElement.generator(p, "x", rng.randint(i + 1, n))
+        return x + y, y * xj + x * xj
+    if case == "one-monomial":
+        return 1 + y, y + y * y
+    return 1 + x, 1 + y
+
+
+@pytest.mark.parametrize("case", ["trivial-swap", "one-monomial", "closed-form"])
+def test_writes_that_meet_in_the_output_table_match_the_oracle(case):
+    """Products whose right terms write one monomial twice, against the
+    oracle: a write onto a key already in the table adds, and no pass
+    hands on the left operand's packed scalars, which the next right term
+    reads again."""
+    rng = random.Random(f"meeting-{case}")
+    for _ in range(8):
+        a, b = meeting_operands(case, rng)
+        first, second = ({m for m, _ in (a * WeylElement(a.params, [t])).terms} for t in b.terms)
+        assert first & second
+        assert all(c == QTScalar.one(a.params.r) for _, c in (*a.terms, *b.terms))
+        assert engine_product(a, b) == oracle_product(a, b)

@@ -97,8 +97,8 @@ def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
     one = QTScalar.one(0)
     stored, steps, step, add = [], [], StraighteningEngine._acc_times_block, weyl._add_shifted
 
-    def recorded(self, acc, p, e):
-        steps.append(step(self, acc, p, e))
+    def recorded(self, acc, p, e, scale=None, out=None):
+        steps.append(step(self, acc, p, e, scale, out))
         return steps[-1]
 
     def written(out, mono, d, e2, k2):

@@ -119,6 +119,18 @@ def test_admissible_set_rejects_indices_and_sizes_that_are_not_ints():
     assert str(AdmissibleSet(2, {1, 2}, {2}, ())) == "{z1,z2,y2}"
 
 
+def test_admissible_set_rejects_a_size_below_one():
+    """A set of M_0 or M_-1 is refused with the enumerations' own message:
+    sets and enumerations share one size check."""
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            AdmissibleSet(n, (), (), ())
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            AdmissibleSet.from_markers(n, [])
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            enumerate_admissible(n)
+
+
 # -- stratum generators ----------------------------------------------------------
 
 

@@ -256,6 +256,31 @@ def test_q_commutators_match_twisted_products(n, r, big):
     assert engine._half > 2 * big
 
 
+def twisted_difference(left: dict, right: dict, c) -> dict:
+    """left - eta^c right on {monomial: QTScalar} maps, zero entries left out."""
+    out = dict(left)
+    for m, k in right.items():
+        out[m] = out.get(m, QTScalar.zero(len(c))) - QTScalar.monomial(c) * k
+    return {m: k for m, k in out.items() if k}
+
+
+def test_q_commutators_with_two_exponents_match_mul_terms():
+    """``q_commutators(a, b, c, c')`` gives ab - eta^c ba and ba - eta^c' ab,
+    as built from ``mul_terms``, on seeded pairs with n <= 3 and random c,
+    c'.  The second difference reads ab after the first is taken, so the
+    first must leave ab's fold as it was."""
+    rng = random.Random(41)
+    for _ in range(60):
+        r = rng.randint(1, 2)
+        params = random_params(rng, rng.randint(1, 3), r)
+        engine = params.engine
+        a, b = (dict(random_weyl(rng, params).terms) for _ in range(2))
+        c, c2 = (tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(2))
+        ab, ba = engine.mul_terms(a, b), engine.mul_terms(b, a)
+        assert engine.q_commutators(a, b, c, c2) == [
+            twisted_difference(ab, ba, c), twisted_difference(ba, ab, c2)]
+
+
 def test_z_values(params2):
     assert wa_z(params2, 0) == WeylElement.one(params2)
     assert wa_z(params2, 1) == WeylElement.one(params2) + WeylElement.monomial(
@@ -435,10 +460,10 @@ def spy(monkeypatch, calls, *targets):
 
 def test_block_landings_take_no_single_append(monkeypatch):
     """A block g_p^e appended to a monomial with nothing above slot p lands
-    in one step, whatever e is, and moves its scalar over uncopied: the only
-    ``_add_shifted`` call of each product is the fold's scaling of its one
-    left term, and no closed form runs, so large powers of one generator,
-    and x1^3 times one, take no single append."""
+    in one step, whatever e is: the only ``_add_shifted`` call of each
+    product is the first pass's scaled copy of its one left term, and no
+    closed form runs, so large powers of one generator, and x1^3 times
+    one, take no single append."""
     p = params_from_config(DEFAULT_CONFIG)
     g = gens(p)
     calls = []
@@ -453,16 +478,17 @@ def test_block_landings_take_no_single_append(monkeypatch):
 
 def test_block_swap_takes_one_step(monkeypatch):
     """x1^(10^6) passes y2^(10^6) in one block swap: the swap constant
-    lam_12 = eta^[1,0] is raised to the power 10^6 * 10^6 once, with one
-    ``_add_shifted`` call past the fold's scaling and no closed form, where
-    single appends would pass over the accumulator 10^6 times."""
+    lam_12 = eta^[1,0] is raised to the power 10^6 * 10^6 once, in one
+    ``_add_shifted`` call that also applies the right term's scalar, with
+    no closed form, where single appends would pass over the accumulator
+    10^6 times."""
     p = params_from_config(DEFAULT_CONFIG)
     y2, x1 = WeylElement.generator(p, "y", 2) ** 10**6, WeylElement.generator(p, "x", 1) ** 10**6
     calls = []
     spy(monkeypatch, calls, (weyl, "_add_shifted"), (StraighteningEngine, "_times_z"))
     assert y2 * x1 == WeylElement.monomial(p, (0, 10**6, 10**6, 0),
                                            QTScalar.monomial((10**12, 0)))
-    assert calls == ["_add_shifted"] * 2
+    assert calls == ["_add_shifted"]
 
 
 def test_generator_append_takes_one_call(params3, monkeypatch):
