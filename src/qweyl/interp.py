@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import QTScalar, Rat, _as_fraction, signed_sum
-from .weyl import PbwMonomial, WeylElement, WeylParams, build_engine
+from .weyl import PbwMonomial, StraighteningEngine, WeylElement, WeylParams
 
 
 class ParameterDomainError(ValueError):
@@ -98,7 +98,7 @@ class SpecializedAlgebra:
         self.params = params
         self.lam = lam
         self.e_values = values
-        self.engine = build_engine(
+        self.engine = StraighteningEngine(
             params.n, 0, lambda v: ((), QTScalar.monomial(v).eval_at(values)),
             params.qexp, params.lexp,
         )
@@ -122,8 +122,8 @@ class SpecializedAlgebra:
         """Product in the concrete algebra (same straightening, rational
         structure constants), on the engine's rank-0 scalars.  A key that
         is no ordered monomial of the instance raises ``ValueError``."""
-        ta, tb = ({WeylElement._monomial(self.params, m): QTScalar.constant(0, c)
-                   for m, c in t.items()} for t in (ta, tb))
+        ta, tb = ([(WeylElement._monomial(self.params, m), QTScalar.constant(0, c))
+                   for m, c in t.items()] for t in (ta, tb))
         return {m: c.eval_one() for m, c in self.engine.mul_terms(ta, tb).items()}
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .poisson import semiclassical_bracket
 from .scalars import MuPoly, QTScalar
-from .weyl import PbwElement, PbwMonomial, WeylElement, WeylParams, build_engine, element_to_str
+from .weyl import (PbwElement, PbwMonomial, StraighteningEngine, WeylElement, WeylParams,
+                   element_to_str)
 
 # n = 1, r = 1, q_1 = eta_1; never the Weyl engine of this instance
 PLANE = WeylParams(1, 1, ((1,),), (((0,),),))
@@ -34,7 +35,7 @@ class PlaneElement(PbwElement):
     scalar_type = QTScalar
     _sort_key = None
     # x^s y = q^s y x^s, on an engine built per product (about 10 us) and freed
-    _engine = staticmethod(lambda params: build_engine(
+    _engine = staticmethod(lambda params: StraighteningEngine(
         1, 1, lambda v: (v, 1), params.qexp, params.lexp, closed=lambda s: ()))
     _product = WeylElement._product
 

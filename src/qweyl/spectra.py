@@ -299,7 +299,7 @@ def _residue_is_zero(params: WeylParams, w: TaggedGen, v: TaggedGen) -> bool:
             memo[("q", w, w)] = True
         else:
             a, b = _image(params, "q", w), _image(params, "q", v)
-            ab, ba = params.engine.q_commutators(dict(a.terms), dict(b.terms), c, c2)
+            ab, ba = params.engine.q_commutators(a.terms, b.terms, c, c2)
             memo[("q", w, v)], memo[("q", v, w)] = not any(ab.values()), not any(ba.values())
     return memo[("q", w, v)]
 

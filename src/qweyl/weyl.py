@@ -156,10 +156,25 @@ class StraighteningEngine:
     # the most entries a decoder's memo holds, the engine layer's only memo
     MEMO_LIMIT = 1 << 14
 
-    def __init__(self, n, rank, q_consts, swap, closed, zstep):
-        """``q_consts[i]`` and ``swap[qp][pp]`` are (exponent vector of
-        length ``rank``, rational) pairs; ``closed(s)`` and ``zstep``, the
-        factors f_s and g, are (power, int) pairs of polynomials in q_i."""
+    def __init__(self, n: int, rank: int, const, qexp, lexp,
+                 closed=lambda s: ((s, 1), (0, -1)), zstep=((0, 1),)):
+        """An engine of ``rank`` for exponent data s_i (``qexp``) and L_ij (``lexp``).
+
+        ``const`` maps the exponent vector of a structure constant eta^v to the
+        (vector of length ``rank``, rational) pair the engine keeps for it:
+        ``(v, 1)`` in the formal algebra, ``((), eta^v at the point)`` in a
+        specialization, which is an engine of rank 0.  ``closed(s)`` and
+        ``zstep``, the factors f_s and g, are (power, int) pairs of
+        polynomials in q_i."""
+        swap = [[None] * (2 * n) for _ in range(2 * n)]
+        for j in range(1, n + 1):
+            for i in range(1, j):
+                s_i, l_ij, l_ji = qexp[i - 1], lexp[i - 1][j - 1], lexp[j - 1][i - 1]
+                swap[pos_y(j)][pos_y(i)] = const(l_ji)
+                swap[pos_y(j)][pos_x(i)] = const(l_ij)
+                swap[pos_x(j)][pos_y(i)] = const(vec_add(s_i, l_ij))
+                swap[pos_x(j)][pos_x(i)] = const(vec_neg(vec_add(s_i, l_ij)))
+        q_consts = [const(v) for v in qexp]
         self.n = n
         self.rank = rank
         self._consts = (q_consts, swap, zstep)
@@ -186,15 +201,17 @@ class StraighteningEngine:
 
     # -- term-map algebra ----------------------------------------------------
 
-    def mul_terms(self, ta: Mapping, tb: Mapping) -> dict:
-        """Product of two term maps from ordered monomials to scalars."""
+    def mul_terms(self, ta: Sequence, tb: Sequence) -> dict:
+        """Product of two term maps, each given as the (ordered monomial,
+        scalar) pairs an element holds, as {monomial: scalar}."""
         (pa, da), (pb, db) = self._pack(ta, tb)
         return _unpack(self._fold(pa, pb), da * db, self._decoded)
 
-    def q_commutators(self, ta: Mapping, tb: Mapping, *cs: ExpVec) -> list:
-        """For term maps a, b and exponents ``cs`` = (c,) or (c, c'):
-        ``[ab - eta^c ba]`` or ``[ab - eta^c ba, ba - eta^c' ab]``, from one
-        fold per order, unpacking only monomials whose numerators survive."""
+    def q_commutators(self, ta: Sequence, tb: Sequence, *cs: ExpVec) -> list:
+        """For term maps a, b, given as to ``mul_terms``, and exponents ``cs``
+        = (c,) or (c, c'): ``[ab - eta^c ba]`` or ``[ab - eta^c ba, ba -
+        eta^c' ab]``, from one fold per order, unpacking only monomials whose
+        numerators survive."""
         (pa, da), (pb, db) = self._pack(ta, tb, max([abs(x) for v in cs for x in v], default=0))
         ab, ba = self._fold(pa, pb), self._fold(pb, pa)
         # each difference is taken in place; the second reads ab, so the first copies it
@@ -206,39 +223,38 @@ class StraighteningEngine:
             out.append(_unpack(left, da * db, self._decoded))
         return out
 
-    def _fold(self, pa: list, pb: list) -> dict:
-        """Packed a*b, {monomial: {packed exponent: numerator}}: per right-hand
-        term, the left operand times its monomial's blocks, scaled in the first
-        pass and added into the one output table in the last."""
-        out, left = {}, dict(pa)
-        for mb, cb in pb:
+    def _fold(self, pa: dict, pb: dict) -> dict:
+        """Packed a*b on packed operands, all {monomial: {packed exponent:
+        numerator}}: per right-hand term, the left operand times its
+        monomial's blocks, scaled in the first pass, which writes only new
+        tables, and added into the one output table in the last."""
+        out = {}
+        for mb, cb in pb.items():
             if blocks := [(p, e) for p, e in enumerate(mb) if e]:
-                acc, scale = left, cb
+                acc, scale = pa, cb
                 for p, e in blocks[:-1]:
                     acc, scale = self._acc_times_block(acc, p, e, scale), None
                 self._acc_times_block(acc, *blocks[-1], scale, out)
             else:  # a constant: no block carries its scalar
-                for m, ca in pa:
+                for m, ca in pa.items():
                     for eb, kb in cb.items():
                         _add_shifted(out, m, ca, eb, kb)
         return out
 
-    def _pack(self, ta: Mapping, tb: Mapping, shift: int = 0) -> list:
-        """Each operand as (monomial, {packed exponent: rational * den})
-        pairs and ``den``, the common denominator of its rationals, after
-        widening the fields if the width bound of the class docstring,
-        plus ``shift`` for a packed twist eta^c, asks."""
+    def _pack(self, ta: Sequence, tb: Sequence, shift: int = 0) -> list:
+        """Each operand's (monomial, scalar) pairs packed once by
+        ``_pack_terms``, into the table the fold reads, after widening the
+        fields if the width bound of the class docstring, plus ``shift`` for
+        a packed twist eta^c, asks.  A zero scalar packs to an empty table,
+        which the fold and ``_unpack`` skip."""
         bound, degree = shift, 0
-        operands = []
         for t in (ta, tb):
-            s = [(m, c) for m, c in t.items() if c]
-            bound += max([abs(x) for _, c in s for v, _ in c.terms for x in v], default=0)
-            degree += max([sum(m) for m, _ in s], default=0)
-            operands.append(s)
+            bound += max([abs(x) for _, c in t for v, _ in c.terms for x in v], default=0)
+            degree += max([sum(m) for m, _ in t], default=0)
         bound += self._growth * degree * (degree - 1) // 2
         if bound >= self._half:
             self._set_width(max(bound.bit_length() + 2, 2 * self._decoded.bits))
-        return [_pack_terms(s, self._encode) for s in operands]
+        return [_pack_terms(t, self._encode) for t in (ta, tb)]
 
     def _acc_times_block(self, acc: Mapping, p: int, e: int, scale=None, out=None) -> dict:
         """``out + scale * acc * g_p^e`` (scale None for 1, out a new table by
@@ -333,12 +349,12 @@ def _decoder(rank: int, bits: int) -> _Decoder:
     return _Decoder(rank, bits)
 
 
-def _pack_terms(terms, enc) -> tuple[list, int]:
-    """(monomial, scalar) pairs as (monomial, {packed exponent: rational *
-    den}) pairs, and ``den``, the common denominator of the rationals."""
+def _pack_terms(terms, enc) -> tuple[dict, int]:
+    """(monomial, scalar) pairs as one table {monomial: {packed exponent:
+    rational * den}}, and ``den``, the common denominator of the rationals."""
     den = math.lcm(*[k.denominator for _, c in terms for _, k in c.terms])
-    return [(m, {enc(v): k.numerator * (den // k.denominator) for v, k in c.terms})
-            for m, c in terms], den
+    return {m: {enc(v): k.numerator * (den // k.denominator) for v, k in c.terms}
+            for m, c in terms}, den
 
 
 def _unpack(out: dict, den: int, dec: _Decoder) -> dict:
@@ -370,29 +386,6 @@ def _add_shifted(out: dict, m: PbwMonomial, d: Mapping, e2: int, k2) -> None:
             sub.pop(e, None)
 
 
-def build_engine(n: int, rank: int, const, qexp, lexp,
-                 closed=lambda s: ((s, 1), (0, -1)), zstep=((0, 1),)) -> StraighteningEngine:
-    """Assemble an engine of ``rank`` from exponent data.
-
-    ``const`` maps the exponent vector of a structure constant eta^v to the
-    (vector of length ``rank``, rational) pair the engine keeps for it:
-    ``(v, 1)`` in the formal algebra, ``((), eta^v at the point)`` in a
-    specialization, which is an engine of rank 0.  ``closed`` and
-    ``zstep`` are the factors f_s and g of :class:`StraighteningEngine`.
-    """
-    size = 2 * n
-    swap = [[None] * size for _ in range(size)]
-    for j in range(1, n + 1):
-        for i in range(1, j):
-            s_i, l_ij, l_ji = qexp[i - 1], lexp[i - 1][j - 1], lexp[j - 1][i - 1]
-            swap[pos_y(j)][pos_y(i)] = const(l_ji)
-            swap[pos_y(j)][pos_x(i)] = const(l_ij)
-            swap[pos_x(j)][pos_y(i)] = const(vec_add(s_i, l_ij))
-            swap[pos_x(j)][pos_x(i)] = const(vec_neg(vec_add(s_i, l_ij)))
-    q_consts = [const(qexp[i]) for i in range(n)]
-    return StraighteningEngine(n, rank, q_consts, swap, closed, zstep)
-
-
 @dataclass(frozen=True)
 class WeylParams:
     """Instance data: number of pairs n, parameter rank r, exponent vectors
@@ -409,8 +402,10 @@ class WeylParams:
         object.__setattr__(
             self, "lexp", tuple(tuple(tuple(v) for v in row) for row in self.lexp)
         )
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        if type(self.n) is not int or type(self.r) is not int:  # bools and floats are not sizes
+            raise ValueError(f"n = {self.n!r} and r = {self.r!r} must be ints")
+        if self.n < 0 or self.r < 0:
+            raise ValueError("n and r must be nonnegative")
         if self.r < 1 and self.n > 0:
             raise ValueError("rank r must be positive")
         if len(self.qexp) != self.n:
@@ -474,13 +469,13 @@ class WeylParams:
 
     @cached_property
     def engine(self) -> StraighteningEngine:
-        return build_engine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp)
+        return StraighteningEngine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp)
 
     @cached_property
     def rescaled_engine(self) -> StraighteningEngine:
         """The engine of Y_i = (q_i - 1)^{-1} y_i and x_i: f_s = [s]_q, g = q - 1."""
-        return build_engine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp,
-                            lambda s: [(j, 1) for j in range(s)], ((1, 1), (0, -1)))
+        return StraighteningEngine(self.n, self.r, lambda v: (v, 1), self.qexp, self.lexp,
+                                   lambda s: [(j, 1) for j in range(s)], ((1, 1), (0, -1)))
 
     @cached_property
     def poisson_brackets(self) -> dict:
@@ -604,7 +599,7 @@ class WeylElement(PbwElement):
 
     def _product(self, other: "WeylElement") -> "WeylElement":
         engine = self._engine(self.params)
-        return self._from_sums(self.params, engine.mul_terms(dict(self.terms), dict(other.terms)))
+        return self._from_sums(self.params, engine.mul_terms(self.terms, other.terms))
 
 
 class MaltsiniotisElement(WeylElement):
@@ -661,7 +656,7 @@ def wa_commutator(a: PbwElement, b: PbwElement) -> PbwElement:
         raise TypeError(f"no commutator of {type(a).__name__}s: the Poisson product commutes")
     a._check(b)
     engine = a._engine(a.params)
-    (comm,) = engine.q_commutators(dict(a.terms), dict(b.terms), (0,) * a.params.r)
+    (comm,) = engine.q_commutators(a.terms, b.terms, (0,) * a.params.r)
     return type(a)._from_sums(a.params, comm)
 
 
@@ -681,9 +676,8 @@ def from_maltsiniotis(value: MaltsiniotisElement) -> WeylElement:
     size = max([abs(x) for v in params.qexp for x in v], default=0)
     # no narrower than an engine, so that it shares the engines' decoder
     dec = _decoder(params.r, max((top * (1 + size)).bit_length() + 1, StraighteningEngine.MIN_BITS))
-    packed, den = _pack_terms(value.terms, dec.encode)
-    out = dict(packed)
-    for mono, d in packed:
+    out, den = _pack_terms(value.terms, dec.encode)
+    for mono, d in out.items():
         for i, (a, v) in enumerate(zip(mono[::2], params.qexp), 1):
             for _ in range(a):
                 if (quot := _divide_by_q_minus_1(d, v, dec)) is None:

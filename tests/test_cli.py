@@ -390,7 +390,7 @@ def test_unquoted_config_integer_past_the_digit_limit(tmp_path, capsys):
 
 def test_scl_of_a_commutator_not_vanishing_at_one_exits_3(monkeypatch, capsys):
     # a commutator that keeps a's terms does not vanish at t = 1
-    monkeypatch.setattr(StraighteningEngine, "q_commutators", lambda self, ta, tb, *cs: [ta])
+    monkeypatch.setattr(StraighteningEngine, "q_commutators", lambda self, ta, tb, *cs: [dict(ta)])
     code, out, err = run(capsys, "scl", "x1", "y1")
     assert (code, out) == (3, "")
     assert err.startswith("error: internal error: NotDivisibleError: ") and err.count("\n") == 1

@@ -17,7 +17,7 @@ from qweyl import (
 from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config
 from qweyl.suites import random_params, random_weyl
 from qweyl import weyl
-from qweyl.weyl import StraighteningEngine, build_engine
+from qweyl.weyl import StraighteningEngine
 
 
 def test_build_e_constant_solution():
@@ -88,7 +88,7 @@ def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
     the result, in what a block append passes on or in any table entry a
     closed-form pass writes."""
     point = (Fraction(2), Fraction(-1))
-    engine = build_engine(
+    engine = StraighteningEngine(
         3, 0, lambda v: ((), QTScalar.monomial(v).eval_at(point)),
         params3.qexp, params3.lexp,
     )
@@ -112,7 +112,7 @@ def test_specialized_root_of_unity_drops_zero_terms(params3, monkeypatch):
         expected = {
             mm: QTScalar.constant(0, v) for mm, c in formal.terms if (v := c.eval_at(point))
         }
-        got = engine.mul_terms({m: one}, {right: one})
+        got = engine.mul_terms([(m, one)], [(right, one)])
         assert got == expected
         assert len(got) < len(formal.terms)
         stored.append(got)
@@ -131,6 +131,26 @@ def test_specialized_mul_rejects_malformed_monomials():
             with pytest.raises(ValueError, match="bad monomial exponent tuple"):
                 alg.mul(ta, tb)
     assert alg.mul({(1, 0, 0, 0): 1}, good) == {(1, 1, 0, 0): 1}
+
+
+def test_specialized_mul_takes_zero_values_and_rejects_floats():
+    """A zero value gives the product of the map without its key, on either
+    side, and an operand of zeros alone gives 0; a float value, 0.0
+    included, raises TypeError."""
+    params = params_from_config(DEFAULT_CONFIG)
+    alg = SpecializedAlgebra(params, 2, concrete_from_config(DEFAULT_CONFIG, params))
+    a = {(1, 1, 0, 0): 3, (0, 0, 1, 0): Fraction(-1, 2), (0, 0, 0, 0): 1}
+    b = {(0, 1, 0, 0): 5, (1, 0, 0, 1): Fraction(2, 3)}
+    want = alg.mul(a, b)
+    assert want
+    for zero in (0, Fraction(0)):
+        assert alg.mul({**a, (2, 1, 0, 1): zero}, b) == want
+        assert alg.mul(a, {(0, 0, 0, 0): zero, **b, (0, 2, 1, 0): zero}) == want
+        assert alg.mul({(1, 0, 0, 0): zero}, b) == alg.mul(a, {(0, 1, 0, 0): zero}) == {}
+    for bad in (0.0, 1.5):
+        for ta, tb in (({**a, (2, 0, 0, 0): bad}, b), (a, {(0, 0, 0, 0): bad})):
+            with pytest.raises(TypeError):
+                alg.mul(ta, tb)
 
 
 def test_commutator_coefficients_vanish_at_one():

@@ -55,6 +55,20 @@ def test_params_validation():
     assert WeylElement.one(p0) * WeylElement.one(p0) == WeylElement.one(p0)
 
 
+@pytest.mark.parametrize("n, r, qexp, lexp, message", [
+    (1, 1.0, ((1,),), (((0,),),), "must be ints"),  # a float rank
+    (True, 1, ((1,),), (((0,),),), "must be ints"),  # a bool is not a size
+    (2.0, 1, ((1,), (1,)), (((0,), (0,)), ((0,), (0,))), "must be ints"),
+    (0, -3, (), (), "must be nonnegative"),
+    (-1, 1, (), (), "must be nonnegative"),
+])
+def test_params_reject_bad_sizes(n, r, qexp, lexp, message):
+    """n and r are exactly ints, and neither is negative."""
+    with pytest.raises(ValueError, match=message):
+        WeylParams(n, r, qexp, lexp)
+    assert WeylParams(0, 0, (), ()).r == 0  # the empty instance of rank 0 stays valid
+
+
 @pytest.mark.parametrize("q, lam", [
     ([[1.5]], [[[0]]]),     # a float s_1 entry
     ([[1]], [[[0.9]]]),     # a float L_11 entry
@@ -243,13 +257,13 @@ def test_q_commutators_match_twisted_products(n, r, big):
     # the shift by c asks for wider fields
     a, b = g[0], WeylElement.scalar(params, 2)
     for _ in range(7):
-        ab, ba = engine.q_commutators(dict(a.terms), dict(b.terms), c, c_rev)
+        ab, ba = engine.q_commutators(a.terms, b.terms, c, c_rev)
         want_ab = a * b - (b * a).scale(QTScalar.monomial(c))
         want_ba = b * a - (a * b).scale(QTScalar.monomial(c_rev))
         assert want_ab and want_ba
         assert WeylElement._from_sums(params, ab) == want_ab
         assert WeylElement._from_sums(params, ba) == want_ba
-        (same,) = engine.q_commutators(dict(a.terms), dict(a.terms), c)
+        (same,) = engine.q_commutators(a.terms, a.terms, c)
         assert WeylElement._from_sums(params, same) == (a * a).scale(1 - QTScalar.monomial(c))
         a = rng.choice(g) * rng.choice(g) + QTScalar.monomial((big,) * r, Fraction(1, 2))
         b = rng.choice(g).scale(QTScalar.monomial(tuple(range(r)), 3)) - rng.choice(g)
@@ -274,7 +288,7 @@ def test_q_commutators_with_two_exponents_match_mul_terms():
         r = rng.randint(1, 2)
         params = random_params(rng, rng.randint(1, 3), r)
         engine = params.engine
-        a, b = (dict(random_weyl(rng, params).terms) for _ in range(2))
+        a, b = (random_weyl(rng, params).terms for _ in range(2))
         c, c2 = (tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(2))
         ab, ba = engine.mul_terms(a, b), engine.mul_terms(b, a)
         assert engine.q_commutators(a, b, c, c2) == [
@@ -420,15 +434,15 @@ def test_rescaling_division_randomized():
 def test_rescaling_relations_catch_a_corrupted_rescaled_engine(monkeypatch, slot, corrupted):
     """The suite compares the rescaled engine with the plain one, so a wrong
     per-pair factor in ``rescaled_engine`` alone makes it fail."""
-    build = weyl.build_engine
+    build = StraighteningEngine.__init__
 
-    def build_corrupted(*args):
+    def build_corrupted(self, *args):
         if len(args) == 7:  # the rescaled engine; the plain one takes the defaults
             args = args[:slot] + (corrupted,) + args[slot + 1:]
-        return build(*args)
+        build(self, *args)
 
     assert ALL_SUITES["rescaling-relations"](DEFAULT_SEED).passed
-    monkeypatch.setattr(weyl, "build_engine", build_corrupted)
+    monkeypatch.setattr(StraighteningEngine, "__init__", build_corrupted)
     result = ALL_SUITES["rescaling-relations"](DEFAULT_SEED)
     assert not result.passed and result.detail.startswith("nonzero image at n=")
 
