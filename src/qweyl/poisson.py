@@ -158,9 +158,8 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
         for i, c in out[e].items():
             if c:
                 coeffs[i].append((e, exact.get(c, c)))
-    return PoissonElement._canonical(params, sorted(
-        [(m, MuPoly._canonical(r, cs)) for m, cs in zip(ids, coeffs) if cs],  # cancelled ones out
-        key=PoissonElement._sort_key))
+    return PoissonElement._canonical(params, PoissonElement._order(
+        [(m, MuPoly._canonical(r, cs)) for m, cs in zip(ids, coeffs) if cs]))  # cancelled ones out
 
 
 def gamma1(a: WeylElement) -> PoissonElement:

@@ -33,7 +33,7 @@ class PlaneElement(PbwElement):
 
     __slots__ = ()
     scalar_type = QTScalar
-    _sort_key = None
+    _order = staticmethod(sorted)
     # x^s y = q^s y x^s, on an engine built per product (about 10 us) and freed
     _engine = staticmethod(lambda params: StraighteningEngine(
         1, 1, lambda v: (v, 1), params.qexp, params.lexp, closed=lambda s: ()))

@@ -140,11 +140,12 @@ class TermMap:
     ``int``, ``Fraction`` and ``scalar_type`` values combine with a term map
     as constants.  ``_product`` is the commutative product (exponents add);
     a noncommutative ring replaces it.  ``_exact`` puts a sum or product of
-    stored coefficients in stored form, and ``_sort_key`` is the key of the
-    subclass's order on the (exponent tuple, coefficient) pairs (``None``:
-    tuple order).  Results of the ring operations, :meth:`scale` included,
-    are valid by construction and skip the checks through
-    :meth:`_from_sums`.
+    stored coefficients in stored form, and the order hook ``_order(items)``
+    returns (exponent tuple, coefficient) pairs with distinct exponent
+    tuples as a list in the subclass's order (here tuple order: ``sorted``,
+    which never compares a coefficient).  Results of the ring operations,
+    :meth:`scale` included, are valid by construction and skip the checks
+    through :meth:`_from_sums`.
     """
 
     __slots__ = ("context", "terms")
@@ -152,7 +153,7 @@ class TermMap:
     mismatch_error: type
     mismatch_message: str  # formatted with both contexts
     _exact = staticmethod(lambda c: c)
-    _sort_key = None
+    _order = staticmethod(sorted)
 
     def __init__(self, context, terms=()):
         if isinstance(terms, Mapping):
@@ -173,8 +174,8 @@ class TermMap:
         """Instance holding ``terms`` as given: they must already be sorted,
         have distinct monomials and nonzero coefficients in stored form."""
         self = object.__new__(cls)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", tuple(terms))
+        _set_context(self, context)  # the slots' own setters, past ``__setattr__``
+        _set_terms(self, tuple(terms))
         return self
 
     @classmethod
@@ -187,9 +188,8 @@ class TermMap:
 
     def _fill(self, context, sums: dict) -> None:
         exact = self._exact
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", tuple(sorted(
-            [(m, exact(c)) for m, c in sums.items() if c], key=self._sort_key)))
+        _set_context(self, context)
+        _set_terms(self, tuple(self._order([(m, exact(c)) for m, c in sums.items() if c])))
 
     @classmethod
     def zero(cls, context):
@@ -304,6 +304,9 @@ class TermMap:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+_set_context, _set_terms = TermMap.context.__set__, TermMap.terms.__set__
 
 
 class DigitLimitError(ValueError):

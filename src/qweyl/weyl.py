@@ -51,16 +51,6 @@ def pos_x(i: int) -> int:
     return 2 * (i - 1) + 1
 
 
-def mono_key(m: PbwMonomial) -> tuple[int, PbwMonomial]:
-    """Canonical ordering key: total degree, then lexicographic.
-
-    The lexicographic leg compares negated exponents so that, within a
-    degree class, monomials concentrated on low-index generators come
-    first (z_2 prints as 1 + y1*x1 + y2*x2).
-    """
-    return (sum(m), tuple([-e for e in m]))
-
-
 class StraighteningEngine:
     """Rewriting of generator words into the ordered basis, on packed scalars.
 
@@ -103,8 +93,9 @@ class StraighteningEngine:
     those monomials take e closed-form passes together, each adding into
     the next table, the last into the block's output, with the blocks above
     carried along, as no term of the rest times y_i reaches past pair i; a
-    term whose x_i is used up lands the y_i's left.  The engine keeps no
-    memo: its state is fixed by its constants and its width.  Packed
+    term whose x_i is used up lands the y_i's left.  The call's two tables,
+    f_s(q_i) by s and ``L z_{i-1}`` by L, die with it: the engine keeps no
+    memo across calls, its state fixed by its constants and its width.  Packed
     exponents decode through the memo of the engine's rank and width,
     shared by every engine in the process (``_decoder``).
     Termination: no method recurses.  A block append is one pass, and at
@@ -122,7 +113,8 @@ class StraighteningEngine:
     is empty at a root of unity and no zero is stored.  ``mul_terms``
     scales each operand by the common denominator of its rationals, so the
     formal kernel works on ints, and builds one ``QTScalar`` per result
-    monomial on exit, dividing each distinct numerator once.
+    monomial on exit (exponents sorted as packed ints, each distinct
+    numerator divided once where den > 1), which an element holds as is.
 
     **Width.**  With M the largest |entry| of s_i, L_ij and s_i + L_ij,
     appending a generator to a monomial of degree d moves exponent entries
@@ -281,7 +273,7 @@ class StraighteningEngine:
                 _add_shifted(table, key, d, et * e, kt**e)
             else:  # a trivial scalar onto a new key: it moves over uncopied
                 table[key] = d
-        eq, kq = self.q[p // 2]
+        (eq, kq), factors, zs = self.q[p // 2], {}, {}  # this call's f_s(q_i) by s, L z_{i-1} by L
         for left in range(e if under else 0, 0, -1):  # the y_i's still to append
             step, under = under, {} if left > 1 else out
             for m, d in step.items():
@@ -289,10 +281,13 @@ class StraighteningEngine:
                     _add_shifted(out, m[:p] + (m[p] + left,) + m[p + 1:], d, 0, 1)
                 elif d:  # the closed form of the class docstring, pair i = p//2 (0-based)
                     _add_shifted(under, m[:p] + (m[p] + 1,) + m[p + 1:], d, eq * s, kq**s)
-                    block = (m[p], s - 1) + m[cut:]
-                    factor = self._in_q(p // 2, self._closed(s))  # empty where it is zero
-                    for (low, ez), c in self._times_z(m[:p]).items():
-                        for ef, kf in factor:
+                    block, z = (m[p], s - 1) + m[cut:], zs.get(m[:p])
+                    if z is None:
+                        z = zs[m[:p]] = self._times_z(m[:p]).items()
+                    if s not in factors:  # empty where it is zero
+                        factors[s] = self._in_q(p // 2, self._closed(s))
+                    for (low, ez), c in z:
+                        for ef, kf in factors[s]:
                             _add_shifted(under, low + block, d, ez + ef, c * kf)
         return out
 
@@ -360,14 +355,15 @@ def _pack_terms(terms, enc) -> tuple[dict, int]:
 def _unpack(out: dict, den: int, dec: _Decoder) -> dict:
     """One ``QTScalar`` per monomial of ``out``, a map from packed
     exponents to numerators over ``den``: each distinct numerator is divided
-    once, and monomials whose numerators all cancelled are left out."""
+    once, and monomials whose numerators all cancelled are left out.  Packed
+    exponents sort as ints in the order of their vectors."""
+    canonical, rank = QTScalar._canonical, dec.rank
+    if den == 1:  # the numerators are the coefficients
+        return {m: canonical(rank, [(dec[e], d[e]) for e in sorted(d)])
+                for m, d in out.items() if d}
     exact = exact_quotients(out, den)
-    return {
-        m: QTScalar._canonical(dec.rank, [
-            (dec[e], exact.get(c, c)) for e, c in sorted(d.items())
-        ])
-        for m, d in out.items() if d
-    }
+    return {m: canonical(rank, [(dec[e], exact[d[e]]) for e in sorted(d)])
+            for m, d in out.items() if d}
 
 
 def _add_shifted(out: dict, m: PbwMonomial, d: Mapping, e2: int, k2) -> None:
@@ -516,7 +512,14 @@ class PbwElement(TermMap):
     _z_step = staticmethod(lambda params, k: 1)
     mismatch_error = ParamsMismatchError
     mismatch_message = "elements belong to different instances"
-    _sort_key = staticmethod(lambda t: mono_key(t[0]))
+
+    @staticmethod
+    def _order(items) -> list:
+        """Degree ascending, then exponents descending (z_2 prints as 1 +
+        y1*x1 + y2*x2): two C-level sorts, the second stable on degree."""
+        out = sorted(items, reverse=True)
+        out.sort(key=lambda t: sum(t[0]))
+        return out
 
     @classmethod
     def _term(cls, params: WeylParams, m, c):
@@ -557,6 +560,8 @@ class PbwElement(TermMap):
             return cls.z(params, i)
         if kind not in ("y", "x"):
             raise ValueError(f"unknown generator kind {kind!r}")
+        if type(i) is not int:  # bools and floats are not indices
+            raise ValueError(f"generator index {i!r} must be an int")
         if not 1 <= i <= params.n:
             raise ValueError(f"generator index {i} out of range 1..{params.n}")
         m = [0] * (2 * params.n)
@@ -566,6 +571,8 @@ class PbwElement(TermMap):
     @classmethod
     def z(cls, params: WeylParams, i: int):
         """z_i = 1 + sum_{k<=i} g_k y_k x_k, g_k = ``_z_step(params, k)``; z_0 = 1."""
+        if type(i) is not int:
+            raise ValueError(f"z index {i!r} must be an int")
         if not 0 <= i <= params.n:
             raise ValueError(f"z index {i} out of range 0..{params.n}")
         terms = [((0,) * (2 * params.n), 1)]
@@ -598,8 +605,9 @@ class WeylElement(PbwElement):
     _engine = staticmethod(lambda params: params.engine)  # what straightens products
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        engine = self._engine(self.params)
-        return self._from_sums(self.params, engine.mul_terms(self.terms, other.terms))
+        params = self.params
+        return self._canonical(params, self._order(
+            self._engine(params).mul_terms(self.terms, other.terms).items()))
 
 
 class MaltsiniotisElement(WeylElement):
@@ -657,7 +665,7 @@ def wa_commutator(a: PbwElement, b: PbwElement) -> PbwElement:
     a._check(b)
     engine = a._engine(a.params)
     (comm,) = engine.q_commutators(a.terms, b.terms, (0,) * a.params.r)
-    return type(a)._from_sums(a.params, comm)
+    return a._canonical(a.params, a._order(comm.items()))
 
 
 wa_z = WeylElement.z

@@ -98,6 +98,7 @@ def test_minus_one_coefficient_prints_as_a_sign():
     y, x = PlaneElement.y(), PlaneElement.x()
     assert str(-(y * x)) == "-y*x"
     assert str(x - y) == "x + -y"
+    assert str(x**3 + y + 1) == "1 + x^3 + y"  # tuple order, not the Weyl elements' degree order
     assert str(y * y * x - 2 * x * y) == "-2*eta^[1]*y*x + y^2*x"
     assert str(PlaneElement.zero(PLANE)) == "0"
 

@@ -34,6 +34,7 @@ from qweyl import (  # noqa: E402
     pb_bracket,
     wa_commutator,
 )
+from qweyl.quantum_plane import PlaneElement  # noqa: E402
 
 RANK = 2
 PARAMS = WeylParams(2, RANK, ((1, 0), (0, 1)), (((0, 0), (1, -1)), ((-1, 1), (0, 0))))
@@ -183,6 +184,27 @@ def test_equality_and_hash_ignore_term_order(data):
         a, b = build(terms), build(shuffled)
         assert a == b
         assert hash(a) == hash(b)
+
+
+def mono_key(term):
+    """The PBW order as a sort key: total degree, then negated exponents."""
+    return sum(term[0]), tuple(-e for e in term[0])
+
+
+@FAST
+@given(st.lists(pbw_monos, unique=True, max_size=40), st.randoms(use_true_random=False))
+def test_pbw_order_is_degree_then_exponents_descending(monos, rng):
+    """``PbwElement._order`` (two sorts, the second stable on degree) is the
+    key order above, on term lists of 0-40 distinct monomials of 4 slots
+    with entries up to 2: degrees 0-8, so any list past 9 terms has ties.
+    Coefficients are ``QTScalar``s, which have no order, so no sort may
+    compare one.  The quantum plane keeps plain tuple order, as scalars do."""
+    items = [(m, QTScalar.constant(RANK, rng.randint(1, 3))) for m in monos]
+    assert WeylElement._order(items) == sorted(items, key=mono_key)
+    assert PoissonElement._order(dict(items).items()) == sorted(items, key=mono_key)
+    plane = [(m[:2], c) for m, c in items if m[2:] == (0, 0)]
+    assert PlaneElement._order(plane) == sorted(plane, key=lambda t: t[0])
+    assert QTScalar._order([(m, 1) for m in monos]) == sorted((m, 1) for m in monos)
 
 
 @FAST

@@ -21,6 +21,7 @@ from qweyl import (
     build_e_family,
     from_maltsiniotis,
     gamma1,
+    pb_bracket,
     semiclassical_bracket,
     wa_commutator,
     wa_z,
@@ -93,6 +94,20 @@ def test_element_rejects_bad_monomials(cls, m):
     p = WeylParams(1, 1, ((1,),), (((0,),),))
     with pytest.raises(ValueError, match="bad monomial exponent tuple"):
         cls.monomial(p, m)
+
+
+@pytest.mark.parametrize("i", [True, 1.0, "1"])
+@pytest.mark.parametrize("build", [
+    lambda p, i: WeylElement.generator(p, "x", i),
+    lambda p, i: WeylElement.z(p, i),
+], ids=["generator", "z"])
+def test_generator_indices_are_ints(build, i):
+    """A generator or z index is exactly an ``int``: a bool, a float or a
+    string raises a one-line ``ValueError``, not a ``TypeError`` from
+    indexing, and never builds x1 from ``True``."""
+    p = WeylParams(1, 1, ((1,),), (((0,),),))
+    with pytest.raises(ValueError, match=r"index .* must be an int$"):
+        build(p, i)
 
 
 ETA3 = QTScalar.monomial((1, 2, 3))
@@ -519,6 +534,68 @@ def test_generator_append_takes_one_call(params3, monkeypatch):
     assert calls == ["_acc_times_block", "_times_z"]
     assert engine._acc_times_block({m: {0: 1}}, 2, 1) == first
     assert calls == ["_acc_times_block", "_times_z"] * 2
+
+
+def test_closed_form_factors_are_built_once_per_block_call(params3, monkeypatch):
+    """One ``_acc_times_block`` call appending y2^2 under x2^2 to four
+    monomials that share the low part y1 and differ above pair 2: the
+    closed form's factor f_s(q_2) is built once per distinct s (2, then 1)
+    and L z_1 once per distinct low part (y1, then y1^2*x1 from the first
+    pass's z-term), in tables that die with the call: a second call builds
+    them again, and a product leaves the engine's attributes as they were."""
+    engine = params3.engine
+    acc = {(1, 0, 0, 2, a, b): {0: 1} for a, b in [(0, 0), (1, 0), (0, 1), (2, 3)]}
+    polys, lows = [], []
+    in_q, times_z = StraighteningEngine._in_q, StraighteningEngine._times_z
+    monkeypatch.setattr(StraighteningEngine, "_in_q",
+                        lambda self, i, poly: polys.append(tuple(poly)) or in_q(self, i, poly))
+    monkeypatch.setattr(StraighteningEngine, "_times_z",
+                        lambda self, low: lows.append(low) or times_z(self, low))
+    got = engine._acc_times_block(acc, 2, 2)
+    assert polys == [tuple(engine._closed(2)), tuple(engine._closed(1))]
+    assert lows == [(1, 0), (2, 1)]
+    assert engine._acc_times_block(acc, 2, 2) == got
+    assert len(polys) == len(lows) == 4
+    monkeypatch.undo()
+    a = sum((WeylElement.monomial(params3, m) for m in acc), WeylElement.zero(params3))
+    y2 = WeylElement.generator(params3, "y", 2) ** 2
+    before = dict(vars(engine))
+    assert a * y2 == sum((WeylElement.monomial(params3, m) * y2 for m in acc),
+                         WeylElement.zero(params3))
+    assert vars(engine) == before
+
+
+def test_results_equal_their_validated_rebuild():
+    """Products, commutators and brackets assemble their terms straight in
+    canonical form, past the validating constructor; rebuilding each result
+    and its coefficients through the constructors gives the same terms in
+    the same order, every coefficient an int or a non-integral Fraction.
+    Seeded, n <= 3, for all four element classes."""
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+
+    def check(*results):
+        for x in results:
+            same = type(x)(x.params, [(m, type(c)(c.rank, c.terms)) for m, c in x.terms])
+            assert same.terms == x.terms
+            assert all(type(k) is int or k.denominator > 1 for _, c in x.terms for _, k in c.terms)
+
+    def poisson(rng, p):
+        return PoissonElement(p, [(m, MuPoly(p.r, [(tuple(rng.randint(0, 1) for _ in range(p.r)),
+                                                     rng.choice(coeffs))]))
+                                  for m, _ in random_weyl(rng, p, 3, 4).terms])
+
+    for k in range(24):
+        rng = random.Random(k)
+        p = random_params(rng, rng.randint(1, 3), rng.randint(1, 3))
+        for cls in (WeylElement, MaltsiniotisElement):
+            a, b = (cls(p, random_weyl(rng, p, 3, 4).terms) for _ in range(2))
+            check(a * b, wa_commutator(a, b), (a + b) ** 2)
+        a, b = poisson(rng, p), poisson(rng, p)
+        check(pb_bracket(a, b), a * b)
+        a, b = (PlaneElement(PLANE, [((rng.randint(0, 3), rng.randint(0, 3)),
+                                      QTScalar.monomial((rng.randint(-2, 2),), rng.choice(coeffs)))
+                                     for _ in range(4)]) for _ in range(2))
+        check(a * b, wa_commutator(a, b))
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
