@@ -516,7 +516,7 @@ class PbwElement(TermMap):
     @staticmethod
     def _order(items) -> list:
         """Degree ascending, then exponents descending (z_2 prints as 1 +
-        y1*x1 + y2*x2): two C-level sorts, the second stable on degree."""
+        y1*x1 + y2*x2): a reverse tuple sort, then a stable sort on degree."""
         out = sorted(items, reverse=True)
         out.sort(key=lambda t: sum(t[0]))
         return out
