@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import lcm
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 from .poisson import PoissonElement, pb_bracket
@@ -31,6 +31,7 @@ Marker = tuple[str, int]
 TaggedGen = tuple[str, int]
 
 _KIND_ORDER = {"z": 0, "y": 1, "x": 2}
+_denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -240,11 +241,14 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
     of {a, b} and lc its coefficient, {a, b} = d ab for d = lc / ab[m]
     exactly when both have the same monomials and ab[m] {a, b}[m'] =
     ab[m'] lc coefficientwise at each of them: integer and rational
-    products only, so the check is exact, and d is the one division."""
+    products only, so the check is exact.  d is lc itself when ab[m] = 1,
+    as for every pair of the seeded stratum tables, else the one division."""
     br = pb_bracket(a, b)
     if not br:
         return MuPoly.zero(a.params.r)
-    ra, rb = ([(m, c.terms[0][1]) for m, c in x.terms if c.is_constant()] for x in (a, b))
+    zero = zero_vec(a.params.r)  # the least mu-vector: c is constant when its last is zero
+    ra, rb = ([(m, c.terms[-1][1]) for m, c in x.terms if c.terms[-1][0] == zero]
+              for x in (a, b))
     if len(ra) == len(a.terms) and len(rb) == len(b.terms):
         ab: dict = {}
         for ma, ka in ra:
@@ -255,7 +259,7 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
             k = ab[m]
             if all(mm in ab and [(v, e * k) for v, e in c.terms]
                    == [(v, e * ab[mm]) for v, e in lc.terms] for mm, c in br.terms):
-                return lc.scale(Fraction(1, k))
+                return lc if k == 1 else lc.scale(Fraction(1, k))
     raise ArithmeticError(
         f"bracket of {wa} and {wb} is not a scalar multiple of their product"
     )
@@ -321,17 +325,22 @@ def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, 
 # -- integer linear algebra ---------------------------------------------------
 
 
-def _integer_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as tuples of ints of length ``ncols``.  An entry that is not
-    an integer raises TypeError; a negative ``ncols`` or a row of another
-    length raises ValueError."""
+def _flat_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """The entries of ``rows``, row by row, as one list of ints, and the
+    number of rows, read in one pass.  An entry that is not an integer, or
+    a bool ``ncols``, raises TypeError; a negative ``ncols`` or a row of
+    another length raises ValueError."""
+    if type(ncols) is bool:
+        raise TypeError("'bool' object cannot be interpreted as an integer")
     if index(ncols) < 0:
         raise ValueError(f"ncols must be nonnegative, not {ncols}")
-    out = tuple(tuple(map(index, row)) for row in rows)
-    for row in out:
-        if len(row) != ncols:
+    flat: list[int] = []
+    nrows = 0
+    for nrows, row in enumerate(rows, 1):
+        flat += map(index, row)
+        if len(flat) != nrows * ncols:
             raise ValueError(f"a row has length {len(row)}, not ncols = {ncols}")
-    return out
+    return flat, nrows
 
 
 def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -342,7 +351,8 @@ def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[l
     zero rows come last.  An entry that is not an integer raises TypeError,
     and a row whose length is not ``ncols`` raises ValueError.
     """
-    return _hermite(list(map(list, _integer_rows(rows, ncols))))
+    flat, nrows = _flat_rows(rows, ncols)
+    return _hermite([flat[i * ncols:(i + 1) * ncols] for i in range(nrows)])
 
 
 def _hermite(H: list[list[int]]) -> list[list[int]]:
@@ -375,18 +385,17 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     """Canonical (HNF-reduced) Z-basis of {u in Z^ncols : A u = 0}, as a
     new list.
 
-    The rows are checked (as by :func:`row_hermite_normal_form`) and
-    flattened, row by row, into one tuple key before the process-wide memo
-    is read, so bad input never enters it.  A kernel depends on the integer
-    system alone, and a stratum's Poisson-side rows are exactly its
-    quantized-side rows, so each system is solved once per process,
-    whichever side or instance asks.  The memo keeps the 1024 systems used
-    last; an entry holds nrows * ncols ints of key and at most ncols^2 of
-    basis, which for a stratum of an instance with n pairs and rank r
-    (ncols <= 2n, nrows = ncols * r) is at most 4 n^2 (r + 1) ints.
+    The rows are checked and flattened in one pass, with no tuple per row
+    (as by :func:`row_hermite_normal_form`), into one tuple key before the
+    process-wide memo is read, so bad input never enters it.  A kernel
+    depends on the integer system alone, and a stratum's Poisson-side rows
+    are exactly its quantized-side rows, so each system is solved once per
+    process, whichever side or instance asks.  The memo keeps the 1024
+    systems used last; an entry holds nrows * ncols ints of key and at most
+    ncols^2 of basis, which for a stratum of an instance with n pairs and
+    rank r (ncols <= 2n, nrows = ncols * r) is at most 4 n^2 (r + 1) ints.
     """
-    entries = tuple(chain.from_iterable(_integer_rows(rows, ncols)))
-    return list(_kernel_basis(entries, ncols))
+    return list(_kernel_basis(tuple(_flat_rows(rows, ncols)[0]), ncols))
 
 
 @lru_cache(maxsize=1024)
@@ -437,8 +446,11 @@ class CenterLattice:
         return lattice_contains(self.basis, u)
 
 
-def _square(matrix: Sequence[Sequence], name: str) -> int:
-    """The size of a square ``matrix``; a row of another length raises ValueError."""
+def _square(matrix: Sequence[Sequence], name: str, r: int) -> int:
+    """The size of a square ``matrix`` whose entries have rank ``r``: an
+    ``r`` that is not an int, or a row of another length, raises ValueError."""
+    if type(r) is not int:  # bools, floats and strings are not ranks
+        raise ValueError(f"r = {r!r} must be an int")
     s = len(matrix)
     for row in matrix:
         if len(row) != s:
@@ -451,10 +463,10 @@ def center_lattice(qmatrix: Sequence[Sequence[ExpVec]], r: int) -> CenterLattice
 
     Central monomials w^u are exactly those with sum_j u_j c_{l j} = 0 in
     Z^r for every row l; the system stacks one row per (l, eta-coordinate).
-    A matrix that is not square, or an exponent vector whose length is not
-    ``r``, raises ValueError.
+    A matrix that is not square, an ``r`` that is not an int, or an
+    exponent vector whose length is not ``r``, raises ValueError.
     """
-    s = _square(qmatrix, "qmatrix")
+    s = _square(qmatrix, "qmatrix", r)
     if any(len(v) != r for row in qmatrix for v in row):
         raise ValueError(f"qmatrix holds an exponent vector whose length is not r = {r}")
     rows = [coords for row in qmatrix for coords in zip(*row)]
@@ -465,18 +477,24 @@ def poisson_center_lattice(pmatrix: Sequence[Sequence[MuPoly]], r: int) -> Cente
     """Integer kernel of the mu-form system (independent of the q side).
 
     The condition sum_j u_j d_{l j} = 0 in Q[mu] splits per mu-coordinate
-    into rational linear equations; rows are scaled to integers before the
-    kernel computation.  A matrix that is not square, or a form whose rank
-    is not ``r``, raises ValueError.
+    into rational linear equations, read from the forms by
+    ``MuPoly._linear_row``; a row is scaled by the lcm of its denominators
+    unless that is 1, as for every stratum form.  A matrix that is not
+    square, an ``r`` that is not an int, or a form whose rank is not ``r``,
+    raises ValueError; an entry that is not a MuPoly raises TypeError.
     """
-    s = _square(pmatrix, "pmatrix")
-    if any(f.rank != r for row in pmatrix for f in row):
-        raise ValueError(f"pmatrix holds a form whose rank is not r = {r}")
+    s = _square(pmatrix, "pmatrix", r)
+    for f in chain.from_iterable(pmatrix):
+        if type(f) is not MuPoly:
+            raise TypeError(f"pmatrix entries must be MuPoly forms, not {type(f).__name__}")
+        if f.rank != r:
+            raise ValueError(f"pmatrix holds a form whose rank is not r = {r}")
     rows = []
     for row in pmatrix:
-        for coeffs in zip(*(f._linear_row() for f in row)):
-            denom = lcm(*(c.denominator for c in coeffs))
-            rows.append([c.numerator * (denom // c.denominator) for c in coeffs])
+        for coeffs in zip(*map(MuPoly._linear_row, row)):
+            denom = lcm(*map(_denominator, coeffs))
+            rows.append(coeffs if denom == 1 else
+                        [c.numerator * (denom // c.denominator) for c in coeffs])
     return CenterLattice(s, tuple(integer_kernel(rows, s)))
 
 

@@ -509,7 +509,7 @@ class PbwElement(TermMap):
 
     __slots__ = ()
     params = TermMap.context
-    _z_step = staticmethod(lambda params, k: 1)
+    _z_step = classmethod(lambda cls, params, k: cls.scalar_type.constant(params.r, 1))
     mismatch_error = ParamsMismatchError
     mismatch_message = "elements belong to different instances"
 
@@ -570,18 +570,19 @@ class PbwElement(TermMap):
 
     @classmethod
     def z(cls, params: WeylParams, i: int):
-        """z_i = 1 + sum_{k<=i} g_k y_k x_k, g_k = ``_z_step(params, k)``; z_0 = 1."""
+        """z_i = 1 + sum_{k<=i} g_k y_k x_k, g_k = ``_z_step(params, k)``; z_0 = 1.
+        Its terms are built in the class order (1, then y_k x_k for k
+        ascending) with stored coefficients, so they need no constructor pass."""
         if type(i) is not int:
             raise ValueError(f"z index {i!r} must be an int")
         if not 0 <= i <= params.n:
             raise ValueError(f"z index {i} out of range 0..{params.n}")
-        terms = [((0,) * (2 * params.n), 1)]
+        terms = [((0,) * (2 * params.n), cls.scalar_type.constant(params.r, 1))]
         for k in range(1, i + 1):
             m = [0] * (2 * params.n)
-            m[pos_y(k)] = 1
-            m[pos_x(k)] = 1
+            m[pos_y(k)] = m[pos_x(k)] = 1
             terms.append((tuple(m), cls._z_step(params, k)))
-        return cls(params, terms)
+        return cls._canonical(params, terms)
 
     # -- structure ------------------------------------------------------------
 

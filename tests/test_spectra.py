@@ -275,6 +275,8 @@ def test_lattice_functions_reject_non_integers():
         lambda: integer_kernel([[half, 1]], 2),
         lambda: integer_kernel([[1, 2.0]], 2),
         lambda: integer_kernel([[1, 2]], 2.0),
+        lambda: integer_kernel([[5]], True),  # not ncols = 1: [5] has only u = 0
+        lambda: row_hermite_normal_form([[5]], True),
         lambda: lattice_contains(((1, 0),), (half, 0)),
         lambda: CenterLattice(2, ((1, 0),)).contains((0.5, 0)),
     ]
@@ -324,13 +326,62 @@ def test_lattice_functions_reject_malformed_systems(call, message):
     (lambda: center_lattice([[(0,), (1,)]], 1), "qmatrix is not square"),
     (lambda: poisson_center_lattice([[MuPoly.linear((1,))]], 2), "rank is not r = 2"),
     (lambda: poisson_center_lattice([[MuPoly.zero(1)], []], 1), "pmatrix is not square"),
+    (lambda: center_lattice([[(0, 0)]], 2.0), r"^r = 2\.0 must be an int$"),
+    (lambda: center_lattice([[(0,)]], True), "^r = True must be an int$"),
+    (lambda: center_lattice([[(0,)]], "1"), "^r = '1' must be an int$"),
+    (lambda: poisson_center_lattice([[MuPoly.zero(1)]], 1.0), r"^r = 1\.0 must be an int$"),
 ])
 def test_center_lattices_check_their_matrix(call, message):
-    """The ``r`` passed beside a matrix must be the length of every exponent
-    vector (the rank of every form), and the matrix must be square, or
-    ValueError: [[(0, 1)]] has only u = 0 in its kernel, not rank 1."""
-    with pytest.raises(ValueError, match=message):
+    """The ``r`` passed beside a matrix must be an int and the length of
+    every exponent vector (the rank of every form), and the matrix must be
+    square, or ValueError: [[(0, 1)]] has only u = 0 in its kernel, not
+    rank 1, and r = 2.0 or True is not a rank.  The error is one line, and
+    the kernel memo is never read or filled."""
+    before = spectra._kernel_basis.cache_info()
+    with pytest.raises(ValueError, match=message) as info:
         call()
+    assert "\n" not in str(info.value)
+    assert spectra._kernel_basis.cache_info() == before
+
+
+@pytest.mark.parametrize("entry", [QTScalar.constant(1, 0), QTScalar.monomial((1,)), 0])
+def test_poisson_center_lattice_takes_only_forms(entry):
+    """A Poisson matrix entry that is not a MuPoly raises a one-line
+    TypeError naming its type, before any row is read."""
+    before = spectra._kernel_basis.cache_info()
+    name = type(entry).__name__
+    for pm in ([[entry]], [[MuPoly.zero(1), entry], [entry, MuPoly.zero(1)]]):
+        with pytest.raises(TypeError, match=f"^pmatrix entries must be MuPoly forms, not {name}$"):
+            poisson_center_lattice(pm, 1)
+    assert spectra._kernel_basis.cache_info() == before
+
+
+def test_poisson_center_lattice_scales_rational_rows():
+    """Forms with denominators (none on a stratum, whose forms are
+    integral) have each row scaled by the lcm of its denominators: the
+    lattice is the integer kernel of the rows scaled by hand, and differs
+    from the kernel of the numerators alone."""
+    def mu(*coeffs):
+        return MuPoly.linear(tuple(map(Fraction, coeffs)))
+
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    zero1, zero2 = MuPoly.zero(1), MuPoly.zero(2)
+    pm1 = [[zero1, mu(half), mu(-third)],
+           [mu(-half), zero1, zero1],
+           [mu(third), zero1, zero1]]
+    rows1 = [[0, 3, -2], [-1, 0, 0], [1, 0, 0]]  # times 6, 2 and 3
+    # the mu_1 coordinate has denominators 2, 3 and 6, the mu_2 one none
+    pm2 = [[zero2, mu(half, 3), mu(third, 2)],
+           [mu(-half, -3), zero2, mu(sixth, 1)],
+           [mu(-third, -2), mu(-sixth, -1), zero2]]
+    rows2 = [[0, 3, 2], [0, 3, 2], [-3, 0, 1], [-3, 0, 1], [-2, -1, 0], [-2, -1, 0]]
+    for pm, r, rows, basis, numerators in [(pm1, 1, rows1, ((0, 2, 3),), ((0, 1, 1),)),
+                                           (pm2, 2, rows2, ((1, -2, 3),), ())]:
+        assert integer_kernel(rows, 3) == list(basis)
+        assert poisson_center_lattice(pm, r) == CenterLattice(3, basis)
+        tops = [[c.numerator for c in coeffs] for row in pm
+                for coeffs in zip(*(f.linear_coefficients() for f in row))]
+        assert tuple(integer_kernel(tops, 3)) == numerators != basis
 
 
 def test_kernel_memo_solves_each_stratum_system_once():
@@ -861,6 +912,22 @@ def test_torus_check_is_exact_not_modulo_the_ideal(monkeypatch):
 
     monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
     assert not check_torus_relations(fresh(params), T)
+
+
+def test_table_fill_divides_no_form_by_one(monkeypatch):
+    """Every ordered pair of an instance's stratum generators is bracketed
+    once, and where ab[m] is 1, as on every pair here, d is the bracket's
+    leading coefficient itself: filling the forms of all 20 strata of an
+    n = 3 instance brackets its 52 pairs and scales no MuPoly."""
+    params = random_params(random.Random(3), 3, 2)
+    scaled, brackets, right = [], [], spectra.pb_bracket
+    scale = MuPoly.scale
+    monkeypatch.setattr(MuPoly, "scale", lambda self, c: scaled.append(c) or scale(self, c))
+    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: brackets.append(1) or right(a, b))
+    tables = [torus_matrix_p(params, T) for T in enumerate_admissible(3)]
+    assert (len(tables), len(brackets), scaled) == (20, 52, [])
+    for T, table in zip(enumerate_admissible(3), tables):
+        assert table == tuple(tuple(map(MuPoly.linear, row)) for row in torus_matrix_q(params, T))
 
 
 @pytest.mark.parametrize("factor", [2, Fraction(-1, 3)])

@@ -4,6 +4,7 @@ import operator
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -566,11 +567,12 @@ def test_closed_form_factors_are_built_once_per_block_call(params3, monkeypatch)
 
 
 def test_results_equal_their_validated_rebuild():
-    """Products, commutators and brackets assemble their terms straight in
-    canonical form, past the validating constructor; rebuilding each result
-    and its coefficients through the constructors gives the same terms in
-    the same order, every coefficient an int or a non-integral Fraction.
-    Seeded, n <= 3, for all four element classes."""
+    """Products, commutators, brackets and z images assemble their terms
+    straight in canonical form, past the validating constructor; rebuilding
+    each result and its coefficients through the constructors gives the
+    same terms in the same order, every coefficient an int or a
+    non-integral Fraction.  Seeded, n <= 3, for all four element classes,
+    and z_0 .. z_n for n <= 4, r <= 3 in the three classes that have them."""
     coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
 
     def check(*results):
@@ -596,6 +598,10 @@ def test_results_equal_their_validated_rebuild():
                                       QTScalar.monomial((rng.randint(-2, 2),), rng.choice(coeffs)))
                                      for _ in range(4)]) for _ in range(2))
         check(a * b, wa_commutator(a, b))
+    for n, r in product(range(1, 5), range(1, 4)):
+        p = random_params(random.Random(4 * n + r), n, r)
+        check(*(cls.z(p, i) for cls in (WeylElement, MaltsiniotisElement, PoissonElement)
+                for i in range(n + 1)))
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
