@@ -376,13 +376,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the instance of the last call on an instance; a later call on an equal
-# config reuses its engines and memos, each entry a function of the instance
+# the instance of the last call on an instance; a call on a config of the same repr (which,
+# unlike ==, tells 1, 1.0 and True apart) builds nothing and reuses it with its memos
 _held: WeylParams | None = None
+_held_key: str | None = None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    global _held
+    global _held, _held_key
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -394,9 +395,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = config = None
         if command.on_instance:
             config = load_config(args.config)
-            params = params_from_config(config)
-            if params != _held:
-                _held = params
+            key = repr(config)
+            if _held is None or key != _held_key:
+                _held, _held_key = params_from_config(config), key
             params = _held
             record["instance"] = {
                 "n": params.n,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from operator import add, lshift
 
-from .scalars import MuPoly, exact_quotients, vec_add, vec_neg
+from .scalars import MuPoly, _coefficient, exact_quotients, vec_add, vec_neg
 from .weyl import MaltsiniotisElement, PbwElement, WeylElement, WeylParams, wa_commutator
 
 
@@ -163,14 +163,16 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
 
 
 def gamma1(a: WeylElement) -> PoissonElement:
-    """Classical limit map: same monomials, coefficients evaluated at t=1."""
+    """Classical limit map: same monomials, coefficients evaluated at t=1.
+    Built as stored: a's monomials in order, less those whose value at t=1
+    (``eval_one``, the sum of the eta-coefficients) is 0, in stored form."""
     if type(a) is not WeylElement:  # a rescaled Y_i = (q_i - 1)^{-1} y_i has no limit
         raise TypeError(f"gamma1 takes a WeylElement, not a {type(a).__name__}")
-    params = a.params
-    return PoissonElement(
-        params,
-        [(m, MuPoly.constant(params.r, c.eval_one())) for m, c in a.terms],
-    )
+    r = a.params.r
+    one = (0,) * r
+    return PoissonElement._canonical(a.params, [
+        (m, MuPoly._canonical(r, [(one, _coefficient(v))])) for m, c in a.terms
+        if (v := sum([k for _, k in c.terms]))])
 
 
 def semiclassical_bracket(a: WeylElement, b: WeylElement) -> PoissonElement:

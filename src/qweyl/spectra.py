@@ -325,22 +325,29 @@ def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, 
 # -- integer linear algebra ---------------------------------------------------
 
 
+def _ints(values: list) -> list[int]:
+    """``values`` with every entry an int; a non-integer entry, a bool too, raises TypeError."""
+    if {int}.issuperset(map(type, values)):  # the common case: no index call
+        return values
+    if bool in set(map(type, values)):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return list(map(index, values))
+
+
 def _flat_rows(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
     """The entries of ``rows``, row by row, as one list of ints, and the
-    number of rows, read in one pass.  An entry that is not an integer, or
+    number of rows.  An entry that is not an integer (a bool included), or
     a bool ``ncols``, raises TypeError; a negative ``ncols`` or a row of
     another length raises ValueError."""
-    if type(ncols) is bool:
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    if index(ncols) < 0:
+    if _ints([ncols])[0] < 0:
         raise ValueError(f"ncols must be nonnegative, not {ncols}")
-    flat: list[int] = []
+    flat: list = []
     nrows = 0
     for nrows, row in enumerate(rows, 1):
-        flat += map(index, row)
+        flat += row
         if len(flat) != nrows * ncols:
             raise ValueError(f"a row has length {len(row)}, not ncols = {ncols}")
-    return flat, nrows
+    return _ints(flat), nrows
 
 
 def row_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -385,7 +392,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     """Canonical (HNF-reduced) Z-basis of {u in Z^ncols : A u = 0}, as a
     new list.
 
-    The rows are checked and flattened in one pass, with no tuple per row
+    The rows are flattened with no tuple per row and their entries checked
     (as by :func:`row_hermite_normal_form`), into one tuple key before the
     process-wide memo is read, so bad input never enters it.  A kernel
     depends on the integer system alone, and a stratum's Poisson-side rows
@@ -410,8 +417,9 @@ def _kernel_basis(entries: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...]
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], u: Sequence[int]) -> bool:
-    """Membership of u in the Z-span of an HNF basis (greedy reduction)."""
-    v = list(map(index, u))
+    """Membership of u in the Z-span of an HNF basis (greedy reduction).
+    An entry of u that is not an integer, a bool included, raises TypeError."""
+    v = _ints(list(u))
     for row in basis:
         if len(row) != len(v):
             raise ValueError(f"vector has length {len(v)}, basis rows have length {len(row)}")

@@ -606,7 +606,15 @@ class WeylElement(PbwElement):
     _engine = staticmethod(lambda params: params.engine)  # what straightens products
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        params = self.params
+        """Straightened by the class's engine; a scalar operand (one constant
+        term) is central and scales the other's coefficients in place: over a
+        domain, the monomials, their order and their count stay."""
+        params, ta, tb = self.params, self.terms, other.terms
+        if len(ta) == 1 and not any(ta[0][0]):
+            ta, tb = tb, ta
+        if len(tb) == 1 and not any(tb[0][0]):
+            c = tb[0][1]
+            return self._canonical(params, [(m, cc * c) for m, cc in ta])
         return self._canonical(params, self._order(
             self._engine(params).mul_terms(self.terms, other.terms).items()))
 

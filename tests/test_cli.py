@@ -550,6 +550,39 @@ def test_calls_on_one_config_share_an_instance(monkeypatch, capsys):
     assert builtin() is None
 
 
+def test_held_instance_is_matched_by_type(tmp_path, capsys):
+    """A held instance is reused only for a config of the same text: one
+    with "n": true or a q exponent 1.0, equal to the held config under ==,
+    is still checked and refused, and the refusal leaves the held instance
+    in place; a config that differs in lambda_exponents gets its own."""
+    def write(name, config):
+        path = tmp_path / name
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    base = {"n": 1, "r": 1, "q_exponents": [[1]], "lambda_exponents": [[[0]]]}
+    ok = write("base.json", base)
+    assert run(capsys, "--config", ok, "nf", "x1*y1")[0] == 0
+    held = cli._held
+    for name, change, message in (
+        ("bool.json", {"n": True}, "config field 'n' must be an integer, got True"),
+        ("float.json", {"q_exponents": [[1.0]]},
+         "config field 'q_exponents[0][0]' must be an integer, got 1.0"),
+    ):
+        assert run(capsys, "--config", write(name, {**base, **change}), "nf", "x1") == (
+            2, "", f"error: {message}\n")
+        assert cli._held is held
+    assert run(capsys, "--config", ok, "nf", "x1")[0] == 0 and cli._held is held
+
+    lexp = [[[0, 0], [0, 0]], [[0, 1], [-1, 0]]]  # lambda_12 = eta_2, not eta_1
+    other = write("other.json", {**cli.DEFAULT_CONFIG, "lambda_exponents": lexp})
+    default = run(capsys, "nf", "x2*x1")
+    held = cli._held
+    assert run(capsys, "--config", other, "nf", "x2*x1") != default
+    assert cli._held is not held
+    assert cli._held == cli.params_from_config({**cli.DEFAULT_CONFIG, "lambda_exponents": lexp})
+
+
 def test_failed_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "semiclassical_bracket", lambda a, b: a)
     code, out, _ = run(capsys, "--json", "scl", "x1", "y1")

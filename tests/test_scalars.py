@@ -349,17 +349,25 @@ def test_powers_reject_bools(params2):
 
 
 def test_powers_square_and_multiply(params2, monkeypatch):
-    products = []
-    mul_terms = StraighteningEngine.mul_terms
+    """At most 30 products for a 20000th power, counted at ``_product``:
+    a power of a scalar reaches no engine."""
+    calls = {"_product": 0, "mul_terms": 0}
 
-    def counting(self, ta, tb):
-        products.append(1)
-        return mul_terms(self, ta, tb)
+    def counting(cls, name):
+        inner = getattr(cls, name)
 
-    monkeypatch.setattr(StraighteningEngine, "mul_terms", counting)
+        def count(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(cls, name, count)
+
+    counting(WeylElement, "_product")
+    counting(StraighteningEngine, "mul_terms")
     two, y1 = WeylElement.scalar(params2, 2), WeylElement.generator(params2, "y", 1)
     for a, expected in ((two, WeylElement.scalar(params2, 2 ** 20000)),
                         (y1, WeylElement.monomial(params2, (20000, 0, 0, 0)))):
-        products.clear()
+        calls.update(_product=0, mul_terms=0)
         assert a ** 20000 == expected
-        assert 0 < len(products) <= 30
+        assert 0 < calls["_product"] <= 30
+        # a scalar's products only scale; a generator's all straighten
+        assert calls["mul_terms"] == (0 if a is two else calls["_product"])

@@ -265,8 +265,9 @@ def test_lattice_membership_rejects_wrong_length():
 
 def test_lattice_functions_reject_non_integers():
     """A rational or float entry raises TypeError instead of being truncated:
-    the kernel of [1/2, 1] is spanned by (2, -1), not by (1, 0).  The
-    kernel memo is never read or filled."""
+    the kernel of [1/2, 1] is spanned by (2, -1), not by (1, 0).  A bool
+    entry raises it too instead of being read as 0 or 1.  The kernel memo
+    is never read or filled."""
     half = Fraction(1, 2)
     before = spectra._kernel_basis.cache_info()
     calls = [
@@ -279,6 +280,11 @@ def test_lattice_functions_reject_non_integers():
         lambda: row_hermite_normal_form([[5]], True),
         lambda: lattice_contains(((1, 0),), (half, 0)),
         lambda: CenterLattice(2, ((1, 0),)).contains((0.5, 0)),
+        lambda: integer_kernel([[True, 2]], 2),
+        lambda: integer_kernel([[1, 2], [3, False]], 2),
+        lambda: row_hermite_normal_form([[True, False]], 2),
+        lambda: lattice_contains(((1, 0),), (0, False)),
+        lambda: CenterLattice(2, ((1, 0),)).contains((True, 0)),
     ]
     for call in calls:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):

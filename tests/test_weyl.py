@@ -567,12 +567,13 @@ def test_closed_form_factors_are_built_once_per_block_call(params3, monkeypatch)
 
 
 def test_results_equal_their_validated_rebuild():
-    """Products, commutators, brackets and z images assemble their terms
-    straight in canonical form, past the validating constructor; rebuilding
-    each result and its coefficients through the constructors gives the
-    same terms in the same order, every coefficient an int or a
-    non-integral Fraction.  Seeded, n <= 3, for all four element classes,
-    and z_0 .. z_n for n <= 4, r <= 3 in the three classes that have them."""
+    """Products (by a scalar too), commutators, brackets, gamma1 and z images
+    assemble their terms straight in canonical form, past the validating
+    constructor; rebuilding each result and its coefficients through the
+    constructors gives the same terms in the same order, every coefficient
+    an int or a non-integral Fraction.  Seeded, n <= 3, for all four element
+    classes, and z_0 .. z_n for n <= 4, r <= 3 in the three classes that
+    have them."""
     coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
 
     def check(*results):
@@ -591,7 +592,10 @@ def test_results_equal_their_validated_rebuild():
         p = random_params(rng, rng.randint(1, 3), rng.randint(1, 3))
         for cls in (WeylElement, MaltsiniotisElement):
             a, b = (cls(p, random_weyl(rng, p, 3, 4).terms) for _ in range(2))
-            check(a * b, wa_commutator(a, b), (a + b) ** 2)
+            s = cls.scalar(p, random_weyl(rng, p, 0, 2).terms[0][1])
+            check(a * b, wa_commutator(a, b), (a + b) ** 2, s * a, b * s, s * s)
+        a, b, s = (WeylElement(p, x.terms) for x in (a, b, s))
+        check(gamma1(a), gamma1((a - b) * (b - s)), gamma1(wa_commutator(a, b)))
         a, b = poisson(rng, p), poisson(rng, p)
         check(pb_bracket(a, b), a * b)
         a, b = (PlaneElement(PLANE, [((rng.randint(0, 3), rng.randint(0, 3)),
@@ -602,6 +606,37 @@ def test_results_equal_their_validated_rebuild():
         p = random_params(random.Random(4 * n + r), n, r)
         check(*(cls.z(p, i) for cls in (WeylElement, MaltsiniotisElement, PoissonElement)
                 for i in range(n + 1)))
+
+
+def test_scalar_operands_scale_as_the_engine_straightens(params2, monkeypatch):
+    """A product with a scalar operand, one term on the constant monomial,
+    on either side, reaches no engine and equals what the class's engine
+    returns for the same pair, terms, order and coefficient types included.
+    For the three classes with an engine: a rational, an eta-monomial, a
+    multi-term scalar (eta^[1,0] - 1), scalar times scalar, and zero."""
+    mul_terms, calls = StraighteningEngine.mul_terms, []
+    monkeypatch.setattr(StraighteningEngine, "mul_terms",
+                        lambda self, ta, tb: calls.append(1) or mul_terms(self, ta, tb))
+
+    def typed(terms):
+        return [(m, [(v, type(k), k) for v, k in c.terms]) for m, c in terms]
+
+    pairs = [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (2, 1, 0, 0)]
+    for cls, p, monos in ((WeylElement, params2, pairs), (MaltsiniotisElement, params2, pairs),
+                          (PlaneElement, PLANE, [(0, 0), (1, 0), (0, 2), (2, 1)])):
+        eta = QTScalar.monomial((1,) + (0,) * (p.r - 1))
+        two_terms = QTScalar(p.r, [((1,) * p.r, 3), ((0,) * p.r, 1)])
+        coeffs = [Fraction(2, 3), eta * Fraction(-3, 2), two_terms, 1]
+        element = cls(p, list(zip(monos, coeffs)))
+        scalars = [cls.scalar(p, c) for c in (Fraction(3, 4), eta * Fraction(3, 2), eta - 1)]
+        for s in scalars:
+            for a, b in [(s, element), (element, s), (s, cls.zero(p)), (cls.zero(p), s)] + [
+                    (s, t) for t in scalars]:
+                calls.clear()
+                got = a * b
+                assert not calls
+                want = a._order(mul_terms(a._engine(p), a.terms, b.terms).items())
+                assert typed(got.terms) == typed(want), (cls, a, b)
 
 
 def test_memos_stay_within_their_limit(params3, monkeypatch):
