@@ -352,14 +352,28 @@ COMMANDS = {
     ),
 }
 
-USAGE_ERRORS = (ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
+
+class _ArgvError(ValueError):
+    """A malformed command line, with argparse's one-line message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``main`` reports them as
+    one line or one record instead of the usage block; the subcommands'
+    parsers are of the same class.  ``-h`` still prints its help and exits."""
+
+    def error(self, message: str):
+        raise _ArgvError(message)
+
+
+USAGE_ERRORS = (_ArgvError, ConfigError, ExprSyntaxError, ExprEvalError, RankMismatchError,
                 LocalizationRequiredError, DigitLimitError)
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser for every command in ``COMMANDS``, built on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qweyl",
         description="Exact computations in multi-parameter quantized Weyl "
         "algebras and their Poisson limits.",
@@ -384,14 +398,13 @@ _held_key: str | None = None
 
 def main(argv: Sequence[str] | None = None) -> int:
     global _held, _held_key
+    # filled as far as parsing gets: --json and the command come before
+    # their arguments, so a malformed command line finds them set if read
+    args = argparse.Namespace(json=False, command=None)
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-
-    command = COMMANDS[args.command]
-    record = {"command": args.command}
-    try:
+        _parser().parse_args(argv, args)
+        command = COMMANDS[args.command]
+        record = {"command": args.command}
         params = config = None
         if command.on_instance:
             config = load_config(args.config)
@@ -408,6 +421,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         fields, lines = command.handler(args, params, config)
         record.update(fields)
         code = VERIFY_ERROR if any(not c["passed"] for c in record.get("checks", ())) else 0
+    except SystemExit as exc:  # -h, after printing its help
+        return USAGE_ERROR if exc.code not in (0, None) else 0
     except USAGE_ERRORS as exc:
         record, code = {"command": args.command, "error": str(exc)}, USAGE_ERROR
     except Exception as exc:  # anything else is a defect; exit 1 keeps meaning "a check failed"

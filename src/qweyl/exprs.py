@@ -10,10 +10,16 @@ Grammar (whitespace-insensitive, LL(1)):
     GEN     := ('y' | 'x' | 'z') digits      -- y1..yn, x1..xn, z0..zn
     ETA     := 'eta' '^' '[' INT (',' INT)* ']'
 
-One evaluator folds the tree, with the leaves of the quantized algebra
-(:func:`eval_weyl`; ``z_i`` = 1 + sum_{k<=i} y_k x_k) or of the rescaled
-presentation (:func:`eval_rescaled`; ``y_i`` is Y_i = (q_i - 1)^{-1} y_i
-and ``z_i`` = 1 + sum_{k<=i} (q_k - 1) Y_k x_k).
+The tokenizer emits plain ``(kind, text, line, col)`` tuples, which the
+recursive-descent parser reads by position; the tree it builds is made of
+the frozen node classes below.  One evaluator folds the tree, with the
+leaves of the quantized algebra (:func:`eval_weyl`; ``z_i`` = 1 +
+sum_{k<=i} y_k x_k) or of the rescaled presentation (:func:`eval_rescaled`;
+``y_i`` is Y_i = (q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1)
+Y_k x_k).  Every leaf is checked against the instance; a generator leaf is
+then read from the instance's ``atoms`` table, keyed by element class and
+leaf, which builds each one once, and a number or eta monomial is built as
+a scalar element.
 """
 
 from __future__ import annotations
@@ -94,26 +100,18 @@ Expression = Num | Gen | EtaMono | Neg | Pow | Mul | Add
 # -- tokenizer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 # a rational literal (a '/' without digits after it is malformed), and a
 # name with the digits that follow it
 _NUMBER = re.compile(r"[0-9]+(/[0-9]*)?")
 _SYMBOL = re.compile(r"([A-Za-z]+)([0-9]*)")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
     if not text.isascii():  # the grammar is ASCII, so no '²' or '١' is read as a digit
         i = next(i for i, ch in enumerate(text) if not ch.isascii())
         line, col = text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
         raise ExprSyntaxError(f"unexpected character {text[i]!r}", line, col)
-    tokens: list[_Token] = []
+    tokens = []
     line, col = 1, 1
     i = 0
     while i < len(text):
@@ -144,10 +142,10 @@ def _tokenize(text: str) -> list[_Token]:
             kind, j = ch, i + 1
         else:
             raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(kind, text[i:j], line, col))
+        tokens.append((kind, text[i:j], line, col))
         col += j - i
         i = j
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(("end", "", line, col))
     return tokens
 
 
@@ -162,83 +160,82 @@ MAX_NESTING = 200
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over (kind, text, line, col) tokens; an error at a
+    token reports its line and column, ``tok[2:]``."""
+
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            raise ExprSyntaxError(f"expected {kind!r}, found {found!r}", *tok[2:])
         self.pos += 1
         return tok
 
     def parse(self) -> Expression:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise ExprSyntaxError(f"trailing input {tok[1]!r}", *tok[2:])
         return e
 
     def expr(self) -> Expression:
         terms = [self.term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.take(self.peek().kind)
-            terms.append(Neg(self.term()) if op.kind == "-" else self.term())
+        while (kind := self.peek()) in ("+", "-"):
+            self.take(kind)
+            terms.append(Neg(self.term()) if kind == "-" else self.term())
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expression:
         factors = [self.factor()]
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take("*")
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self) -> Expression:
         negs = 0
-        while self.peek().kind == "-":
+        while self.peek() == "-":
             self.take("-")
             negs += 1
         node = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take("^")
-            tok = self.take("number")
-            if "/" in tok.text:
-                raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
-            node = Pow(node, _number(int, tok.text, tok))
+            node = Pow(node, self._int(self.take("number")))
         # only the parity of a run of signs matters
         return Neg(node) if negs % 2 else node
 
     def atom(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "number":
+        tok = self.tokens[self.pos]
+        kind, text, line, col = tok
+        if kind == "number":
             self.take("number")
-            return Num(_number(Fraction, tok.text, tok))
-        if tok.kind == "gen":
+            return Num(_number(Fraction, text, tok))
+        if kind == "gen":
             self.take("gen")
-            return Gen(tok.text[0], _number(int, tok.text[1:], tok), tok.line, tok.col)
-        if tok.kind == "eta":
+            return Gen(text[0], _number(int, text[1:], tok), line, col)
+        if kind == "eta":
             self.take("eta")
             self.take("^")
             self.take("[")
             exps = [self._int_entry()]
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.take(",")
                 exps.append(self._int_entry())
             self.take("]")
-            return EtaMono(tuple(exps), tok.line, tok.col)
-        if tok.kind == "(":
+            return EtaMono(tuple(exps), line, col)
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+                    f"parentheses nested deeper than {MAX_NESTING} levels", line, col
                 )
             self.take("(")
             self.depth += 1
@@ -246,30 +243,32 @@ class _Parser:
             self.depth -= 1
             self.take(")")
             return e
-        raise ExprSyntaxError(
-            f"expected a value, found {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
+        raise ExprSyntaxError(f"expected a value, found {text or 'end of input'!r}", line, col)
 
     def _int_entry(self) -> int:
         sign = 1
-        while self.peek().kind == "-":
+        while self.peek() == "-":
             self.take("-")
             sign = -sign
-        tok = self.take("number")
-        if "/" in tok.text:
-            raise ExprSyntaxError("exponent must be an integer", tok.line, tok.col)
-        return sign * _number(int, tok.text, tok)
+        return sign * self._int(self.take("number"))
+
+    @staticmethod
+    def _int(tok: tuple) -> int:
+        """The integer a number token holds; a rational is an error there."""
+        if "/" in tok[1]:
+            raise ExprSyntaxError("exponent must be an integer", *tok[2:])
+        return _number(int, tok[1], tok)
 
 
-def _number(convert, text: str, tok: _Token):
+def _number(convert, text: str, tok: tuple):
     """``convert(text)`` for a number in ``tok``, its failures syntax errors there."""
     try:
         return convert(text)
     except ZeroDivisionError:
-        raise ExprSyntaxError("zero denominator", tok.line, tok.col) from None
+        raise ExprSyntaxError("zero denominator", *tok[2:]) from None
     except ValueError:
         raise ExprSyntaxError(
-            f"number with more than {sys.get_int_max_str_digits()} digits", tok.line, tok.col
+            f"number with more than {sys.get_int_max_str_digits()} digits", *tok[2:]
         ) from None
 
 
@@ -289,6 +288,10 @@ def _check_atom(node: Num | Gen | EtaMono, params: WeylParams) -> None:
                 f"eta exponent vector has length {len(node.exponents)}, expected "
                 f"{params.r} (line {node.line}, column {node.col})"
             )
+    elif isinstance(node, Gen) and type(node.index) is not int:  # a bool would key as 0 or 1
+        raise ExprEvalError(
+            f"generator index {node.index!r} must be an int (line {node.line}, column {node.col})"
+        )
     elif isinstance(node, Gen) and node.kind == "z":
         if not 0 <= node.index <= params.n:
             raise ExprEvalError(
@@ -326,8 +329,11 @@ def _evaluate(node: Expression, params: WeylParams, atom):
 
 
 def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -> WeylElement:
-    if isinstance(leaf, Gen):
-        return cls.generator(params, leaf.kind, leaf.index)
+    if isinstance(leaf, Gen):  # checked, so the key is one of the 3n + 1 leaves of ``cls``
+        key = (cls, leaf.kind, leaf.index)
+        if (out := params.atoms.get(key)) is None:
+            out = params.atoms[key] = cls.generator(params, leaf.kind, leaf.index)
+        return out
     return cls.scalar(params, leaf.value if isinstance(leaf, Num)
                       else QTScalar.monomial(leaf.exponents))
 

@@ -431,17 +431,13 @@ class QTScalar(SparseScalar):
 
         Since each eta_i takes the value 1 there, the product rule gives
         ``d/dt eta^v |_1 = v_1 mu_1 + ... + v_r mu_r``; the result is always
-        mu-linear.
+        mu-linear.  Built in stored form: the unit vectors e_{r-1} < ... < e_0
+        in tuple order, each with its nonzero sum of ``c * v_i``.
         """
-        return MuPoly(
-            self.rank,
-            [
-                (unit_vec(self.rank, i), c * e)
-                for v, c in self.terms
-                for i, e in enumerate(v)
-                if e
-            ],
-        )
+        rank, terms = self.rank, self.terms
+        return MuPoly._canonical(rank, [
+            (unit_vec(rank, i), _coefficient(d)) for i in range(rank - 1, -1, -1)
+            if (d := sum([c * v[i] for v, c in terms]))])
 
     def limit_div(self) -> "MuPoly":
         """Exact value of ``self / (t - 1)`` at ``t = 1``.
@@ -482,9 +478,6 @@ class MuPoly(SparseScalar):
             if not any(v):
                 return Fraction(c)
         return Fraction(0)
-
-    def is_constant(self) -> bool:
-        return all(not any(v) for v, _ in self.terms)
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector (c_1 .. c_r) of a mu-linear form without

@@ -640,6 +640,32 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert json.loads(out)["seed"] == cli.DEFAULT_SEED
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["nf"], "nf", "the following arguments are required: expr"),
+    ([], None, "the following arguments are required: command"),
+    # how the choices print differs between Python versions
+    (["frobnicate", "x1"], None, "argument command: invalid choice: 'frobnicate' (choose from "),
+    (["admissible", "x"], "admissible", "argument n: invalid int value: 'x'"),
+    (["nf", "x1", "x2"], "nf", "unrecognized arguments: x2"),
+])
+def test_usage_errors_are_one_line(capsys, argv, command, message):
+    """A malformed command line is one ``error:`` line on stderr, or with
+    ``--json`` one record on stdout whose command is null when the command
+    itself is bad; both exit 2, and no usage block is printed."""
+    code, out, line = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert line.startswith(f"error: {message}") and line.count("\n") == 1 and line.endswith("\n")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"command": command, "error": line[len("error: "):-1]}
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    for argv in (["-h"], ["nf", "-h"], ["--json", "scl", "-h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: qweyl ")
+
+
 def _cli_env() -> dict:
     """The environment for running the CLI from this checkout in a subprocess."""
     env = dict(os.environ)

@@ -30,12 +30,14 @@ from qweyl import (  # noqa: E402
     SpecializedAlgebra,
     WeylElement,
     WeylParams,
+    cli,
     integer_kernel,
 )
 from qweyl.cli import DEFAULT_CONFIG, concrete_from_config, params_from_config  # noqa: E402
 from qweyl.scalars import vec_add  # noqa: E402
 from qweyl.spectra import lattice_contains  # noqa: E402
 from qweyl.suites import random_params  # noqa: E402
+from qweyl.weyl import StraighteningEngine  # noqa: E402
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
@@ -271,6 +273,23 @@ def test_memos_after_widening_match_the_oracle(params3):
     for a, b in (ordinary, (big, ordinary[1]), ordinary, (ordinary[0], big)):
         assert engine_product(a, b) == oracle_product(a, b)
     assert engine._half > 2**70
+
+
+def test_width_guard_at_its_edge(capsys):
+    """A product whose width bound equals ``_half`` widens the fields first.
+    On the built-in config, x2 * (eta^[2046,0]*y1) has A = 2046, growth
+    M = 2 and D = 2, so the bound A + M D(D - 1)/2 is 2048, which is
+    ``_half`` at ``MIN_BITS``; the result's exponent 2048 would wrap to -2048
+    in a 12-bit field.  The product matches the oracle, and ``nf`` prints it."""
+    params = params_from_config(DEFAULT_CONFIG)
+    engine = params.engine
+    assert engine._half == 1 << (StraighteningEngine.MIN_BITS - 1) == 2048
+    x2 = WeylElement.generator(params, "x", 2)
+    b = monomial_element(params, ((1, 0, 0, 0), (2046, 0), 1))
+    assert engine_product(x2, b) == oracle_product(x2, b) == {(1, 0, 0, 1): (((2048, 0), 1),)}
+    assert engine._half > 2048
+    assert cli.main(["nf", "x2*(eta^[2046,0]*y1)"]) == 0
+    assert capsys.readouterr().out == "eta^[2048,0]*y1*x2\n"
 
 
 # -- the printed form read back by the oracle's grammar ---------------------------

@@ -9,8 +9,10 @@ import pytest
 from qweyl import (
     ExprEvalError,
     ExprSyntaxError,
+    MaltsiniotisElement,
     QTScalar,
     WeylElement,
+    eval_rescaled,
     eval_weyl,
     parse_expr,
     wa_z,
@@ -87,6 +89,32 @@ def test_unknown_index(params2):
         ev("z9", params2)
     with pytest.raises(ExprEvalError):
         ev("eta^[1]", params2)
+
+
+def test_atom_table_is_bounded_and_keyed_by_class(params3):
+    """The generator leaves are built once per instance and class, so the
+    table holds at most 2(3n + 1) entries, and a rescaled z_i (1 + sum
+    (q_k - 1) Y_k x_k) is never served to ``eval_weyl``.  Every leaf is still
+    checked, so a bad one raises its one-line message with its position."""
+    leaves = " + ".join(f"{k}{i}" for k in "yx" for i in range(1, 4)) + " + z0 + z1 + z2 + z3"
+    for _ in range(2):
+        for evaluate in (eval_rescaled, eval_weyl):
+            evaluate(parse_expr(leaves), params3)
+    assert len(params3.atoms) == 2 * (3 * 3 + 1)
+    assert {cls for cls, _, _ in params3.atoms} == {WeylElement, MaltsiniotisElement}
+    for i in range(4):
+        z = ev(f"z{i}", params3)
+        assert type(z) is WeylElement and z == wa_z(params3, i)
+        assert eval_rescaled(parse_expr(f"z{i}"), params3) == MaltsiniotisElement.z(params3, i)
+    for text, message in [("x1 +\n  y4", "unknown generator y4 for n=3 (line 2, column 3)"),
+                          ("z1*z4", "z index 4 out of range 0..3 (line 1, column 4)")]:
+        for evaluate in (eval_rescaled, eval_weyl):
+            with pytest.raises(ExprEvalError) as info:
+                evaluate(parse_expr(text), params3)
+            assert str(info.value) == message
+    with pytest.raises(ExprEvalError, match=r"^generator index True must be an int \(line 1"):
+        eval_weyl(Gen("y", True, 1, 1), params3)
+    assert len(params3.atoms) == 2 * (3 * 3 + 1)
 
 
 def test_generator_node_positions():

@@ -16,10 +16,12 @@ from qweyl import (
     p_z,
     pb_bracket,
     semiclassical_bracket,
+    wa_commutator,
     wa_z,
 )
 from qweyl.poisson import _gen_bracket
-from qweyl.scalars import vec_add
+from qweyl.quantum_plane import PLANE, PlaneElement
+from qweyl.scalars import QTScalar, vec_add
 from qweyl.suites import random_params, random_poisson, random_weyl
 from qweyl.weyl import StraighteningEngine
 
@@ -97,6 +99,28 @@ def test_semiclassical_matches_table_randomized():
         params = random_params(rng, rng.randint(1, 3), rng.randint(1, 2))
         a, b = random_weyl(rng, params), random_weyl(rng, params)
         assert pb_bracket(gamma1(a), gamma1(b)) == semiclassical_bracket(a, b)
+
+
+def test_collapsed_operands_give_the_formal_limit():
+    """``semiclassical_bracket`` collapses its operands to their values at
+    eta = 1 first; on 200 seeded pairs per class it returns the limit of the
+    formal commutator, terms, order and coefficient types included."""
+    def typed(x):
+        return [(m, [(v, type(k), k) for v, k in c.terms]) for m, c in x.terms]
+
+    def plane(rng):
+        return PlaneElement(PLANE, [((rng.randint(0, 3), rng.randint(0, 3)), QTScalar(1, [
+            ((rng.randint(-2, 2),), rng.choice([1, -2, Fraction(1, 2), Fraction(-4, 3)]))
+            for _ in range(rng.randint(1, 3))])) for _ in range(rng.randint(1, 3))])
+
+    rng = random.Random(46)
+    for _ in range(200):
+        params = random_params(rng, rng.randint(1, 3), rng.randint(1, 2))
+        pairs = [(random_weyl(rng, params), random_weyl(rng, params)), (plane(rng), plane(rng))]
+        for a, b in pairs:
+            formal = PoissonElement(a.params, [(m, c.limit_div()) for m, c in
+                                               wa_commutator(a, b).terms])
+            assert typed(semiclassical_bracket(a, b)) == typed(formal), (a, b)
 
 
 def test_poisson_normality_of_z(params3):
@@ -287,7 +311,6 @@ def test_bracket_and_gamma1_reject_other_element_classes():
     one used to return a "MuPoly" with a negative exponent, and gamma1 of a
     Poisson element failed on its scalars.  Both name the class instead."""
     from qweyl.cli import DEFAULT_CONFIG, params_from_config
-    from qweyl.scalars import QTScalar
 
     params = params_from_config(DEFAULT_CONFIG)
     w = WeylElement.monomial(params, (0, 1, 0, 0), QTScalar.monomial((1, -1)))

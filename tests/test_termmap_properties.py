@@ -241,7 +241,7 @@ def bracket_operands(draw):
     coeffs = term_lists(st.tuples(*[st.integers(0, 2)] * r), fractions, 3).map(
         lambda t: MuPoly(r, t))
     ta, tb = draw(term_lists(monos, coeffs, 3)), draw(term_lists(monos, coeffs, 3))
-    m, c = draw(monos), draw(coeffs.filter(lambda c: not c.is_constant()))
+    m, c = draw(monos), draw(coeffs.filter(lambda c: any(any(v) for v, _ in c.terms)))
     return PoissonElement(params, ta + [(m, c)]), PoissonElement(params, tb)
 
 

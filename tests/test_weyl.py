@@ -612,8 +612,10 @@ def test_scalar_operands_scale_as_the_engine_straightens(params2, monkeypatch):
     """A product with a scalar operand, one term on the constant monomial,
     on either side, reaches no engine and equals what the class's engine
     returns for the same pair, terms, order and coefficient types included.
-    For the three classes with an engine: a rational, an eta-monomial, a
-    multi-term scalar (eta^[1,0] - 1), scalar times scalar, and zero."""
+    For the three classes with an engine: a rational, eta-monomials with
+    and without a rational (eta^[1,-1], 3/2*eta^[0,1], each term of a
+    coefficient mapped), a multi-term scalar (eta^[1,0] - 1), scalar times
+    scalar, and zero."""
     mul_terms, calls = StraighteningEngine.mul_terms, []
     monkeypatch.setattr(StraighteningEngine, "mul_terms",
                         lambda self, ta, tb: calls.append(1) or mul_terms(self, ta, tb))
@@ -628,7 +630,10 @@ def test_scalar_operands_scale_as_the_engine_straightens(params2, monkeypatch):
         two_terms = QTScalar(p.r, [((1,) * p.r, 3), ((0,) * p.r, 1)])
         coeffs = [Fraction(2, 3), eta * Fraction(-3, 2), two_terms, 1]
         element = cls(p, list(zip(monos, coeffs)))
-        scalars = [cls.scalar(p, c) for c in (Fraction(3, 4), eta * Fraction(3, 2), eta - 1)]
+        shifts = [QTScalar.monomial(((1, -1) * p.r)[:p.r]),
+                  QTScalar.monomial(((0, 1) * p.r)[-p.r:], Fraction(3, 2))]
+        scalars = [cls.scalar(p, c) for c in (Fraction(3, 4), eta * Fraction(3, 2), eta - 1,
+                                              *shifts)]
         for s in scalars:
             for a, b in [(s, element), (element, s), (s, cls.zero(p)), (cls.zero(p), s)] + [
                     (s, t) for t in scalars]:
