@@ -162,39 +162,40 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
         [(m, MuPoly._canonical(r, cs)) for m, cs in zip(ids, coeffs) if cs]))  # cancelled ones out
 
 
-def _at_one(a: WeylElement, cls: type) -> PbwElement:
-    """``a``'s monomials as a ``cls`` element, in a's order, each with the
-    constant its coefficient takes at t = 1 (``eval_one``, the sum of the
-    eta-coefficients), less those where it is 0: built in stored form."""
-    r = a.params.r
-    one, scalar = (0,) * r, cls.scalar_type._canonical
-    return cls._canonical(a.params, [(m, scalar(r, [(one, _coefficient(v))]))
-                                     for m, c in a.terms if (v := sum([k for _, k in c.terms]))])
-
-
 def gamma1(a: WeylElement) -> PoissonElement:
-    """Classical limit map: same monomials, coefficients evaluated at t=1."""
+    """Classical limit map: same monomials, coefficients evaluated at t=1.
+    Built as stored: a's monomials in order, less those whose value at t=1
+    (``eval_one``, the sum of the eta-coefficients) is 0, in stored form."""
     if type(a) is not WeylElement:  # a rescaled Y_i = (q_i - 1)^{-1} y_i has no limit
         raise TypeError(f"gamma1 takes a WeylElement, not a {type(a).__name__}")
-    return _at_one(a, PoissonElement)
+    r = a.params.r
+    one = (0,) * r
+    return PoissonElement._canonical(a.params, [
+        (m, MuPoly._canonical(r, [(one, _coefficient(v))])) for m, c in a.terms
+        if (v := sum([k for _, k in c.terms]))])
 
 
 def semiclassical_bracket(a: WeylElement, b: WeylElement) -> PoissonElement:
     """{gamma1(a), gamma1(b)} computed as the exact (t-1)-limit of ab - ba,
     for quantized or quantum-plane elements of one class.
 
-    Both operands are first collapsed to their values at eta = 1 (``_at_one``
-    in their own class), which leaves the limit as it is.  Scalars are
-    central, so ab - ba = sum alpha_m beta_m' [m, m'].  At eta = 1 the
-    algebra is commutative, so every coefficient c of [m, m'] vanishes
-    there, and the limit of alpha beta c / (t - 1), the derivative at 1, is
-    alpha(1) beta(1) times that of c / (t - 1).  The collapsed operands still
-    go through the engine's commutator and ``limit_div``, which checks that
-    each coefficient vanishes at 1, and through nothing of ``pb_bracket``."""
+    Both operands are first collapsed to their values at eta = 1, each
+    coefficient replaced by the constant ``eval_one`` gives, through the
+    class's validating constructor (not ``gamma1``'s direct build, so the
+    self-checks that compare the two routes compare two computations).
+    That leaves the limit as it is: scalars are central, so
+    ab - ba = sum alpha_m beta_m' [m, m'].  At eta = 1 the algebra is
+    commutative, so every coefficient c of [m, m'] vanishes there, and the
+    limit of alpha beta c / (t - 1), the derivative at 1, is
+    alpha(1) beta(1) times that of c / (t - 1).  The collapsed operands
+    still go through the engine's commutator and ``limit_div``, which checks
+    that each coefficient vanishes at 1, and through nothing of
+    ``pb_bracket``."""
     if MaltsiniotisElement in (type(a), type(b)):
         raise TypeError("semiclassical_bracket takes no MaltsiniotisElement")
     if type(b) is type(a) and hasattr(a, "_engine"):  # else wa_commutator raises its error
-        a, b = _at_one(a, type(a)), _at_one(b, type(b))
+        a = type(a)(a.params, [(m, c.eval_one()) for m, c in a.terms])
+        b = type(b)(b.params, [(m, c.eval_one()) for m, c in b.terms])
     comm = wa_commutator(a, b)
     return PoissonElement._from_sums(a.params, {m: c.limit_div() for m, c in comm.terms})
 

@@ -25,11 +25,9 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
 
 from .scalars import (
-    ExpVec, QTScalar, TermMap, _coefficient, add_term, digit_limited, exact_quotients, vec_add,
-    vec_neg,
+    ExpVec, QTScalar, TermMap, add_term, digit_limited, exact_quotients, vec_add, vec_neg,
 )
 
 PbwMonomial = tuple[int, ...]
@@ -619,20 +617,13 @@ class WeylElement(PbwElement):
     def _product(self, other: "WeylElement") -> "WeylElement":
         """Straightened by the class's engine; a scalar operand (one constant
         term) is central and scales the other's coefficients in place: over a
-        domain, the monomials, their order and their count stay.  A scalar
-        k eta^v of one term maps each coefficient term (u, c) to (u + v, k c):
-        the tuple order is invariant under translation, so it stays sorted."""
+        domain, the monomials, their order and their count stay."""
         params, ta, tb = self.params, self.terms, other.terms
         if len(ta) == 1 and not any(ta[0][0]):
             ta, tb = tb, ta
         if len(tb) == 1 and not any(tb[0][0]):
             c = tb[0][1]
-            if len(c.terms) != 1:
-                return self._canonical(params, [(m, cc * c) for m, cc in ta])
-            (v, k), canonical, r = c.terms[0], c._canonical, params.r
-            return self._canonical(params, [(m, canonical(r, [
-                (tuple(map(add, u, v)), _coefficient(kk * k)) for u, kk in cc.terms]))
-                for m, cc in ta])
+            return self._canonical(params, [(m, cc * c) for m, cc in ta])
         return self._canonical(params, self._order(
             self._engine(params).mul_terms(self.terms, other.terms).items()))
 

@@ -613,9 +613,8 @@ def test_scalar_operands_scale_as_the_engine_straightens(params2, monkeypatch):
     on either side, reaches no engine and equals what the class's engine
     returns for the same pair, terms, order and coefficient types included.
     For the three classes with an engine: a rational, eta-monomials with
-    and without a rational (eta^[1,-1], 3/2*eta^[0,1], each term of a
-    coefficient mapped), a multi-term scalar (eta^[1,0] - 1), scalar times
-    scalar, and zero."""
+    and without a rational (eta^[1,-1], 3/2*eta^[0,1]), a multi-term scalar
+    (eta^[1,0] - 1), scalar times scalar, and zero."""
     mul_terms, calls = StraighteningEngine.mul_terms, []
     monkeypatch.setattr(StraighteningEngine, "mul_terms",
                         lambda self, ta, tb: calls.append(1) or mul_terms(self, ta, tb))
