@@ -371,8 +371,9 @@ USAGE_ERRORS = (_ArgvError, ConfigError, ExprSyntaxError, ExprEvalError, RankMis
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser for every command in ``COMMANDS``, built on first use."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser for every command in ``COMMANDS``, and each command's own
+    parser (its subparser) by name, built on first use."""
     parser = _ArgumentParser(
         prog="qweyl",
         description="Exact computations in multi-parameter quantized Weyl "
@@ -383,11 +384,31 @@ def _parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit a machine-readable record"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    own = {}
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = own[name] = sub.add_parser(name, help=command.help)
         for arg, options in command.arguments:
             p.add_argument(arg, **options)
-    return parser
+    return parser, own
+
+
+def _parse_argv(argv: list[str], args: argparse.Namespace) -> None:
+    """Parse ``argv`` into ``args``.  ``COMMAND ...`` and ``--json COMMAND
+    ...`` go straight to the command's own parser, with ``json``, ``config``
+    and ``command`` set as the full parser sets them: before the command it
+    holds only ``-h``, ``--config`` and ``--json``, and it hands everything
+    after the command to that same parser.  Every other argv takes the full
+    parser, and so does one with an argument starting ``--=``, which the
+    full parser may refuse first, as an ambiguous abbreviation of its own
+    options."""
+    parser, own = _parser()
+    start = 1 if argv[:1] == ["--json"] else 0
+    sub = own.get(argv[start]) if len(argv) > start else None
+    if sub is None or any(a.startswith("--=") for a in argv):
+        parser.parse_args(argv, args)
+    else:
+        args.json, args.config, args.command = start == 1, None, argv[start]
+        sub.parse_args(argv[start + 1:], args)
 
 
 # the instance of the last call on an instance; a call on a config of the same repr (which,
@@ -402,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # their arguments, so a malformed command line finds them set if read
     args = argparse.Namespace(json=False, command=None)
     try:
-        _parser().parse_args(argv, args)
+        _parse_argv(sys.argv[1:] if argv is None else list(argv), args)
         command = COMMANDS[args.command]
         record = {"command": args.command}
         params = config = None

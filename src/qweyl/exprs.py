@@ -16,10 +16,13 @@ the frozen node classes below.  One evaluator folds the tree, with the
 leaves of the quantized algebra (:func:`eval_weyl`; ``z_i`` = 1 +
 sum_{k<=i} y_k x_k) or of the rescaled presentation (:func:`eval_rescaled`;
 ``y_i`` is Y_i = (q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1)
-Y_k x_k).  Every leaf is checked against the instance; a generator leaf is
-then read from the instance's ``atoms`` table, keyed by element class and
-leaf, which builds each one once, and a number or eta monomial is built as
-a scalar element.
+Y_k x_k).  A product is a left fold; a sum takes one pass, adding every
+part's terms (a negated part's with their signs flipped) into one table
+of coefficient sums and building one element from it.  Every leaf is
+checked against the instance; a generator leaf is then read from the
+instance's ``atoms`` table, keyed by element class and leaf, which builds
+each one once, and a number or eta monomial is built in stored form as
+one constant term (none for 0).
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 
-from .scalars import QTScalar
+from .scalars import QTScalar, _coefficient
 from .weyl import MaltsiniotisElement, WeylElement, WeylParams
 
 
@@ -288,6 +290,9 @@ def _check_atom(node: Num | Gen | EtaMono, params: WeylParams) -> None:
                 f"eta exponent vector has length {len(node.exponents)}, expected "
                 f"{params.r} (line {node.line}, column {node.col})"
             )
+        if any(type(e) is not int for e in node.exponents):  # bools and floats are not exponents
+            raise ExprEvalError(f"eta exponents {tuple(node.exponents)} must be ints "
+                                f"(line {node.line}, column {node.col})")
     elif isinstance(node, Gen) and type(node.index) is not int:  # a bool would key as 0 or 1
         raise ExprEvalError(
             f"generator index {node.index!r} must be an int (line {node.line}, column {node.col})"
@@ -316,11 +321,19 @@ def _evaluate(node: Expression, params: WeylParams, atom):
     if isinstance(node, (Num, Gen, EtaMono)):
         _check_atom(node, params)
         out = atom(node, params)
-    elif isinstance(node, (Mul, Add)):
-        op, parts = (mul, node.factors) if isinstance(node, Mul) else (add, node.terms)
-        out = _evaluate(parts[0], params, atom)
-        for part in parts[1:]:  # not reduce over a generator, which adds a frame per level
-            out = op(out, _evaluate(part, params, atom))
+    elif isinstance(node, Mul):
+        out = _evaluate(node.factors[0], params, atom)
+        for part in node.factors[1:]:  # not reduce over a generator, which adds a frame per level
+            out = out * _evaluate(part, params, atom)
+    elif isinstance(node, Add):  # every part's terms into one table, one element at the end
+        sums: dict = {}
+        for part in node.terms:
+            negate = isinstance(part, Neg)
+            out = _evaluate(part.item if negate else part, params, atom)
+            for m, c in out.terms:
+                c, old = -c if negate else c, sums.get(m)
+                sums[m] = c if old is None else old + c
+        out = out._from_sums(out.params, sums)
     else:
         raise TypeError(f"not an expression node: {node!r}")
     for wrapper in reversed(wrappers):
@@ -334,8 +347,11 @@ def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -
         if (out := params.atoms.get(key)) is None:
             out = params.atoms[key] = cls.generator(params, leaf.kind, leaf.index)
         return out
-    return cls.scalar(params, leaf.value if isinstance(leaf, Num)
-                      else QTScalar.monomial(leaf.exponents))
+    # a number or an eta monomial: one constant term in stored form, none for 0
+    c, vec = ((_coefficient(leaf.value), (0,) * params.r) if isinstance(leaf, Num)
+              else (1, tuple(leaf.exponents)))
+    scalar = QTScalar._canonical(params.r, [(vec, c)])
+    return cls._canonical(params, [((0,) * (2 * params.n), scalar)] if c else ())
 
 
 def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:

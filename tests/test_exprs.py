@@ -3,6 +3,8 @@ import importlib
 import random
 import sys
 import weakref
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
@@ -17,7 +19,9 @@ from qweyl import (
     parse_expr,
     wa_z,
 )
-from qweyl.exprs import Add, Gen, Mul, Num
+from qweyl.exprs import Add, EtaMono, Gen, Mul, Neg, Num, Pow
+from qweyl.scalars import TermMap
+from qweyl.weyl import PbwElement
 from qweyl.suites import random_params, random_weyl
 
 
@@ -135,6 +139,86 @@ def test_round_trip_special_cases(params2):
     for text in ("0", "1", "-1", "(eta^[1,0] - 1)"):
         a = ev(text, params2)
         assert ev(str(a), params2) == a
+
+
+@pytest.mark.parametrize("exponents", [(True, 0), (1.0, 0), (0, False)])
+def test_eta_leaf_with_a_bad_exponent_names_its_position(params2, exponents):
+    """A hand-built eta leaf whose exponents are not ints is refused with
+    its position, as a generator leaf is, in both presentations."""
+    for evaluate in (eval_weyl, eval_rescaled):
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(Add((Gen("x", 1, 1, 1), EtaMono(exponents, 2, 7))), params2)
+        assert str(info.value) == f"eta exponents {exponents} must be ints (line 2, column 7)"
+
+
+def fold(node, params, cls):
+    """``node`` by the validating constructors and binary ring operations."""
+    if isinstance(node, Num):
+        return cls.scalar(params, node.value)
+    if isinstance(node, EtaMono):
+        return cls.scalar(params, QTScalar.monomial(node.exponents))
+    if isinstance(node, Gen):
+        return cls.generator(params, node.kind, node.index)
+    if isinstance(node, Neg):
+        return -fold(node.item, params, cls)
+    if isinstance(node, Pow):
+        return fold(node.base, params, cls) ** node.exponent
+    op, parts = (mul, node.factors) if isinstance(node, Mul) else (add, node.terms)
+    return reduce(op, [fold(part, params, cls) for part in parts])
+
+
+def random_text(rng, depth):
+    leaves = ["x1", "y1", "x2", "y2", "z1", "z2", "0", "2", "3/4", "-1", "eta^[1,-1]", "eta^[0,0]"]
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    a, b = random_text(rng, depth - 1), random_text(rng, depth - 1)
+    return rng.choice([f"{a} + {b}", f"{a} - {b}", f"({a}) - -({b})", f"-({a}) + {b} - ({a})",
+                       f"({a})*({b})", f"-{a} - ({b})^2 + {a}"])
+
+
+@pytest.mark.parametrize("evaluate, cls", [(eval_weyl, WeylElement),
+                                           (eval_rescaled, MaltsiniotisElement)])
+def test_sums_and_leaves_match_the_binary_fold(params2, evaluate, cls):
+    """A sum built in one pass and scalar leaves built in stored form give
+    the element, terms and coefficient forms included, that the binary
+    fold over the validating constructors gives."""
+    rng = random.Random(47)
+    texts = [random_text(rng, 3) for _ in range(150)] + [
+        "x1 - x1", "-(y1 + x2) + y1 + x2", "z1 - y1*x1 - 1", "3/4 - -x1", "-2 + 2", "0 + 0*x1",
+        "x1 - -y1 - - -x2", "eta^[1,0] - eta^[1,0] + 6/3",
+    ]
+    for text in texts:
+        tree = parse_expr(text)
+        got, want = evaluate(tree, params2), fold(tree, params2, cls)
+        assert type(got) is cls and got.terms == want.terms, text
+        assert [type(k) for _, c in got.terms for _, k in c.terms] == [
+            type(k) for _, c in want.terms for _, k in c.terms], text
+    assert not evaluate(parse_expr("x1 - x1 + (y2 - y2)"), params2).terms
+
+
+def test_a_sum_is_built_once(params2, monkeypatch):
+    """An Add of k parts builds its element with one ``_from_sums`` and adds
+    no two elements with ``+``; the parts share monomials, so coefficients
+    still add."""
+    calls = []
+    plus, from_sums = TermMap.__add__, TermMap._from_sums.__func__
+
+    def counted_plus(self, other):
+        calls.append(("+", type(self)))
+        return plus(self, other)
+
+    def counted_from_sums(cls, context, sums):
+        calls.append(("_from_sums", cls))
+        return from_sums(cls, context, sums)
+
+    monkeypatch.setattr(TermMap, "__add__", counted_plus)
+    monkeypatch.setattr(TermMap, "_from_sums", classmethod(counted_from_sums))
+    tree = parse_expr("x1 + y1 - x1 + 2*y1 - 3 + z1 + y2*x2 - -y1*x1")
+    assert isinstance(tree, Add) and len(tree.terms) == 8
+    got = eval_weyl(tree, params2)
+    elements = [(name, cls) for name, cls in calls if issubclass(cls, PbwElement)]
+    assert elements == [("_from_sums", WeylElement)]
+    assert got == ev("3*y1 - 2 + 2*y1*x1 + y2*x2", params2) == fold(tree, params2, WeylElement)
 
 
 def test_a_reimported_package_is_freed():

@@ -19,6 +19,7 @@ from qweyl import (
     wa_commutator,
     wa_z,
 )
+from qweyl.cli import DEFAULT_CONFIG, params_from_config
 from qweyl.poisson import _gen_bracket
 from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl.scalars import QTScalar, vec_add
@@ -224,6 +225,27 @@ def test_bracket_packing_width(r, e):
     assert max(x for _, c in want.terms for v, _ in c.terms for x in v) == 2 * e + 1
     assert pb_bracket(a, b) == want
     assert pb_bracket(b, a) == -want
+
+
+@pytest.mark.parametrize("ka, kb", [(1, 1), (3, 5), (7, -9)])
+def test_bracket_field_bound_at_its_edge(ka, kb):
+    """On the built-in config M = ``max_form_entry`` = 2, met by F_pq of
+    {x1, x2} and {x2, y1} in both orders.  For one-term operands ka g_p and
+    kb g_q the field of mu_1 holds ka kb F_pq, of magnitude N_a N_b M = B
+    exactly, the most the width 2^bitlen(B) + 1 must hold; each bracket
+    matches the commutator's limit on the WeylElement lifts."""
+    params = params_from_config(DEFAULT_CONFIG)
+    size = 2 * params.n
+    bound = params.max_form_entry
+    edges = [(p, q) for p in range(size) for q in range(size)
+             if max(map(abs, _gen_bracket(params, p, q))) == bound]
+    assert bound == 2 and len(edges) == 4
+    for p, q in edges:
+        ta = [(tuple(int(i == p) for i in range(size)), ka)]
+        tb = [(tuple(int(i == q) for i in range(size)), kb)]
+        got, want = constant_lifts(params, ta, tb)
+        assert got == want
+        assert max(abs(k) for _, c in got.terms for _, k in c.terms) == abs(ka * kb) * bound
 
 
 def test_bracket_drops_cancelled_monomials():
