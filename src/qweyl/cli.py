@@ -4,7 +4,8 @@ Commands operate on an instance described by a JSON configuration file
 (``--config``); a small built-in two-pair instance is used when none is
 given.  Each command is one row of ``COMMANDS``.  Exit codes: 0 success,
 1 a check in the record failed, 2 usage or configuration error, 3 internal
-error or output that could not be written.
+error or output that could not be written.  Plain command lines skip
+argparse, and ``--json`` records json's pure-Python encoder, to the same result.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import DEFAULT_SEED
@@ -352,6 +354,10 @@ COMMANDS = {
     ),
 }
 
+# each command whose arguments are all plain positionals (no type, choices or flag)
+_PLAIN_COMMANDS = {name: tuple(arg for arg, _ in c.arguments) for name, c in COMMANDS.items()
+                   if all(a[0] != "-" and kw.keys() <= {"help"} for a, kw in c.arguments)}
+
 
 class _ArgvError(ValueError):
     """A malformed command line, with argparse's one-line message."""
@@ -400,15 +406,40 @@ def _parse_argv(argv: list[str], args: argparse.Namespace) -> None:
     after the command to that same parser.  Every other argv takes the full
     parser, and so does one with an argument starting ``--=``, which the
     full parser may refuse first, as an ambiguous abbreviation of its own
-    options."""
+    options.  A command of ``_PLAIN_COMMANDS`` with exactly its operands,
+    none starting with ``-``, is bound here: argparse stores each as it is."""
     parser, own = _parser()
     start = 1 if argv[:1] == ["--json"] else 0
-    sub = own.get(argv[start]) if len(argv) > start else None
-    if sub is None or any(a.startswith("--=") for a in argv):
+    name = argv[start] if len(argv) > start else None
+    if name not in own or any(a.startswith("--=") for a in argv):
         parser.parse_args(argv, args)
+        return
+    args.json, args.config, args.command = start == 1, None, name
+    operands, dests = argv[start + 1:], _PLAIN_COMMANDS.get(name)
+    if dests is not None and len(dests) == len(operands) and not any(
+            a.startswith("-") for a in operands):
+        vars(args).update(zip(dests, operands))
     else:
-        args.json, args.config, args.command = start == 1, None, argv[start]
-        sub.parse_args(argv[start + 1:], args)
+        own[name].parse_args(operands, args)
+
+
+def _render(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str keys and str, int,
+    bool, None, list, tuple and dict values; other values and keys raise TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_render(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"{type(value).__name__} is left to json")
 
 
 # the instance of the last call on an instance; a call on a config of the same repr (which,
@@ -451,7 +482,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         record, code = {"command": args.command, "error": error}, INTERNAL_ERROR
     try:
         if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
+            try:
+                print(_render(record))
+            except TypeError:  # a value or key it leaves to json
+                print(json.dumps(record, indent=2, sort_keys=True))
         elif "error" in record:
             print(f"error: {record['error']}", file=sys.stderr)
         else:

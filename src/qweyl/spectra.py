@@ -30,7 +30,6 @@ from .weyl import ParamsMismatchError, WeylElement, WeylParams, pos_x, pos_y, wa
 Marker = tuple[str, int]
 TaggedGen = tuple[str, int]
 
-_KIND_ORDER = {"z": 0, "y": 1, "x": 2}
 _denominator = attrgetter("denominator")
 
 
@@ -66,11 +65,18 @@ class AdmissibleSet:
             groups[kind].add(i)
         return cls(n, groups["z"], groups["y"], groups["x"])
 
+    @classmethod
+    def _canonical(cls, n: int, zs: frozenset, ys: frozenset, xs: frozenset) -> AdmissibleSet:
+        """The set of valid fields (frozensets of int indices in range), unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, zs=zs, ys=ys, xs=xs)
+        return self
+
     def markers(self) -> tuple[Marker, ...]:
-        out = [("z", i) for i in self.zs]
-        out += [("y", i) for i in self.ys]
-        out += [("x", i) for i in self.xs]
-        return tuple(sorted(out, key=lambda m: (m[1], _KIND_ORDER[m[0]])))
+        """The markers by index, and z, y, x at one index."""
+        groups = (("z", self.zs), ("y", self.ys), ("x", self.xs))
+        return tuple((kind, i) for i in sorted(self.zs | self.ys | self.xs)
+                     for kind, group in groups if i in group)
 
     def names(self) -> tuple[str, ...]:
         return tuple(f"{kind}{i}" for kind, i in self.markers())
@@ -137,7 +143,7 @@ def enumerate_admissible(n: int) -> list[AdmissibleSet]:
             for bz, by, bx in blocks:
                 grown.append((zs | bz, ys | by, xs | bx))
         partial = grown
-    return [AdmissibleSet(n, zs, ys, xs) for zs, ys, xs in partial]
+    return [AdmissibleSet._canonical(n, zs, ys, xs) for zs, ys, xs in partial]
 
 
 def count_admissible(n: int) -> int:

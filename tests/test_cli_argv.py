@@ -1,10 +1,12 @@
-"""``cli.main`` parses a command line by one of two routes: ``COMMAND ...``
-and ``--json COMMAND ...`` go straight to the command's own parser, and
-every other argv to the full parser.  Both routes give the same namespace,
-or the same usage error with the same command and ``--json`` flag, or the
-same exit with the same help text, on every command line of the transcript
-corpus and on generated ones.  hypothesis is not a declared dependency, so
-the module is skipped without it.
+"""``cli.main`` parses a command line by one of three routes: a command of
+``cli._PLAIN_COMMANDS`` with exactly its operands, none starting with
+``-``, is bound without a parser; any other ``COMMAND ...`` and ``--json
+COMMAND ...`` go straight to the command's own parser, and every other
+argv to the full parser.  Each route gives what the full parser gives: the
+same namespace, or the same usage error with the same command and
+``--json`` flag, or the same exit with the same help text, on every command
+line of the transcript corpus and on generated ones.  hypothesis is not a
+declared dependency, so the module is skipped without it.
 """
 
 import argparse
@@ -78,6 +80,12 @@ COMMAND_WORDS = [*cli.COMMANDS, "frobnicate", "-h", "--config", "--json", "--"]
 @example(False, "verify", ["--seed", "x", "--suite", "nope"])
 @example(True, "scl", ["-h"])
 @example(False, "comm", ["--=x"])
+@example(False, "nf", [""])
+@example(False, "comm", ["x1", " "])
+@example(False, "stratum", [""])
+@example(True, "scl", ["x1", "y1"])
+@example(False, "admissible", ["03"])
+@example(False, "example", ["foo"])
 def test_routes_agree(as_json, command, rest):
     assert_routes_agree((["--json"] if as_json else []) + [command] + rest)
 
@@ -95,3 +103,25 @@ def test_command_lines_of_the_workload_shape_skip_the_full_parser(monkeypatch, c
     assert calls == []
     assert cli.main(["--config", str(GOLDEN / "n3.json"), "nf", "x1"]) == 0
     assert capsys.readouterr().out == "x1\n" and len(calls) == 1
+
+
+def test_plain_command_lines_are_bound_without_a_parser(monkeypatch, capsys):
+    """A workload-shape command line of a command with plain positionals
+    calls no ``parse_args`` at all; one with ``--`` still reaches the
+    command's own parser only, and so does a typed operand."""
+    parser, own = cli._parser()
+    calls = []
+    for name, p in [("qweyl", parser), *own.items()]:
+        monkeypatch.setattr(p, "parse_args",
+                            lambda *a, name=name, f=p.parse_args: calls.append(name) or f(*a))
+    assert set(cli._PLAIN_COMMANDS) == set(cli.COMMANDS) - {"admissible", "verify", "example"}
+    for argv in (["nf", "x1*y1"], ["comm", "x1", "y1"], ["bracket", "x1", "y1"], ["limit", "x1"],
+                 ["scl", "x1", "y1"], ["stratum", "z1"], ["center", ""], ["maltsiniotis", "z1"],
+                 ["validate"]):
+        for prefix in ([], ["--json"]):
+            assert cli.main(prefix + argv) == 0, argv
+    assert calls == []
+    assert cli.main(["nf", "--", "-x1"]) == 0
+    assert capsys.readouterr().out.endswith("-x1\n") and calls == ["nf"]
+    assert cli.main(["--json", "admissible", "3"]) == 0
+    assert calls == ["nf", "admissible"]

@@ -69,6 +69,30 @@ def test_enumerate_matches_brute_force():
     assert len(enumerate_admissible(4)) == 68
 
 
+def test_enumerated_sets_equal_their_validated_build():
+    """``enumerate_admissible`` builds its sets past the constructor's checks;
+    for n <= 5 each equals the set the validating constructor builds from the
+    same markers, and brute force's, in ==, hash, names() and str."""
+    kinds = {"z": 0, "y": 1, "x": 2}
+    for n in range(1, 6):
+        slow = {T: T for T in brute_force_admissible(n)}
+        fast = enumerate_admissible(n)
+        assert len(fast) == len(slow)
+        for T in fast:
+            built = AdmissibleSet(n, set(T.zs), set(T.ys), set(T.xs))
+            for other in (built, slow[T]):
+                assert T == other and hash(T) == hash(other)
+                assert T.names() == other.names() and str(T) == str(other)
+            assert T.markers() == tuple(sorted(T.markers(), key=lambda m: (m[1], kinds[m[0]])))
+            assert {type(i) for i in (*T.zs, *T.ys, *T.xs)} <= {int}
+            assert all(type(f) is frozenset for f in (T.zs, T.ys, T.xs))
+    assert str(AdmissibleSet(3, {1, 2, 3}, {2, 3}, {3})) == "{z1,z2,y2,z3,y3,x3}"
+    for bad in ((2, {3}, (), ()), (2, {0}, (), ()), (2, {1, 2}, {1}, ()), (2, {1, 2}, (), {3}),
+                (3, {1}, (), {2.0}), (0, (), (), ()), (2.0, (), (), ())):
+        with pytest.raises(ValueError):
+            AdmissibleSet(*bad)
+
+
 def test_count_recurrence_matches_enumeration():
     for n in range(1, 7):
         assert count_admissible(n) == len(enumerate_admissible(n))
