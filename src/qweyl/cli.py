@@ -4,7 +4,7 @@ Commands operate on an instance described by a JSON configuration file
 (``--config``); a small built-in two-pair instance is used when none is
 given.  Each command is one row of ``COMMANDS``.  Exit codes: 0 success,
 1 a check in the record failed, 2 usage or configuration error, 3 internal
-error or output that could not be written.  Plain command lines skip
+error or output that could not be written.  Option-free command lines skip
 argparse, and ``--json`` records json's pure-Python encoder, to the same result.
 """
 
@@ -354,9 +354,9 @@ COMMANDS = {
     ),
 }
 
-# each command whose arguments are all plain positionals (no type, choices or flag)
-_PLAIN_COMMANDS = {name: tuple(arg for arg, _ in c.arguments) for name, c in COMMANDS.items()
-                   if all(a[0] != "-" and kw.keys() <= {"help"} for a, kw in c.arguments)}
+# each command without flags: (dest, type, choices) per operand, str for an untyped one
+_OPERANDS = {name: tuple((arg, kw.get("type", str), kw.get("choices")) for arg, kw in c.arguments)
+             for name, c in COMMANDS.items() if all(arg[0] != "-" for arg, _ in c.arguments)}
 
 
 class _ArgvError(ValueError):
@@ -377,9 +377,8 @@ USAGE_ERRORS = (_ArgvError, ConfigError, ExprSyntaxError, ExprEvalError, RankMis
 
 
 @cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser for every command in ``COMMANDS``, and each command's own
-    parser (its subparser) by name, built on first use."""
+def _parser() -> argparse.ArgumentParser:
+    """The parser for every command in ``COMMANDS``, built on first use."""
     parser = _ArgumentParser(
         prog="qweyl",
         description="Exact computations in multi-parameter quantized Weyl "
@@ -390,37 +389,32 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         "--json", action="store_true", help="emit a machine-readable record"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    own = {}
     for name, command in COMMANDS.items():
-        p = own[name] = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help)
         for arg, options in command.arguments:
             p.add_argument(arg, **options)
-    return parser, own
+    return parser
 
 
 def _parse_argv(argv: list[str], args: argparse.Namespace) -> None:
-    """Parse ``argv`` into ``args``.  ``COMMAND ...`` and ``--json COMMAND
-    ...`` go straight to the command's own parser, with ``json``, ``config``
-    and ``command`` set as the full parser sets them: before the command it
-    holds only ``-h``, ``--config`` and ``--json``, and it hands everything
-    after the command to that same parser.  Every other argv takes the full
-    parser, and so does one with an argument starting ``--=``, which the
-    full parser may refuse first, as an ambiguous abbreviation of its own
-    options.  A command of ``_PLAIN_COMMANDS`` with exactly its operands,
-    none starting with ``-``, is bound here: argparse stores each as it is."""
-    parser, own = _parser()
+    """Parse ``argv`` into ``args``.  ``[--json] COMMAND a1 ... ak``, of a
+    command of ``_OPERANDS`` with exactly its k operands, none starting with
+    ``-``, is bound here: each operand through its type and choices, as
+    argparse binds it.  Every other argv, and one whose operand its type or
+    choices refuse, takes the parser, for argparse's own message."""
     start = 1 if argv[:1] == ["--json"] else 0
-    name = argv[start] if len(argv) > start else None
-    if name not in own or any(a.startswith("--=") for a in argv):
-        parser.parse_args(argv, args)
-        return
-    args.json, args.config, args.command = start == 1, None, name
-    operands, dests = argv[start + 1:], _PLAIN_COMMANDS.get(name)
-    if dests is not None and len(dests) == len(operands) and not any(
+    spec, operands = _OPERANDS.get(argv[start]) if len(argv) > start else None, argv[start + 1:]
+    if spec is not None and len(spec) == len(operands) and not any(
             a.startswith("-") for a in operands):
-        vars(args).update(zip(dests, operands))
-    else:
-        own[name].parse_args(operands, args)
+        try:
+            values = [kind(a) for (_, kind, _), a in zip(spec, operands)]
+        except (ValueError, TypeError):
+            values = None
+        if values is not None and all(c is None or v in c for (_, _, c), v in zip(spec, values)):
+            args.json, args.config, args.command = start == 1, None, argv[start]
+            vars(args).update(zip([dest for dest, _, _ in spec], values))
+            return
+    _parser().parse_args(argv, args)
 
 
 def _render(value, indent: str = "\n") -> str:

@@ -86,7 +86,8 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
     differ), with entries at most deg m deg m' M, as sum_{p,q} m_p m'_q =
     deg m deg m' >= |d_i| and M = ``params.max_form_entry``.  So a field and
     any partial sum is at most B = N_a N_b M, N the sum over an operand's
-    terms of |numerator| deg m, and W/2 = 2^bitlen(B) > B.
+    terms of |numerator| deg m, and W/2 = 2^bitlen(B) > B.  It uses none of
+    the engine's packed-table helpers.
     """
     if type(a) is not PoissonElement or type(b) is not PoissonElement:
         raise TypeError(f"no Poisson bracket of a {type(a).__name__} and a {type(b).__name__}")

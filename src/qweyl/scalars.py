@@ -145,7 +145,9 @@ class TermMap:
     tuples as a list in the subclass's order (here tuple order: ``sorted``,
     which never compares a coefficient).  Results of the ring operations,
     :meth:`scale` included, are valid by construction and skip the checks
-    through :meth:`_from_sums`.
+    through :meth:`_from_sums`.  Term maps combine and compare equal only
+    within one exact class: ``y1 + Y1`` of a ``WeylElement`` and a
+    ``MaltsiniotisElement`` raises TypeError.
     """
 
     __slots__ = ("context", "terms")

@@ -283,14 +283,13 @@ def _pair_table(params: WeylParams, field: int, gens: Sequence[TaggedGen]) -> tu
 def _pair_record(params: WeylParams, w: TaggedGen, v: TaggedGen) -> tuple[ExpVec, MuPoly, str]:
     """The record ``(c, d, str(d))`` of the ordered pair (w, v), with c =
     ``q_pair_exponent(w, v)`` and d = {w, v}/(w v) from :func:`_bracket_form`,
-    stored whole, once per instance, in its ``torus_table`` under ``(w, v)``.
-    The table also holds each generator's quantized and Poisson image under
-    ``("q", w)`` and ``("p", w)``, and the verdict of :func:`_residue_is_zero`
-    under ``("q", w, v)``; every stratum only reads it.  Each ordered pair's
-    form, (v, w) and (w, w) included, goes through ``pb_bracket`` on its own."""
+    stored whole in the instance's ``torus_table`` under ``(w, v)``, so a
+    first read of the exponent brackets the pair too; the table also holds
+    the verdict of :func:`_residue_is_zero` under ``("q", w, v)``.  Each ordered
+    pair's form, (v, w) and (w, w) included, goes through ``pb_bracket`` on its own."""
     record = params.torus_table.get((w, v))
     if record is None:
-        d = _bracket_form(_image(params, "p", w), _image(params, "p", v), w, v)
+        d = _bracket_form(*[_image(params, PoissonElement, u) for u in (w, v)], w, v)
         record = params.torus_table[(w, v)] = (q_pair_exponent(params, w, v), d, str(d))
     return record
 
@@ -308,19 +307,19 @@ def _residue_is_zero(params: WeylParams, w: TaggedGen, v: TaggedGen) -> bool:
         if w == v and not any(c):
             memo[("q", w, w)] = True
         else:
-            a, b = _image(params, "q", w), _image(params, "q", v)
+            a, b = [_image(params, WeylElement, u) for u in (w, v)]
             ab, ba = params.engine.q_commutators(a.terms, b.terms, c, c2)
             memo[("q", w, v)], memo[("q", v, w)] = not any(ab.values()), not any(ba.values())
     return memo[("q", w, v)]
 
 
-def _image(params: WeylParams, side: str, w: TaggedGen):
-    """The Poisson (side "p") or quantized (side "q") image of ``w``, built
-    once per instance."""
-    table = params.torus_table
-    if (side, w) not in table:
-        table[(side, w)] = (PoissonElement if side == "p" else WeylElement).generator(params, *w)
-    return table[(side, w)]
+def _image(params: WeylParams, cls, w: TaggedGen):
+    """The ``cls`` image of ``w``, built once per instance in its ``atoms``,
+    which the expression evaluator reads too."""
+    key = (cls, *w)
+    if (out := params.atoms.get(key)) is None:
+        out = params.atoms[key] = cls.generator(params, *w)
+    return out
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:

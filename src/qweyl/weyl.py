@@ -490,19 +490,20 @@ class WeylParams:
 
     @cached_property
     def atoms(self) -> dict:
-        """Memo of the generator leaves the expression evaluator reads,
-        filled by :mod:`qweyl.exprs`: ``(cls, kind, i)`` holds y_i, x_i or
-        z_i as a ``cls`` element, for the two classes an expression is
-        evaluated in, so at most 2(3n + 1) entries; it lives and dies with
-        this instance."""
+        """Memo of the generator elements, filled by :mod:`qweyl.exprs` for
+        the leaves it reads and by :mod:`qweyl.spectra` for the stratum
+        generators' images: ``(cls, kind, i)`` holds y_i, x_i or z_i as a
+        ``cls`` element, for three classes (the two an expression is
+        evaluated in, and the Poisson one), so at most 3(3n + 1) entries; it
+        lives and dies with this instance."""
         return {}
 
     @cached_property
     def torus_table(self) -> dict:
         """Memo of what every stratum table reads, filled by
         :mod:`qweyl.spectra`: per ordered pair of the 3n - 1 tagged stratum
-        generators one record and one verdict, and per generator two
-        images, so at most 6n(3n - 1) entries; it lives and dies with this
+        generators one record and one verdict, so at most 2(3n - 1)^2
+        entries (their images are in ``atoms``); it lives and dies with this
         instance."""
         return {}
 

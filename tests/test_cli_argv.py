@@ -1,19 +1,18 @@
-"""``cli.main`` parses a command line by one of three routes: a command of
-``cli._PLAIN_COMMANDS`` with exactly its operands, none starting with
-``-``, is bound without a parser; any other ``COMMAND ...`` and ``--json
-COMMAND ...`` go straight to the command's own parser, and every other
-argv to the full parser.  Each route gives what the full parser gives: the
-same namespace, or the same usage error with the same command and
-``--json`` flag, or the same exit with the same help text, on every command
-line of the transcript corpus and on generated ones.  hypothesis is not a
-declared dependency, so the module is skipped without it.
+"""``cli.main`` parses a command line by one of two routes: ``[--json]
+COMMAND a1 ... ak`` of a command of ``cli._OPERANDS``, with exactly its
+operands, none starting with ``-`` and each passing its type and choices,
+is bound without a parser; every other argv goes to the full parser.  The
+bind gives what the full parser gives: the same namespace, or the same
+usage error with the same command and ``--json`` flag, or the same exit
+with the same help text, on every command line of the transcript corpus
+and on generated ones.  hypothesis is not a declared dependency, so the
+module is skipped without it.
 """
 
 import argparse
 import contextlib
 import importlib.util
 import io
-import json
 from pathlib import Path
 
 import pytest
@@ -34,7 +33,7 @@ FAST = settings(max_examples=200, deadline=None, database=None)
 
 
 def full_route(argv, args):
-    cli._parser()[0].parse_args(argv, args)
+    cli._parser().parse_args(argv, args)
 
 
 def outcome(route, argv):
@@ -76,6 +75,7 @@ COMMAND_WORDS = [*cli.COMMANDS, "frobnicate", "-h", "--config", "--json", "--"]
        st.lists(st.sampled_from(WORDS) | st.text(max_size=4), max_size=5))
 @example(True, "nf", ["--", "-x1 + y2 - -z1"])
 @example(False, "nf", ["x1", "x2"])
+@example(False, "nf", ["-x1"])
 @example(True, "verify", ["--suite"])
 @example(False, "verify", ["--seed", "x", "--suite", "nope"])
 @example(True, "scl", ["-h"])
@@ -86,42 +86,45 @@ COMMAND_WORDS = [*cli.COMMANDS, "frobnicate", "-h", "--config", "--json", "--"]
 @example(True, "scl", ["x1", "y1"])
 @example(False, "admissible", ["03"])
 @example(False, "example", ["foo"])
+@example(False, "example", [""])
+@example(False, "admissible", ["\u0663"])  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+@example(True, "admissible", [" 3"])
+@example(False, "admissible", [""])
+@example(False, "admissible", ["9" * 5000])  # past int()'s limit on digits read
 def test_routes_agree(as_json, command, rest):
     assert_routes_agree((["--json"] if as_json else []) + [command] + rest)
 
 
-def test_command_lines_of_the_workload_shape_skip_the_full_parser(monkeypatch, capsys):
-    """``[--json] COMMAND ...`` reaches the command's own parser only; one
-    with ``--config`` still takes the full parser."""
-    parser, calls = cli._parser()[0], []
+# the nine command shapes of the benchmark's `cli` workload, and `example`
+WORKLOAD_SHAPES = [["nf", "x1*y1"], ["comm", "x1", "y1"], ["bracket", "x1", "y1"], ["limit", "x1"],
+                   ["scl", "x1", "y1"], ["stratum", "z1"], ["center", ""], ["maltsiniotis", "z1"],
+                   ["admissible", "3"], ["example", "quantum-plane"]]
+
+
+def test_option_free_lines_are_bound_and_others_take_the_full_parser(monkeypatch, capsys):
+    """Every command but ``verify`` has a row in the bind table.  An
+    option-free line of one, with or without ``--json``, calls no
+    ``parse_args``; one with ``--``, ``--config``, an extra operand, an
+    operand that its type or choices refuse, or ``verify`` calls the full
+    parser once, for argparse's message."""
+    assert set(cli._OPERANDS) == set(cli.COMMANDS) - {"verify"}
+    parser, calls = cli._parser(), []
     parse_args = parser.parse_args
-    monkeypatch.setattr(parser, "parse_args", lambda *a: calls.append(a) or parse_args(*a))
-    assert cli.main(["--json", "nf", "--", "-x1"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] == "-x1"
-    assert cli.main(["nf", "x1", "x2"]) == 2
-    assert capsys.readouterr().err == "error: unrecognized arguments: x2\n"
-    assert calls == []
-    assert cli.main(["--config", str(GOLDEN / "n3.json"), "nf", "x1"]) == 0
-    assert capsys.readouterr().out == "x1\n" and len(calls) == 1
-
-
-def test_plain_command_lines_are_bound_without_a_parser(monkeypatch, capsys):
-    """A workload-shape command line of a command with plain positionals
-    calls no ``parse_args`` at all; one with ``--`` still reaches the
-    command's own parser only, and so does a typed operand."""
-    parser, own = cli._parser()
-    calls = []
-    for name, p in [("qweyl", parser), *own.items()]:
-        monkeypatch.setattr(p, "parse_args",
-                            lambda *a, name=name, f=p.parse_args: calls.append(name) or f(*a))
-    assert set(cli._PLAIN_COMMANDS) == set(cli.COMMANDS) - {"admissible", "verify", "example"}
-    for argv in (["nf", "x1*y1"], ["comm", "x1", "y1"], ["bracket", "x1", "y1"], ["limit", "x1"],
-                 ["scl", "x1", "y1"], ["stratum", "z1"], ["center", ""], ["maltsiniotis", "z1"],
-                 ["validate"]):
+    monkeypatch.setattr(parser, "parse_args", lambda *a: calls.append(a[0]) or parse_args(*a))
+    for argv in WORKLOAD_SHAPES + [["validate"]]:
         for prefix in ([], ["--json"]):
             assert cli.main(prefix + argv) == 0, argv
     assert calls == []
-    assert cli.main(["nf", "--", "-x1"]) == 0
-    assert capsys.readouterr().out.endswith("-x1\n") and calls == ["nf"]
-    assert cli.main(["--json", "admissible", "3"]) == 0
-    assert calls == ["nf", "admissible"]
+    capsys.readouterr()
+    for argv, code, err in [
+        (["nf", "--", "-x1"], 0, ""),
+        (["--config", str(GOLDEN / "n3.json"), "nf", "x1"], 0, ""),
+        (["nf", "x1", "x2"], 2, "error: unrecognized arguments: x2\n"),
+        (["admissible", "x"], 2, "error: argument n: invalid int value: 'x'\n"),
+        (["example", "foo"], 2, "error: argument name: invalid choice: 'foo' (choose from "),
+        (["verify", "--suite", "admissible-counts"], 0, ""),
+    ]:
+        calls.clear()
+        assert cli.main(argv) == code, argv
+        got = capsys.readouterr().err
+        assert (got.startswith(err) if code else got == err) and calls == [argv], argv

@@ -599,16 +599,16 @@ def fresh(params):
 
 def table_parts(params):
     """The instance's torus table split into the (w, v) -> (c, d, str(d))
-    records, the (w, v) -> residue-is-zero verdicts and the (side, w) ->
-    generator images."""
-    records, verdicts, images = {}, {}, {}
+    records and the (w, v) -> residue-is-zero verdicts, and its ``atoms``
+    as the (cls, w) -> generator images."""
+    records, verdicts = {}, {}
     for key, entry in params.torus_table.items():
         if len(key) == 3:
             verdicts[key[1:]] = entry
-        elif isinstance(key[0], tuple):
-            records[key] = entry
         else:
-            images[key] = entry
+            assert isinstance(key[0], tuple), key  # a pair record, not an image
+            records[key] = entry
+    images = {(cls, (kind, i)): image for (cls, kind, i), image in params.atoms.items()}
     return records, verdicts, images
 
 
@@ -637,7 +637,7 @@ def test_pair_memo_does_not_keep_instances_alive():
         torus_matrix_p(params, T)
         assert check_torus_relations(params, T)
     records, verdicts, images = map(set, table_parts(params))  # keys only: no elements
-    assert records and verdicts and {side for side, _ in images} == {"p", "q"}
+    assert records and verdicts and {cls for cls, _ in images} == {PoissonElement, WeylElement}
     del params
     gc.collect()
     assert ref() is None
@@ -882,8 +882,10 @@ def test_torus_table_bound():
             gens = 3 * n - 1
             assert set(records) == set(verdicts) and len(records) <= gens**2
             assert all(text == str(d) for _, d, text in records.values())
+            assert len(params.torus_table) <= 2 * gens**2
+            assert {cls for cls, _ in images} == {PoissonElement, WeylElement}
             assert len(images) <= 2 * gens
-            assert len(params.torus_table) <= 6 * n * gens
+            assert all(image == cls.generator(params, *w) for (cls, w), image in images.items())
 
 
 def test_each_pair_is_computed_once(monkeypatch):
@@ -918,9 +920,9 @@ def test_each_pair_is_computed_once(monkeypatch):
     fill_every_stratum(params)
     pairs = {pair for T in enumerate_admissible(3) for pair in product(y_set(T), repeat=2)}
     _, _, images = table_parts(params)
-    of_image = {id(image): w for (side, w), image in images.items() if side == "p"}
+    of_image = {id(image): w for (cls, w), image in images.items() if cls is PoissonElement}
     of_monomials = {tuple(m for m, _ in image.terms): w
-                    for (side, w), image in images.items() if side == "q"}
+                    for (cls, w), image in images.items() if cls is WeylElement}
     assert len(of_monomials) == len(of_image) == len({w for pair in pairs for w in pair})
     assert sorted(exponents) == sorted(pairs)
     assert sorted((of_image[id(a)], of_image[id(b)]) for a, b in brackets) == sorted(pairs)
