@@ -101,24 +101,42 @@ WORKLOAD_SHAPES = [["nf", "x1*y1"], ["comm", "x1", "y1"], ["bracket", "x1", "y1"
                    ["admissible", "3"], ["example", "quantum-plane"]]
 
 
-def test_option_free_lines_are_bound_and_others_take_the_full_parser(monkeypatch, capsys):
-    """Every command but ``verify`` has a row in the bind table.  An
-    option-free line of one, with or without ``--json``, calls no
-    ``parse_args``; one with ``--``, ``--config``, an extra operand, an
-    operand that its type or choices refuse, or ``verify`` calls the full
-    parser once, for argparse's message."""
-    assert set(cli._OPERANDS) == set(cli.COMMANDS) - {"verify"}
+def spy_on_parse_args(monkeypatch):
+    """The argvs that ``main`` hands to the full parser's ``parse_args``."""
     parser, calls = cli._parser(), []
     parse_args = parser.parse_args
     monkeypatch.setattr(parser, "parse_args", lambda *a: calls.append(a[0]) or parse_args(*a))
-    for argv in WORKLOAD_SHAPES + [["validate"]]:
+    return calls
+
+
+def test_command_lines_of_the_workload_shape_skip_the_full_parser(monkeypatch, capsys):
+    """Each workload-shape command line, with or without ``--json``, calls
+    no ``parse_args``; one with ``--config`` still takes the full parser,
+    once."""
+    calls = spy_on_parse_args(monkeypatch)
+    for argv in WORKLOAD_SHAPES:
         for prefix in ([], ["--json"]):
             assert cli.main(prefix + argv) == 0, argv
     assert calls == []
     capsys.readouterr()
+    argv = ["--config", str(GOLDEN / "n3.json"), "nf", "x1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "x1\n" and calls == [argv]
+
+
+def test_plain_command_lines_are_bound_without_a_parser(monkeypatch, capsys):
+    """Every command but ``verify`` has a row in the bind table, and its
+    option-free line is bound without a parser.  A line with ``--``, an
+    extra operand, an operand that its type or choices refuse, or
+    ``verify`` calls the full parser once, for argparse's message."""
+    assert set(cli._OPERANDS) == set(cli.COMMANDS) - {"verify"}
+    calls = spy_on_parse_args(monkeypatch)
+    for prefix in ([], ["--json"]):
+        assert cli.main(prefix + ["validate"]) == 0
+    assert calls == []
+    capsys.readouterr()
     for argv, code, err in [
         (["nf", "--", "-x1"], 0, ""),
-        (["--config", str(GOLDEN / "n3.json"), "nf", "x1"], 0, ""),
         (["nf", "x1", "x2"], 2, "error: unrecognized arguments: x2\n"),
         (["admissible", "x"], 2, "error: argument n: invalid int value: 'x'\n"),
         (["example", "foo"], 2, "error: argument name: invalid choice: 'foo' (choose from "),
