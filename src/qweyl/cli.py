@@ -436,8 +436,9 @@ def _render(value, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} is left to json")
 
 
-# the instance of the last call on an instance; a call on a config of the same repr (which,
-# unlike ==, tells 1, 1.0 and True apart) builds nothing and reuses it with its memos
+# the instance of the last call on an instance, replaced only by one built and checked; a call
+# on a config of the same repr (which, unlike ==, tells 1, 1.0 and True apart) builds nothing and
+# reuses it with its memos, whose entries depend on it alone.  main serves one thread at a time.
 _held: WeylParams | None = None
 _held_key: str | None = None
 

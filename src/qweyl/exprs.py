@@ -19,10 +19,10 @@ sum_{k<=i} y_k x_k) or of the rescaled presentation (:func:`eval_rescaled`;
 Y_k x_k).  A product is a left fold; a sum takes one pass, adding every
 part's terms (a negated part's with their signs flipped) into one table
 of coefficient sums and building one element from it.  Every leaf is
-checked against the instance; a generator leaf is then read from the
-instance's ``atoms`` table, keyed by element class and leaf, which builds
-each one once, and a number or eta monomial is built in stored form as
-one constant term (none for 0).
+checked against the instance; a generator leaf is then read through
+:meth:`~qweyl.weyl.WeylParams.atom`, which builds each leaf once per
+instance and element class, and a number or eta monomial is built in
+stored form as one constant term (none for 0).
 """
 
 from __future__ import annotations
@@ -343,10 +343,7 @@ def _evaluate(node: Expression, params: WeylParams, atom):
 
 def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -> WeylElement:
     if isinstance(leaf, Gen):  # checked, so the key is one of the 3n + 1 leaves of ``cls``
-        key = (cls, leaf.kind, leaf.index)
-        if (out := params.atoms.get(key)) is None:
-            out = params.atoms[key] = cls.generator(params, leaf.kind, leaf.index)
-        return out
+        return params.atom(cls, leaf.kind, leaf.index)
     # a number or an eta monomial: one constant term in stored form, none for 0
     c, vec = ((_coefficient(leaf.value), (0,) * params.r) if isinstance(leaf, Num)
               else (1, tuple(leaf.exponents)))

@@ -273,53 +273,36 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
 
 def _pair_table(params: WeylParams, field: int, gens: Sequence[TaggedGen]) -> tuple:
     """The matrix over ordered pairs (w_i, w_j) of ``gens`` of one field of
-    their :func:`_pair_record`: the exponent (0), the Poisson form (1) or
-    its printed text (2)."""
+    their :func:`_pair_record`: the exponent (0), the Poisson form (1), its
+    printed text (2) or the residue verdict (3)."""
     memo = params.torus_table
     return tuple([tuple([(memo.get((wi, wj)) or _pair_record(params, wi, wj))[field]
                          for wj in gens]) for wi in gens])
 
 
-def _pair_record(params: WeylParams, w: TaggedGen, v: TaggedGen) -> tuple[ExpVec, MuPoly, str]:
-    """The record ``(c, d, str(d))`` of the ordered pair (w, v), with c =
-    ``q_pair_exponent(w, v)`` and d = {w, v}/(w v) from :func:`_bracket_form`,
-    stored whole in the instance's ``torus_table`` under ``(w, v)``, so a
-    first read of the exponent brackets the pair too; the table also holds
-    the verdict of :func:`_residue_is_zero` under ``("q", w, v)``.  Each ordered
-    pair's form, (v, w) and (w, w) included, goes through ``pb_bracket`` on its own."""
-    record = params.torus_table.get((w, v))
-    if record is None:
-        d = _bracket_form(*[_image(params, PoissonElement, u) for u in (w, v)], w, v)
-        record = params.torus_table[(w, v)] = (q_pair_exponent(params, w, v), d, str(d))
-    return record
-
-
-def _residue_is_zero(params: WeylParams, w: TaggedGen, v: TaggedGen) -> bool:
-    """Whether the torus residue w v - eta^c v w is 0, c the exponent of the
-    (w, v) record, stored under ``("q", w, v)``.  One
+def _pair_record(params: WeylParams, w: TaggedGen,
+                 v: TaggedGen) -> tuple[ExpVec, MuPoly, str, bool]:
+    """The record ``(c, d, str(d), ok)`` of the ordered pair (w, v), built on
+    a miss of the instance's ``torus_table``: c = ``q_pair_exponent(w, v)``,
+    d = {w, v}/(w v) from :func:`_bracket_form` and ok whether the residue
+    w v - eta^c v w is 0.  Both orders' records are built in full, each
+    exponent and form on its own (so skew-symmetry stays checked), and then
+    both are stored, so a failed build stores neither.  One
     :meth:`~qweyl.weyl.StraighteningEngine.q_commutators` call folds w v and
-    v w once each and gives both orders' verdicts, each from its own
-    exponent, so skew-symmetry stays checked.  Only a diagonal pair with
-    c = 0 is true without a fold; a nonzero c is folded, so a wrong table shows."""
-    memo = params.torus_table
-    if ("q", w, v) not in memo:
-        c, c2 = _pair_record(params, w, v)[0], _pair_record(params, v, w)[0]
-        if w == v and not any(c):
-            memo[("q", w, w)] = True
-        else:
-            a, b = [_image(params, WeylElement, u) for u in (w, v)]
-            ab, ba = params.engine.q_commutators(a.terms, b.terms, c, c2)
-            memo[("q", w, v)], memo[("q", v, w)] = not any(ab.values()), not any(ba.values())
-    return memo[("q", w, v)]
-
-
-def _image(params: WeylParams, cls, w: TaggedGen):
-    """The ``cls`` image of ``w``, built once per instance in its ``atoms``,
-    which the expression evaluator reads too."""
-    key = (cls, *w)
-    if (out := params.atoms.get(key)) is None:
-        out = params.atoms[key] = cls.generator(params, *w)
-    return out
+    v w once each and gives both verdicts; only a diagonal pair with c = 0
+    is true without a fold, so a wrong table shows."""
+    pairs = ((w, v),) if w == v else ((w, v), (v, w))
+    cs = [q_pair_exponent(params, *pair) for pair in pairs]
+    ds = [_bracket_form(*[params.atom(PoissonElement, *u) for u in pair], *pair)
+          for pair in pairs]
+    if w == v and not any(cs[0]):
+        oks = [True]
+    else:
+        a, b = [params.atom(WeylElement, *u).terms for u in (w, v)]
+        oks = [not any(r.values()) for r in params.engine.q_commutators(a, b, *cs)]
+    for pair, c, d, ok in zip(pairs, cs, ds, oks):
+        params.torus_table[pair] = (c, d, str(d), ok)
+    return params.torus_table[(w, v)]
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:
@@ -613,7 +596,6 @@ def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     w_i w_j - eta^{c_ij} w_j w_i is 0.  The stratum generators q-commute in
     the algebra itself, so this is stronger than membership of the
     residues in the stratum ideal (:func:`in_stratum_ideal`).  A residue's
-    verdict does not depend on the stratum and comes from the instance's memo."""
-    memo, gens = params.torus_table, _generators(params, T)
-    return all([memo.get(("q", w, v)) or _residue_is_zero(params, w, v)
-                for w in gens for v in gens])
+    verdict does not depend on the stratum: it is field 3 of the pair's
+    record in the instance's table."""
+    return all(chain.from_iterable(_pair_table(params, 3, _generators(params, T))))

@@ -490,19 +490,26 @@ class WeylParams:
 
     @cached_property
     def atoms(self) -> dict:
-        """Memo of the generator elements, filled by :mod:`qweyl.exprs` for
-        the leaves it reads and by :mod:`qweyl.spectra` for the stratum
-        generators' images: ``(cls, kind, i)`` holds y_i, x_i or z_i as a
-        ``cls`` element, for three classes (the two an expression is
-        evaluated in, and the Poisson one), so at most 3(3n + 1) entries; it
-        lives and dies with this instance."""
+        """Memo of the generator elements, filled only through :meth:`atom`:
+        ``(cls, kind, i)`` holds y_i, x_i or z_i as a ``cls`` element, for
+        three classes (the two an expression is evaluated in, and the
+        Poisson one), so at most 3(3n + 1) entries; it lives and dies with
+        this instance."""
         return {}
+
+    def atom(self, cls: type, kind: str, i: int) -> PbwElement:
+        """``cls.generator(self, kind, i)``, built once per instance in
+        :attr:`atoms`: the expression leaves of :mod:`qweyl.exprs` and the
+        stratum generators' images in :mod:`qweyl.spectra` are read here."""
+        if (out := self.atoms.get((cls, kind, i))) is None:
+            out = self.atoms[cls, kind, i] = cls.generator(self, kind, i)
+        return out
 
     @cached_property
     def torus_table(self) -> dict:
         """Memo of what every stratum table reads, filled by
-        :mod:`qweyl.spectra`: per ordered pair of the 3n - 1 tagged stratum
-        generators one record and one verdict, so at most 2(3n - 1)^2
+        :mod:`qweyl.spectra`: one record per ordered pair of the 3n - 1
+        tagged stratum generators, keyed by the pair, so at most (3n - 1)^2
         entries (their images are in ``atoms``); it lives and dies with this
         instance."""
         return {}

@@ -21,6 +21,7 @@ from qweyl import (
     count_admissible,
     enumerate_admissible,
     eval_rescaled,
+    eval_weyl,
     from_maltsiniotis,
     in_stratum_ideal,
     integer_kernel,
@@ -598,18 +599,15 @@ def fresh(params):
 
 
 def table_parts(params):
-    """The instance's torus table split into the (w, v) -> (c, d, str(d))
-    records and the (w, v) -> residue-is-zero verdicts, and its ``atoms``
-    as the (cls, w) -> generator images."""
-    records, verdicts = {}, {}
-    for key, entry in params.torus_table.items():
-        if len(key) == 3:
-            verdicts[key[1:]] = entry
-        else:
-            assert isinstance(key[0], tuple), key  # a pair record, not an image
-            records[key] = entry
+    """The instance's torus table as the (w, v) -> (c, d, str(d), ok)
+    records, failing on any key that is not an ordered pair of tagged
+    generators, and its ``atoms`` as the (cls, w) -> generator images."""
+    records = dict(params.torus_table)
+    for key, record in records.items():
+        assert len(key) == 2 and all(len(w) == 2 and w[0] in "zyx" for w in key), key
+        assert len(record) == 4 and type(record[3]) is bool, record
     images = {(cls, (kind, i)): image for (cls, kind, i), image in params.atoms.items()}
-    return records, verdicts, images
+    return records, images
 
 
 def test_pair_memo_warm_equals_cold():
@@ -624,9 +622,8 @@ def test_pair_memo_warm_equals_cold():
                     check_torus_relations,
                 ):
                     assert compute(warm, T) == compute(fresh(warm), T), (seed, n, T)
-            records, verdicts, _ = table_parts(warm)
-            assert records and verdicts
-            assert len(records) + len(verdicts) <= 2 * (3 * n - 1) ** 2
+            records, _ = table_parts(warm)
+            assert records and len(records) <= (3 * n - 1) ** 2
 
 
 def test_pair_memo_does_not_keep_instances_alive():
@@ -636,8 +633,8 @@ def test_pair_memo_does_not_keep_instances_alive():
     for T in enumerate_admissible(2):
         torus_matrix_p(params, T)
         assert check_torus_relations(params, T)
-    records, verdicts, images = map(set, table_parts(params))  # keys only: no elements
-    assert records and verdicts and {cls for cls, _ in images} == {PoissonElement, WeylElement}
+    records, images = map(set, table_parts(params))  # keys only: no elements
+    assert records and {cls for cls, _ in images} == {PoissonElement, WeylElement}
     del params
     gc.collect()
     assert ref() is None
@@ -765,10 +762,10 @@ def test_pair_memo_holds_torus_residues():
             params = random_params(random.Random(seed), n, 2)
             for T in enumerate_admissible(n):
                 check_torus_relations(params, T)
-            _, verdicts, _ = table_parts(params)
+            records, _ = table_parts(params)
             pairs = {pair for T in enumerate_admissible(n) for pair in product(y_set(T), repeat=2)}
-            assert set(verdicts) == pairs
-            for (w, v), verdict in verdicts.items():
+            assert set(records) == pairs
+            for (w, v), (*_, verdict) in records.items():
                 a, b = WeylElement.generator(params, *w), WeylElement.generator(params, *v)
                 eta = QTScalar.monomial(spectra.q_pair_exponent(params, w, v))
                 assert verdict is (a * b == (b * a).scale(eta)), (seed, n, w, v)
@@ -786,7 +783,9 @@ def test_pair_memo_keeps_a_wrong_exponent_visible(monkeypatch):
         return (c[0] + 1,) + c[1:] if (w, v) == bad else c
 
     monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
-    assert not check_torus_relations(fresh(params), T)
+    cold = fresh(params)
+    assert not check_torus_relations(cold, T)
+    assert (cold.torus_table[bad][3], cold.torus_table[bad[::-1]][3]) == (False, True)
 
 
 def test_pair_memo_keeps_a_wrong_product_visible(monkeypatch):
@@ -831,7 +830,7 @@ def test_diagonal_residues_take_no_fold(monkeypatch):
     fill_every_stratum(params)
     assert diagonal and not any(diagonal)
     gens = {w for T in enumerate_admissible(3) for w in y_set(T)}
-    assert all(params.torus_table[("q", w, w)] is True for w in gens)
+    assert all(params.torus_table[(w, w)][3] is True for w in gens)
 
 
 def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
@@ -864,6 +863,32 @@ def test_generator_images_are_built_once_per_instance(monkeypatch):
         assert len(set(built)) == len(built)
 
 
+def test_expression_leaves_are_the_images_the_stratum_table_folds(monkeypatch):
+    """``WeylParams.atom`` serves eval_weyl's leaves and the stratum images
+    alike: a leaf is the very element whose terms the torus residues fold,
+    and each (cls, kind, i) is built once."""
+    params = random_params(random.Random(6), 2, 2)
+    built, folded = [], []
+    right, commute = PbwElement.generator.__func__, StraighteningEngine.q_commutators
+
+    def counted(cls, p, kind, i):
+        built.append((cls, kind, i))
+        return right(cls, p, kind, i)
+
+    def spied(self, ta, tb, *cs):
+        folded.append((ta, tb))
+        return commute(self, ta, tb, *cs)
+
+    monkeypatch.setattr(PbwElement, "generator", classmethod(counted))
+    monkeypatch.setattr(StraighteningEngine, "q_commutators", spied)
+    leaves = {w: eval_weyl(parse_expr("%s%d" % w), params) for w in (("y", 2), ("z", 1))}
+    fill_every_stratum(params)
+    for w, leaf in leaves.items():
+        assert eval_weyl(parse_expr("%s%d" % w), params) is leaf is params.atom(WeylElement, *w)
+        assert any(leaf.terms is ta or leaf.terms is tb for ta, tb in folded), w
+    assert len(built) == len(set(built)) == len(params.atoms)
+
+
 def test_stratum_report_prints_the_forms_of_the_p_table():
     for n in (1, 2, 3):
         params = random_params(random.Random(10), n, 3)
@@ -878,11 +903,10 @@ def test_torus_table_bound():
         for n in (1, 2, 3):
             params = random_params(random.Random(seed), n, 2)
             fill_every_stratum(params)
-            records, verdicts, images = table_parts(params)
+            records, images = table_parts(params)
             gens = 3 * n - 1
-            assert set(records) == set(verdicts) and len(records) <= gens**2
-            assert all(text == str(d) for _, d, text in records.values())
-            assert len(params.torus_table) <= 2 * gens**2
+            assert len(params.torus_table) <= gens**2
+            assert all(text == str(d) and ok is True for _, d, text, ok in records.values())
             assert {cls for cls, _ in images} == {PoissonElement, WeylElement}
             assert len(images) <= 2 * gens
             assert all(image == cls.generator(params, *w) for (cls, w), image in images.items())
@@ -919,7 +943,7 @@ def test_each_pair_is_computed_once(monkeypatch):
     monkeypatch.setattr(StraighteningEngine, "q_commutators", counted_commute)
     fill_every_stratum(params)
     pairs = {pair for T in enumerate_admissible(3) for pair in product(y_set(T), repeat=2)}
-    _, _, images = table_parts(params)
+    _, images = table_parts(params)
     of_image = {id(image): w for (cls, w), image in images.items() if cls is PoissonElement}
     of_monomials = {tuple(m for m, _ in image.terms): w
                     for (cls, w), image in images.items() if cls is WeylElement}
