@@ -10,19 +10,19 @@ Grammar (whitespace-insensitive, LL(1)):
     GEN     := ('y' | 'x' | 'z') digits      -- y1..yn, x1..xn, z0..zn
     ETA     := 'eta' '^' '[' INT (',' INT)* ']'
 
-The tokenizer emits plain ``(kind, text, line, col)`` tuples, which the
-recursive-descent parser reads by position; the tree it builds is made of
-the frozen node classes below.  One evaluator folds the tree, with the
-leaves of the quantized algebra (:func:`eval_weyl`; ``z_i`` = 1 +
-sum_{k<=i} y_k x_k) or of the rescaled presentation (:func:`eval_rescaled`;
-``y_i`` is Y_i = (q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1)
-Y_k x_k).  A product is a left fold; a sum takes one pass, adding every
-part's terms (a negated part's with their signs flipped) into one table
-of coefficient sums and building one element from it.  Every leaf is
-checked against the instance; a generator leaf is then read through
-:meth:`~qweyl.weyl.WeylParams.atom`, which builds each leaf once per
-instance and element class, and a number or eta monomial is built in
-stored form as one constant term (none for 0).
+The tokenizer reads the text in one scan of one regular expression and
+emits plain ``(kind, text, line, col)`` tuples, which the recursive-descent
+parser reads by position; the tree it builds is made of the frozen node
+classes below.  One evaluator folds the tree into the elements of the
+quantized algebra (:func:`eval_weyl`; ``z_i`` = 1 + sum_{k<=i} y_k x_k) or
+of the rescaled presentation (:func:`eval_rescaled`; ``y_i`` is Y_i =
+(q_i - 1)^{-1} y_i and ``z_i`` = 1 + sum_{k<=i} (q_k - 1) Y_k x_k).  A
+product is a left fold; a sum takes one pass, adding every part's terms (a
+negated part's with their signs flipped) into one table of coefficient sums
+and building one element from it.  One leaf routine checks each leaf against
+the instance and builds it: a generator through
+:meth:`~qweyl.weyl.WeylParams.atom`, once per instance and element class,
+and a number or eta monomial in stored form as one constant term (none for 0).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import QTScalar, _coefficient
-from .weyl import MaltsiniotisElement, WeylElement, WeylParams
+from .weyl import MaltsiniotisElement, PbwElement, WeylElement, WeylParams
 
 
 class ExprSyntaxError(ValueError):
@@ -102,10 +102,18 @@ Expression = Num | Gen | EtaMono | Neg | Pow | Mul | Add
 # -- tokenizer -------------------------------------------------------------------
 
 
-# a rational literal (a '/' without digits after it is malformed), and a
-# name with the digits that follow it
-_NUMBER = re.compile(r"[0-9]+(/[0-9]*)?")
-_SYMBOL = re.compile(r"([A-Za-z]+)([0-9]*)")
+# One alternation reads every token: a line break, a run of other white
+# space, a rational literal (a '/' without digits after it is malformed), a
+# name with the digits that follow it, an operator or bracket, and any other
+# character, so every character of the text is in exactly one match.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<number>[0-9]+(?:/[0-9]*)?)
+  | (?P<name>(?P<letters>[A-Za-z]+)(?P<digits>[0-9]*))
+  | (?P<op>[-+*^()\[\],])
+  | (?P<other>.)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -114,40 +122,29 @@ def _tokenize(text: str) -> list[tuple]:
         line, col = text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
         raise ExprSyntaxError(f"unexpected character {text[i]!r}", line, col)
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the line's number and the offset of its first character
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m[0], m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        if kind in ("newline", "space"):
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        number, symbol = _NUMBER.match(text, i), _SYMBOL.match(text, i)
-        if number:
-            if number[1] == "/":
-                raise ExprSyntaxError("malformed rational literal", line, col)
-            kind, j = "number", number.end()
-        elif symbol and symbol[1] == "eta":
-            if symbol[2]:
+        if kind == "number" and word.endswith("/"):
+            raise ExprSyntaxError("malformed rational literal", line, col)
+        elif kind == "name" and m["letters"] == "eta":
+            if m["digits"]:
                 raise ExprSyntaxError("eta takes no index", line, col)
-            kind, j = "eta", symbol.end()
-        elif symbol and symbol[1] in ("y", "x", "z") and symbol[2]:
-            kind, j = "gen", symbol.end()
-        elif symbol:
-            raise ExprSyntaxError(f"unknown symbol {symbol[0]!r}", line, col)
-        elif ch in "+-*^()[],":
-            kind, j = ch, i + 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append((kind, text[i:j], line, col))
-        col += j - i
-        i = j
-    tokens.append(("end", "", line, col))
+            kind = "eta"
+        elif kind == "name" and m["letters"] in ("y", "x", "z") and m["digits"]:
+            kind = "gen"
+        elif kind == "name":
+            raise ExprSyntaxError(f"unknown symbol {word!r}", line, col)
+        elif kind == "op":
+            kind = word
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character {word!r}", line, col)
+        tokens.append((kind, word, line, col))
+    tokens.append(("end", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -282,54 +279,51 @@ def parse_expr(text: str) -> Expression:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _check_atom(node: Num | Gen | EtaMono, params: WeylParams) -> None:
-    """Raise ExprEvalError unless a generator or eta monomial fits the instance."""
-    if isinstance(node, EtaMono):
-        if len(node.exponents) != params.r:
-            raise ExprEvalError(
-                f"eta exponent vector has length {len(node.exponents)}, expected "
-                f"{params.r} (line {node.line}, column {node.col})"
-            )
-        if any(type(e) is not int for e in node.exponents):  # bools and floats are not exponents
-            raise ExprEvalError(f"eta exponents {tuple(node.exponents)} must be ints "
-                                f"(line {node.line}, column {node.col})")
-    elif isinstance(node, Gen) and type(node.index) is not int:  # a bool would key as 0 or 1
-        raise ExprEvalError(
-            f"generator index {node.index!r} must be an int (line {node.line}, column {node.col})"
-        )
-    elif isinstance(node, Gen) and node.kind == "z":
-        if not 0 <= node.index <= params.n:
-            raise ExprEvalError(
-                f"z index {node.index} out of range 0..{params.n} "
-                f"(line {node.line}, column {node.col})"
-            )
-    elif isinstance(node, Gen) and not 1 <= node.index <= params.n:
-        raise ExprEvalError(
-            f"unknown generator {node.kind}{node.index} for n={params.n} "
-            f"(line {node.line}, column {node.col})"
-        )
+def _leaf(leaf: Num | Gen | EtaMono, params: WeylParams, cls: type) -> PbwElement:
+    """``leaf`` as an element of ``cls``: a generator through :meth:`WeylParams.atom`,
+    a number or eta monomial as one constant term in stored form (none for 0).
+    A leaf that does not fit the instance is an ExprEvalError at its position."""
+    if isinstance(leaf, Num):
+        c, vec, problem = _coefficient(leaf.value), (0,) * params.r, None
+    elif isinstance(leaf, EtaMono):
+        c, vec, problem = 1, tuple(leaf.exponents), None
+        if len(vec) != params.r:
+            problem = f"eta exponent vector has length {len(vec)}, expected {params.r}"
+        elif any(type(e) is not int for e in vec):  # bools and floats are not exponents
+            problem = f"eta exponents {vec} must be ints"
+    elif type(leaf.index) is not int:  # a bool would key as 0 or 1
+        problem = f"generator index {leaf.index!r} must be an int"
+    elif leaf.kind == "z" and not 0 <= leaf.index <= params.n:
+        problem = f"z index {leaf.index} out of range 0..{params.n}"
+    elif leaf.kind != "z" and not 1 <= leaf.index <= params.n:
+        problem = f"unknown generator {leaf.kind}{leaf.index} for n={params.n}"
+    else:  # one of the 3n + 1 generator leaves of ``cls``
+        return params.atom(cls, leaf.kind, leaf.index)
+    if problem:
+        raise ExprEvalError(f"{problem} (line {leaf.line}, column {leaf.col})")
+    scalar = QTScalar._canonical(params.r, [(vec, c)])
+    return cls._canonical(params, [((0,) * (2 * params.n), scalar)] if c else ())
 
 
-def _evaluate(node: Expression, params: WeylParams, atom):
-    """Fold ``node``, with ``atom(leaf, params)`` for each leaf, checked even
-    under ^0.  Neg and Pow wrappers are peeled in a loop and applied, the
+def _evaluate(node: Expression, params: WeylParams, cls: type) -> PbwElement:
+    """Fold ``node`` into an element of ``cls``, each leaf by :func:`_leaf`,
+    even under ^0.  Neg and Pow wrappers are peeled in a loop and applied, the
     innermost first, to the value they wrap: only Mul and Add take a frame."""
     wrappers = []
     while isinstance(node, (Neg, Pow)):
         wrappers.append(node)
         node = node.item if isinstance(node, Neg) else node.base
     if isinstance(node, (Num, Gen, EtaMono)):
-        _check_atom(node, params)
-        out = atom(node, params)
+        out = _leaf(node, params, cls)
     elif isinstance(node, Mul):
-        out = _evaluate(node.factors[0], params, atom)
+        out = _evaluate(node.factors[0], params, cls)
         for part in node.factors[1:]:  # not reduce over a generator, which adds a frame per level
-            out = out * _evaluate(part, params, atom)
+            out = out * _evaluate(part, params, cls)
     elif isinstance(node, Add):  # every part's terms into one table, one element at the end
         sums: dict = {}
         for part in node.terms:
             negate = isinstance(part, Neg)
-            out = _evaluate(part.item if negate else part, params, atom)
+            out = _evaluate(part.item if negate else part, params, cls)
             for m, c in out.terms:
                 c, old = -c if negate else c, sums.get(m)
                 sums[m] = c if old is None else old + c
@@ -341,21 +335,11 @@ def _evaluate(node: Expression, params: WeylParams, atom):
     return out
 
 
-def _weyl_atom(leaf: Num | Gen | EtaMono, params: WeylParams, cls=WeylElement) -> WeylElement:
-    if isinstance(leaf, Gen):  # checked, so the key is one of the 3n + 1 leaves of ``cls``
-        return params.atom(cls, leaf.kind, leaf.index)
-    # a number or an eta monomial: one constant term in stored form, none for 0
-    c, vec = ((_coefficient(leaf.value), (0,) * params.r) if isinstance(leaf, Num)
-              else (1, tuple(leaf.exponents)))
-    scalar = QTScalar._canonical(params.r, [(vec, c)])
-    return cls._canonical(params, [((0,) * (2 * params.n), scalar)] if c else ())
-
-
 def eval_weyl(node: Expression, params: WeylParams) -> WeylElement:
     """Evaluate an expression tree in the quantized algebra."""
-    return _evaluate(node, params, _weyl_atom)
+    return _evaluate(node, params, WeylElement)
 
 
 def eval_rescaled(node: Expression, params: WeylParams) -> MaltsiniotisElement:
     """Evaluate in the rescaled presentation, where y_i is Y_i = (q_i - 1)^{-1} y_i."""
-    return _evaluate(node, params, lambda leaf, p: _weyl_atom(leaf, p, MaltsiniotisElement))
+    return _evaluate(node, params, MaltsiniotisElement)

@@ -460,11 +460,11 @@ def test_deepest_accepted_expression_tree_evaluates(capsys, monkeypatch, command
     assert nested_call(100) == (0, f"{2**200 - 1} + {2**200}*x1\n", "")
     evaluate, depth, deepest = exprs._evaluate, [0], [0]
 
-    def counted(node, params, atom):
+    def counted(node, params, cls):
         depth[0] += 1
         deepest[0] = max(deepest[0], depth[0])
         try:
-            return evaluate(node, params, atom)
+            return evaluate(node, params, cls)
         finally:
             depth[0] -= 1
 

@@ -1,6 +1,8 @@
 import gc
 import importlib
 import random
+import re
+import string
 import sys
 import weakref
 from functools import reduce
@@ -19,7 +21,7 @@ from qweyl import (
     parse_expr,
     wa_z,
 )
-from qweyl.exprs import Add, EtaMono, Gen, Mul, Neg, Num, Pow
+from qweyl.exprs import Add, EtaMono, Gen, Mul, Neg, Num, Pow, _tokenize
 from qweyl.scalars import TermMap
 from qweyl.weyl import PbwElement
 from qweyl.suites import random_params, random_weyl
@@ -84,6 +86,65 @@ def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as info:
         parse_expr("y1 +\n qq")
     assert info.value.line == 2
+
+
+# the scanner's alphabet: the grammar's characters, ASCII white space with
+# "\r\n" line breaks, and one non-ASCII character
+SCANNED = [*string.ascii_letters, *string.digits, *"+-*^()[],/", " ", "\t", "\r\n",
+           "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "²"]
+# the same with the grammar's names for its letters, so that more texts scan
+NAMED = ["x", "y", "z", "eta", *[ch for ch in SCANNED if not ch.isalpha()]]
+# what each kind of token holds; an operator or bracket is its own kind
+TOKEN_TEXT = {"number": "[0-9]+(/[0-9]+)?", "gen": "[xyz][0-9]+", "eta": "eta",
+              **{op: re.escape(op) for op in "+-*^()[],"}}
+# the scanner's messages, each with what the input holds where it points
+SCANNER_ERRORS = {
+    "unexpected character": r"[^\sA-Za-z0-9+*^()\[\],-]",
+    "malformed rational literal": "[0-9]+/(?![0-9])",
+    "eta takes no index": "eta[0-9]",
+    "unknown symbol": "(?!eta(?![A-Za-z])|[xyz][0-9])[A-Za-z]+[0-9]*",
+}
+
+
+def test_scanner_tokens_tile_the_input():
+    """On any text of the alphabet, the tokens are the input without its
+    white space, each text of its kind and at its (line, col), and the end
+    token is one column past the last character.  A syntax error points at
+    a character that is not white space, with one of the scanner's messages,
+    naming the character or symbol found there."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    texts = [st.lists(st.sampled_from(pieces), max_size=24).map("".join)
+             for pieces in (SCANNED, NAMED)]
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.one_of(texts))
+    @example("xz0")
+    @example("x")
+    @example("eta1")
+    @example("3/")
+    @example("1/0")
+    @example("x1 +\r\n y2")
+    def check(text):
+        lines = text.split("\n")
+        try:
+            *tokens, end = _tokenize(text)
+        except ExprSyntaxError as error:
+            at = lines[error.line - 1][error.col - 1:]  # the input from the position on
+            assert at and not at[0].isspace()
+            form, _, quoted = str(error).split(" (line ")[0].partition(" '")
+            held = re.match(SCANNER_ERRORS[form], at)
+            assert held and (not quoted or quoted == f"{held[0]}'"), (str(error), at)
+            return
+        assert "".join(t[1] for t in tokens) == "".join(ch for ch in text if not ch.isspace())
+        for kind, word, line, col in tokens:
+            assert re.fullmatch(TOKEN_TEXT[kind], word)
+            assert lines[line - 1][col - 1:col - 1 + len(word)] == word
+        assert end == ("end", "", len(lines), len(lines[-1]) + 1)
+
+    check()
 
 
 def test_unknown_index(params2):

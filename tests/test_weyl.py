@@ -413,6 +413,21 @@ def test_rescaling_division_rejects_nonmultiple(params2):
     assert str(err.value) == LOCALIZE.format("(-eta^[-2,0] + eta^[1,0])*y1", 1)
 
 
+def test_rescaling_division_width_at_its_edge():
+    """The decoder of ``from_maltsiniotis`` has (A (1 + S)).bit_length() + 1
+    bits a field.  Here A = 5461 and S = 2 give 15 bits: eta^[5461,-2732]
+    and eta^[-5460,2732] lie on the lines of s_1 = (2, 2) keyed (1, -8192)
+    and (0, 8192), which would pack to one int in 14-bit fields and read as
+    one line whose sum is 0.  Kept apart, each line sums to ±1, so Y_1
+    times their difference does not clear (q_1 - 1)."""
+    params = WeylParams(1, 2, ((2, 2),), (((0, 0),),))
+    coefficient = QTScalar.monomial((5461, -2732)) - QTScalar.monomial((-5460, 2732))
+    term = MaltsiniotisElement.generator(params, "y", 1).scale(coefficient)
+    with pytest.raises(LocalizationRequiredError) as err:
+        from_maltsiniotis(term)
+    assert str(err.value) == LOCALIZE.format("(-eta^[-5460,2732] + eta^[5461,-2732])*y1", 1)
+
+
 def test_rescaling_division_randomized():
     """The rescaling map undoes multiplication by prod (q_i - 1)^{a_i} on
     random instances (s_i of mixed sign, and entries near 2^40).  A
