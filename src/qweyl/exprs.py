@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,8 +287,10 @@ def _leaf(leaf: Num | Gen | EtaMono, params: WeylParams, cls: type) -> PbwElemen
     if isinstance(leaf, Num):
         c, vec, problem = _coefficient(leaf.value), (0,) * params.r, None
     elif isinstance(leaf, EtaMono):
-        c, vec, problem = 1, tuple(leaf.exponents), None
-        if len(vec) != params.r:
+        c, vec, problem = 1, leaf.exponents, None
+        if not isinstance(vec, Iterable):  # a hand-built leaf's one number
+            problem = f"eta exponents {vec!r} must be a sequence of ints"
+        elif len(vec := tuple(vec)) != params.r:
             problem = f"eta exponent vector has length {len(vec)}, expected {params.r}"
         elif any(type(e) is not int for e in vec):  # bools and floats are not exponents
             problem = f"eta exponents {vec} must be ints"
@@ -297,8 +300,11 @@ def _leaf(leaf: Num | Gen | EtaMono, params: WeylParams, cls: type) -> PbwElemen
         problem = f"z index {leaf.index} out of range 0..{params.n}"
     elif leaf.kind != "z" and not 1 <= leaf.index <= params.n:
         problem = f"unknown generator {leaf.kind}{leaf.index} for n={params.n}"
-    else:  # one of the 3n + 1 generator leaves of ``cls``
-        return params.atom(cls, leaf.kind, leaf.index)
+    else:  # one of the 3n + 1 generator leaves of ``cls``, or a hand-built unknown kind
+        try:
+            return params.atom(cls, leaf.kind, leaf.index)
+        except ValueError as exc:
+            problem = str(exc)
     if problem:
         raise ExprEvalError(f"{problem} (line {leaf.line}, column {leaf.col})")
     scalar = QTScalar._canonical(params.r, [(vec, c)])

@@ -198,40 +198,28 @@ def y_set(T: AdmissibleSet) -> tuple[TaggedGen, ...]:
 def q_pair_exponent(params: WeylParams, w1: TaggedGen, w2: TaggedGen) -> ExpVec:
     """Exponent vector c with w1 w2 = eta^c w2 w1 in the quantized algebra.
 
-    Closed table assembled from the defining relations and the z
-    commutation rules; the pair (y_i, x_i) never occurs among stratum
-    generators and is rejected.
+    Read from the four defining relations with w1 the generator of larger
+    index j > i: y_j y_i (L_ji), y_j x_i (L_ij), x_j y_i (s_i + L_ij) and
+    x_j x_i (-(s_i + L_ij)); the other order takes the negated exponent.
+    z_j commutes with z_i and with the generators of index above j, and
+    z_j y_i = q_i y_i z_j for i <= j (q_i^-1 for x_i).  The pair (y_i, x_i)
+    never occurs among stratum generators and is rejected.
     """
-    k1, a = w1
-    k2, b = w2
-    zero = zero_vec(params.r)
-    if k1 == "z" and k2 == "z":
-        return zero
+    (k1, a), (k2, b) = w1, w2
+    if k1 == "z" and (k2 == "z" or b > a):
+        return zero_vec(params.r)
     if k1 == "z":
-        if b > a:
-            return zero
-        v = params.s(b)
-        return v if k2 == "y" else vec_neg(v)
-    if k2 == "z":
+        return params.s(b) if k2 == "y" else vec_neg(params.s(b))
+    if k2 == "z" or a < b:
         return vec_neg(q_pair_exponent(params, w2, w1))
     if a == b:
         if k1 == k2:
-            return zero
+            return zero_vec(params.r)
         raise ValueError("y_i and x_i never co-occur among stratum generators")
-    if k1 == k2 == "y":
-        return params.L(a, b)
-    if k1 == k2 == "x":
-        if a < b:
-            return vec_add(params.s(a), params.L(a, b))
-        return vec_neg(vec_add(params.s(b), params.L(b, a)))
-    if k1 == "y":  # k2 == "x"
-        if a < b:
-            return vec_neg(vec_add(params.s(a), params.L(a, b)))
-        return params.L(b, a)
-    # k1 == "x", k2 == "y"
-    if a < b:
-        return vec_neg(params.L(a, b))
-    return vec_add(params.s(b), params.L(b, a))
+    if k1 == "y":
+        return params.L(a, b) if k2 == "y" else params.L(b, a)
+    v = vec_add(params.s(b), params.L(b, a))
+    return v if k2 == "y" else vec_neg(v)
 
 
 def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, ...], ...]:
@@ -274,7 +262,7 @@ def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: Tagge
 def _pair_table(params: WeylParams, field: int, gens: Sequence[TaggedGen]) -> tuple:
     """The matrix over ordered pairs (w_i, w_j) of ``gens`` of one field of
     their :func:`_pair_record`: the exponent (0), the Poisson form (1), its
-    printed text (2) or the residue verdict (3)."""
+    printed text (2) or the pair's verdict (3)."""
     memo = params.torus_table
     return tuple([tuple([(memo.get((wi, wj)) or _pair_record(params, wi, wj))[field]
                          for wj in gens]) for wi in gens])
@@ -284,23 +272,23 @@ def _pair_record(params: WeylParams, w: TaggedGen,
                  v: TaggedGen) -> tuple[ExpVec, MuPoly, str, bool]:
     """The record ``(c, d, str(d), ok)`` of the ordered pair (w, v), built on
     a miss of the instance's ``torus_table``: c = ``q_pair_exponent(w, v)``,
-    d = {w, v}/(w v) from :func:`_bracket_form` and ok whether the residue
-    w v - eta^c v w is 0.  Both orders' records are built in full, each
-    exponent and form on its own (so skew-symmetry stays checked), and then
-    both are stored, so a failed build stores neither.  One
-    :meth:`~qweyl.weyl.StraighteningEngine.q_commutators` call folds w v and
-    v w once each and gives both verdicts; only a diagonal pair with c = 0
-    is true without a fold, so a wrong table shows."""
+    d = {w, v}/(w v) from :func:`_bracket_form` and ok the pair's verdict.
+    Both orders' records are built, each exponent and form on its own (so
+    skew-symmetry stays checked), and then both are stored, so a failed
+    build stores neither.  The algebra is a domain, so w v = eta^c v w and
+    v w = eta^c' w v hold together exactly when the first holds and c' =
+    -c: ok is that, one :meth:`~qweyl.weyl.StraighteningEngine.q_commutator`
+    call for w != v, and c = 0 without a fold for w = v, so a wrong table
+    shows."""
     pairs = ((w, v),) if w == v else ((w, v), (v, w))
     cs = [q_pair_exponent(params, *pair) for pair in pairs]
     ds = [_bracket_form(*[params.atom(PoissonElement, *u) for u in pair], *pair)
           for pair in pairs]
-    if w == v and not any(cs[0]):
-        oks = [True]
-    else:
+    ok = cs[-1] == vec_neg(cs[0])
+    if ok and w != v:
         a, b = [params.atom(WeylElement, *u).terms for u in (w, v)]
-        oks = [not any(r.values()) for r in params.engine.q_commutators(a, b, *cs)]
-    for pair, c, d, ok in zip(pairs, cs, ds, oks):
+        ok = not any(params.engine.q_commutator(a, b, cs[0]).values())
+    for pair, c, d in zip(pairs, cs, ds):
         params.torus_table[pair] = (c, d, str(d), ok)
     return params.torus_table[(w, v)]
 
@@ -595,7 +583,7 @@ def check_torus_relations(params: WeylParams, T: AdmissibleSet) -> bool:
     against the straightening engine, exactly: True only when every residue
     w_i w_j - eta^{c_ij} w_j w_i is 0.  The stratum generators q-commute in
     the algebra itself, so this is stronger than membership of the
-    residues in the stratum ideal (:func:`in_stratum_ideal`).  A residue's
-    verdict does not depend on the stratum: it is field 3 of the pair's
-    record in the instance's table."""
+    residues in the stratum ideal (:func:`in_stratum_ideal`).  The verdict
+    does not depend on the stratum: it is field 3 of the pair's record in
+    the instance's table, one verdict for both orders of the pair."""
     return all(chain.from_iterable(_pair_table(params, 3, _generators(params, T))))

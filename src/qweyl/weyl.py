@@ -82,11 +82,11 @@ class StraighteningEngine:
     term ``(m2, c2)`` to the left operand in slot order.  The first pass
     applies c2 in its add, which copies, as the next term reads the left
     operand again; the last adds straight into the product's one table, as
-    a constant term does.  ``mul_terms`` folds once; ``q_commutators``
-    folds ab and ba once each and subtracts eta^c ba, adding ``enc(c)`` to
-    ba's packed exponents, in the fold it will not read again.  A block
-    append is one pass per monomial: the swap constants ``c^t`` of the
-    blocks ``g_u^t`` above g_p's pair multiply into one packed scalar,
+    a constant term does.  ``mul_terms`` folds once; ``q_commutator``,
+    given one exponent c, folds ab and ba once each and subtracts eta^c ba
+    in place in ab's fold, adding ``enc(c)`` to ba's packed exponents.  A
+    block append is one pass per monomial: the swap constants ``c^t`` of
+    the blocks ``g_u^t`` above g_p's pair multiply into one packed scalar,
     raised to the power e (a block swap), and ``g_p^e`` lands in one step;
     past the first pass, a trivial scalar moves over uncopied onto a key
     new to its table.  The exception is ``y_i^e`` under ``x_i^s``, s > 0:
@@ -135,7 +135,7 @@ class StraighteningEngine:
     their exponents, so each packed entry stays within the bound of the
     chain it came from, and ``mul_terms`` forms no entry beyond ``A + B + M
     * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
-    most |c|, its largest |entry|, so ``q_commutators`` forms none beyond
+    most |c|, its largest |entry|, so ``q_commutator`` forms none beyond
     that bound plus |c|.  ``_pack`` widens W past twice that bound when
     needed, to at least twice its width, so that a run of products with
     growing degrees (the squarings of a power) widens only a logarithmic
@@ -199,21 +199,15 @@ class StraighteningEngine:
         (pa, da), (pb, db) = self._pack(ta, tb)
         return _unpack(self._fold(pa, pb), da * db, self._decoded)
 
-    def q_commutators(self, ta: Sequence, tb: Sequence, *cs: ExpVec) -> list:
-        """For term maps a, b, given as to ``mul_terms``, and exponents ``cs``
-        = (c,) or (c, c'): ``[ab - eta^c ba]`` or ``[ab - eta^c ba, ba -
-        eta^c' ab]``, from one fold per order, unpacking only monomials whose
-        numerators survive."""
-        (pa, da), (pb, db) = self._pack(ta, tb, max([abs(x) for v in cs for x in v], default=0))
-        ab, ba = self._fold(pa, pb), self._fold(pb, pa)
-        # each difference is taken in place; the second reads ab, so the first copies it
-        first = {m: dict(d) for m, d in ab.items()} if len(cs) == 2 else ab
-        out = []
-        for left, right, e in zip((first, ba), (ba, ab), map(self._encode, cs)):
-            for m, d in right.items():
-                _add_shifted(left, m, d, e, -1)
-            out.append(_unpack(left, da * db, self._decoded))
-        return out
+    def q_commutator(self, ta: Sequence, tb: Sequence, c: ExpVec) -> dict:
+        """ab - eta^c ba for term maps a, b, given as to ``mul_terms``, from
+        one fold per order, the difference taken in place in ab's fold and
+        only monomials whose numerators survive unpacked."""
+        (pa, da), (pb, db) = self._pack(ta, tb, max(map(abs, c), default=0))
+        ab, e = self._fold(pa, pb), self._encode(c)
+        for m, d in self._fold(pb, pa).items():
+            _add_shifted(ab, m, d, e, -1)
+        return _unpack(ab, da * db, self._decoded)
 
     def _fold(self, pa: dict, pb: dict) -> dict:
         """Packed a*b on packed operands, all {monomial: {packed exponent:
@@ -436,9 +430,13 @@ class WeylParams:
     ) -> "WeylParams":
         """Build from the configuration layout: q_exponents is an n x r
         matrix of rows s_i; lambda_exponents is a list of r antisymmetric
-        n x n matrices, one per eta-coordinate."""
+        n x n matrices, one per eta-coordinate, each checked for its shape
+        before it is read."""
         if len(lambda_exponents) != r:
             raise ValueError(f"expected {r} coordinate matrices")
+        for k, matrix in enumerate(lambda_exponents, 1):
+            if len(matrix) != n or any(len(row) != n for row in matrix):
+                raise ValueError(f"coordinate matrix {k} must be {n} x {n}")
         qexp = tuple(tuple(row) for row in q_exponents)
         lexp = tuple(
             tuple(
@@ -690,7 +688,7 @@ def wa_commutator(a: PbwElement, b: PbwElement) -> PbwElement:
         raise TypeError(f"no commutator of {type(a).__name__}s: the Poisson product commutes")
     a._check(b)
     engine = a._engine(a.params)
-    (comm,) = engine.q_commutators(a.terms, b.terms, (0,) * a.params.r)
+    comm = engine.q_commutator(a.terms, b.terms, (0,) * a.params.r)
     return a._canonical(a.params, a._order(comm.items()))
 
 

@@ -62,8 +62,8 @@ STRATUM_CONFIGS = {"builtin": 2, "n3": 3, "n4": 4}  # config: n
 BIG = "9" * 5000  # past the interpreter's limit on digits read
 # every command not run above, the verification suites at five seeds,
 # products with large exponents and outputs, and the exit-2 paths: digit
-# limits, non-ASCII input, nesting depth, unknown generators, rank
-# mismatches, bad markers and a bad config
+# limits, non-ASCII input, non-integer exponents, nesting depth, unknown
+# generators, rank mismatches, bad markers and a bad config
 COMMAND_LINES = [
     ("builtin", "validate"),
     ("builtin", "verify"),
@@ -92,6 +92,8 @@ COMMAND_LINES = [
     ("builtin", "nf", "2^20000"),
     ("builtin", "nf", BIG),
     ("builtin", "nf", "x1^²"),
+    ("builtin", "nf", "x1^3/4"),
+    ("builtin", "nf", "eta^[1/2,0]"),
     ("builtin", "limit", "(" * 201 + "x1" + ")" * 201),
     ("builtin", "comm", "x1", "y3"),
     ("builtin", "bracket", "x1", "eta^[1]"),

@@ -302,6 +302,7 @@ BASE_CONFIG = {
         {"r": None},
         {"r": [1]},
         {"lambda_exponents": [[[]]]},
+        {"lambda_exponents": [[[0, 9], [9, 9]]]},
         {"q_exponents": [[1.5]]},
         {"q_exponents": [["1_0"]]},
         {"lambda_exponents": [[[0.9]]]},
@@ -334,6 +335,30 @@ def test_concrete_block_outside_the_domain_is_a_usage_error(tmp_path, capsys, co
     code, out, err = run(capsys, "--config", str(path), "--json", "validate")
     assert (code, err) == (2, "")
     assert json.loads(out) == {"command": "validate", "error": message}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "config must be a JSON object"),
+    ('{"n": 1,', "config is not valid JSON: "),  # the prefix of the parser's own message
+] + [(json.dumps(dict(BASE_CONFIG, **change)), message) for change, message in [
+    ({"concrete": {"q": "2/0", "eta": ["3"], "mu": ["1"]}}, "bad rational literal '2/0'"),
+    ({"concrete": {"q": "2", "eta": ["3", "5"], "mu": ["1"]}},
+     "concrete eta/mu lists must have length r=1"),
+    ({"r": 0, "lambda_exponents": []}, "invalid instance data: rank r must be positive"),
+    ({"q_exponents": []}, "invalid instance data: expected 1 q exponent vectors"),
+    ({"lambda_exponents": []}, "invalid instance data: expected 1 coordinate matrices"),
+]], ids=["array", "json", "rational", "concrete-length", "rank", "q-count", "matrix-count"])
+def test_config_error_prints_its_message(tmp_path, capsys, text, message):
+    """Each config error is one line that names what is wrong, in text and
+    in the JSON record."""
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "--config", str(path), "validate")
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert message.endswith(": ") or err == f"error: {message}\n"
+    code, out, json_err = run(capsys, "--config", str(path), "--json", "validate")
+    assert (code, json_err) == (2, "")
+    assert json.loads(out) == {"command": "validate", "error": err[len("error: "):-1]}
 
 
 @pytest.mark.parametrize("name, content", [("instance.json", b'{"n": \xff}'), ("a\0b", None)])
@@ -390,7 +415,7 @@ def test_unquoted_config_integer_past_the_digit_limit(tmp_path, capsys):
 
 def test_scl_of_a_commutator_not_vanishing_at_one_exits_3(monkeypatch, capsys):
     # a commutator that keeps a's terms does not vanish at t = 1
-    monkeypatch.setattr(StraighteningEngine, "q_commutators", lambda self, ta, tb, *cs: [dict(ta)])
+    monkeypatch.setattr(StraighteningEngine, "q_commutator", lambda self, ta, tb, c: dict(ta))
     code, out, err = run(capsys, "scl", "x1", "y1")
     assert (code, out) == (3, "")
     assert err.startswith("error: internal error: NotDivisibleError: ") and err.count("\n") == 1

@@ -212,6 +212,20 @@ def test_eta_leaf_with_a_bad_exponent_names_its_position(params2, exponents):
         assert str(info.value) == f"eta exponents {exponents} must be ints (line 2, column 7)"
 
 
+@pytest.mark.parametrize("leaf, message", [
+    (Gen("q", 1, 3, 4), "unknown generator kind 'q'"),
+    (EtaMono(5, 3, 4), "eta exponents 5 must be a sequence of ints"),
+], ids=["generator-kind", "eta-number"])
+def test_hand_built_leaf_of_no_kind_names_its_position(params2, leaf, message):
+    """A hand-built generator of an unknown kind, or an eta leaf whose
+    exponents are one number, is refused with its position, as every other
+    bad leaf is, in both presentations."""
+    for evaluate in (eval_weyl, eval_rescaled):
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(Mul((Gen("y", 2, 1, 1), leaf)), params2)
+        assert str(info.value) == f"{message} (line 3, column 4)"
+
+
 def fold(node, params, cls):
     """``node`` by the validating constructors and binary ring operations."""
     if isinstance(node, Num):

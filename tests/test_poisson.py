@@ -322,7 +322,7 @@ def test_semiclassical_bracket_leaves_the_t_equals_one_check_to_limit_div(params
     """A commutator coefficient that does not vanish at t = 1 is caught once,
     by ``QTScalar.limit_div``."""
     # a commutator that keeps a's terms does not vanish at t = 1
-    monkeypatch.setattr(StraighteningEngine, "q_commutators", lambda self, ta, tb, *cs: [dict(ta)])
+    monkeypatch.setattr(StraighteningEngine, "q_commutator", lambda self, ta, tb, c: dict(ta))
     x1, y1 = WeylElement.generator(params2, "x", 1), WeylElement.generator(params2, "y", 1)
     with pytest.raises(NotDivisibleError, match="nonzero at t=1"):
         semiclassical_bracket(x1, y1)

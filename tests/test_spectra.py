@@ -772,20 +772,22 @@ def test_pair_memo_holds_torus_residues():
 
 
 def test_pair_memo_keeps_a_wrong_exponent_visible(monkeypatch):
+    """A wrong exponent in either order fails the pair's one verdict, which
+    both orders' records hold: (y1, y2) is built first, (y2, y1) with it."""
     params = random_params(random.Random(4), 2, 2)
     T = T_of(2)
     assert check_torus_relations(params, T)
     right = spectra.q_pair_exponent
-    bad = (("y", 2), ("y", 1))  # filled after (y1, y2): it must not be derived
+    for bad in ((("y", 1), ("y", 2)), (("y", 2), ("y", 1))):
 
-    def wrong(p, w, v):
-        c = right(p, w, v)
-        return (c[0] + 1,) + c[1:] if (w, v) == bad else c
+        def wrong(p, w, v):
+            c = right(p, w, v)
+            return (c[0] + 1,) + c[1:] if (w, v) == bad else c
 
-    monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
-    cold = fresh(params)
-    assert not check_torus_relations(cold, T)
-    assert (cold.torus_table[bad][3], cold.torus_table[bad[::-1]][3]) == (False, True)
+        monkeypatch.setattr(spectra, "q_pair_exponent", wrong)
+        cold = fresh(params)
+        assert not check_torus_relations(cold, T)
+        assert (cold.torus_table[bad][3], cold.torus_table[bad[::-1]][3]) == (False, False)
 
 
 def test_pair_memo_keeps_a_wrong_product_visible(monkeypatch):
@@ -833,7 +835,9 @@ def test_diagonal_residues_take_no_fold(monkeypatch):
     assert all(params.torus_table[(w, w)][3] is True for w in gens)
 
 
-def test_a_nonzero_diagonal_exponent_is_folded_and_fails(monkeypatch):
+def test_a_nonzero_diagonal_exponent_fails_without_a_fold(monkeypatch):
+    """w w = eta^c w w holds exactly when c = 0, so the diagonal pair's
+    verdict reads its exponent and takes no fold."""
     params = random_params(random.Random(4), 2, 2)
     T = T_of(2)
     assert check_torus_relations(params, T)
@@ -869,18 +873,18 @@ def test_expression_leaves_are_the_images_the_stratum_table_folds(monkeypatch):
     and each (cls, kind, i) is built once."""
     params = random_params(random.Random(6), 2, 2)
     built, folded = [], []
-    right, commute = PbwElement.generator.__func__, StraighteningEngine.q_commutators
+    right, commute = PbwElement.generator.__func__, StraighteningEngine.q_commutator
 
     def counted(cls, p, kind, i):
         built.append((cls, kind, i))
         return right(cls, p, kind, i)
 
-    def spied(self, ta, tb, *cs):
+    def spied(self, ta, tb, c):
         folded.append((ta, tb))
-        return commute(self, ta, tb, *cs)
+        return commute(self, ta, tb, c)
 
     monkeypatch.setattr(PbwElement, "generator", classmethod(counted))
-    monkeypatch.setattr(StraighteningEngine, "q_commutators", spied)
+    monkeypatch.setattr(StraighteningEngine, "q_commutator", spied)
     leaves = {w: eval_weyl(parse_expr("%s%d" % w), params) for w in (("y", 2), ("z", 1))}
     fill_every_stratum(params)
     for w, leaf in leaves.items():
@@ -914,12 +918,12 @@ def test_torus_table_bound():
 
 def test_each_pair_is_computed_once(monkeypatch):
     """Filling every stratum of an instance computes each ordered pair's
-    exponent and Poisson bracket once, and one q_commutators call per
-    unordered off-diagonal pair gives both residues."""
+    exponent and Poisson bracket once, and one q_commutator call per
+    unordered off-diagonal pair gives the pair's verdict."""
     params = random_params(random.Random(6), 3, 2)
     exponents, brackets, commutators, depth = [], [], [], []
     exponent, bracket = spectra.q_pair_exponent, spectra.pb_bracket
-    commute = StraighteningEngine.q_commutators
+    commute = StraighteningEngine.q_commutator
 
     def counted_exponent(p, w, v):  # counts the outer call, not its recursion
         if not depth:
@@ -934,13 +938,13 @@ def test_each_pair_is_computed_once(monkeypatch):
         brackets.append((a, b))  # the images stay in the table, so ids stay unique
         return bracket(a, b)
 
-    def counted_commute(self, ta, tb, *cs):
+    def counted_commute(self, ta, tb, c):
         commutators.append(tuple(tuple(m for m, _ in t) for t in (ta, tb)))
-        return commute(self, ta, tb, *cs)
+        return commute(self, ta, tb, c)
 
     monkeypatch.setattr(spectra, "q_pair_exponent", counted_exponent)
     monkeypatch.setattr(spectra, "pb_bracket", counted_bracket)
-    monkeypatch.setattr(StraighteningEngine, "q_commutators", counted_commute)
+    monkeypatch.setattr(StraighteningEngine, "q_commutator", counted_commute)
     fill_every_stratum(params)
     pairs = {pair for T in enumerate_admissible(3) for pair in product(y_set(T), repeat=2)}
     _, images = table_parts(params)

@@ -141,6 +141,17 @@ def test_from_coordinate_matrices(params2):
     assert built == params2
 
 
+@pytest.mark.parametrize("k, lam", [
+    (1, [[[0, 1, 9], [-1, 0, 9], [9, 9, 9]], [[0, 0], [0, 0]]]),
+    (2, [[[0, 0], [0, 0]], [[0, 1], [-1]]]),
+], ids=["oversized", "ragged"])
+def test_from_coordinate_matrices_rejects_a_matrix_not_n_by_n(k, lam):
+    """Coordinate matrix k, 3 x 3 or with a short row, is refused before a
+    wrong entry is read or an index runs past a row."""
+    with pytest.raises(ValueError, match=f"^coordinate matrix {k} must be 2 x 2$"):
+        WeylParams.from_coordinate_matrices(2, 2, [[1, 0], [0, 1]], lam)
+
+
 # -- multiplication ---------------------------------------------------------------
 
 
@@ -273,13 +284,14 @@ def test_q_commutators_match_twisted_products(n, r, big):
     # the shift by c asks for wider fields
     a, b = g[0], WeylElement.scalar(params, 2)
     for _ in range(7):
-        ab, ba = engine.q_commutators(a.terms, b.terms, c, c_rev)
+        ab = engine.q_commutator(a.terms, b.terms, c)
+        ba = engine.q_commutator(b.terms, a.terms, c_rev)
         want_ab = a * b - (b * a).scale(QTScalar.monomial(c))
         want_ba = b * a - (a * b).scale(QTScalar.monomial(c_rev))
         assert want_ab and want_ba
         assert WeylElement._from_sums(params, ab) == want_ab
         assert WeylElement._from_sums(params, ba) == want_ba
-        (same,) = engine.q_commutators(a.terms, a.terms, c)
+        same = engine.q_commutator(a.terms, a.terms, c)
         assert WeylElement._from_sums(params, same) == (a * a).scale(1 - QTScalar.monomial(c))
         a = rng.choice(g) * rng.choice(g) + QTScalar.monomial((big,) * r, Fraction(1, 2))
         b = rng.choice(g).scale(QTScalar.monomial(tuple(range(r)), 3)) - rng.choice(g)
@@ -295,10 +307,9 @@ def twisted_difference(left: dict, right: dict, c) -> dict:
 
 
 def test_q_commutators_with_two_exponents_match_mul_terms():
-    """``q_commutators(a, b, c, c')`` gives ab - eta^c ba and ba - eta^c' ab,
-    as built from ``mul_terms``, on seeded pairs with n <= 3 and random c,
-    c'.  The second difference reads ab after the first is taken, so the
-    first must leave ab's fold as it was."""
+    """``q_commutator`` of both orders, with exponents c and c', gives ab -
+    eta^c ba and ba - eta^c' ab, as built from ``mul_terms``, on seeded
+    pairs with n <= 3 and random c, c'."""
     rng = random.Random(41)
     for _ in range(60):
         r = rng.randint(1, 2)
@@ -307,8 +318,8 @@ def test_q_commutators_with_two_exponents_match_mul_terms():
         a, b = (random_weyl(rng, params).terms for _ in range(2))
         c, c2 = (tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(2))
         ab, ba = engine.mul_terms(a, b), engine.mul_terms(b, a)
-        assert engine.q_commutators(a, b, c, c2) == [
-            twisted_difference(ab, ba, c), twisted_difference(ba, ab, c2)]
+        assert engine.q_commutator(a, b, c) == twisted_difference(ab, ba, c)
+        assert engine.q_commutator(b, a, c2) == twisted_difference(ba, ab, c2)
 
 
 def test_z_values(params2):
