@@ -226,8 +226,8 @@ def _scl(args, params, config):
     scl = semiclassical_bracket(a, b)
     consistent = scl == pb_bracket(gamma1(a), gamma1(b))
     checks = [{"name": "bracket-consistency", "passed": consistent}]
-    verdict = "CONSISTENT" if consistent else "INCONSISTENT"
-    return {"result": str(scl), "checks": checks}, [f"{scl}; {verdict}"]
+    verdict, text = "CONSISTENT" if consistent else "INCONSISTENT", str(scl)
+    return {"result": text, "checks": checks}, [f"{text}; {verdict}"]
 
 
 def _admissible(args, params, config):
@@ -436,15 +436,17 @@ def _render(value, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} is left to json")
 
 
-# the instance of the last call on an instance, replaced only by one built and checked; a call
-# on a config of the same repr (which, unlike ==, tells 1, 1.0 and True apart) builds nothing and
-# reuses it with its memos, whose entries depend on it alone.  main serves one thread at a time.
+# the instance of the last call on an instance and its --json "instance" block, replaced only
+# by one built and checked; a call on a config of the same repr (which, unlike ==, tells 1, 1.0
+# and True apart), given as a file or as the built-in one alike, builds nothing and reuses both,
+# the instance with its memos, whose entries depend on it alone.  main serves one thread at a time.
 _held: WeylParams | None = None
-_held_key: str | None = None
+_held_key: tuple[str, bool] | None = None
+_held_block: dict | None = None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    global _held, _held_key
+    global _held, _held_key, _held_block
     # filled as far as parsing gets: --json and the command come before
     # their arguments, so a malformed command line finds them set if read
     args = argparse.Namespace(json=False, command=None)
@@ -455,16 +457,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = config = None
         if command.on_instance:
             config = load_config(args.config)
-            key = repr(config)
+            key = (repr(config), config is DEFAULT_CONFIG)
             if _held is None or key != _held_key:
                 _held, _held_key = params_from_config(config), key
-            params = _held
-            record["instance"] = {
-                "n": params.n,
-                "r": params.r,
-                "q_exponents": [list(v) for v in params.qexp],
-                "source": "builtin-default" if config is DEFAULT_CONFIG else "config",
-            }
+                _held_block = {
+                    "n": _held.n,
+                    "r": _held.r,
+                    "q_exponents": [list(v) for v in _held.qexp],
+                    "source": "builtin-default" if key[1] else "config",
+                }
+            params, record["instance"] = _held, _held_block
         fields, lines = command.handler(args, params, config)
         record.update(fields)
         code = VERIFY_ERROR if any(not c["passed"] for c in record.get("checks", ())) else 0

@@ -67,7 +67,8 @@ def _gen_bracket(params: WeylParams, p: int, q: int) -> tuple:
 
 
 def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
-    """The biderivation extending the generator table, in closed form.
+    """The biderivation extending the generator table, in closed form: the
+    core :func:`pb_core` on the two operands :func:`pb_operand` prepares.
 
     By the Leibniz rule, as (p, q) = (x_i, y_i) adds (s_i . mu) z_{i-1} to
     the entry (F_pq . mu) g_p g_q of :func:`_gen_bracket` and (y_i, x_i)
@@ -80,31 +81,45 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
     The mu's are Poisson constants, so {a, b} = sum mu^(va + vb) {a_va, b_vb},
     a_va the part of a at mu-exponent va (all of a if its coefficients are
     constant): each result monomial sums one int per v = va + vb, numerators
-    over the operands' common denominator times the forms landing there,
-    field k for mu^(v + e_k), exact while |f| < W/2.  A term pair lands on a
-    monomial at most once (m m', m m' / (y_i x_i), that times y_k x_k, k < i,
-    differ), with entries at most deg m deg m' M, as sum_{p,q} m_p m'_q =
-    deg m deg m' >= |d_i| and M = ``params.max_form_entry``.  So a field and
-    any partial sum is at most B = N_a N_b M, N the sum over an operand's
-    terms of |numerator| deg m, and W/2 = 2^bitlen(B) > B.  It uses none of
-    the engine's packed-table helpers.
+    over the operands' own denominators da and db times the forms landing
+    there, field k for mu^(v + e_k), exact while |f| < W/2, and the sums are
+    divided by da db at the end.  A term pair lands on a monomial at most
+    once (m m', m m' / (y_i x_i), that times y_k x_k, k < i, differ), with
+    entries at most deg m deg m' M, as sum_{p,q} m_p m'_q = deg m deg m' >=
+    |d_i| and M = ``params.max_form_entry``.  So a field and any partial sum
+    is at most B = N_a N_b M, N the sum over an operand's terms of
+    |numerator| deg m, and W/2 = 2^bitlen(B) > B.  It uses none of the
+    engine's packed-table helpers.
     """
     if type(a) is not PoissonElement or type(b) is not PoissonElement:
         raise TypeError(f"no Poisson bracket of a {type(a).__name__} and a {type(b).__name__}")
     a._check(b)
-    params, ops = a.params, []
+    return pb_core(pb_operand(a), pb_operand(b))
+
+
+def pb_operand(x: PoissonElement) -> tuple:
+    """What :func:`pb_core` reads of ``x``: ``(params, terms, slices, N,
+    den)``, with den the common denominator of x's rationals; its
+    nonconstant terms (a constant brackets to 0) as (monomial, its (slot,
+    exponent) pairs); by mu-exponent v, [(term index, numerator over den)];
+    and N the sum of |numerator| deg m.  Prepared once, it serves every
+    bracket x takes part in."""
+    den = math.lcm(*[k.denominator for _, c in x.terms for _, k in c.terms])
+    terms, slices, norm = [], {}, 0
+    for m, c in x.terms:
+        if sup := [(p, e) for p, e in enumerate(m) if e]:
+            for v, k in c.terms:
+                norm += abs(k := k.numerator * (den // k.denominator)) * sum(m)
+                slices.setdefault(v, []).append((len(terms), k))
+            terms.append((m, sup))
+    return x.params, terms, slices, norm, den
+
+
+def pb_core(oa: tuple, ob: tuple) -> PoissonElement:
+    """{a, b} by the closed form of :func:`pb_bracket`, from operands of one
+    instance prepared by :func:`pb_operand`."""
+    (params, ta, sa, na, da), (_, tb, sb, nb, db) = oa, ob
     r, memo = params.r, params.poisson_brackets
-    den = math.lcm(*[k.denominator for x in (a, b) for _, c in x.terms for _, k in c.terms])
-    for x in (a, b):  # its terms with their (slot, exponent) pairs; by v, [(term, numerator)]
-        terms, slices, norm = [], {}, 0
-        for m, c in x.terms:
-            if sup := [(p, e) for p, e in enumerate(m) if e]:  # a constant brackets to 0
-                for v, k in c.terms:
-                    norm += abs(k := k.numerator * (den // k.denominator)) * sum(m)
-                    slices.setdefault(v, []).append((len(terms), k))
-                terms.append((m, sup))
-        ops.append((terms, slices, norm))
-    (ta, sa, na), (tb, sb, nb) = ops
     bits = (na * nb * params.max_form_entry).bit_length() + 1
     shifts, packed = range(0, bits * r, bits), {}
 
@@ -144,7 +159,7 @@ def pb_bracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
                 for ib, kb in kb_list:
                     for i, f in lands[ia][ib]:
                         acc[i] = acc.get(i, 0) + ka * kb * f
-    half, mask, den = 1 << (bits - 1), (1 << bits) - 1, den * den
+    half, mask, den = 1 << (bits - 1), (1 << bits) - 1, da * db
     offset = half * ((1 << bits * r) - 1) // mask  # W/2 in every field: each a base-W digit
     out: dict = {}  # mu-exponent -> {monomial index: numerator}
     for v, acc in accs.items():  # mu^(v + e_k) at shift bits * k

@@ -23,7 +23,7 @@ from math import lcm
 from operator import attrgetter, index
 from typing import Iterable, Sequence
 
-from .poisson import PoissonElement, pb_bracket
+from .poisson import PoissonElement, pb_core, pb_operand
 from .scalars import ExpVec, MuPoly, add_term, vec_add, vec_neg, zero_vec
 from .weyl import ParamsMismatchError, WeylElement, WeylParams, pos_x, pos_y, wa_z
 
@@ -227,70 +227,97 @@ def torus_matrix_q(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[ExpVec, 
     return _pair_table(params, 0, _generators(params, T))
 
 
-def _bracket_form(a: PoissonElement, b: PoissonElement, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
-    """The mu-form d with {a, b} = d a b, through the actual bracket engine,
-    independently of the quantized exponent table.  The generator images
-    have rational coefficients (any other coefficient fails), so ab is a
-    map from monomials to nonzero rationals.  With m the leading monomial
-    of {a, b} and lc its coefficient, {a, b} = d ab for d = lc / ab[m]
-    exactly when both have the same monomials and ab[m] {a, b}[m'] =
-    ab[m'] lc coefficientwise at each of them: integer and rational
-    products only, so the check is exact.  d is lc itself when ab[m] = 1,
-    as for every pair of the seeded stratum tables, else the one division."""
-    br = pb_bracket(a, b)
-    if not br:
-        return MuPoly.zero(a.params.r)
+def _product(a: PoissonElement, b: PoissonElement) -> dict:
+    """ab as a map from monomials to nonzero rationals; empty, which no
+    nonzero bracket matches, unless every coefficient of a and b is rational."""
     zero = zero_vec(a.params.r)  # the least mu-vector: c is constant when its last is zero
     ra, rb = ([(m, c.terms[-1][1]) for m, c in x.terms if c.terms[-1][0] == zero]
               for x in (a, b))
+    ab: dict = {}
     if len(ra) == len(a.terms) and len(rb) == len(b.terms):
-        ab: dict = {}
         for ma, ka in ra:
             for mb, kb in rb:
                 add_term(ab, vec_add(ma, mb), ka * kb)
-        m, lc = br.terms[-1]
-        if len(ab) == len(br.terms) and m in ab:
-            k = ab[m]
-            if all(mm in ab and [(v, e * k) for v, e in c.terms]
-                   == [(v, e * ab[mm]) for v, e in lc.terms] for mm, c in br.terms):
-                return lc if k == 1 else lc.scale(Fraction(1, k))
+    return ab
+
+
+def _bracket_form(oa: tuple, ob: tuple, ab: dict, wa: TaggedGen, wb: TaggedGen) -> MuPoly:
+    """The mu-form d with {a, b} = d a b, through the actual bracket core on
+    a and b as :func:`~qweyl.poisson.pb_operand` prepares them,
+    independently of the quantized exponent table; ab is their
+    :func:`_product`.  With m the leading monomial of {a, b} and lc its
+    coefficient, {a, b} = d ab for d = lc / ab[m] exactly when both have the
+    same monomials and ab[m] {a, b}[m'] = ab[m'] lc coefficientwise at each
+    of them: integer and rational products only, so the check is exact.  d
+    is lc itself when ab[m] = 1, as for every pair of the seeded stratum
+    tables, else the one division."""
+    br = pb_core(oa, ob)
+    if not br:
+        return MuPoly.zero(br.params.r)
+    m, lc = br.terms[-1]
+    if len(ab) == len(br.terms) and m in ab:
+        k = ab[m]
+        if all(mm in ab and [(v, e * k) for v, e in c.terms]
+               == [(v, e * ab[mm]) for v, e in lc.terms] for mm, c in br.terms):
+            return lc if k == 1 else lc.scale(Fraction(1, k))
     raise ArithmeticError(
         f"bracket of {wa} and {wb} is not a scalar multiple of their product"
     )
 
 
+def _orders(w: TaggedGen, v: TaggedGen) -> tuple:
+    """The ordered pairs of w and v: (w, v), and (v, w) unless w = v."""
+    return ((w, v),) if w == v else ((w, v), (v, w))
+
+
 def _pair_table(params: WeylParams, field: int, gens: Sequence[TaggedGen]) -> tuple:
     """The matrix over ordered pairs (w_i, w_j) of ``gens`` of one field of
     their :func:`_pair_record`: the exponent (0), the Poisson form (1), its
-    printed text (2) or the pair's verdict (3)."""
+    printed text (2) or the pair's verdict (3).  The pairs missing from the
+    instance's ``torus_table`` are filled in the order the matrix meets
+    them, by one fill: it takes their exponents, then prepares each image it
+    needs once, for this fill only, the Poisson operand and, for w != v,
+    the Weyl image packed by one engine ``pack`` whose shift, the largest
+    |entry| of those exponents, makes the width cover every fold."""
     memo = params.torus_table
-    return tuple([tuple([(memo.get((wi, wj)) or _pair_record(params, wi, wj))[field]
-                         for wj in gens]) for wi in gens])
+    try:
+        return tuple([tuple([memo[wi, wj][field] for wj in gens]) for wi in gens])
+    except KeyError:  # a pair not filled yet: one fill, then the matrix is read again
+        pass
+    pairs = [(w, v) for i, w in enumerate(gens) for v in gens[i:] if (w, v) not in memo]
+    cs = [[q_pair_exponent(params, *o) for o in _orders(*pair)] for pair in pairs]
+    images = {u: params.atom(PoissonElement, *u) for u in dict.fromkeys(chain(*pairs))}
+    operands = {u: pb_operand(x) for u, x in images.items()}
+    off = [(pair, c[0]) for pair, c in zip(pairs, cs) if pair[0] != pair[1]]
+    folded = dict.fromkeys(chain(*[pair for pair, _ in off]))
+    shift = max([abs(x) for _, c in off for x in c], default=0)
+    tables = params.engine.pack([params.atom(WeylElement, *u).terms for u in folded], shift)
+    packed = {u: table for u, (table, _) in zip(folded, tables)}
+    for pair, c in zip(pairs, cs):
+        _pair_record(params, pair, c, images, operands, packed)
+    return _pair_table(params, field, gens)
 
 
-def _pair_record(params: WeylParams, w: TaggedGen,
-                 v: TaggedGen) -> tuple[ExpVec, MuPoly, str, bool]:
-    """The record ``(c, d, str(d), ok)`` of the ordered pair (w, v), built on
-    a miss of the instance's ``torus_table``: c = ``q_pair_exponent(w, v)``,
-    d = {w, v}/(w v) from :func:`_bracket_form` and ok the pair's verdict.
-    Both orders' records are built, each exponent and form on its own (so
-    skew-symmetry stays checked), and then both are stored, so a failed
-    build stores neither.  The algebra is a domain, so w v = eta^c v w and
-    v w = eta^c' w v hold together exactly when the first holds and c' =
-    -c: ok is that, one :meth:`~qweyl.weyl.StraighteningEngine.q_commutator`
-    call for w != v, and c = 0 without a fold for w = v, so a wrong table
-    shows."""
-    pairs = ((w, v),) if w == v else ((w, v), (v, w))
-    cs = [q_pair_exponent(params, *pair) for pair in pairs]
-    ds = [_bracket_form(*[params.atom(PoissonElement, *u) for u in pair], *pair)
-          for pair in pairs]
+def _pair_record(params: WeylParams, pair: tuple[TaggedGen, TaggedGen], cs: list,
+                 images: dict, operands: dict, packed: dict) -> None:
+    """Store the records ``(c, d, str(d), ok)`` of the orders of ``pair`` =
+    (w, v) (:func:`_orders`), with their exponents ``cs``, from the Poisson
+    images, operands and packed Weyl images one fill prepared.  Each order's
+    form d = {w, v}/(w v) comes from its own :func:`_bracket_form` (so
+    skew-symmetry stays checked), both from the pair's one product ab, and
+    both records are stored once both are built, so a failed build stores
+    neither.  The algebra is a domain, so w v = eta^c v w and v w = eta^c'
+    w v hold together exactly when the first holds and c' = -c: ok is that,
+    one :meth:`~qweyl.weyl.StraighteningEngine.residue` for w != v, and c =
+    0 without a fold for w = v, so a wrong table shows."""
+    (w, v), orders = pair, _orders(*pair)
+    ab = _product(images[w], images[v])
+    ds = [_bracket_form(operands[a], operands[b], ab, a, b) for a, b in orders]
     ok = cs[-1] == vec_neg(cs[0])
     if ok and w != v:
-        a, b = [params.atom(WeylElement, *u).terms for u in (w, v)]
-        ok = not any(params.engine.q_commutator(a, b, cs[0]).values())
-    for pair, c, d in zip(pairs, cs, ds):
-        params.torus_table[pair] = (c, d, str(d), ok)
-    return params.torus_table[(w, v)]
+        ok = not any(params.engine.residue(packed[w], packed[v], cs[0]).values())
+    for o, c, d in zip(orders, cs, ds):
+        params.torus_table[o] = (c, d, str(d), ok)
 
 
 def torus_matrix_p(params: WeylParams, T: AdmissibleSet) -> tuple[tuple[MuPoly, ...], ...]:

@@ -82,9 +82,9 @@ class StraighteningEngine:
     term ``(m2, c2)`` to the left operand in slot order.  The first pass
     applies c2 in its add, which copies, as the next term reads the left
     operand again; the last adds straight into the product's one table, as
-    a constant term does.  ``mul_terms`` folds once; ``q_commutator``,
-    given one exponent c, folds ab and ba once each and subtracts eta^c ba
-    in place in ab's fold, adding ``enc(c)`` to ba's packed exponents.  A
+    a constant term does.  ``mul_terms`` folds once; ``residue``, given
+    one exponent c, folds ab and ba once each and subtracts eta^c ba in
+    place in ab's fold, adding ``enc(c)`` to ba's packed exponents.  A
     block append is one pass per monomial: the swap constants ``c^t`` of
     the blocks ``g_u^t`` above g_p's pair multiply into one packed scalar,
     raised to the power e (a block swap), and ``g_p^e`` lands in one step;
@@ -135,8 +135,8 @@ class StraighteningEngine:
     their exponents, so each packed entry stays within the bound of the
     chain it came from, and ``mul_terms`` forms no entry beyond ``A + B + M
     * D(D - 1)/2``.  The fold of ba has the same bound and eta^c adds at
-    most |c|, its largest |entry|, so ``q_commutator`` forms none beyond
-    that bound plus |c|.  ``_pack`` widens W past twice that bound when
+    most |c|, its largest |entry|, so ``residue`` forms none beyond
+    that bound plus |c|.  ``pack`` widens W past twice that bound when
     needed, to at least twice its width, so that a run of products with
     growing degrees (the squarings of a power) widens only a logarithmic
     number of times; that re-packs the constants and never changes a
@@ -196,18 +196,26 @@ class StraighteningEngine:
     def mul_terms(self, ta: Sequence, tb: Sequence) -> dict:
         """Product of two term maps, each given as the (ordered monomial,
         scalar) pairs an element holds, as {monomial: scalar}."""
-        (pa, da), (pb, db) = self._pack(ta, tb)
+        (pa, da), (pb, db) = self.pack((ta, tb))
         return _unpack(self._fold(pa, pb), da * db, self._decoded)
 
     def q_commutator(self, ta: Sequence, tb: Sequence, c: ExpVec) -> dict:
-        """ab - eta^c ba for term maps a, b, given as to ``mul_terms``, from
-        one fold per order, the difference taken in place in ab's fold and
-        only monomials whose numerators survive unpacked."""
-        (pa, da), (pb, db) = self._pack(ta, tb, max(map(abs, c), default=0))
+        """ab - eta^c ba for term maps a, b, given as to ``mul_terms``: both
+        packed, the :meth:`residue` of the packed pair, and only monomials
+        whose numerators survive unpacked."""
+        (pa, da), (pb, db) = self.pack((ta, tb), max(map(abs, c), default=0))
+        return _unpack(self.residue(pa, pb, c), da * db, self._decoded)
+
+    def residue(self, pa: dict, pb: dict, c: ExpVec) -> dict:
+        """Packed ab - eta^c ba, numerators over the operands' denominators,
+        for tables from one :meth:`pack` whose shift covers c: one fold per
+        order, the difference taken in place in ab's fold.  A monomial whose
+        numerators all cancelled maps to an empty table.  The tables read
+        right while the engine keeps the width they were packed at."""
         ab, e = self._fold(pa, pb), self._encode(c)
         for m, d in self._fold(pb, pa).items():
             _add_shifted(ab, m, d, e, -1)
-        return _unpack(ab, da * db, self._decoded)
+        return ab
 
     def _fold(self, pa: dict, pb: dict) -> dict:
         """Packed a*b on packed operands, all {monomial: {packed exponent:
@@ -227,20 +235,20 @@ class StraighteningEngine:
                         _add_shifted(out, m, ca, eb, kb)
         return out
 
-    def _pack(self, ta: Sequence, tb: Sequence, shift: int = 0) -> list:
-        """Each operand's (monomial, scalar) pairs packed once by
-        ``_pack_terms``, into the table the fold reads, after widening the
-        fields if the width bound of the class docstring, plus ``shift`` for
-        a packed twist eta^c, asks.  A zero scalar packs to an empty table,
-        which the fold and ``_unpack`` skip."""
-        bound, degree = shift, 0
-        for t in (ta, tb):
-            bound += max([abs(x) for _, c in t for v, _ in c.terms for x in v], default=0)
-            degree += max([sum(m) for m, _ in t], default=0)
-        bound += self._growth * degree * (degree - 1) // 2
+    def pack(self, ts: Sequence, shift: int = 0) -> list:
+        """Each term map of ``ts``, given as to ``mul_terms``, packed once by
+        ``_pack_terms`` into the table the fold reads, with its denominator,
+        after widening the fields if the width bound of the class docstring
+        asks for a fold of any two of them, plus ``shift`` for a packed
+        twist eta^c.  A zero scalar packs to an empty table, which the fold
+        and ``_unpack`` skip."""
+        top = sum(sorted([max([abs(x) for _, c in t for v, _ in c.terms for x in v], default=0)
+                          for t in ts])[-2:])
+        degree = sum(sorted([max([sum(m) for m, _ in t], default=0) for t in ts])[-2:])
+        bound = shift + top + self._growth * degree * (degree - 1) // 2
         if bound >= self._half:
             self._set_width(max(bound.bit_length() + 2, 2 * self._decoded.bits))
-        return [_pack_terms(t, self._encode) for t in (ta, tb)]
+        return [_pack_terms(t, self._encode) for t in ts]
 
     def _acc_times_block(self, acc: Mapping, p: int, e: int, scale=None, out=None) -> dict:
         """``out + scale * acc * g_p^e`` (scale None for 1, out a new table by
@@ -388,7 +396,9 @@ class WeylParams:
     lexp: tuple[tuple[ExpVec, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qexp", tuple(tuple(v) for v in self.qexp))
+        object.__setattr__(
+            self, "qexp", tuple(_vector(v, f"s_{i + 1}") for i, v in enumerate(self.qexp))
+        )
         object.__setattr__(
             self, "lexp", tuple(tuple(tuple(v) for v in row) for row in self.lexp)
         )
@@ -431,13 +441,15 @@ class WeylParams:
         """Build from the configuration layout: q_exponents is an n x r
         matrix of rows s_i; lambda_exponents is a list of r antisymmetric
         n x n matrices, one per eta-coordinate, each checked for its shape
-        before it is read."""
-        if len(lambda_exponents) != r:
+        before it is read (a number in place of a matrix or a row is not n x
+        n), and a row s_i that is a number is refused by its name."""
+        if _size(q_exponents) != n:
+            raise ValueError(f"expected {n} q exponent vectors")
+        if _size(lambda_exponents) != r:
             raise ValueError(f"expected {r} coordinate matrices")
         for k, matrix in enumerate(lambda_exponents, 1):
-            if len(matrix) != n or any(len(row) != n for row in matrix):
+            if _size(matrix) != n or any(_size(row) != n for row in matrix):
                 raise ValueError(f"coordinate matrix {k} must be {n} x {n}")
-        qexp = tuple(tuple(row) for row in q_exponents)
         lexp = tuple(
             tuple(
                 tuple(lambda_exponents[k][i][j] for k in range(r))
@@ -445,7 +457,7 @@ class WeylParams:
             )
             for i in range(n)
         )
-        return cls(n, r, qexp, lexp)
+        return cls(n, r, q_exponents, lexp)
 
     # -- scalar views of the structure constants -----------------------------
 
@@ -511,6 +523,23 @@ class WeylParams:
         entries (their images are in ``atoms``); it lives and dies with this
         instance."""
         return {}
+
+
+def _size(value) -> int | None:
+    """``len(value)``, or None for a value with no length, such as a number."""
+    try:
+        return len(value)
+    except TypeError:
+        return None
+
+
+def _vector(value, name: str) -> tuple:
+    """``value`` as a tuple; one that is not iterable, such as a number,
+    raises a ValueError that names it."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} = {value!r} must be a vector of integers") from None
 
 
 class PbwElement(TermMap):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qweyl import cli, exprs, spectra
+from qweyl import cli, exprs, spectra, weyl
 from qweyl.cli import main
 from qweyl.quantum_plane import PLANE, PlaneElement
 from qweyl.scalars import DigitLimitError
@@ -347,7 +347,12 @@ def test_concrete_block_outside_the_domain_is_a_usage_error(tmp_path, capsys, co
     ({"r": 0, "lambda_exponents": []}, "invalid instance data: rank r must be positive"),
     ({"q_exponents": []}, "invalid instance data: expected 1 q exponent vectors"),
     ({"lambda_exponents": []}, "invalid instance data: expected 1 coordinate matrices"),
-]], ids=["array", "json", "rational", "concrete-length", "rank", "q-count", "matrix-count"])
+    ({"lambda_exponents": [5]}, "invalid instance data: coordinate matrix 1 must be 1 x 1"),
+    ({"lambda_exponents": [[5]]}, "invalid instance data: coordinate matrix 1 must be 1 x 1"),
+    ({"q_exponents": [1]}, "invalid instance data: s_1 = 1 must be a vector of integers"),
+    ({"q_exponents": 1}, "invalid instance data: expected 1 q exponent vectors"),
+]], ids=["array", "json", "rational", "concrete-length", "rank", "q-count", "matrix-count",
+         "number-matrix", "number-row", "number-s", "number-q"])
 def test_config_error_prints_its_message(tmp_path, capsys, text, message):
     """Each config error is one line that names what is wrong, in text and
     in the JSON record."""
@@ -536,16 +541,16 @@ def test_failed_call_stores_no_partial_memo_entry(monkeypatch, capsys):
     """A ``stratum`` call that fails partway through filling the stratum
     table of the held instance exits 3; the next call, on that instance,
     prints what it prints on a new one."""
-    bracket, calls = spectra.pb_bracket, []
+    bracket, calls = spectra.pb_core, []
 
-    def third_call_fails(a, b):
+    def third_call_fails(oa, ob):
         calls.append(1)
         if len(calls) == 3:
             raise RuntimeError("boom")
-        return bracket(a, b)
+        return bracket(oa, ob)
 
     with monkeypatch.context() as patch:
-        patch.setattr(spectra, "pb_bracket", third_call_fails)
+        patch.setattr(spectra, "pb_core", third_call_fails)
         assert run(capsys, "stratum", "") == (
             3, "", "error: internal error: RuntimeError: boom\n")
     held = cli._held
@@ -561,8 +566,8 @@ def test_calls_on_one_config_share_an_instance(monkeypatch, capsys):
     equal config reads the memos it filled, so a repeated ``stratum`` takes
     no bracket, and a call on another config frees it, with its engines and
     memos.  ``params_from_config`` builds a new instance each time."""
-    bracket, calls = spectra.pb_bracket, []
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: calls.append(1) or bracket(a, b))
+    bracket, calls = spectra.pb_core, []
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: calls.append(1) or bracket(oa, ob))
     cold = run(capsys, "stratum", "")
     filled = len(calls)
     assert cold[0] == 0 and filled
@@ -606,6 +611,44 @@ def test_held_instance_is_matched_by_type(tmp_path, capsys):
     assert run(capsys, "--config", other, "nf", "x2*x1") != default
     assert cli._held is not held
     assert cli._held == cli.params_from_config({**cli.DEFAULT_CONFIG, "lambda_exponents": lexp})
+
+
+def test_instance_block_is_kept_with_the_held_instance(tmp_path, capsys):
+    """The --json "instance" block is built when the held instance is
+    replaced and kept with it.  A config file equal to the built-in config
+    is still a config: it gets its own instance and block, with "source":
+    "config", and the built-in config after it gets "builtin-default" again."""
+    def instance(*argv):
+        code, out, _ = run(capsys, *argv, "--json", "nf", "x1")
+        assert code == 0
+        return json.loads(out)["instance"]
+
+    builtin = {"n": 2, "r": 2, "q_exponents": [[1, 0], [0, 1]], "source": "builtin-default"}
+    assert instance() == builtin
+    held, block = cli._held, cli._held_block
+    assert instance() == builtin and cli._held is held and cli._held_block is block
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cli.DEFAULT_CONFIG))
+    for _ in range(2):
+        assert instance("--config", str(path)) == {**builtin, "source": "config"}
+    assert cli._held is not held and cli._held == held
+    assert instance() == builtin
+
+
+def test_scl_renders_its_result_once(monkeypatch, capsys):
+    """``scl`` prints its result's text in the record and in its line from
+    one render of the result."""
+    render, rendered = weyl.element_to_str, []
+
+    def counted(a, *rest):
+        rendered.append(a)
+        return render(a, *rest)
+
+    monkeypatch.setattr(weyl, "element_to_str", counted)
+    for flags in ((), ("--json",)):
+        rendered.clear()
+        code, out, _ = run(capsys, *flags, "scl", "x1*y2 + x2^2", "y1 + x1*x2")
+        assert code == 0 and "mu1*y2 + -mu2*x1^2" in out and len(rendered) == 1
 
 
 def test_failed_check_exits_1(monkeypatch, capsys):

@@ -275,21 +275,25 @@ def test_memos_after_widening_match_the_oracle(params3):
     assert engine._half > 2**70
 
 
-def test_width_guard_at_its_edge(capsys):
+def test_width_guard_at_its_edge(monkeypatch, capsys):
     """A product whose width bound equals ``_half`` widens the fields first.
     On the built-in config, x2 * (eta^[2046,0]*y1) has A = 2046, growth
     M = 2 and D = 2, so the bound A + M D(D - 1)/2 is 2048, which is
     ``_half`` at ``MIN_BITS``; the result's exponent 2048 would wrap to -2048
-    in a 12-bit field.  The product matches the oracle, and ``nf`` prints it."""
-    params = params_from_config(DEFAULT_CONFIG)
-    engine = params.engine
-    assert engine._half == 1 << (StraighteningEngine.MIN_BITS - 1) == 2048
-    x2 = WeylElement.generator(params, "x", 2)
-    b = monomial_element(params, ((1, 0, 0, 0), (2046, 0), 1))
-    assert engine_product(x2, b) == oracle_product(x2, b) == {(1, 0, 0, 1): (((2048, 0), 1),)}
-    assert engine._half > 2048
-    assert cli.main(["nf", "x2*(eta^[2046,0]*y1)"]) == 0
-    assert capsys.readouterr().out == "eta^[2048,0]*y1*x2\n"
+    in a 12-bit field.  Both operands' exponents count: (eta^[1023,0]*x2) *
+    (eta^[1023,0]*y1) meets the same edge with A = B = 1023.  Each product,
+    on a new instance, matches the oracle, and ``nf`` prints it."""
+    for left, right in ((0, 2046), (1023, 1023)):
+        params = params_from_config(DEFAULT_CONFIG)
+        engine = params.engine
+        assert engine._half == 1 << (StraighteningEngine.MIN_BITS - 1) == 2048
+        a = monomial_element(params, ((0, 0, 0, 1), (left, 0), 1))
+        b = monomial_element(params, ((1, 0, 0, 0), (right, 0), 1))
+        assert engine_product(a, b) == oracle_product(a, b) == {(1, 0, 0, 1): (((2048, 0), 1),)}
+        assert engine._half > 2048
+        monkeypatch.setattr(cli, "_held", None)  # nf on a new instance too
+        assert cli.main(["nf", f"(eta^[{left},0]*x2)*(eta^[{right},0]*y1)"]) == 0
+        assert capsys.readouterr().out == "eta^[2048,0]*y1*x2\n"
 
 
 # -- the printed form read back by the oracle's grammar ---------------------------

@@ -36,9 +36,16 @@ from qweyl import (
     y_set,
 )
 from qweyl import spectra
+from qweyl.poisson import pb_bracket, pb_operand
 from qweyl.spectra import CenterLattice, lattice_contains, row_hermite_normal_form
 from qweyl.suites import SuiteResult, random_params, run_suite
 from qweyl.weyl import PbwElement, StraighteningEngine
+
+
+def bracket_form(a, b, wa, wb):
+    """``spectra._bracket_form`` of the Poisson elements a and b as a table
+    fill calls it: on their prepared operands and their one product."""
+    return spectra._bracket_form(pb_operand(a), pb_operand(b), spectra._product(a, b), wa, wb)
 
 
 def T_of(n, *names):
@@ -644,8 +651,8 @@ def test_pair_memo_keeps_a_wrong_bracket_visible(monkeypatch):
     params = random_params(random.Random(4), 2, 2)
     T = T_of(2)
     torus_matrix_p(params, T)  # fills this instance's memo, not a fresh one's
-    right = spectra.pb_bracket
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: -right(a, b))
+    right = spectra.pb_core
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: -right(oa, ob))
     cold = fresh(params)
     pm, qm = torus_matrix_p(cold, T), torus_matrix_q(cold, T)
     size = len(qm)
@@ -659,25 +666,25 @@ def test_bracket_form_rejects_a_bracket_off_the_product(monkeypatch, fault):
     params = random_params(random.Random(4), 2, 2)
     y1, x2 = ("y", 1), ("x", 2)
     a, b = (PoissonElement.generator(params, *w) for w in (y1, x2))
-    right = spectra.pb_bracket
-    assert right(a, b)  # {y1, x2} = d y1 x2 with d != 0
+    right = spectra.pb_core
+    assert right(pb_operand(a), pb_operand(b))  # {y1, x2} = d y1 x2 with d != 0
     extra = {
         "lower-degree term": PoissonElement.generator(params, "y", 2),
         "other leading monomial": a * b * a,
     }[fault]
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: right(a, b) + extra)
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: right(oa, ob) + extra)
     with pytest.raises(ArithmeticError, match=r"^bracket of \('y', 1\) and \('x', 2\) "
                        "is not a scalar multiple of their product$"):
-        spectra._bracket_form(a, b, y1, x2)
+        bracket_form(a, b, y1, x2)
 
 
 def test_bracket_form_of_a_zero_bracket_is_zero(monkeypatch):
     params = random_params(random.Random(4), 2, 2)
     z1, z2 = (PoissonElement.generator(params, "z", i) for i in (1, 2))
-    assert spectra._bracket_form(z1, z2, ("z", 1), ("z", 2)) == MuPoly.zero(2)
+    assert bracket_form(z1, z2, ("z", 1), ("z", 2)) == MuPoly.zero(2)
     y1, x2 = (PoissonElement.generator(params, *w) for w in (("y", 1), ("x", 2)))
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement.zero(params))
-    assert spectra._bracket_form(y1, x2, ("y", 1), ("x", 2)) == MuPoly.zero(2)
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: PoissonElement.zero(params))
+    assert bracket_form(y1, x2, ("y", 1), ("x", 2)) == MuPoly.zero(2)
 
 
 NOT_A_MULTIPLE = "is not a scalar multiple of their product$"
@@ -689,10 +696,10 @@ def test_bracket_form_checks_every_term(monkeypatch, fault):
     params = random_params(random.Random(4), 2, 2)
     z2, y2 = ("z", 2), ("y", 2)
     a, b = (PoissonElement.generator(params, *w) for w in (z2, y2))
-    right = spectra.pb_bracket
-    br = right(a, b)
+    right = spectra.pb_core
+    br = right(pb_operand(a), pb_operand(b))
     # {z2, y2} = d (y2 + y1 x1 y2 + y2^2 x2); the faults keep its leading term
-    assert len(br.terms) == 3 and spectra._bracket_form(a, b, z2, y2)
+    assert len(br.terms) == 3 and bracket_form(a, b, z2, y2)
     low, mid = br.terms[0][0], br.terms[1][0]
     terms = dict(br.terms)
     if fault in ("missing monomial", "other monomial"):
@@ -703,10 +710,10 @@ def test_bracket_form_checks_every_term(monkeypatch, fault):
         terms[(1, 0, 0, 0)] = MuPoly.one(2)  # y1, not a monomial of z2 y2
     wrong = PoissonElement(params, terms)
     assert wrong.terms[-1] == br.terms[-1]
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: wrong)
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: wrong)
     with pytest.raises(ArithmeticError, match=r"^bracket of \('z', 2\) and \('y', 2\) "
                        + NOT_A_MULTIPLE):
-        spectra._bracket_form(a, b, z2, y2)
+        bracket_form(a, b, z2, y2)
 
 
 def test_bracket_form_rejects_a_coefficient_that_is_not_rational():
@@ -715,7 +722,7 @@ def test_bracket_form_rejects_a_coefficient_that_is_not_rational():
     a, b = (PoissonElement.generator(params, *w) for w in (y1, x2))
     with pytest.raises(ArithmeticError, match=r"^bracket of \('y', 1\) and \('x', 2\) "
                        + NOT_A_MULTIPLE):
-        spectra._bracket_form(a.scale(MuPoly.variable(2, 1)), b, y1, x2)
+        bracket_form(a.scale(MuPoly.variable(2, 1)), b, y1, x2)
 
 
 def test_bracket_form_matches_the_element_route():
@@ -729,10 +736,10 @@ def test_bracket_form_matches_the_element_route():
             a, b = images[w], images[v]
             if w[1] == v[1] and {w[0], v[0]} == {"y", "x"}:
                 with pytest.raises(ArithmeticError, match=NOT_A_MULTIPLE):
-                    spectra._bracket_form(a, b, w, v)
+                    bracket_form(a, b, w, v)
                 continue
-            d = spectra._bracket_form(a, b, w, v)
-            assert spectra.pb_bracket(a, b) == (a * b).scale(d), (seed, n, r, w, v)
+            d = bracket_form(a, b, w, v)
+            assert pb_bracket(a, b) == (a * b).scale(d), (seed, n, r, w, v)
 
 
 def test_torus_derivative_link_sees_a_pair_that_is_not_skew(monkeypatch):
@@ -746,9 +753,9 @@ def test_torus_derivative_link_sees_a_pair_that_is_not_skew(monkeypatch):
         c = right_q(p, w, v)
         return (c[0] + 1,) + c[1:] if (w, v) == bad else c
 
-    def wrong_p(a, b, wa, wb):
-        d = right_p(a, b, wa, wb)
-        return d + MuPoly.variable(a.params.r, 0) if (wa, wb) == bad else d
+    def wrong_p(oa, ob, ab, wa, wb):
+        d = right_p(oa, ob, ab, wa, wb)
+        return d + MuPoly.variable(d.rank, 0) if (wa, wb) == bad else d
 
     monkeypatch.setattr(spectra, "q_pair_exponent", wrong_q)
     monkeypatch.setattr(spectra, "_bracket_form", wrong_p)
@@ -870,26 +877,35 @@ def test_generator_images_are_built_once_per_instance(monkeypatch):
 def test_expression_leaves_are_the_images_the_stratum_table_folds(monkeypatch):
     """``WeylParams.atom`` serves eval_weyl's leaves and the stratum images
     alike: a leaf is the very element whose terms the torus residues fold,
-    and each (cls, kind, i) is built once."""
+    and each (cls, kind, i) is built once.  The table packs the images'
+    terms once per fill and folds the packed tables."""
     params = random_params(random.Random(6), 2, 2)
-    built, folded = [], []
-    right, commute = PbwElement.generator.__func__, StraighteningEngine.q_commutator
+    built, packs, folded = [], [], []
+    right = PbwElement.generator.__func__
+    pack, residue = StraighteningEngine.pack, StraighteningEngine.residue
 
     def counted(cls, p, kind, i):
         built.append((cls, kind, i))
         return right(cls, p, kind, i)
 
-    def spied(self, ta, tb, c):
-        folded.append((ta, tb))
-        return commute(self, ta, tb, c)
+    def spied_pack(self, ts, shift=0):
+        out = pack(self, ts, shift)
+        packs.extend(zip(ts, [table for table, _ in out]))
+        return out
+
+    def spied(self, pa, pb, c):
+        folded.append((pa, pb))
+        return residue(self, pa, pb, c)
 
     monkeypatch.setattr(PbwElement, "generator", classmethod(counted))
-    monkeypatch.setattr(StraighteningEngine, "q_commutator", spied)
+    monkeypatch.setattr(StraighteningEngine, "pack", spied_pack)
+    monkeypatch.setattr(StraighteningEngine, "residue", spied)
     leaves = {w: eval_weyl(parse_expr("%s%d" % w), params) for w in (("y", 2), ("z", 1))}
     fill_every_stratum(params)
     for w, leaf in leaves.items():
         assert eval_weyl(parse_expr("%s%d" % w), params) is leaf is params.atom(WeylElement, *w)
-        assert any(leaf.terms is ta or leaf.terms is tb for ta, tb in folded), w
+        tables = [table for terms, table in packs if terms is leaf.terms]
+        assert any(t is pa or t is pb for t in tables for pa, pb in folded), w
     assert len(built) == len(set(built)) == len(params.atoms)
 
 
@@ -919,11 +935,13 @@ def test_torus_table_bound():
 def test_each_pair_is_computed_once(monkeypatch):
     """Filling every stratum of an instance computes each ordered pair's
     exponent and Poisson bracket once, and one q_commutator call per
-    unordered off-diagonal pair gives the pair's verdict."""
+    unordered off-diagonal pair gives the pair's verdict.  Brackets are
+    taken on operands prepared of the Poisson images, and residues on the
+    packed Weyl images, whose monomials they keep."""
     params = random_params(random.Random(6), 3, 2)
-    exponents, brackets, commutators, depth = [], [], [], []
-    exponent, bracket = spectra.q_pair_exponent, spectra.pb_bracket
-    commute = StraighteningEngine.q_commutator
+    exponents, brackets, commutators, depth, operands = [], [], [], [], {}
+    exponent, bracket, prepare = spectra.q_pair_exponent, spectra.pb_core, spectra.pb_operand
+    commute = StraighteningEngine.residue
 
     def counted_exponent(p, w, v):  # counts the outer call, not its recursion
         if not depth:
@@ -934,17 +952,23 @@ def test_each_pair_is_computed_once(monkeypatch):
         finally:
             depth.pop()
 
-    def counted_bracket(a, b):
-        brackets.append((a, b))  # the images stay in the table, so ids stay unique
-        return bracket(a, b)
+    def prepared(x):  # each operand is kept with its image, so ids stay unique
+        out = prepare(x)
+        operands[id(out)] = out, x
+        return out
 
-    def counted_commute(self, ta, tb, c):
-        commutators.append(tuple(tuple(m for m, _ in t) for t in (ta, tb)))
-        return commute(self, ta, tb, c)
+    def counted_bracket(oa, ob):
+        brackets.append((operands[id(oa)][1], operands[id(ob)][1]))  # images stay in the table
+        return bracket(oa, ob)
+
+    def counted_commute(self, pa, pb, c):
+        commutators.append((tuple(pa), tuple(pb)))
+        return commute(self, pa, pb, c)
 
     monkeypatch.setattr(spectra, "q_pair_exponent", counted_exponent)
-    monkeypatch.setattr(spectra, "pb_bracket", counted_bracket)
-    monkeypatch.setattr(StraighteningEngine, "q_commutator", counted_commute)
+    monkeypatch.setattr(spectra, "pb_operand", prepared)
+    monkeypatch.setattr(spectra, "pb_core", counted_bracket)
+    monkeypatch.setattr(StraighteningEngine, "residue", counted_commute)
     fill_every_stratum(params)
     pairs = {pair for T in enumerate_admissible(3) for pair in product(y_set(T), repeat=2)}
     _, images = table_parts(params)
@@ -980,14 +1004,55 @@ def test_table_fill_divides_no_form_by_one(monkeypatch):
     leading coefficient itself: filling the forms of all 20 strata of an
     n = 3 instance brackets its 52 pairs and scales no MuPoly."""
     params = random_params(random.Random(3), 3, 2)
-    scaled, brackets, right = [], [], spectra.pb_bracket
+    scaled, brackets, right = [], [], spectra.pb_core
     scale = MuPoly.scale
     monkeypatch.setattr(MuPoly, "scale", lambda self, c: scaled.append(c) or scale(self, c))
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: brackets.append(1) or right(a, b))
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: brackets.append(1) or right(oa, ob))
     tables = [torus_matrix_p(params, T) for T in enumerate_admissible(3)]
     assert (len(tables), len(brackets), scaled) == (20, 52, [])
     for T, table in zip(enumerate_admissible(3), tables):
         assert table == tuple(tuple(map(MuPoly.linear, row)) for row in torus_matrix_q(params, T))
+
+
+def test_table_fill_prepares_each_image_once(monkeypatch):
+    """Each fill of the pair table prepares every image it needs once: the
+    Poisson operand of each Poisson image, and the packed terms of each Weyl
+    image, both the instance's own images.  Filling the forms of all 20
+    strata of the n = 3 instance above still brackets its 52 pairs and
+    folds its 22 unordered off-diagonal pairs, one residue each."""
+    params = random_params(random.Random(3), 3, 2)
+    fills, brackets, folds = [], [], []
+    table, prepare, core = spectra._pair_table, spectra.pb_operand, spectra.pb_core
+    pack, residue = StraighteningEngine.pack, StraighteningEngine.residue
+
+    def counted_table(p, field, gens):  # a fill reads the table again when it is done
+        fills.append(([], []))  # the Poisson images prepared, the Weyl terms packed
+        return table(p, field, gens)
+
+    def prepared(x):
+        fills[-1][0].append(x)
+        return prepare(x)
+
+    def packed(self, ts, shift=0):
+        fills[-1][1].extend(ts)
+        return pack(self, ts, shift)
+
+    monkeypatch.setattr(spectra, "_pair_table", counted_table)
+    monkeypatch.setattr(spectra, "pb_operand", prepared)
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: brackets.append(1) or core(oa, ob))
+    monkeypatch.setattr(StraighteningEngine, "pack", packed)
+    monkeypatch.setattr(StraighteningEngine, "residue",
+                        lambda self, pa, pb, c: folds.append(1) or residue(self, pa, pb, c))
+    for T in enumerate_admissible(3):
+        torus_matrix_p(params, T)
+    assert (len(brackets), len(folds)) == (52, 22)
+    gens = {w for T in enumerate_admissible(3) for w in y_set(T)}
+    own = ({id(params.atom(PoissonElement, *w)) for w in gens},
+           {id(params.atom(WeylElement, *w).terms) for w in gens})
+    for fill in fills:
+        for got, mine in zip(fill, own):
+            assert len(set(map(id, got))) == len(got) and set(map(id, got)) <= mine
+    assert [len(got) for got in fills[0]] == [6, 6]  # the empty stratum's z1, y1, ..., z3, y3
 
 
 @pytest.mark.parametrize("factor", [2, Fraction(-1, 3)])
@@ -996,15 +1061,15 @@ def test_bracket_form_rejects_a_coefficient_off_by_a_factor(monkeypatch, factor,
     params = random_params(random.Random(4), 2, 2)
     z2, y2 = ("z", 2), ("y", 2)
     a, b = (PoissonElement.generator(params, *w) for w in (z2, y2))
-    d = spectra._bracket_form(a, b, z2, y2)
+    d = bracket_form(a, b, z2, y2)
     # {z2, z2 y2} = d z2 z2 y2, whose product has unequal rationals, 3/2 at the leading one
     a, b = a.scale(Fraction(3, 2)), a * b
-    assert spectra._bracket_form(a, b, z2, y2) == d
-    right = spectra.pb_bracket
-    terms = dict(right(a, b).terms)
-    mono = right(a, b).terms[slot][0]  # below the leading monomial
+    assert bracket_form(a, b, z2, y2) == d
+    right = spectra.pb_core
+    terms = dict(right(pb_operand(a), pb_operand(b)).terms)
+    mono = right(pb_operand(a), pb_operand(b)).terms[slot][0]  # below the leading monomial
     terms[mono] = terms[mono].scale(factor)
-    monkeypatch.setattr(spectra, "pb_bracket", lambda a, b: PoissonElement(params, terms))
+    monkeypatch.setattr(spectra, "pb_core", lambda oa, ob: PoissonElement(params, terms))
     with pytest.raises(ArithmeticError, match=r"^bracket of \('z', 2\) and \('y', 2\) "
                        + NOT_A_MULTIPLE):
-        spectra._bracket_form(a, b, z2, y2)
+        bracket_form(a, b, z2, y2)
